@@ -44,13 +44,12 @@ def main():
           f"sx={spread[0]:.1f} sy={spread[1]:.1f}")
 
     OUT.mkdir(exist_ok=True)
-    fig = render_ceg(graphs, FigureSpec(kind="ceg", y_axis="pc1"))
+    fig = render_ceg(graphs, FigureSpec(y_axis="pc1"))
     (OUT / "ceg_pc1.svg").write_text(fig.svg, encoding="utf-8")
     print(f"wrote {OUT / 'ceg_pc1.svg'} ({fig.width}x{fig.height}, "
           f"annotation {fig.annotation!r})")
 
-    fig = render_tsne(graphs, FigureSpec(kind="tsne-scatter",
-                                         perplexity=12.0, iterations=500))
+    fig = render_tsne(graphs, FigureSpec(perplexity=12.0, iterations=500))
     (OUT / "tsne.svg").write_text(fig.svg, encoding="utf-8")
     print(f"wrote {OUT / 'tsne.svg'} ({len(fig.legend)} legend entries)")
 

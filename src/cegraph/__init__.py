@@ -33,6 +33,7 @@ from .embed import (
 from .features import (
     ALL_FEATURE_NAMES,
     FEATURE_SETS,
+    FeatureTable,
     featurize,
     featurize_dataset,
     resolve_feature_set,
@@ -72,6 +73,7 @@ __all__ = [
     "CorrelationTable",
     "Dataset",
     "EvolutionGraph",
+    "FeatureTable",
     "FigureSpec",
     "GraphFeatures",
     "ParseError",

@@ -1,8 +1,9 @@
 """Graph-theoretic feature extraction from syntax-tree graphs.
 
 22 structural features computed on the undirected view of the tree:
-counts, degree statistics, depth statistics, clustering terms (identically
-zero on trees but defined for any graph), and distance statistics.
+counts, degree statistics, depth statistics, clustering terms (a tree has
+no triangles, so these are always 0; they keep the 22-column schema), and
+distance statistics. Graphs that are not trees are rejected.
 
 Distance features use linear-time tree algorithms: average shortest path
 via per-edge component sizes, eccentricities via double breadth-first
@@ -164,29 +165,6 @@ def _tree_avg_shortest_path(n: int, adj: list[list[int]], root: int) -> float:
     return total / (n * (n - 1) / 2)
 
 
-def _local_clustering(adj: list[list[int]]) -> list[float]:
-    """Triangle-based local clustering; nodes of degree < 2 get 0."""
-    neigh = [set(a) for a in adj]
-    coeffs = []
-    for u, nu in enumerate(neigh):
-        k = len(nu)
-        if k < 2:
-            coeffs.append(0.0)
-            continue
-        links = sum(len(nu & neigh[v]) for v in nu) // 2
-        coeffs.append(2.0 * links / (k * (k - 1)))
-    return coeffs
-
-
-def _transitivity(adj: list[list[int]]) -> float:
-    neigh = [set(a) for a in adj]
-    triangles = sum(len(nu & neigh[v]) for u, nu in enumerate(neigh) for v in nu) // 6
-    triples = sum(len(a) * (len(a) - 1) // 2 for a in adj)
-    if triples == 0:
-        return 0.0
-    return 3.0 * triangles / triples
-
-
 def _eig_centrality(n: int, edges, tol: float = 1e-10, max_iter: int = 1000):
     """Power iteration on A + I (shifted to kill the bipartite sign flip)."""
     x = np.full(n, 1.0 / math.sqrt(n))
@@ -216,13 +194,17 @@ def compute_graph_features(
     Degenerate cases follow fixed conventions: a single-node graph has all
     degree, depth, clustering and distance statistics equal to 0 and
     edge_density 0; assortativity is 0 whenever endpoint degrees have zero
-    variance; entropy of a one-valued distribution is 0.
+    variance; entropy of a one-valued distribution is 0. A graph whose edge
+    count is not its node count minus one is not a tree and raises
+    ValueError.
     """
     n = graph.node_count
     edges = graph.edges
     m = len(edges)
     if n == 0:
         raise ValueError("graph has no nodes")
+    if m != n - 1:
+        raise ValueError(f"not a tree: {n} nodes but {m} edges")
 
     deg = np.zeros(n, dtype=np.int64)
     if m:
@@ -259,18 +241,6 @@ def compute_graph_features(
     depth_entropy = _entropy(Counter(depths).values())
 
     adj = _adjacency(n, edges)
-    if m == n - 1:
-        # connected acyclic graph: no triangles anywhere
-        clustering_min = clustering_max = clustering_mean = clustering_var = 0.0
-        transitivity = 0.0
-    else:
-        coeffs = np.asarray(_local_clustering(adj))
-        clustering_min = float(coeffs.min())
-        clustering_max = float(coeffs.max())
-        clustering_mean = float(coeffs.mean())
-        clustering_var = float(coeffs.var())
-        transitivity = _transitivity(adj)
-
     if n == 1:
         diameter = radius = 0
         mean_eccentricity = 0.0
@@ -300,11 +270,11 @@ def compute_graph_features(
         depth_max=depth_max,
         depth_mean=depth_mean,
         depth_entropy=depth_entropy,
-        clustering_min=clustering_min,
-        clustering_max=clustering_max,
-        clustering_mean=clustering_mean,
-        clustering_var=clustering_var,
-        transitivity=transitivity,
+        clustering_min=0.0,
+        clustering_max=0.0,
+        clustering_mean=0.0,
+        clustering_var=0.0,
+        transitivity=0.0,
         diameter=diameter,
         radius=radius,
         mean_eccentricity=mean_eccentricity,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import FeatureTable
 from .ingest import CodeSample, Dataset
 
 log = logging.getLogger(__name__)
@@ -55,9 +56,6 @@ class EvolutionGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def node_by_id(self) -> dict[str, CegNode]:
-        return {n.sample_id: n for n in self.nodes}
-
     def to_dict(self) -> dict:
         return {
             "group_key": list(self.group_key),
@@ -76,6 +74,23 @@ class EvolutionGraph:
             ],
             "edges": [[p, c] for p, c in self.edges],
         }
+
+
+def feature_columns(graphs, names=None) -> tuple[tuple[str, ...], list[int]]:
+    """Check that `graphs` is non-empty and that all graphs share one
+    feature-name tuple; return the selected names and their column indices
+    (names=None selects every column). Unknown names raise ValueError."""
+    if not graphs:
+        raise ValueError("no evolution graphs given")
+    base = graphs[0].feature_names
+    for g in graphs:
+        if g.feature_names != base:
+            raise ValueError(f"graph {g.run_id!r} has mismatched feature names")
+    names = base if names is None else tuple(names)
+    missing = [name for name in names if name not in base]
+    if missing:
+        raise ValueError(f"unknown feature names: {', '.join(missing)}")
+    return names, [base.index(name) for name in names]
 
 
 def graphs_to_json(graphs: list[EvolutionGraph]) -> str:
@@ -101,7 +116,7 @@ def _norm_key(sample: CodeSample, scope: str):
 
 def build_ceg(
     dataset: Dataset,
-    features: dict[str, dict[str, float]],
+    features: FeatureTable,
     *,
     normalize: str = "minmax",
     direction: str = "maximize",
@@ -110,10 +125,10 @@ def build_ceg(
 ) -> list[EvolutionGraph]:
     """Build one evolution graph per run.
 
-    `features` maps sample id to its feature row (see featurize_dataset);
-    samples without a row are skipped, and edges touching them dropped.
-    All rows must share the same feature names. Returns graphs sorted by
-    (group_key, run_id).
+    `features` holds the feature rows (see featurize_dataset); samples
+    without a row are skipped, and edges touching them dropped. Nodes hold
+    row views of the table's matrix and of one standardized matrix.
+    Returns graphs sorted by (group_key, run_id).
     """
     if normalize not in ("minmax", "none"):
         raise ValueError(f"unknown normalize mode {normalize!r}")
@@ -124,31 +139,21 @@ def build_ceg(
     if std_scope not in STD_SCOPES:
         raise ValueError(f"unknown std_scope {std_scope!r}")
 
-    eligible = [s for s in dataset.samples if s.id in features]
+    row_of = features.row_of()
+    eligible = [s for s in dataset.samples if s.id in row_of]
     skipped = len(dataset.samples) - len(eligible)
     if skipped:
         log.warning("skipping %d samples without feature vectors", skipped)
     if not eligible:
         return []
 
-    feature_names = tuple(features[eligible[0].id].keys())
-    for s in eligible:
-        if tuple(features[s.id].keys()) != feature_names:
-            raise ValueError(f"sample {s.id!r} has mismatched feature names")
-
-    raw = np.array(
-        [[features[s.id][name] for name in feature_names] for s in eligible],
-        dtype=float,
-    )
-
     # z-standardize features within the chosen scope
+    raw = features.values
     std = np.zeros_like(raw)
-    if std_scope == "dataset":
-        scopes = {None: list(range(len(eligible)))}
-    else:
-        scopes = {}
-        for i, s in enumerate(eligible):
-            scopes.setdefault(s.group_key, []).append(i)
+    scopes: dict[object, list[int]] = {}
+    for s in eligible:
+        key = s.group_key if std_scope == "group" else None
+        scopes.setdefault(key, []).append(row_of[s.id])
     for rows in scopes.values():
         block = raw[rows]
         mean = block.mean(axis=0)
@@ -180,8 +185,6 @@ def build_ceg(
                 )
 
     # partition by run, build nodes and edges
-    eligible_ids = {s.id for s in eligible}
-    row_of = {s.id: i for i, s in enumerate(eligible)}
     runs: dict[str, list[CodeSample]] = {}
     for s in eligible:
         runs.setdefault(s.run_id, []).append(s)
@@ -197,7 +200,7 @@ def build_ceg(
         out_degree: dict[str, int] = {s.id: 0 for s in samples}
         for s in samples:
             for pid in s.parent_ids:
-                if pid in eligible_ids and pid in out_degree:
+                if pid in out_degree:
                     edges.append((pid, s.id))
                     out_degree[pid] += 1
         nodes = tuple(
@@ -207,8 +210,8 @@ def build_ceg(
                 evaluation_index=s.evaluation_index,
                 fitness_norm=fitness_norm[s.id],
                 parent_frequency=out_degree[s.id],
-                features_raw=raw[row_of[s.id]].copy(),
-                features_std=std[row_of[s.id]].copy(),
+                features_raw=raw[row_of[s.id]],
+                features_std=std[row_of[s.id]],
             )
             for s in samples
         )
@@ -216,7 +219,7 @@ def build_ceg(
             EvolutionGraph(
                 group_key=group_keys.pop(),
                 run_id=run_id,
-                feature_names=feature_names,
+                feature_names=features.names,
                 nodes=nodes,
                 edges=tuple(edges),
             )

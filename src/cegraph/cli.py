@@ -17,7 +17,7 @@ from .astfeat import EIG_FEATURE_NAMES
 from .ceg import build_ceg, graphs_to_json
 from .embed import correlation_table
 from .features import ALL_FEATURE_NAMES, featurize_dataset, resolve_feature_set
-from .ingest import SchemaError, ValidationError, load_jsonl, validate
+from .ingest import ValidationError, load_jsonl, validate
 from .report import FigureSpec, render_ceg, render_heatmap, render_tsne
 
 _META_COLUMNS = (
@@ -32,48 +32,59 @@ _META_COLUMNS = (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="run log (JSONL)")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument(
-        "--policy",
+# flag -> argparse keywords
+OPTIONS = {
+    "--input": dict(required=True, help="run log (JSONL)"),
+    "--out": dict(default="out", help="output directory"),
+    "--policy": dict(
         choices=("strict", "drop-dangling-edges"),
         default="strict",
         help="lineage validation policy",
-    )
-    parser.add_argument(
-        "--include-eigencentrality",
+    ),
+    "--include-eigencentrality": dict(
         action="store_true",
         help="also compute eigenvector centrality features",
-    )
-
-
-def _add_ceg_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--normalize", choices=("minmax", "none"), default="minmax")
-    parser.add_argument("--direction", choices=("maximize", "minimize"), default="maximize")
-    parser.add_argument("--norm-scope", choices=("group", "run", "global"), default="group")
-
-
-def _add_projection_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--perplexity", type=float, default=30.0)
-    parser.add_argument("--iterations", type=int, default=1000)
-
-
-def _add_feature_set(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--feature-set",
+    ),
+    "--normalize": dict(choices=("minmax", "none"), default="minmax"),
+    "--direction": dict(choices=("maximize", "minimize"), default="maximize"),
+    "--norm-scope": dict(choices=("group", "run", "global"), default="group"),
+    "--seed": dict(type=int, default=0),
+    "--perplexity": dict(type=float, default=30.0),
+    "--iterations": dict(type=int, default=1000),
+    "--y-axis": dict(default="pc1", help="pc1 | tokens | feature:<name>"),
+    "--feature-set": dict(
         default=None,
         help="ast22 | complexity6 | all28 | custom:<file>",
-    )
+    ),
+}
+_COMMON = ("--input", "--out", "--policy", "--include-eigencentrality")
+_CEG = ("--normalize", "--direction", "--norm-scope")
+_PROJECTION = ("--seed", "--perplexity", "--iterations")
 
-
-def _add_y_axis(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--y-axis",
-        default="pc1",
-        help="pc1 | tokens | feature:<name>",
-    )
+# subcommand -> (help, flags, artifacts it writes)
+SUBCOMMANDS = {
+    "extract": ("write per-sample feature vectors as CSV", (), ("features",)),
+    "ceg": (
+        "build evolution graphs and a lineage figure",
+        _CEG + ("--y-axis", "--feature-set"),
+        ("ceg",),
+    ),
+    "tsne": (
+        "project all samples with exact t-SNE",
+        _CEG + _PROJECTION + ("--feature-set",),
+        ("tsne",),
+    ),
+    "correlate": (
+        "feature/fitness rank correlations",
+        _CEG + ("--feature-set",),
+        ("correlations",),
+    ),
+    "pipeline": (
+        "run extract, ceg, tsne and correlate",
+        _CEG + _PROJECTION + ("--y-axis", "--feature-set"),
+        ("features", "ceg", "tsne", "correlations"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,238 +93,124 @@ def build_parser() -> argparse.ArgumentParser:
         description="reconstruct and analyze the evolution of generated code",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("extract", help="write per-sample feature vectors as CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_extract)
-
-    p = sub.add_parser("ceg", help="build evolution graphs and a lineage figure")
-    _add_common(p)
-    _add_ceg_options(p)
-    _add_y_axis(p)
-    _add_feature_set(p)
-    p.set_defaults(func=_cmd_ceg)
-
-    p = sub.add_parser("tsne", help="project all samples with exact t-SNE")
-    _add_common(p)
-    _add_ceg_options(p)
-    _add_projection_options(p)
-    _add_feature_set(p)
-    p.set_defaults(func=_cmd_tsne)
-
-    p = sub.add_parser("correlate", help="feature/fitness rank correlations")
-    _add_common(p)
-    _add_ceg_options(p)
-    _add_feature_set(p)
-    p.set_defaults(func=_cmd_correlate)
-
-    p = sub.add_parser("pipeline", help="run extract, ceg, tsne and correlate")
-    _add_common(p)
-    _add_ceg_options(p)
-    _add_projection_options(p)
-    _add_y_axis(p)
-    _add_feature_set(p)
-    p.set_defaults(func=_cmd_pipeline)
-
+    # every subcommand carries every option's default, so _run reads them
+    # all; it accepts only its own flags
+    defaults = {
+        flag[2:].replace("-", "_"): kwargs.get("default", False)
+        for flag, kwargs in OPTIONS.items()
+    }
+    for command, (help_text, flags, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(**defaults)
+        for flag in _COMMON + flags:
+            p.add_argument(flag, **OPTIONS[flag])
     return parser
-
-
-def _prepare(args):
-    dataset = load_jsonl(args.input)
-    dataset, violations = validate(dataset, policy=args.policy)
-    if violations:
-        print(f"dropped {len(violations)} dangling parent references", file=sys.stderr)
-    table, failures = featurize_dataset(
-        dataset, include_eigenvector=args.include_eigencentrality
-    )
-    if failures:
-        print(f"skipped {len(failures)} unparsable samples", file=sys.stderr)
-    return dataset, table
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_features_csv(dataset, table, path: Path, with_eig: bool) -> None:
     """Metadata plus the 28 canonical feature columns in fixed order
     (plus the two eigenvector-centrality columns when enabled)."""
-    rows = [s for s in dataset.samples if s.id in table]
+    row_of = table.row_of()
+    rows = [s for s in dataset.samples if s.id in row_of]
     if not rows:
         raise ValidationError("no sample produced a feature vector")
     feature_names = list(ALL_FEATURE_NAMES)
     if with_eig:
         feature_names += list(EIG_FEATURE_NAMES)
+    cols = [table.names.index(name) for name in feature_names]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(_META_COLUMNS) + feature_names)
         for s in rows:
-            meta = [
-                s.id,
-                s.name,
-                s.run_id,
-                s.method,
-                s.llm,
-                s.benchmark,
-                s.evaluation_index,
-                "" if s.fitness_raw is None else repr(s.fitness_raw),
-            ]
-            feats = [repr(table[s.id][name]) for name in feature_names]
+            meta = [getattr(s, column) for column in _META_COLUMNS[:-1]]
+            meta.append("" if s.fitness_raw is None else repr(s.fitness_raw))
+            feats = [repr(v) for v in table.values[row_of[s.id], cols].tolist()]
             writer.writerow(meta + feats)
 
 
-def _build_graphs(args, dataset, table):
-    return build_ceg(
+def _y_axis(spelling: str) -> str:
+    if spelling == "pc1":
+        return "pc1"
+    if spelling == "tokens":
+        return "token_total"
+    if spelling.startswith("feature:"):
+        return spelling[len("feature:"):]
+    raise ValueError(
+        f"unknown y-axis {spelling!r}; use pc1, tokens or feature:<name>"
+    )
+
+
+def _run(args) -> int:
+    """Load, validate and featurize the log, build the evolution graphs if
+    a selected artifact needs them, then write the selected artifacts in
+    order, listing each file written on stdout."""
+    artifacts = SUBCOMMANDS[args.command][2]
+    dataset = load_jsonl(args.input)
+    dataset, violations = validate(dataset, policy=args.policy)
+    if violations:
+        print(f"dropped {len(violations)} dangling parent references", file=sys.stderr)
+        for v in violations:
+            print(
+                f"  dropped parent {v.parent_id!r} of sample {v.sample_id!r}: {v.reason}",
+                file=sys.stderr,
+            )
+    table, failures = featurize_dataset(
+        dataset, include_eigenvector=args.include_eigencentrality
+    )
+    if failures:
+        print(f"skipped {len(failures)} unparsable samples", file=sys.stderr)
+        for sample_id, diagnostic in failures.items():
+            print(f"  skipped sample {sample_id!r}: {diagnostic}", file=sys.stderr)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write(name: str, text: str) -> None:
+        (out / name).write_text(text, encoding="utf-8")
+        print(f"wrote {out / name}")
+
+    if "features" in artifacts:
+        _write_features_csv(
+            dataset, table, out / "features.csv", args.include_eigencentrality
+        )
+        print(f"wrote {out / 'features.csv'}")
+    if artifacts == ("features",):
+        return 0
+
+    graphs = build_ceg(
         dataset,
         table,
         normalize=args.normalize,
         direction=args.direction,
         norm_scope=args.norm_scope,
     )
-
-
-def _figure_spec(args, kind: str) -> FigureSpec:
-    feature_set = None
-    if args.feature_set:
-        feature_set = resolve_feature_set(args.feature_set)
-    y_axis = "pc1"
-    if hasattr(args, "y_axis"):
-        if args.y_axis == "tokens":
-            y_axis = "token_total"
-        elif args.y_axis.startswith("feature:"):
-            y_axis = args.y_axis[len("feature:"):]
-        elif args.y_axis == "pc1":
-            y_axis = "pc1"
-        else:
-            raise ValueError(
-                f"unknown y-axis {args.y_axis!r}; use pc1, tokens or feature:<name>"
+    if not graphs:
+        raise ValidationError("no evolution graphs could be built")
+    feature_set = resolve_feature_set(args.feature_set) if args.feature_set else None
+    if "ceg" in artifacts:
+        spec = FigureSpec(y_axis=_y_axis(args.y_axis), feature_set=feature_set)
+        write("ceg.json", graphs_to_json(graphs))
+        write(f"ceg_{spec.y_axis}.svg", render_ceg(graphs, spec).svg)
+    if "tsne" in artifacts:
+        # keep the perplexity inside [1, (n - 1) / 3]
+        n = sum(g.node_count for g in graphs)
+        perplexity = min(max(args.perplexity, 1.0), max(1.0, (n - 1) / 3.0))
+        if perplexity != args.perplexity:
+            print(
+                f"perplexity {args.perplexity} out of range for {n} samples, "
+                f"using {perplexity:g}",
+                file=sys.stderr,
             )
-    kwargs = {}
-    if hasattr(args, "perplexity"):
-        kwargs = {
-            "perplexity": args.perplexity,
-            "seed": args.seed,
-            "iterations": args.iterations,
-        }
-    return FigureSpec(kind=kind, y_axis=y_axis, feature_set=feature_set, **kwargs)
-
-
-def _clamped_perplexity(args, n: int) -> float:
-    """Keep the requested perplexity inside [1, (n - 1) / 3]."""
-    hi = max(1.0, (n - 1) / 3.0)
-    p = min(max(args.perplexity, 1.0), hi)
-    if p != args.perplexity:
-        print(
-            f"perplexity {args.perplexity} out of range for {n} samples, using {p:g}",
-            file=sys.stderr,
+        spec = FigureSpec(
+            feature_set=feature_set,
+            perplexity=perplexity,
+            seed=args.seed,
+            iterations=args.iterations,
         )
-    return p
-
-
-def _cmd_extract(args) -> int:
-    dataset, table = _prepare(args)
-    out = _out_dir(args)
-    _write_features_csv(
-        dataset, table, out / "features.csv", args.include_eigencentrality
-    )
-    print(f"wrote {out / 'features.csv'}")
-    return 0
-
-
-def _cmd_ceg(args) -> int:
-    dataset, table = _prepare(args)
-    out = _out_dir(args)
-    graphs = _build_graphs(args, dataset, table)
-    if not graphs:
-        raise ValidationError("no evolution graphs could be built")
-    (out / "ceg.json").write_text(graphs_to_json(graphs), encoding="utf-8")
-    spec = _figure_spec(args, "ceg")
-    fig = render_ceg(graphs, spec)
-    suffix = "pc1" if spec.y_axis == "pc1" else spec.y_axis
-    (out / f"ceg_{suffix}.svg").write_text(fig.svg, encoding="utf-8")
-    print(f"wrote {out / 'ceg.json'} and {out / f'ceg_{suffix}.svg'}")
-    return 0
-
-
-def _cmd_tsne(args) -> int:
-    dataset, table = _prepare(args)
-    out = _out_dir(args)
-    graphs = _build_graphs(args, dataset, table)
-    if not graphs:
-        raise ValidationError("no evolution graphs could be built")
-    n = sum(g.node_count for g in graphs)
-    spec = _figure_spec(args, "tsne-scatter")
-    spec = FigureSpec(
-        kind="tsne-scatter",
-        feature_set=spec.feature_set,
-        perplexity=_clamped_perplexity(args, n),
-        seed=args.seed,
-        iterations=args.iterations,
-    )
-    fig = render_tsne(graphs, spec)
-    (out / "tsne.svg").write_text(fig.svg, encoding="utf-8")
-    print(f"wrote {out / 'tsne.svg'}")
-    return 0
-
-
-def _cmd_correlate(args) -> int:
-    dataset, table = _prepare(args)
-    out = _out_dir(args)
-    graphs = _build_graphs(args, dataset, table)
-    if not graphs:
-        raise ValidationError("no evolution graphs could be built")
-    names = (
-        resolve_feature_set(args.feature_set)
-        if args.feature_set
-        else ALL_FEATURE_NAMES
-    )
-    corr = correlation_table(graphs, names)
-    (out / "correlations.csv").write_text(corr.to_csv(), encoding="utf-8")
-    fig = render_heatmap(corr)
-    (out / "heatmap.svg").write_text(fig.svg, encoding="utf-8")
-    print(f"wrote {out / 'correlations.csv'} and {out / 'heatmap.svg'}")
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    dataset, table = _prepare(args)
-    out = _out_dir(args)
-    _write_features_csv(
-        dataset, table, out / "features.csv", args.include_eigencentrality
-    )
-    graphs = _build_graphs(args, dataset, table)
-    if not graphs:
-        raise ValidationError("no evolution graphs could be built")
-    (out / "ceg.json").write_text(graphs_to_json(graphs), encoding="utf-8")
-
-    spec = _figure_spec(args, "ceg")
-    fig = render_ceg(graphs, spec)
-    suffix = "pc1" if spec.y_axis == "pc1" else spec.y_axis
-    (out / f"ceg_{suffix}.svg").write_text(fig.svg, encoding="utf-8")
-
-    n = sum(g.node_count for g in graphs)
-    tsne_spec = FigureSpec(
-        kind="tsne-scatter",
-        feature_set=spec.feature_set,
-        perplexity=_clamped_perplexity(args, n),
-        seed=args.seed,
-        iterations=args.iterations,
-    )
-    tsne_fig = render_tsne(graphs, tsne_spec)
-    (out / "tsne.svg").write_text(tsne_fig.svg, encoding="utf-8")
-
-    names = (
-        resolve_feature_set(args.feature_set)
-        if args.feature_set
-        else ALL_FEATURE_NAMES
-    )
-    corr = correlation_table(graphs, names)
-    (out / "correlations.csv").write_text(corr.to_csv(), encoding="utf-8")
-    heat = render_heatmap(corr)
-    (out / "heatmap.svg").write_text(heat.svg, encoding="utf-8")
-    print(f"pipeline outputs in {out}")
+        write("tsne.svg", render_tsne(graphs, spec).svg)
+    if "correlations" in artifacts:
+        corr = correlation_table(graphs, feature_set or ALL_FEATURE_NAMES)
+        write("correlations.csv", corr.to_csv())
+        write("heatmap.svg", render_heatmap(corr).svg)
     return 0
 
 
@@ -329,10 +226,7 @@ def main(argv=None) -> int:
         print(exc.code, file=sys.stderr)
         return 2
     try:
-        return args.func(args)
-    except (SchemaError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -151,11 +151,12 @@ def _statement_depths(tree: ast.Module) -> list[int]:
 def compute_complexity(code: str) -> ComplexityMetrics:
     """Compute complexity metrics for one module of source text.
 
-    Raises ParseError on syntactically invalid input.
+    Raises ParseError on syntactically invalid input and on input nested
+    too deeply for the parser.
     """
     try:
         tree = ast.parse(code)
-    except (SyntaxError, ValueError) as exc:
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ParseError(f"invalid Python source: {exc}") from exc
     tokens = counted_tokens(code)
     starts = [t.start for t in tokens]

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ceg import feature_columns
+
 
 @dataclass(frozen=True, eq=False)
 class PcaResult:
@@ -258,17 +260,7 @@ class CorrelationTable:
 def correlation_table(graphs, feature_names=None) -> CorrelationTable:
     """Pool nodes per group across runs and correlate each feature's raw
     values with normalized fitness."""
-    if not graphs:
-        raise ValueError("no evolution graphs given")
-    base = graphs[0].feature_names
-    for g in graphs:
-        if g.feature_names != base:
-            raise ValueError(f"graph {g.run_id!r} has mismatched feature names")
-    names = tuple(feature_names) if feature_names else base
-    missing = [name for name in names if name not in base]
-    if missing:
-        raise ValueError(f"unknown feature names: {', '.join(missing)}")
-    col_idx = {name: base.index(name) for name in names}
+    names, cols = feature_columns(graphs, feature_names or None)
 
     pooled: dict[tuple[str, str, str], list] = {}
     for g in graphs:
@@ -280,8 +272,8 @@ def correlation_table(graphs, feature_names=None) -> CorrelationTable:
         nodes = pooled[key]
         fitness = [n.fitness_norm for n in nodes]
         row = []
-        for name in names:
-            feat = [float(n.features_raw[col_idx[name]]) for n in nodes]
+        for col in cols:
+            feat = [float(n.features_raw[col]) for n in nodes]
             row.append(spearman(feat, fitness))
         rows.append(tuple(row))
     return CorrelationTable(groups=groups, feature_names=names, values=tuple(rows))

@@ -8,7 +8,10 @@ eigenvector centrality columns are appended after those, so selecting
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES, compute_graph_features
 from .codemetrics import (
@@ -56,35 +59,61 @@ def resolve_feature_set(spec: str, available=None) -> tuple[str, ...]:
     raise ValueError(f"unknown feature set {spec!r}")
 
 
+def _column_names(include_eigenvector: bool) -> tuple[str, ...]:
+    names = ALL_FEATURE_NAMES + NESTING_FEATURE_NAMES
+    return names + EIG_FEATURE_NAMES if include_eigenvector else names
+
+
 def featurize(code: str, include_eigenvector: bool = False) -> dict[str, float]:
     """Full feature vector for one source string, canonical column order."""
     graph = parse_to_graph(code)
     gf = compute_graph_features(graph, include_eigenvector=include_eigenvector)
-    cm = compute_complexity(code)
-    gf_dict = gf.as_dict()
-    cm_dict = cm.as_dict()
-    row = {name: gf_dict[name] for name in AST_FEATURE_NAMES}
-    for name in COMPLEXITY_FEATURE_NAMES + NESTING_FEATURE_NAMES:
-        row[name] = cm_dict[name]
-    if include_eigenvector:
-        for name in EIG_FEATURE_NAMES:
-            row[name] = gf_dict[name]
-    return row
+    values = gf.as_dict() | compute_complexity(code).as_dict()
+    return {name: values[name] for name in _column_names(include_eigenvector)}
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Feature matrix: row i holds the features of sample ids[i], column j
+    the feature names[j]. A values array of any other shape is rejected."""
+
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (len(self.ids), len(self.names)):
+            raise ValueError(
+                f"feature values of shape {values.shape} mismatch "
+                f"{len(self.ids)} ids and {len(self.names)} names"
+            )
+        object.__setattr__(self, "values", values)
+
+    def row_of(self) -> dict[str, int]:
+        return {sample_id: i for i, sample_id in enumerate(self.ids)}
 
 
 def featurize_dataset(
     dataset: Dataset, include_eigenvector: bool = False
-) -> tuple[dict[str, dict[str, float]], dict[str, str]]:
+) -> tuple[FeatureTable, dict[str, str]]:
     """Feature vectors for every sample whose code parses.
 
-    Returns (table, failures): table maps sample id to its feature row,
-    failures maps the ids of unparsable samples to the parser diagnostic.
+    Returns (table, failures): table has one row per parsed sample in
+    dataset order, with the columns of featurize; failures maps the ids of
+    unparsable samples to the parser diagnostic.
     """
-    table: dict[str, dict[str, float]] = {}
+    names = _column_names(include_eigenvector)
+    ids: list[str] = []
+    rows: list[list[float]] = []
     failures: dict[str, str] = {}
     for s in dataset.samples:
         try:
-            table[s.id] = featurize(s.code, include_eigenvector=include_eigenvector)
+            row = featurize(s.code, include_eigenvector=include_eigenvector)
         except ParseError as exc:
             failures[s.id] = str(exc)
-    return table, failures
+            continue
+        ids.append(s.id)
+        rows.append(list(row.values()))
+    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    return FeatureTable(tuple(ids), names, values), failures

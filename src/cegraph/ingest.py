@@ -65,12 +65,6 @@ class Dataset:
             runs.setdefault(s.run_id, []).append(s)
         return runs
 
-    def by_group(self) -> dict[tuple[str, str, str], list[CodeSample]]:
-        groups: dict[tuple[str, str, str], list[CodeSample]] = {}
-        for s in self.samples:
-            groups.setdefault(s.group_key, []).append(s)
-        return groups
-
 
 def _require_str(obj: dict, key: str, lineno: int, default: str | None = None) -> str:
     value = obj.get(key, default)
@@ -116,7 +110,7 @@ def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
             raise SchemaError(f"line {lineno}: missing required field 'code' or 'code_path'")
         if not isinstance(code_path, str):
             raise SchemaError(f"line {lineno}: field 'code_path' must be a string")
-        code = (base_dir / code_path).read_text(encoding="utf-8")
+        code = (base_dir / code_path).read_text(encoding="utf-8-sig")
     elif not isinstance(code, str):
         raise SchemaError(f"line {lineno}: field 'code' must be a string")
 

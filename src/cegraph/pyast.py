@@ -76,12 +76,13 @@ def _children(node: ast.AST) -> list[ast.AST]:
 def parse_to_graph(code: str) -> AstGraph:
     """Parse source text into its abstract-grammar tree.
 
-    Raises ParseError for syntactically invalid code so batch callers can
-    record the sample as invalid instead of aborting.
+    Raises ParseError for syntactically invalid code, and for code nested
+    too deeply for the parser, so batch callers can record the sample as
+    invalid instead of aborting.
     """
     try:
         tree = ast.parse(code)
-    except (SyntaxError, ValueError) as exc:
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ParseError(f"invalid Python source: {exc}") from exc
 
     nodes: list[tuple[int, str, int]] = []

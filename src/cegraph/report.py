@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .astfeat import AST_FEATURE_NAMES
+from .ceg import feature_columns
 from .codemetrics import COMPLEXITY_FEATURE_NAMES
 from .embed import CorrelationTable, pca, tsne
 
@@ -39,10 +40,9 @@ MARKER_SHAPES = ("circle", "square", "triangle", "diamond", "cross")
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Rendering options shared by all figure kinds (ceg, tsne-scatter,
-    heatmap); fields not applying to a kind are ignored by it."""
+    """Rendering options of the lineage grid and the t-SNE scatter; fields
+    not applying to a figure are ignored by it."""
 
-    kind: str = "ceg"
     y_axis: str = "pc1"  # "pc1" or a feature name
     feature_set: tuple[str, ...] | None = None  # projection input columns
     perplexity: float = 30.0
@@ -133,20 +133,8 @@ def _marker(shape: str, x: float, y: float, r: float, color: str, hollow: bool) 
     return f'<polygon class="point" points="{pts}" {style}/>'
 
 
-def _check_feature_names(graphs) -> tuple[str, ...]:
-    if not graphs:
-        raise ValueError("no evolution graphs to render")
-    base = graphs[0].feature_names
-    for g in graphs:
-        if g.feature_names != base:
-            raise ValueError(f"graph {g.run_id!r} has mismatched feature names")
-    return base
-
-
-def _std_matrix(graphs, names: tuple[str, ...]) -> np.ndarray:
-    base = graphs[0].feature_names
-    idx = [base.index(n) for n in names]
-    rows = [n.features_std[idx] for g in graphs for n in g.nodes]
+def _std_matrix(graphs, cols: list[int]) -> np.ndarray:
+    rows = [n.features_std[cols] for g in graphs for n in g.nodes]
     return np.asarray(rows, dtype=float)
 
 
@@ -156,8 +144,8 @@ def render_ceg(graphs, spec: FigureSpec | None = None) -> RenderedFigure:
     component of the standardized features (annotated with its explained
     variance fraction) or a raw feature value. Marker area tracks parent
     frequency; samples without fitness are drawn hollow."""
-    spec = spec or FigureSpec(kind="ceg")
-    base = _check_feature_names(graphs)
+    spec = spec or FigureSpec()
+    base, _ = feature_columns(graphs)
     all_nodes = [n for g in graphs for n in g.nodes]
     if not all_nodes:
         raise ValueError("empty node set")
@@ -169,10 +157,8 @@ def render_ceg(graphs, spec: FigureSpec | None = None) -> RenderedFigure:
         )
         if not names:
             raise ValueError("no usable features for pc1")
-        missing = [n for n in names if n not in base]
-        if missing:
-            raise ValueError(f"unknown feature names: {', '.join(missing)}")
-        X = _std_matrix(graphs, tuple(names))
+        _, cols = feature_columns(graphs, names)
+        X = _std_matrix(graphs, cols)
         result = pca(X, 1)
         y_values = result.projected[:, 0]
         annotation = f"PC1 ({float(result.explained_variance_ratio[0]):.2f})"
@@ -291,8 +277,8 @@ def render_tsne(graphs, spec: FigureSpec | None = None) -> RenderedFigure:
     (method, llm) pair, marker shape cycles per run, marker size grows
     with normalized fitness; missing fitness renders hollow at minimum
     size."""
-    spec = spec or FigureSpec(kind="tsne-scatter")
-    base = _check_feature_names(graphs)
+    spec = spec or FigureSpec()
+    base, _ = feature_columns(graphs)
     all_nodes = [(g, n) for g in graphs for n in g.nodes]
     if not all_nodes:
         raise ValueError("empty node set")
@@ -303,10 +289,8 @@ def render_tsne(graphs, spec: FigureSpec | None = None) -> RenderedFigure:
         # default projection input: the canonical feature set when present
         canonical = AST_FEATURE_NAMES + COMPLEXITY_FEATURE_NAMES
         names = canonical if all(n in base for n in canonical) else base
-    missing = [n for n in names if n not in base]
-    if missing:
-        raise ValueError(f"unknown feature names: {', '.join(missing)}")
-    X = _std_matrix(graphs, tuple(names))
+    _, cols = feature_columns(graphs, names)
+    X = _std_matrix(graphs, cols)
     result = tsne(
         X, perplexity=spec.perplexity, seed=spec.seed, iterations=spec.iterations
     )
@@ -384,11 +368,10 @@ def _diverging(v: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def render_heatmap(table: CorrelationTable, spec: FigureSpec | None = None) -> RenderedFigure:
+def render_heatmap(table: CorrelationTable) -> RenderedFigure:
     """Correlation heatmap: one row per group, one column per feature,
     diverging color scale over [-1, 1], cells labeled to 2 decimals.
     Cells without a defined correlation stay gray and unlabeled."""
-    del spec  # reserved for future sizing options
     if not table.groups:
         raise ValueError("empty correlation table")
     cell_w, cell_h = 52.0, 26.0

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cegraph.astfeat import (
-    AST_FEATURE_NAMES,
-    _local_clustering,
-    _transitivity,
-    compute_graph_features,
-)
+from cegraph.astfeat import AST_FEATURE_NAMES, compute_graph_features
 from cegraph.pyast import AstGraph, parse_to_graph
 from cegraph.synth import random_module
 
@@ -160,20 +155,14 @@ def test_matches_oracles_on_fuzzed_modules():
         assert f.transitivity == oracles.transitivity(n, edges)
 
 
-def test_clustering_generic_path_on_a_triangle_with_tail():
+def test_graph_with_a_cycle_is_rejected():
     # not a tree: triangle 0-1-2 plus a pendant node 3
-    edges = ((0, 1), (1, 2), (0, 2), (2, 3))
-    adj = [[] for _ in range(4)]
-    for p, c in edges:
-        adj[p].append(c)
-        adj[c].append(p)
-    coeffs = _local_clustering(adj)
-    assert coeffs == pytest.approx(oracles.local_clustering(4, edges), abs=1e-12)
-    assert coeffs[0] == 1.0  # degree-2 node inside the triangle
-    assert coeffs[3] == 0.0  # pendant
-    assert _transitivity(adj) == pytest.approx(
-        oracles.transitivity(4, edges), abs=1e-12
+    g = AstGraph(
+        nodes=((0, "Module", 0), (1, "A", 1), (2, "B", 1), (3, "C", 2)),
+        edges=((0, 1), (1, 2), (0, 2), (2, 3)),
     )
+    with pytest.raises(ValueError, match="not a tree"):
+        compute_graph_features(g)
 
 
 def test_invariants_on_fuzzed_modules():

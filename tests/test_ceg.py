@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cegraph.ceg import build_ceg, graphs_to_json
-from cegraph.features import featurize_dataset
+from cegraph.features import FeatureTable, featurize_dataset
 from cegraph.ingest import load_jsonl, validate
 from cegraph.synth import write_synthetic_log
 
@@ -213,10 +213,8 @@ def test_samples_without_features_are_skipped_with_edges(tmp_path):
 def test_feature_name_mismatch_is_fatal(tmp_path):
     ds = make_dataset(tmp_path, simple_objs([1.0, 2.0]))
     table, _ = featurize_dataset(ds)
-    broken = dict(table)
-    broken["r-s1"] = {"only_one": 1.0}
     with pytest.raises(ValueError, match="mismatch"):
-        build_ceg(ds, broken)
+        FeatureTable(table.ids, ("only_one",), table.values)
 
 
 def test_mixed_group_key_within_run_is_fatal(tmp_path):
@@ -232,7 +230,7 @@ def test_mixed_group_key_within_run_is_fatal(tmp_path):
 
 def test_empty_feature_table_gives_no_graphs(tmp_path):
     ds = make_dataset(tmp_path, simple_objs([1.0]))
-    assert build_ceg(ds, {}) == []
+    assert build_ceg(ds, FeatureTable((), (), np.empty((0, 0)))) == []
 
 
 def test_json_export_schema(synthetic):

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from cegraph.cli import main
-from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES
+from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES, featurize_dataset
+from cegraph.ingest import load_jsonl
 from cegraph.synth import write_synthetic_log
 
 META = ("id", "name", "run_id", "method", "llm", "benchmark",
@@ -189,6 +190,12 @@ def test_exit_codes(tmp_path, log_path, capsys):
     bad.write_text('{"id": "x"}\n', encoding="utf-8")
     assert run(["extract", "--input", bad, "--out", tmp_path / "o2"]) == 1
     capsys.readouterr()
+    # each subcommand accepts only its own options
+    for argv in (["extract", "--seed", "3"], ["ceg", "--perplexity", "5"],
+                 ["tsne", "--y-axis", "pc1"]):
+        assert run(argv + ["--input", log_path, "--out", tmp_path / "o3"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o3").exists()
 
 
 def test_strict_policy_rejects_dangling_parent(tmp_path, capsys):
@@ -209,7 +216,8 @@ def test_strict_policy_rejects_dangling_parent(tmp_path, capsys):
         "--policy", "drop-dangling-edges",
     ]) == 0
     err = capsys.readouterr().err
-    assert "ghost" in err or "dropped" in err
+    assert "dropped 1 dangling parent references" in err
+    assert "'ghost'" in err and "parent id not found" in err
 
 
 def test_pipeline_reruns_byte_identical(log_path, tmp_path, capsys):
@@ -223,3 +231,55 @@ def test_pipeline_reruns_byte_identical(log_path, tmp_path, capsys):
     for name in ("features.csv", "ceg.json", "ceg_pc1.svg", "tsne.svg",
                  "correlations.csv", "heatmap.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_subcommands_write_the_pipeline_artifacts(log_path, tmp_path, capsys):
+    common = ["--input", log_path, "--include-eigencentrality"]
+    ceg = ["--norm-scope", "run", "--direction", "minimize"]
+    projection = ["--seed", "3", "--iterations", "300", "--perplexity", "5"]
+    features = ["--feature-set", "complexity6"]
+    assert run(["pipeline", "--out", tmp_path / "pipeline"]
+               + common + ceg + projection + features) == 0
+    capsys.readouterr()
+    for argv, names in (
+        (["extract"], ["features.csv"]),
+        (["ceg"] + ceg + features, ["ceg.json", "ceg_pc1.svg"]),
+        (["tsne"] + ceg + projection + features, ["tsne.svg"]),
+        (["correlate"] + ceg + features, ["correlations.csv", "heatmap.svg"]),
+    ):
+        out = tmp_path / argv[0]
+        assert run(argv + common + ["--out", out]) == 0
+        # stdout lists exactly the files written, and nothing else is written
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in names
+        ]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        for name in names:
+            pipeline_bytes = (tmp_path / "pipeline" / name).read_bytes()
+            assert (out / name).read_bytes() == pipeline_bytes, name
+
+
+def test_deeply_nested_sample_is_skipped_not_fatal(tmp_path, capsys):
+    # ast.parse raises RecursionError on this source
+    deep = "x = " + "-" * 5000 + "1\n"
+    rows = [
+        {"id": f"s{i}", "run_id": "r", "evaluation_index": i,
+         "code": deep if i == 3 else f"x = {i}\n", "fitness_raw": float(i)}
+        for i in range(6)
+    ]
+    path = tmp_path / "deep.jsonl"
+    path.write_text(
+        "\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8"
+    )
+    table, failures = featurize_dataset(load_jsonl(path))
+    assert set(failures) == {"s3"}
+    assert table.ids == ("s0", "s1", "s2", "s4", "s5")
+
+    out = tmp_path / "out"
+    assert run(["extract", "--input", path, "--out", out]) == 0
+    err = capsys.readouterr().err
+    assert "skipped 1 unparsable samples" in err
+    assert "'s3'" in err and "recursion" in err
+    with open(out / "features.csv", newline="", encoding="utf-8") as fh:
+        ids = [r[0] for r in csv.reader(fh)][1:]
+    assert ids == ["s0", "s1", "s2", "s4", "s5"]

@@ -180,6 +180,8 @@ def test_comments_and_blank_lines_do_not_count():
 def test_invalid_source_raises_parse_error():
     with pytest.raises(ParseError):
         compute_complexity("def broken(:\n")
+    with pytest.raises(ParseError):  # RecursionError inside ast.parse
+        compute_complexity("x = " + "-" * 5000 + "1\n")
 
 
 def test_wrapping_body_in_if_true_adds_one():

@@ -74,6 +74,6 @@ def test_featurize_dataset_skips_unparsable(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     table, failures = featurize_dataset(load_jsonl(path))
-    assert set(table) == {"ok"}
+    assert table.ids == ("ok",)
     assert set(failures) == {"bad"}
     assert "invalid" in failures["bad"]

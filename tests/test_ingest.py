@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cegraph.features import featurize_dataset
 from cegraph.ingest import (
     SchemaError,
     ValidationError,
@@ -50,6 +51,23 @@ def test_code_path_resolves_relative_to_log(tmp_path):
     )
     ds = load_jsonl(write_lines(tmp_path / "log.jsonl", [line]))
     assert ds.samples[0].code == "y = 2\n"
+
+
+def test_code_path_with_utf8_bom_featurizes_like_without(tmp_path):
+    code = "def f(x):\n    return [x, 'caf\u00e9']\n"
+    (tmp_path / "plain.py").write_bytes(code.encode("utf-8"))
+    (tmp_path / "bom.py").write_bytes(b"\xef\xbb\xbf" + code.encode("utf-8"))
+    lines = [
+        json.dumps({"id": name, "run_id": "r", "evaluation_index": i,
+                    "code_path": f"{name}.py"})
+        for i, name in enumerate(("plain", "bom"))
+    ]
+    ds = load_jsonl(write_lines(tmp_path / "log.jsonl", lines))
+    assert ds.samples[1].code == code
+    table, failures = featurize_dataset(ds)
+    assert failures == {}
+    assert table.ids == ("plain", "bom")
+    assert table.values[0].tolist() == table.values[1].tolist()
 
 
 def test_code_and_code_path_together_rejected(tmp_path):
@@ -242,7 +260,4 @@ def test_grouping_helpers(tmp_path):
          "benchmark": "b2", "method": "m2", "llm": "l2"},
     )
     assert set(ds.by_run()) == {"r1", "r2", "r3"}
-    groups = ds.by_group()
-    assert set(groups) == {("b1", "m1", "l1"), ("b2", "m2", "l2")}
-    assert len(groups[("b1", "m1", "l1")]) == 2
     assert ds.by_id()["c"].benchmark == "b2"

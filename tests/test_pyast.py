@@ -64,6 +64,8 @@ def test_invalid_source_raises_parse_error():
         parse_to_graph("def f(:\n")
     with pytest.raises(ParseError):
         parse_to_graph("x ===== 1")
+    with pytest.raises(ParseError):  # RecursionError inside ast.parse
+        parse_to_graph("x = " + "-" * 5000 + "1\n")
 
 
 def test_parse_is_deterministic():

@@ -182,7 +182,6 @@ def two_method_objs():
 
 
 def tsne_spec(**kw):
-    kw.setdefault("kind", "tsne-scatter")
     kw.setdefault("perplexity", 2.5)
     kw.setdefault("iterations", 260)
     return FigureSpec(**kw)

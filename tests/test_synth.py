@@ -74,7 +74,9 @@ def test_random_search_run_is_token_anti_monotone():
         (s for s in ds.samples if s.run_id == "rs-01"),
         key=lambda s: s.fitness_raw,
     )
-    tokens = [table[s.id]["token_total"] for s in rs]
+    row_of = table.row_of()
+    col = table.names.index("token_total")
+    tokens = [table.values[row_of[s.id], col] for s in rs]
     assert all(a > b for a, b in zip(tokens, tokens[1:]))
 
 
