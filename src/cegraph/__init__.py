@@ -24,7 +24,6 @@ from .embed import (
     PcaResult,
     TsneResult,
     correlation_table,
-    joint_probabilities,
     kl_divergence_and_grad,
     pca,
     spearman,
@@ -91,7 +90,6 @@ __all__ = [
     "featurize",
     "featurize_dataset",
     "graphs_to_json",
-    "joint_probabilities",
     "kl_divergence_and_grad",
     "load_jsonl",
     "parse_to_graph",

@@ -3,9 +3,11 @@
 Everything here is deterministic given its arguments. PCA diagonalizes the
 sample covariance (ddof=1) with a symmetric eigensolver and fixes the sign
 of each component so its largest-magnitude coefficient is positive. t-SNE
-is the exact O(n^2) formulation: per-point bandwidths found by bisection
-on the Shannon entropy, early exaggeration, momentum switch, seeded
-initialization from a dedicated generator.
+is the exact O(n^2) formulation: per-point bandwidths found by one
+bisection on the Shannon entropy that steps all rows at once, early
+exaggeration, momentum switch, seeded initialization from a dedicated
+generator. The optimization loop computes only the gradient, in two (n, n)
+buffers allocated once per call; the KL value is not evaluated inside it.
 """
 
 from __future__ import annotations
@@ -80,43 +82,84 @@ def _joint_probabilities(X: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized joint probabilities with per-point bandwidth search.
 
     Bisection on beta = 1/(2 sigma^2) targets Shannon entropy log2(perplexity)
-    within 1e-5, at most 50 steps per point.
+    within 1e-5, at most 50 steps per point. All rows step together; a row
+    leaves the active set once it converges, keeping the probabilities of
+    the last beta it tried.
     """
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
     D = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
+    offdiag = ~np.eye(n, dtype=bool)
+    # row i of D without D[i, i]; each row stays C-contiguous, so its sum
+    # reduces exactly as a 1-d sum over that row does
+    Doff = D[offdiag].reshape(n, n - 1)
+    del D
     target = math.log2(perplexity)
+    beta = np.ones(n)
+    betamin = np.full(n, -np.inf)
+    betamax = np.full(n, np.inf)
+    Poff = np.zeros((n, n - 1))
+    active = np.arange(n)
+    for _ in range(50):
+        b = beta[active]
+        w = np.exp(-Doff[active] * b[:, None])
+        s = w.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pi = w / s[:, None]
+            pi[s <= 0.0] = 0.0
+            h = -np.where(pi > 0.0, pi * np.log2(pi), 0.0).sum(axis=1)
+        Poff[active] = pi
+        # summing the zeros too may move h by an ulp from a sum over the
+        # nonzero terms alone; h only steers the branch, P keeps pi itself
+        going = np.abs(h - target) >= 1e-5
+        active, b, h = active[going], b[going], h[going]
+        if active.size == 0:
+            break
+        up = h > target
+        lo = np.where(up, b, betamin[active])
+        hi = np.where(up, betamax[active], b)
+        beta[active] = np.where(
+            up,
+            np.where(hi == np.inf, b * 2.0, (b + hi) / 2.0),
+            np.where(lo == -np.inf, b / 2.0, (b + lo) / 2.0),
+        )
+        betamin[active] = lo
+        betamax[active] = hi
     P = np.zeros((n, n))
-    for i in range(n):
-        di = np.delete(D[i], i)
-        beta, betamin, betamax = 1.0, -np.inf, np.inf
-        pi = np.zeros(n - 1)
-        for _ in range(50):
-            w = np.exp(-di * beta)
-            s = w.sum()
-            if s <= 0.0:
-                h = 0.0
-                pi = np.zeros(n - 1)
-            else:
-                pi = w / s
-                nz = pi > 0.0
-                h = float(-(pi[nz] * np.log2(pi[nz])).sum())
-            if abs(h - target) < 1e-5:
-                break
-            if h > target:
-                betamin = beta
-                beta = beta * 2.0 if betamax == np.inf else (beta + betamax) / 2.0
-            else:
-                betamax = beta
-                beta = beta / 2.0 if betamin == -np.inf else (beta + betamin) / 2.0
-        P[i] = np.insert(pi, i, 0.0)
+    P[offdiag] = Poff.ravel()
     P = (P + P.T) / (2.0 * n)
     return np.maximum(P, 1e-12)
 
 
-def joint_probabilities(X, perplexity: float) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    return _joint_probabilities(X, perplexity)
+def _gradient(P: np.ndarray, Y: np.ndarray, num: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """KL gradient with respect to Y, computed in the (n, n) buffers num and g.
+
+    On return num holds the Student-t kernel 1 / (1 + |y_i - y_j|^2) with a
+    zero diagonal. Every step repeats the operation order of the dense
+    formula 4 * (diag(rowsum(PQ)) - PQ) @ Y with PQ = (P - Q) * num, so the
+    result is bitwise the same as evaluating that formula directly.
+    """
+    n = Y.shape[0]
+    sq = np.sum(Y * Y, axis=1)
+    np.matmul(Y, Y.T, out=g)
+    g *= 2.0
+    np.add(sq[:, None], sq[None, :], out=num)
+    num -= g
+    np.maximum(num, 0.0, out=num)
+    num += 1.0
+    np.divide(1.0, num, out=num)
+    np.fill_diagonal(num, 0.0)
+    np.divide(num, num.sum(), out=g)
+    np.maximum(g, 1e-12, out=g)
+    np.subtract(P, g, out=g)
+    g *= num
+    # diag(rowsum) - PQ: 0 - x rather than -x off the diagonal, so that zero
+    # entries keep the sign the dense formula gives them
+    rowsum = g.sum(axis=1)
+    diag = rowsum - g.diagonal()
+    np.subtract(0.0, g, out=g)
+    g.flat[:: n + 1] = diag
+    return 4.0 * (g @ Y)
 
 
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -125,14 +168,11 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
     grad_i = 4 * sum_j (p_ij - q_ij) * (1 + |y_i - y_j|^2)^-1 * (y_i - y_j)
     """
     n = Y.shape[0]
-    sq = np.sum(Y * Y, axis=1)
-    num = 1.0 / (1.0 + np.maximum(sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T), 0.0))
-    np.fill_diagonal(num, 0.0)
+    num = np.empty((n, n))
+    grad = _gradient(P, Y, num, np.empty((n, n)))
     Q = np.maximum(num / num.sum(), 1e-12)
     mask = P > 1e-12
     kl = float((P[mask] * np.log(P[mask] / Q[mask])).sum())
-    PQ = (P - Q) * num
-    grad = 4.0 * ((np.diag(PQ.sum(axis=1)) - PQ) @ Y)
     return kl, grad
 
 
@@ -165,6 +205,9 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
         raise ValueError("iterations must be positive")
 
     P = _joint_probabilities(X, perplexity)
+    P_exaggerated = P * 12.0
+    num = np.empty((n, n))
+    work = np.empty((n, n))
     rng = np.random.default_rng(seed)
     Y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(Y)
@@ -172,8 +215,7 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
     lr = 200.0
 
     for it in range(iterations):
-        Pit = P * 12.0 if it < 250 else P
-        _, grad = kl_divergence_and_grad(Pit, Y)
+        grad = _gradient(P_exaggerated if it < 250 else P, Y, num, work)
         momentum = 0.5 if it < 250 else 0.8
         # adaptive per-coordinate gains keep lr=200 stable on small inputs
         same = np.sign(grad) == np.sign(velocity)

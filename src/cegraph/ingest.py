@@ -97,7 +97,10 @@ def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
     if fitness is not None:
         if isinstance(fitness, bool) or not isinstance(fitness, (int, float)):
             raise SchemaError(f"line {lineno}: fitness_raw must be a number or null")
-        fitness = float(fitness)
+        try:
+            fitness = float(fitness)
+        except OverflowError:  # an integer beyond float range, like 1e400
+            fitness = math.inf
         if not math.isfinite(fitness):
             fitness = None  # non-finite scores carry no rank information
 
@@ -110,7 +113,12 @@ def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
             raise SchemaError(f"line {lineno}: missing required field 'code' or 'code_path'")
         if not isinstance(code_path, str):
             raise SchemaError(f"line {lineno}: field 'code_path' must be a string")
-        code = (base_dir / code_path).read_text(encoding="utf-8-sig")
+        try:
+            code = (base_dir / code_path).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"line {lineno}: code_path {code_path!r} is not UTF-8: {exc}"
+            ) from exc
     elif not isinstance(code, str):
         raise SchemaError(f"line {lineno}: field 'code' must be a string")
 
@@ -143,6 +151,8 @@ def load_jsonl(path) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise SchemaError(f"line {lineno}: invalid JSON: nesting too deep") from exc
         if not isinstance(obj, dict):
             raise SchemaError(f"line {lineno}: sample must be a JSON object")
         sample = _parse_sample(obj, lineno, base_dir)

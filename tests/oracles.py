@@ -11,6 +11,8 @@ import math
 import tokenize
 from collections import deque
 
+import numpy as np
+
 
 def adjacency(n, edges):
     adj = [[] for _ in range(n)]
@@ -241,3 +243,77 @@ def complexity_six(code):
         "param_total": 0,
         "param_mean": 0.0,
     }
+
+
+# ------------------------------------------------------------ exact t-SNE
+# The straightforward dense formulation that cegraph.embed must match bit
+# for bit: a scalar bandwidth bisection per row, and the KL value and
+# np.diag gradient evaluated on every iteration.
+
+
+def joint_probabilities_reference(X, perplexity):
+    n = X.shape[0]
+    sq = np.sum(X * X, axis=1)
+    D = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
+    target = math.log2(perplexity)
+    P = np.zeros((n, n))
+    for i in range(n):
+        di = np.delete(D[i], i)
+        beta, betamin, betamax = 1.0, -np.inf, np.inf
+        pi = np.zeros(n - 1)
+        for _ in range(50):
+            w = np.exp(-di * beta)
+            s = w.sum()
+            if s <= 0.0:
+                h = 0.0
+                pi = np.zeros(n - 1)
+            else:
+                pi = w / s
+                nz = pi > 0.0
+                h = float(-(pi[nz] * np.log2(pi[nz])).sum())
+            if abs(h - target) < 1e-5:
+                break
+            if h > target:
+                betamin = beta
+                beta = beta * 2.0 if betamax == np.inf else (beta + betamax) / 2.0
+            else:
+                betamax = beta
+                beta = beta / 2.0 if betamin == -np.inf else (beta + betamin) / 2.0
+        P[i] = np.insert(pi, i, 0.0)
+    P = (P + P.T) / (2.0 * n)
+    return np.maximum(P, 1e-12)
+
+
+def kl_divergence_and_grad_reference(P, Y):
+    sq = np.sum(Y * Y, axis=1)
+    num = 1.0 / (1.0 + np.maximum(sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T), 0.0))
+    np.fill_diagonal(num, 0.0)
+    Q = np.maximum(num / num.sum(), 1e-12)
+    mask = P > 1e-12
+    kl = float((P[mask] * np.log(P[mask] / Q[mask])).sum())
+    PQ = (P - Q) * num
+    grad = 4.0 * ((np.diag(PQ.sum(axis=1)) - PQ) @ Y)
+    return kl, grad
+
+
+def tsne_reference(X, perplexity, seed, iterations=1000):
+    """2-d coordinates after `iterations` steps of exact t-SNE."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    P = joint_probabilities_reference(X, perplexity)
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(0.0, 1e-4, size=(n, 2))
+    velocity = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    lr = 200.0
+    for it in range(iterations):
+        Pit = P * 12.0 if it < 250 else P
+        _, grad = kl_divergence_and_grad_reference(Pit, Y)
+        momentum = 0.5 if it < 250 else 0.8
+        same = np.sign(grad) == np.sign(velocity)
+        gains = np.where(same, gains * 0.8, gains + 0.2)
+        np.clip(gains, 0.01, None, out=gains)
+        velocity = momentum * velocity - lr * (gains * grad)
+        Y = Y + velocity
+        Y = Y - Y.mean(axis=0)
+    return Y

@@ -19,7 +19,7 @@ import oracles
 from cegraph.astfeat import compute_graph_features
 from cegraph.cli import main
 from cegraph.embed import (
-    joint_probabilities,
+    _joint_probabilities,
     kl_divergence_and_grad,
     pca,
     spearman,
@@ -314,7 +314,7 @@ def test_criterion_3_pca(capsys):
 def test_criterion_4_tsne(capsys):
     rng = np.random.default_rng(17)
     Xg = rng.normal(size=(6, 3))
-    P = joint_probabilities(Xg, perplexity=1.5)
+    P = _joint_probabilities(Xg, perplexity=1.5)
     Y = rng.normal(size=(6, 2))
     _, grad = kl_divergence_and_grad(P, Y)
     h = 1e-5

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES, featurize_dat
 from cegraph.ingest import load_jsonl
 from cegraph.synth import write_synthetic_log
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 META = ("id", "name", "run_id", "method", "llm", "benchmark",
         "evaluation_index", "fitness_raw")
 
@@ -196,6 +201,29 @@ def test_exit_codes(tmp_path, log_path, capsys):
         assert run(argv + ["--input", log_path, "--out", tmp_path / "o3"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "o3").exists()
+
+
+@pytest.mark.parametrize("bad_line", ["deep_json", "code_path_not_utf8"])
+def test_malformed_log_exits_1_without_traceback(tmp_path, bad_line):
+    # run as a process: an escaped exception would print a traceback there
+    (tmp_path / "latin.py").write_bytes(b"x = 1\xff\n")
+    line = {
+        "deep_json": "[" * 100_000 + "]" * 100_000,
+        "code_path_not_utf8": json.dumps({"id": "a", "run_id": "r",
+                                          "evaluation_index": 0,
+                                          "code_path": "latin.py"}),
+    }[bad_line]
+    log = tmp_path / "bad.jsonl"
+    log.write_text(line + "\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cegraph.cli", "extract", "--input", str(log),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 1: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_strict_policy_rejects_dangling_parent(tmp_path, capsys):

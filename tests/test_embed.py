@@ -6,12 +6,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cegraph.ceg import build_ceg
 from cegraph.embed import (
+    _joint_probabilities,
     correlation_table,
-    joint_probabilities,
     kl_divergence_and_grad,
     pca,
     spearman,
@@ -122,7 +124,7 @@ def two_clusters(n_per=10, d=5, gap=100.0, seed=5):
 
 def test_joint_probabilities_shape_and_mass():
     X = two_clusters()
-    P = joint_probabilities(X, perplexity=5.0)
+    P = _joint_probabilities(X, perplexity=5.0)
     assert P.shape == (20, 20)
     assert np.array_equal(P, P.T)
     assert float(P.sum()) == pytest.approx(1.0, abs=1e-6)
@@ -131,10 +133,61 @@ def test_joint_probabilities_shape_and_mass():
     assert float(P[:10, 10:].max()) == pytest.approx(1e-12)
 
 
+@st.composite
+def affinity_inputs(draw):
+    """Random points at scales 1e-4..1e4, some rows duplicated, and any
+    perplexity t-SNE accepts for them. Large scales underflow whole rows of
+    the bandwidth search; small ones make rows nearly uniform."""
+    n = draw(st.integers(4, 60))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * 10.0 ** draw(st.floats(-4.0, 4.0))
+    dups = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=n // 2))
+    for dst, src in dups:
+        X[dst] = X[src]
+    perplexity = draw(st.floats(1.0, (n - 1) / 3.0))
+    return X, perplexity
+
+
+@settings(max_examples=150, deadline=None)
+@given(affinity_inputs())
+def test_joint_probabilities_bitwise_equal_to_per_row_bisection(case):
+    X, perplexity = case
+    got = _joint_probabilities(X, perplexity)
+    want = oracles.joint_probabilities_reference(X, perplexity)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, d, scale, perplexity, seed", [
+    (20, 5, 1.0, 5.0, 0),
+    (37, 3, 1e3, 11.5, 4),
+    (9, 2, 1e-3, 1.0, 7),
+])
+def test_tsne_bitwise_equal_to_dense_reference(n, d, scale, perplexity, seed):
+    # 300 iterations: both the exaggerated and the late momentum phase run
+    X = np.random.default_rng(seed).normal(size=(n, d)) * scale
+    X[-1] = X[0]
+    got = tsne(X, perplexity=perplexity, seed=seed, iterations=300).coords
+    want = oracles.tsne_reference(X, perplexity, seed, iterations=300)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kl_and_gradient_bitwise_equal_to_dense_reference():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(30, 4))
+    P = _joint_probabilities(X, perplexity=6.0)
+    for Y in (rng.normal(size=(30, 2)), rng.normal(0.0, 1e-4, size=(30, 2))):
+        kl, grad = kl_divergence_and_grad(P, Y)
+        want_kl, want_grad = oracles.kl_divergence_and_grad_reference(P, Y)
+        assert kl == want_kl
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_kl_gradient_matches_central_differences():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(6, 3))
-    P = joint_probabilities(X, perplexity=1.5)
+    P = _joint_probabilities(X, perplexity=1.5)
     Y = rng.normal(size=(6, 2))
     kl, grad = kl_divergence_and_grad(P, Y)
     assert kl >= 0.0

@@ -70,6 +70,17 @@ def test_code_path_with_utf8_bom_featurizes_like_without(tmp_path):
     assert table.values[0].tolist() == table.values[1].tolist()
 
 
+def test_code_path_not_utf8_names_line_and_file(tmp_path):
+    (tmp_path / "latin.py").write_bytes(b"x = 1\xff\n")
+    lines = [
+        sample_line(),
+        json.dumps({"id": "a", "run_id": "r", "evaluation_index": 0,
+                    "code_path": "latin.py"}),
+    ]
+    with pytest.raises(SchemaError, match=r"line 2: code_path 'latin.py' is not UTF-8"):
+        load_jsonl(write_lines(tmp_path / "log.jsonl", lines))
+
+
 def test_code_and_code_path_together_rejected(tmp_path):
     p = write_lines(
         tmp_path / "log.jsonl", [sample_line(code_path="x.py")]
@@ -89,6 +100,10 @@ def test_missing_code_path_file_is_os_error(tmp_path):
 def test_malformed_json_names_line_number(tmp_path):
     p = write_lines(tmp_path / "log.jsonl", [sample_line(), "{broken"])
     with pytest.raises(SchemaError, match="line 2"):
+        load_jsonl(p)
+    deep = "[" * 100_000 + "]" * 100_000
+    p = write_lines(tmp_path / "deep.jsonl", [sample_line(), deep])
+    with pytest.raises(SchemaError, match="line 2: invalid JSON: nesting too deep"):
         load_jsonl(p)
 
 
@@ -130,12 +145,14 @@ def test_duplicate_id_is_fatal(tmp_path):
 
 
 def test_non_finite_fitness_becomes_missing(tmp_path):
-    p = write_lines(
-        tmp_path / "log.jsonl",
-        ['{"id": "a", "run_id": "r", "evaluation_index": 0, "code": "x", '
-         '"fitness_raw": NaN}'],
-    )
-    assert load_jsonl(p).samples[0].fitness_raw is None
+    # NaN, a float literal past float range, an integer past float range
+    for fitness in ("NaN", "1e400", "1" + "0" * 400, "-1" + "0" * 400):
+        p = write_lines(
+            tmp_path / "log.jsonl",
+            ['{"id": "a", "run_id": "r", "evaluation_index": 0, "code": "x", '
+             f'"fitness_raw": {fitness}}}'],
+        )
+        assert load_jsonl(p).samples[0].fitness_raw is None, fitness
 
 
 def test_missing_file_is_os_error(tmp_path):
