@@ -7,9 +7,8 @@ children it produced within the run). Edges point parent -> child.
 Fitness normalization is min-max within a configurable scope: "group"
 pools runs sharing (benchmark, method), "run" normalizes each run alone,
 "global" pools everything. Direction "minimize" maps the smallest raw
-score to 1. Feature standardization is z-scoring with population variance,
-either over the whole dataset (default) or per (benchmark, method, llm)
-group; zero-variance columns become 0.
+score to 1. Feature standardization is z-scoring with population variance
+over the whole dataset; zero-variance columns become 0.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .ingest import CodeSample, Dataset
 log = logging.getLogger(__name__)
 
 NORM_SCOPES = ("group", "run", "global")
-STD_SCOPES = ("dataset", "group")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +119,6 @@ def build_ceg(
     normalize: str = "minmax",
     direction: str = "maximize",
     norm_scope: str = "group",
-    std_scope: str = "dataset",
 ) -> list[EvolutionGraph]:
     """Build one evolution graph per run.
 
@@ -136,8 +133,6 @@ def build_ceg(
         raise ValueError(f"unknown direction {direction!r}")
     if norm_scope not in NORM_SCOPES:
         raise ValueError(f"unknown norm_scope {norm_scope!r}")
-    if std_scope not in STD_SCOPES:
-        raise ValueError(f"unknown std_scope {std_scope!r}")
 
     row_of = features.row_of()
     eligible = [s for s in dataset.samples if s.id in row_of]
@@ -147,22 +142,18 @@ def build_ceg(
     if not eligible:
         return []
 
-    # z-standardize features within the chosen scope
+    # z-standardize features over every eligible sample
     raw = features.values
     std = np.zeros_like(raw)
-    scopes: dict[object, list[int]] = {}
-    for s in eligible:
-        key = s.group_key if std_scope == "group" else None
-        scopes.setdefault(key, []).append(row_of[s.id])
-    for rows in scopes.values():
-        block = raw[rows]
-        mean = block.mean(axis=0)
-        var = block.var(axis=0)
-        sd = np.sqrt(var)
-        safe = np.where(sd > 0.0, sd, 1.0)
-        z = (block - mean) / safe
-        z[:, sd == 0.0] = 0.0
-        std[rows] = z
+    rows = [row_of[s.id] for s in eligible]
+    block = raw[rows]
+    mean = block.mean(axis=0)
+    var = block.var(axis=0)
+    sd = np.sqrt(var)
+    safe = np.where(sd > 0.0, sd, 1.0)
+    z = (block - mean) / safe
+    z[:, sd == 0.0] = 0.0
+    std[rows] = z
 
     # fitness normalization statistics are pooled over the whole dataset
     # (also samples without features: their scores are still real results)

@@ -6,6 +6,12 @@ module without any becomes a single module-level unit. Decision points
 attach to the innermost enclosing unit. Counted tokens are everything the
 tokenizer emits except comments and pure layout (NL, NEWLINE, INDENT,
 DEDENT, ENDMARKER, ENCODING).
+
+compute_complexity takes the module already parsed by parse_to_graph (in
+AstGraph.tree) and computes every metric in one walk of it with an
+explicit stack, plus one tokenizer pass over the source. Each stack entry
+carries its node, the index of its innermost enclosing unit (-1 at module
+level) and its statement-nesting level.
 """
 
 from __future__ import annotations
@@ -89,20 +95,6 @@ def _decision_increment(node: ast.AST) -> int:
     return 0
 
 
-def _iter_unit_body(unit: ast.AST):
-    """Descendants of a unit, not descending into nested function defs."""
-    stack = list(ast.iter_child_nodes(unit))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, _FUNC_NODES):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _cyclomatic(unit: ast.AST) -> int:
-    return 1 + sum(_decision_increment(node) for node in _iter_unit_body(unit))
-
-
 def counted_tokens(code: str) -> list[tokenize.TokenInfo]:
     """Tokens of the source with comments and layout tokens removed."""
     try:
@@ -133,55 +125,52 @@ def _param_count(unit: ast.AST) -> int:
     return count
 
 
-def _statement_depths(tree: ast.Module) -> list[int]:
-    """Nesting depth of every statement: how many compound statements
-    enclose it (module level = 0)."""
-    depths: list[int] = []
-    stack: list[tuple[ast.AST, int]] = [(tree, 0)]
-    while stack:
-        node, level = stack.pop()
-        child_level = level + 1 if isinstance(node, _NESTING_NODES) else level
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt):
-                depths.append(child_level)
-            stack.append((child, child_level))
-    return depths
+def compute_complexity(tree: ast.Module, code: str) -> ComplexityMetrics:
+    """Compute complexity metrics for one module: `tree` is the module
+    parsed from the source text `code` (AstGraph.tree).
 
-
-def compute_complexity(code: str) -> ComplexityMetrics:
-    """Compute complexity metrics for one module of source text.
-
-    Raises ParseError on syntactically invalid input and on input nested
-    too deeply for the parser.
+    Raises ParseError if the tokenizer rejects the source.
     """
-    try:
-        tree = ast.parse(code)
-    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-        raise ParseError(f"invalid Python source: {exc}") from exc
     tokens = counted_tokens(code)
     starts = [t.start for t in tokens]
 
-    units = [node for node in ast.walk(tree) if isinstance(node, _FUNC_NODES)]
-    token_total = len(tokens)
+    module_cc = 1  # counts only when the module has no units
+    ccs: list[int] = []  # per unit
+    unit_tokens: list[int] = []
+    param_total = 0
+    depths: list[int] = []  # per statement: enclosing compound statements
+    stack: list[tuple[ast.AST, int, int]] = [(tree, -1, 0)]
+    while stack:
+        node, unit, level = stack.pop()
+        if isinstance(node, _FUNC_NODES):
+            unit = len(ccs)
+            ccs.append(1)
+            unit_tokens.append(_unit_token_count(tokens, starts, node))
+            param_total += _param_count(node)
+        elif unit >= 0:
+            ccs[unit] += _decision_increment(node)
+        else:
+            module_cc += _decision_increment(node)
+        if isinstance(node, _NESTING_NODES):
+            level += 1
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                depths.append(level)
+            stack.append((child, unit, level))
 
-    if units:
-        ccs = [_cyclomatic(u) for u in units]
-        unit_tokens = [_unit_token_count(tokens, starts, u) for u in units]
-        params = [_param_count(u) for u in units]
+    token_total = len(tokens)
+    if ccs:
         cc_total = sum(ccs)
-        cc_mean = cc_total / len(units)
-        token_mean = sum(unit_tokens) / len(units)
-        param_total = sum(params)
-        param_mean = param_total / len(units)
+        cc_mean = cc_total / len(ccs)
+        token_mean = sum(unit_tokens) / len(ccs)
+        param_mean = param_total / len(ccs)
     else:
         # the whole module is the single unit
-        cc_total = _cyclomatic(tree)
+        cc_total = module_cc
         cc_mean = float(cc_total)
         token_mean = float(token_total)
-        param_total = 0
         param_mean = 0.0
 
-    depths = _statement_depths(tree)
     nesting_max = max(depths) if depths else 0
     nesting_mean = sum(depths) / len(depths) if depths else 0.0
 

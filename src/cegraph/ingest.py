@@ -59,12 +59,6 @@ class Dataset:
     def by_id(self) -> dict[str, CodeSample]:
         return {s.id: s for s in self.samples}
 
-    def by_run(self) -> dict[str, list[CodeSample]]:
-        runs: dict[str, list[CodeSample]] = {}
-        for s in self.samples:
-            runs.setdefault(s.run_id, []).append(s)
-        return runs
-
 
 def _require_str(obj: dict, key: str, lineno: int, default: str | None = None) -> str:
     value = obj.get(key, default)
@@ -118,6 +112,10 @@ def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
         except UnicodeDecodeError as exc:
             raise SchemaError(
                 f"line {lineno}: code_path {code_path!r} is not UTF-8: {exc}"
+            ) from exc
+        except OSError as exc:
+            raise OSError(
+                f"line {lineno}: cannot read code_path {code_path!r}: {exc}"
             ) from exc
     elif not isinstance(code, str):
         raise SchemaError(f"line {lineno}: field 'code' must be a string")

@@ -10,8 +10,7 @@ order then list order, so identical source always yields identical graphs.
 from __future__ import annotations
 
 import ast
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class ParseError(ValueError):
@@ -28,11 +27,14 @@ class AstGraph:
 
     nodes: (node_id, kind, depth) triples, ids 0..n-1 in preorder.
     edges: (parent_id, child_id) pairs, directed parent -> child.
+    tree: the parsed module the graph was built from (None for graphs
+    built by hand); it takes no part in equality.
     """
 
     nodes: tuple[tuple[int, str, int], ...]
     edges: tuple[tuple[int, int], ...]
     root_id: int = 0
+    tree: ast.Module | None = field(default=None, compare=False, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -47,14 +49,6 @@ class AstGraph:
 
     def depths(self) -> list[int]:
         return [depth for _, _, depth in self.nodes]
-
-    def to_json(self) -> str:
-        """Debug dump: {nodes:[{id,kind,depth}], edges:[[p,c]]}."""
-        payload = {
-            "nodes": [{"id": i, "kind": k, "depth": d} for i, k, d in self.nodes],
-            "edges": [[p, c] for p, c in self.edges],
-        }
-        return json.dumps(payload)
 
 
 def _children(node: ast.AST) -> list[ast.AST]:
@@ -76,8 +70,10 @@ def _children(node: ast.AST) -> list[ast.AST]:
 def parse_to_graph(code: str) -> AstGraph:
     """Parse source text into its abstract-grammar tree.
 
-    Raises ParseError for syntactically invalid code, and for code nested
-    too deeply for the parser, so batch callers can record the sample as
+    This is the one place cegraph parses source: the returned graph keeps
+    the parsed module in `tree` for the complexity metrics. Raises
+    ParseError for syntactically invalid code, and for code nested too
+    deeply for the parser, so batch callers can record the sample as
     invalid instead of aborting.
     """
     try:
@@ -97,4 +93,4 @@ def parse_to_graph(code: str) -> AstGraph:
         for child in reversed(_children(node)):
             stack.append((child, node_id, depth + 1))
 
-    return AstGraph(nodes=tuple(nodes), edges=tuple(edges), root_id=0)
+    return AstGraph(nodes=tuple(nodes), edges=tuple(edges), root_id=0, tree=tree)

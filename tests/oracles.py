@@ -245,6 +245,33 @@ def complexity_six(code):
     }
 
 
+# compound statements: each one adds a nesting level for the statements
+# inside it (match cases and except handlers sit inside their match/try)
+_COMPOUND_STATEMENTS = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.If, ast.For,
+    ast.AsyncFor, ast.While, ast.With, ast.AsyncWith, ast.Try, ast.Match,
+) + ((ast.TryStar,) if hasattr(ast, "TryStar") else ())
+
+
+def _statement_nesting(node, around, out):
+    """Append, for each statement below node, the number of compound
+    statements around it; `around` counts those enclosing node's children."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            out.append(around)
+        inner = around + 1 if isinstance(child, _COMPOUND_STATEMENTS) else around
+        _statement_nesting(child, inner, out)
+
+
+def nesting_two(code):
+    """The two nesting features recomputed by recursion over the tree."""
+    levels = []
+    _statement_nesting(ast.parse(code), 0, levels)
+    if not levels:
+        return {"nesting_max": 0, "nesting_mean": 0.0}
+    return {"nesting_max": max(levels), "nesting_mean": sum(levels) / len(levels)}
+
+
 # ------------------------------------------------------------ exact t-SNE
 # The straightforward dense formulation that cegraph.embed must match bit
 # for bit: a scalar bandwidth bisection per row, and the KL value and

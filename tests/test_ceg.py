@@ -169,22 +169,6 @@ def test_standardized_columns_have_zero_mean_unit_variance(synthetic):
             assert abs(float(X[:, j].var()) - 1.0) < 1e-9
 
 
-def test_std_scope_group_standardizes_within_groups(tmp_path):
-    objs = simple_objs([1.0, 2.0, 3.0], run_id="r1", benchmark="b1", method="m")
-    objs += simple_objs([1.0, 2.0, 3.0], run_id="r2", benchmark="b2", method="m")
-    ds = make_dataset(tmp_path, objs)
-    table, _ = featurize_dataset(ds)
-    graphs = build_ceg(ds, table, std_scope="group")
-    for g in graphs:
-        X = np.vstack([n.features_std for n in g.nodes])
-        raw = np.vstack([n.features_raw for n in g.nodes])
-        for j in range(X.shape[1]):
-            if np.var(raw[:, j]) == 0.0:
-                assert np.all(X[:, j] == 0.0)
-            else:
-                assert abs(float(X[:, j].mean())) < 1e-9
-
-
 def test_constant_column_standardizes_to_zero(tmp_path):
     # identical code every time: every feature column is constant
     objs = [

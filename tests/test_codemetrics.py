@@ -17,12 +17,16 @@ from cegraph.codemetrics import (
     NESTING_FEATURE_NAMES,
     compute_complexity,
 )
-from cegraph.pyast import ParseError
+from cegraph.pyast import ParseError, parse_to_graph
 from cegraph.synth import random_module
 
 
+def complexity_of(code):
+    return compute_complexity(parse_to_graph(code).tree, code)
+
+
 def test_identity_function_frozen_values():
-    m = compute_complexity("def f(x):\n    return x\n")
+    m = complexity_of("def f(x):\n    return x\n")
     # hand count: def f ( x ) : return x
     assert m.token_total == 8
     assert m.token_mean == 8.0
@@ -35,7 +39,7 @@ def test_identity_function_frozen_values():
 
 
 def test_single_branch_adds_one():
-    m = compute_complexity("def f(x):\n    if x:\n        return 1\n    return 0\n")
+    m = complexity_of("def f(x):\n    if x:\n        return 1\n    return 0\n")
     assert m.cc_total == 2
 
 
@@ -51,7 +55,7 @@ def test_else_and_finally_do_not_count():
         "        y = 3\n"
         "    return y\n"
     )
-    m = compute_complexity(code)
+    m = complexity_of(code)
     assert m.cc_total == 2  # 1 + the if; else/try/finally add nothing
 
 
@@ -65,25 +69,25 @@ def test_except_handlers_count():
         "    except KeyError:\n"
         "        return 3\n"
     )
-    assert compute_complexity(code).cc_total == 3
+    assert complexity_of(code).cc_total == 3
 
 
 def test_boolop_counts_operands_minus_one():
-    assert compute_complexity("a = x and y and z\n").cc_total == 3
-    assert compute_complexity("a = x or y\n").cc_total == 2
+    assert complexity_of("a = x and y and z\n").cc_total == 3
+    assert complexity_of("a = x or y\n").cc_total == 2
 
 
 def test_comprehension_clauses_count():
     # for clause +1, each if clause +1
-    assert compute_complexity("xs = [i for i in r]\n").cc_total == 2
-    assert compute_complexity("xs = [i for i in r if i if i > 1]\n").cc_total == 4
-    assert compute_complexity("xs = {i: j for i in r for j in s}\n").cc_total == 3
+    assert complexity_of("xs = [i for i in r]\n").cc_total == 2
+    assert complexity_of("xs = [i for i in r if i if i > 1]\n").cc_total == 4
+    assert complexity_of("xs = {i: j for i in r for j in s}\n").cc_total == 3
 
 
 def test_ternary_and_loops_count():
-    assert compute_complexity("y = 1 if x else 2\n").cc_total == 2
-    assert compute_complexity("while x:\n    pass\n").cc_total == 2
-    assert compute_complexity("for i in r:\n    pass\n").cc_total == 2
+    assert complexity_of("y = 1 if x else 2\n").cc_total == 2
+    assert complexity_of("while x:\n    pass\n").cc_total == 2
+    assert complexity_of("for i in r:\n    pass\n").cc_total == 2
 
 
 def test_match_counts_cases_after_first():
@@ -97,11 +101,11 @@ def test_match_counts_cases_after_first():
         "        case _:\n"
         "            return 'c'\n"
     )
-    assert compute_complexity(code).cc_total == 3
+    assert complexity_of(code).cc_total == 3
 
 
 def test_lambda_is_not_a_unit():
-    m = compute_complexity("f = lambda x: x if x else 0\n")
+    m = complexity_of("f = lambda x: x if x else 0\n")
     assert m.cc_total == 2  # module unit: 1 + ternary
     assert m.cc_mean == 2.0
     assert m.param_total == 0
@@ -116,7 +120,7 @@ def test_nested_function_frozen_values():
         "        return 0\n"
         "    return inner(x)\n"
     )
-    m = compute_complexity(code)
+    m = complexity_of(code)
     assert m.cc_total == 3  # outer 1, inner 2
     assert m.cc_mean == 1.5
     assert m.token_total == 24
@@ -129,20 +133,20 @@ def test_nested_function_frozen_values():
 
 
 def test_decorator_tokens_outside_unit_span():
-    m = compute_complexity("@deco\ndef h():\n    pass\n")
+    m = complexity_of("@deco\ndef h():\n    pass\n")
     assert m.token_total == 8  # @ deco def h ( ) : pass
     assert m.token_mean == 6.0  # def h ( ) : pass
 
 
 def test_async_def_span_starts_at_def():
-    m = compute_complexity("async def g(a):\n    await a\n")
+    m = complexity_of("async def g(a):\n    await a\n")
     assert m.token_total == 9  # async def g ( a ) : await a
     assert m.token_mean == 8.0  # async excluded from the unit span
     assert m.param_total == 1
 
 
 def test_module_without_functions_is_one_unit():
-    m = compute_complexity("x = 1\nif x:\n    y = 2\n")
+    m = complexity_of("x = 1\nif x:\n    y = 2\n")
     assert m.cc_total == 2
     assert m.cc_mean == 2.0
     assert m.token_total == 9
@@ -154,17 +158,17 @@ def test_module_without_functions_is_one_unit():
 
 def test_param_kinds_all_count():
     code = "def f(a, b, /, c, *args, d, e=1, **kw):\n    pass\n"
-    m = compute_complexity(code)
+    m = complexity_of(code)
     assert m.param_total == 7  # a b c args d e kw
 
 
 def test_self_counts_as_parameter():
     code = "class A:\n    def m(self, x):\n        return x\n"
-    assert compute_complexity(code).param_total == 2
+    assert complexity_of(code).param_total == 2
 
 
 def test_empty_module():
-    m = compute_complexity("")
+    m = complexity_of("")
     assert m.cc_total == 1
     assert m.token_total == 0
     assert m.nesting_max == 0
@@ -172,16 +176,16 @@ def test_empty_module():
 
 
 def test_comments_and_blank_lines_do_not_count():
-    a = compute_complexity("x = 1\n")
-    b = compute_complexity("# leading comment\n\nx = 1  # trailing\n\n")
+    a = complexity_of("x = 1\n")
+    b = complexity_of("# leading comment\n\nx = 1  # trailing\n\n")
     assert a.token_total == b.token_total == 3
 
 
 def test_invalid_source_raises_parse_error():
     with pytest.raises(ParseError):
-        compute_complexity("def broken(:\n")
+        complexity_of("def broken(:\n")
     with pytest.raises(ParseError):  # RecursionError inside ast.parse
-        compute_complexity("x = " + "-" * 5000 + "1\n")
+        complexity_of("x = " + "-" * 5000 + "1\n")
 
 
 def test_wrapping_body_in_if_true_adds_one():
@@ -195,8 +199,8 @@ def test_wrapping_body_in_if_true_adds_one():
             "        " + line + "\n" for line in body.splitlines()
         )
         assert (
-            compute_complexity(wrapped).cc_total
-            == compute_complexity(plain).cc_total + 1
+            complexity_of(wrapped).cc_total
+            == complexity_of(plain).cc_total + 1
         )
 
 
@@ -217,7 +221,7 @@ def test_token_total_matches_tokenizer_dump():
             for t in tokenize.generate_tokens(io.StringIO(code).readline)
             if t.type not in excluded
         ]
-        assert compute_complexity(code).token_total == len(dump)
+        assert complexity_of(code).token_total == len(dump)
 
 
 def test_means_are_totals_over_unit_count():
@@ -225,7 +229,7 @@ def test_means_are_totals_over_unit_count():
         "def a():\n    return 1\n\n"
         "def b(x, y):\n    if x:\n        return y\n    return 0\n"
     )
-    m = compute_complexity(code)
+    m = complexity_of(code)
     assert m.cc_total == 3
     assert m.cc_mean == 1.5
     assert m.param_total == 2
@@ -233,7 +237,7 @@ def test_means_are_totals_over_unit_count():
 
 
 def test_as_dict_order():
-    m = compute_complexity("x = 1\n")
+    m = complexity_of("x = 1\n")
     assert tuple(m.as_dict().keys()) == COMPLEXITY_FEATURE_NAMES + NESTING_FEATURE_NAMES
 
 
@@ -245,7 +249,7 @@ def test_appending_comment_changes_nothing():
         "    return n\n"
     )
     with_comment = base + "# trailing remark, purely lexical\n"
-    assert compute_complexity(with_comment) == compute_complexity(base)
+    assert complexity_of(with_comment) == complexity_of(base)
 
 
 def test_duplicating_renamed_function_doubles_totals():
@@ -256,8 +260,8 @@ def test_duplicating_renamed_function_doubles_totals():
         "    return b\n"
     )
     doubled = base + base.replace("def f", "def g")
-    m1 = compute_complexity(base)
-    m2 = compute_complexity(doubled)
+    m1 = complexity_of(base)
+    m2 = complexity_of(doubled)
     assert m2.cc_total == 2 * m1.cc_total
     assert m2.token_total == 2 * m1.token_total
     assert m2.param_total == 2 * m1.param_total

@@ -1,6 +1,7 @@
 """Run log loading, schema checks, lineage validation, round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -90,11 +91,15 @@ def test_code_and_code_path_together_rejected(tmp_path):
 
 
 def test_missing_code_path_file_is_os_error(tmp_path):
-    line = json.dumps(
-        {"id": "a", "run_id": "r", "evaluation_index": 0, "code_path": "gone.py"}
-    )
-    with pytest.raises(OSError):
-        load_jsonl(write_lines(tmp_path / "log.jsonl", [line]))
+    # a missing file and a directory: both name the line and the code_path
+    for code_path in ("gone.py", "."):
+        line = json.dumps(
+            {"id": "a", "run_id": "r", "evaluation_index": 0, "code_path": code_path}
+        )
+        log = write_lines(tmp_path / "log.jsonl", [sample_line(), line])
+        want = rf"line 2: cannot read code_path {re.escape(repr(code_path))}"
+        with pytest.raises(OSError, match=want):
+            load_jsonl(log)
 
 
 def test_malformed_json_names_line_number(tmp_path):
@@ -276,5 +281,4 @@ def test_grouping_helpers(tmp_path):
         {"id": "c", "run_id": "r3", "evaluation_index": 0, "code": "x",
          "benchmark": "b2", "method": "m2", "llm": "l2"},
     )
-    assert set(ds.by_run()) == {"r1", "r2", "r3"}
     assert ds.by_id()["c"].benchmark == "b2"

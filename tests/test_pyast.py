@@ -1,6 +1,5 @@
 """Syntax-tree graph construction."""
 
-import json
 import random
 
 import pytest
@@ -73,14 +72,6 @@ def test_parse_is_deterministic():
     a = parse_to_graph(code)
     b = parse_to_graph(code)
     assert a == b
-
-
-def test_to_json_round_trip():
-    g = parse_to_graph("x = [1, 2]\n")
-    payload = json.loads(g.to_json())
-    assert len(payload["nodes"]) == g.node_count
-    assert len(payload["edges"]) == g.edge_count
-    assert payload["nodes"][0] == {"id": 0, "kind": "Module", "depth": 0}
 
 
 def test_fuzzed_modules_form_rooted_trees():
