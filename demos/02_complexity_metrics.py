@@ -37,7 +37,7 @@ print(sum(x))
 
 def main():
     for label, code in CASES.items():
-        m = compute_complexity(parse_to_graph(code).tree, code)
+        m = compute_complexity(parse_to_graph(code), code)
         print(f"{label}:")
         print(f"  cc_total={m.cc_total}  cc_mean={m.cc_mean:.2f}")
         print(f"  token_total={m.token_total}  token_mean={m.token_mean:.1f}  "

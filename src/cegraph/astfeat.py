@@ -5,16 +5,22 @@ counts, degree statistics, depth statistics, clustering terms (a tree has
 no triangles, so these are always 0; they keep the 22-column schema), and
 distance statistics. Graphs that are not trees are rejected.
 
-Distance features use linear-time tree algorithms: average shortest path
-via per-edge component sizes, eccentricities via double breadth-first
-search from the diameter endpoints. Entropies are natural-log.
+The distance features are computed with numpy from the parent array of
+the tree labeled in depth-first preorder, as parse_to_graph labels it
+(any other tree is relabeled by one traversal first), where each subtree
+is an interval of ids; there is no breadth-first search. Subtree sizes,
+summed one depth level at a time, give the average shortest path.
+Eccentricities come from the two ends of a diameter, with dist(a, v) =
+depth[a] + depth[v] - 2 depth[lca(a, v)] and the lowest common ancestor
+found through subtree intervals. Entropies are natural-log.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -95,81 +101,111 @@ def _entropy(counts) -> float:
     return acc
 
 
-def _adjacency(n: int, edges) -> list[list[int]]:
+def _preorder_tree(n: int, e: np.ndarray, root: int, depth: np.ndarray) -> tuple:
+    """Parent and depth arrays of the tree rooted at `root`, labeled in
+    depth-first preorder, so that the subtree of node v is the id interval
+    [v, v + size[v]); and the subtree sizes.
+
+    A parsed graph is already labeled so (edges[i - 1] joins node i to its
+    parent, and `depth` lists the node depths), which is checked in a few
+    array operations; any other tree is relabeled by one traversal from
+    the root. Raises ValueError when the edges do not connect every node.
+    """
+    parent = np.empty(n, dtype=np.int64)
+    parent[0] = -1
+    parent[1:] = e[:, 0]
+    ids = np.arange(n)
+    if (
+        root == 0
+        and np.array_equal(e[:, 1], ids[1:])
+        and (parent[1:] < ids[1:]).all()
+        and depth[0] == 0
+        and np.array_equal(depth[1:], depth[parent[1:]] + 1)
+    ):
+        size = _subtree_sizes(parent, depth)
+        # preorder: each subtree interval lies inside its parent's
+        end = ids + size
+        if (end[1:] <= end[parent[1:]]).all():
+            return parent, depth, size
+    parent, depth = _relabel_preorder(n, e, root)
+    return parent, depth, _subtree_sizes(parent, depth)
+
+
+def _relabel_preorder(n: int, e: np.ndarray, root: int) -> tuple:
+    """Parent and depth arrays of the undirected tree `e`, numbered in
+    depth-first preorder from `root`."""
     adj: list[list[int]] = [[] for _ in range(n)]
-    for p, c in edges:
+    for p, c in e.tolist():
         adj[p].append(c)
         adj[c].append(p)
-    return adj
+    label = [-1] * n
+    parent: list[int] = []
+    depth: list[int] = []
+    stack = [(root, -1, 0)]
+    while stack:
+        v, p, d = stack.pop()
+        if label[v] >= 0:
+            raise ValueError("not a tree: the edges close a cycle")
+        label[v] = len(parent)
+        parent.append(p)
+        depth.append(d)
+        for w in reversed(adj[v]):
+            if label[w] < 0:
+                stack.append((w, label[v], d + 1))
+    if len(parent) < n:
+        raise ValueError("not a tree: the edges do not connect every node")
+    return np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64)
 
 
-def _bfs_dist(adj: list[list[int]], src: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+def _subtree_sizes(parent: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Node counts of all subtrees, summed up one depth level at a time."""
+    size = np.ones(len(parent), dtype=np.int64)
+    for d in range(int(depth.max()), 0, -1):
+        level = np.flatnonzero(depth == d)
+        np.add.at(size, parent[level], size[level])
+    return size
 
 
-def _farthest(dist: list[int]) -> int:
-    """Index of a maximum-distance node; smallest index breaks ties."""
-    best = 0
-    for i, d in enumerate(dist):
-        if d > dist[best]:
-            best = i
-    return best
+def _distances_from(a: int, parent, depth, size) -> np.ndarray:
+    """Tree distance from node a to every node of a preorder-labeled tree:
+    depth[a] + depth[v] - 2 * depth[lca(a, v)], where depth[lca(a, v)]
+    counts the non-root ancestors u of a (a included) whose subtree
+    interval [u, u + size[u]) holds v."""
+    ancestors = []
+    u = a
+    while u > 0:  # the root is node 0
+        ancestors.append(u)
+        u = int(parent[u])
+    path = np.array(ancestors, dtype=np.int64)
+    marks = np.zeros(len(parent) + 1, dtype=np.int64)
+    marks[path] += 1
+    np.subtract.at(marks, path + size[path], 1)
+    lca_depth = np.cumsum(marks[:-1])
+    return depth[a] + depth - 2 * lca_depth
 
 
-def _tree_eccentricities(adj: list[list[int]], root: int) -> list[int]:
-    """All eccentricities of a tree via the two diameter endpoints.
+def _tree_distance_features(n: int, e: np.ndarray, root: int, depth: np.ndarray) -> tuple:
+    """(diameter, radius, mean eccentricity, mean pairwise distance).
 
-    On a tree ecc(v) = max(dist(v, a), dist(v, b)) where (a, b) is any
-    diameter pair, so three BFS passes suffice.
+    Each edge above a subtree of size s lies on s * (n - s) paths, which
+    gives the mean distance. On a tree ecc(v) = max(dist(v, a), dist(v, b))
+    for the ends a, b of a diameter: a is a deepest node, b one farthest
+    from a.
     """
-    a = _farthest(_bfs_dist(adj, root))
-    dist_a = _bfs_dist(adj, a)
-    b = _farthest(dist_a)
-    dist_b = _bfs_dist(adj, b)
-    return [max(da, db) for da, db in zip(dist_a, dist_b)]
+    parent, depth, size = _preorder_tree(n, e, root, depth)
+    below = size[1:]
+    total = int((below * (n - below)).sum())
+    avg_shortest_path = total / (n * (n - 1) / 2)
+    dist_a = _distances_from(int(depth.argmax()), parent, depth, size)
+    dist_b = _distances_from(int(dist_a.argmax()), parent, depth, size)
+    ecc = np.maximum(dist_a, dist_b)
+    return int(ecc.max()), int(ecc.min()), int(ecc.sum()) / n, avg_shortest_path
 
 
-def _tree_avg_shortest_path(n: int, adj: list[list[int]], root: int) -> float:
-    """Mean pairwise distance: each edge contributes s * (n - s) path units,
-    where s is the size of the component hanging below it."""
-    if n < 2:
-        return 0.0
-    order: list[int] = []
-    parent = [-1] * n
-    seen = [False] * n
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                queue.append(v)
-    size = [1] * n
-    for u in reversed(order):
-        if parent[u] >= 0:
-            size[parent[u]] += size[u]
-    total = sum(size[u] * (n - size[u]) for u in order if parent[u] >= 0)
-    return total / (n * (n - 1) / 2)
-
-
-def _eig_centrality(n: int, edges, tol: float = 1e-10, max_iter: int = 1000):
+def _eig_centrality(n: int, e: np.ndarray, tol: float = 1e-10, max_iter: int = 1000):
     """Power iteration on A + I (shifted to kill the bipartite sign flip)."""
     x = np.full(n, 1.0 / math.sqrt(n))
-    if edges:
-        e = np.asarray(edges, dtype=np.int64)
+    if len(e):
         src, dst = e[:, 0], e[:, 1]
     else:
         src = dst = None
@@ -206,11 +242,8 @@ def compute_graph_features(
     if m != n - 1:
         raise ValueError(f"not a tree: {n} nodes but {m} edges")
 
-    deg = np.zeros(n, dtype=np.int64)
-    if m:
-        e = np.asarray(edges, dtype=np.int64)
-        flat = np.concatenate([e[:, 0], e[:, 1]])
-        deg = np.bincount(flat, minlength=n)
+    e = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
+    deg = np.bincount(e.ravel(), minlength=n)
 
     edge_density = m / n
     degree_min = float(deg.min())
@@ -234,27 +267,24 @@ def compute_graph_features(
             cov = float(((x - x.mean()) * (y - y.mean())).mean())
             assortativity = max(-1.0, min(1.0, cov / math.sqrt(vx * vy)))
 
-    depths = graph.depths()
-    depth_min = float(min(depths))
-    depth_max = float(max(depths))
-    depth_mean = sum(depths) / n
-    depth_entropy = _entropy(Counter(depths).values())
+    depths = np.fromiter([depth for _, _, depth in graph.nodes], np.int64, n)
+    depth_min = float(depths.min())
+    depth_max = float(depths.max())
+    depth_mean = int(depths.sum()) / n
+    depth_entropy = _entropy(Counter(depths.tolist()).values())
 
-    adj = _adjacency(n, edges)
     if n == 1:
         diameter = radius = 0
         mean_eccentricity = 0.0
         avg_shortest_path = 0.0
     else:
-        ecc = _tree_eccentricities(adj, graph.root_id)
-        diameter = max(ecc)
-        radius = min(ecc)
-        mean_eccentricity = sum(ecc) / n
-        avg_shortest_path = _tree_avg_shortest_path(n, adj, graph.root_id)
+        diameter, radius, mean_eccentricity, avg_shortest_path = (
+            _tree_distance_features(n, e, graph.root_id, depths)
+        )
 
     eig_max = eig_mean = None
     if include_eigenvector:
-        eig_max, eig_mean = _eig_centrality(n, edges)
+        eig_max, eig_mean = _eig_centrality(n, e)
 
     return GraphFeatures(
         node_count=n,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,9 @@ def graphs_to_json(graphs: list[EvolutionGraph]) -> str:
 def _minmax(value: float, lo: float, hi: float, direction: str) -> float:
     if hi == lo:
         return 1.0
+    if hi - lo == math.inf:
+        # the range overflows a float; halving every term is exact here
+        value, lo, hi = value / 2, lo / 2, hi / 2
     if direction == "minimize":
         return (hi - value) / (hi - lo)
     return (value - lo) / (hi - lo)

@@ -3,27 +3,28 @@ parameter counts, statement nesting.
 
 Units are function and method definitions (async and nested included); a
 module without any becomes a single module-level unit. Decision points
-attach to the innermost enclosing unit. Counted tokens are everything the
-tokenizer emits except comments and pure layout (NL, NEWLINE, INDENT,
-DEDENT, ENDMARKER, ENCODING).
+attach to the innermost enclosing unit. Counted tokens are the lexemes that
+Python 3.11's tokenize module reports, except comments and pure layout
+(NL, NEWLINE, INDENT, DEDENT, ENDMARKER, ENCODING): names, numbers,
+strings, operators and stray characters. An f-string is one token on
+every interpreter, as it is to tokenize before Python 3.12.
 
-compute_complexity takes the module already parsed by parse_to_graph (in
-AstGraph.tree) and computes every metric in one walk of it with an
-explicit stack, plus one tokenizer pass over the source. Each stack entry
-carries its node, the index of its innermost enclosing unit (-1 at module
-level) and its statement-nesting level.
+compute_complexity reads the syntax nodes that parse_to_graph keeps in
+preorder (AstGraph.ast_nodes) in one flat loop: each node takes its
+innermost unit and its statement-nesting level from its parent, which
+comes before it. Tokens are found by one compiled regular expression
+matched back to back over the source, with tokenize's rules in tokenize's
+order; a unit's tokens are those that start inside its source span.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import token as _token
-import tokenize
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .pyast import ParseError
+from .pyast import AstGraph
 
 COMPLEXITY_FEATURE_NAMES = (
     "cc_total",
@@ -36,19 +37,11 @@ COMPLEXITY_FEATURE_NAMES = (
 
 NESTING_FEATURE_NAMES = ("nesting_max", "nesting_mean")
 
-_LAYOUT_TOKEN_TYPES = {
-    _token.COMMENT,
-    _token.NL,
-    _token.NEWLINE,
-    _token.INDENT,
-    _token.DEDENT,
-    _token.ENDMARKER,
-    _token.ENCODING,
-}
-
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 _BRANCH_NODES = (ast.If, ast.While, ast.For, ast.AsyncFor, ast.IfExp, ast.ExceptHandler)
+
+_DECISION_NODES = _BRANCH_NODES + (ast.comprehension, ast.BoolOp, ast.Match)
 
 # compound statements that open a nesting level for the statements inside
 _NESTING_NODES = (
@@ -64,6 +57,56 @@ _NESTING_NODES = (
     ast.Try,
     ast.Match,
 ) + ((ast.TryStar,) if hasattr(ast, "TryStar") else ())
+
+# what a syntax node class does in the complexity loop, as bits
+_STATEMENT, _UNIT, _NESTS, _DECIDES = 1, 2, 4, 8
+
+_ROLES = {
+    cls: _STATEMENT * issubclass(cls, ast.stmt)
+    | _UNIT * issubclass(cls, _FUNC_NODES)
+    | _NESTS * issubclass(cls, _NESTING_NODES)
+    | _DECIDES * issubclass(cls, _DECISION_NODES)
+    for cls in vars(ast).values()
+    if isinstance(cls, type) and issubclass(cls, ast.AST)
+}
+
+# The token rules of tokenize, in its order: triple-quoted string, number,
+# operator (longest first), string, name.
+_DIGITS = r"[0-9](?:_?[0-9])*"
+_EXPONENT = r"[eE][-+]?" + _DIGITS
+_FLOAT = (
+    rf"(?:(?:{_DIGITS}\.(?:{_DIGITS})?|\.{_DIGITS})(?:{_EXPONENT})?"
+    rf"|{_DIGITS}{_EXPONENT})"
+)
+_NUMBER = (
+    rf"{_DIGITS}[jJ]|{_FLOAT}[jJ]|{_FLOAT}"
+    r"|0[xX](?:_?[0-9a-fA-F])+|0[bB](?:_?[01])+|0[oO](?:_?[0-7])+"
+    r"|0(?:_?0)*|[1-9](?:_?[0-9])*"
+)
+_OPERATOR = r"\*\*=?|//=?|>>=?|<<=?|->|:=|\.\.\.|!=|[-+*/%&|^=<>@]=?|[~:;,.()\[\]{}]"
+_PREFIX = r"(?:[rR][bBfF]?|[bBfF][rR]?|[uU])?"
+_ESCAPE = r"\\(?:\r\n|[\s\S])"  # an escaped newline continues a string
+_TRIPLE_STRING = (
+    _PREFIX + rf"(?:'''[^'\\]*(?:(?:{_ESCAPE}|'(?!''))[^'\\]*)*'''"
+    rf'|"""[^"\\]*(?:(?:{_ESCAPE}|"(?!""))[^"\\]*)*""")'
+)
+_STRING = (
+    _PREFIX + rf"(?:'[^\n'\\]*(?:{_ESCAPE}[^\n'\\]*)*'"
+    rf'|"[^\n"\\]*(?:{_ESCAPE}[^\n"\\]*)*")'
+)
+_TOKEN = rf"{_TRIPLE_STRING}|{_NUMBER}|{_OPERATOR}|{_STRING}|\w+"
+# What tokenize skips: a line whose first non-blank is a comment or a lone
+# carriage return (skipped up to the newline), a backslash continuation, a
+# comment, a newline. What follows it cannot fail, so it is possessive.
+_SKIPPED = r"(?:^[ \f\t]*[#\r][^\n]*|[ \f\t]*(?:\\\r?\n|#[^\r\n]*|\r?\n))*+"
+# One match per counted token, back to back, so no match can start inside
+# skipped text: group 1 is a token; group 2 is a character no rule accepts
+# (tokenize's ERRORTOKEN; in parsable source a lone carriage return or a
+# blank right before one); at the end of the source neither group matches.
+# re compiles it on first use and keeps it, so importing cegraph stays fast.
+_LEXEME = rf"{_SKIPPED}(?:[ \f\t]*(?:({_TOKEN})|\Z)|([\s\S]))"
+# line breaks as the parser counts lines
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
 @dataclass(frozen=True)
@@ -95,24 +138,32 @@ def _decision_increment(node: ast.AST) -> int:
     return 0
 
 
-def counted_tokens(code: str) -> list[tokenize.TokenInfo]:
-    """Tokens of the source with comments and layout tokens removed."""
-    try:
-        stream = tokenize.generate_tokens(io.StringIO(code).readline)
-        toks = list(stream)
-    except (tokenize.TokenError, IndentationError, SyntaxError) as exc:
-        raise ParseError(f"cannot tokenize source: {exc}") from exc
-    return [t for t in toks if t.type not in _LAYOUT_TOKEN_TYPES]
+def _token_starts(code: str) -> list[int]:
+    """Source offset of each counted token, in order."""
+    matches = re.finditer(_LEXEME, code, re.MULTILINE)
+    return [m.start(m.lastindex) for m in matches if m.lastindex]
 
 
-def _unit_token_count(tokens, starts, unit: ast.AST) -> int:
-    """Tokens lexically inside a unit, from its `def` keyword through the
+def _unit_token_counts(units: list[ast.AST], code: str, starts: list[int]) -> list[int]:
+    """Tokens lexically inside each unit, from its `def` keyword through the
     last token of its body. For async defs the leading `async` is skipped."""
-    lo = bisect_left(starts, (unit.lineno, unit.col_offset))
-    while lo < len(tokens) and tokens[lo].string != "def":
-        lo += 1
-    hi = bisect_left(starts, (unit.end_lineno, unit.end_col_offset))
-    return hi - lo
+    line_starts = [0] + [m.end() for m in _LINE_BREAK.finditer(code)]
+
+    def offset(lineno: int, col: int) -> int:
+        # col counts UTF-8 bytes from the start of the line
+        start = line_starts[lineno - 1]
+        head = code[start : start + col]
+        if not head.isascii():
+            col = len(head.encode("utf-8")[:col].decode("utf-8"))
+        return start + col
+
+    counts = []
+    for unit in units:
+        lo = bisect_left(starts, offset(unit.lineno, unit.col_offset))
+        lo += isinstance(unit, ast.AsyncFunctionDef)
+        hi = bisect_left(starts, offset(unit.end_lineno, unit.end_col_offset))
+        counts.append(hi - lo)
+    return counts
 
 
 def _param_count(unit: ast.AST) -> int:
@@ -125,54 +176,56 @@ def _param_count(unit: ast.AST) -> int:
     return count
 
 
-def compute_complexity(tree: ast.Module, code: str) -> ComplexityMetrics:
-    """Compute complexity metrics for one module: `tree` is the module
-    parsed from the source text `code` (AstGraph.tree).
-
-    Raises ParseError if the tokenizer rejects the source.
-    """
-    tokens = counted_tokens(code)
-    starts = [t.start for t in tokens]
-
+def compute_complexity(graph: AstGraph, code: str) -> ComplexityMetrics:
+    """Compute complexity metrics for one module: `graph` is the graph
+    parse_to_graph built from the source text `code`."""
+    syntax = graph.ast_nodes
     module_cc = 1  # counts only when the module has no units
+    units: list[ast.AST] = []
     ccs: list[int] = []  # per unit
-    unit_tokens: list[int] = []
-    param_total = 0
-    depths: list[int] = []  # per statement: enclosing compound statements
-    stack: list[tuple[ast.AST, int, int]] = [(tree, -1, 0)]
-    while stack:
-        node, unit, level = stack.pop()
-        if isinstance(node, _FUNC_NODES):
-            unit = len(ccs)
-            ccs.append(1)
-            unit_tokens.append(_unit_token_count(tokens, starts, node))
-            param_total += _param_count(node)
-        elif unit >= 0:
-            ccs[unit] += _decision_increment(node)
-        else:
-            module_cc += _decision_increment(node)
-        if isinstance(node, _NESTING_NODES):
-            level += 1
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt):
-                depths.append(level)
-            stack.append((child, unit, level))
+    # per node: index of its innermost unit (-1 at module level), and the
+    # nesting level of the statements directly inside it
+    unit_of = [-1]
+    level_of = [0]
+    statements = depth_total = depth_max = 0
+    for (parent, _), node in zip(graph.edges, syntax[1:]):
+        unit = unit_of[parent]
+        level = level_of[parent]
+        role = _ROLES[type(node)]
+        if role:
+            if role & _STATEMENT:
+                statements += 1
+                depth_total += level
+                depth_max = max(depth_max, level)
+            if role & _UNIT:
+                unit = len(units)
+                units.append(node)
+                ccs.append(1)
+            elif role & _DECIDES:
+                if unit >= 0:
+                    ccs[unit] += _decision_increment(node)
+                else:
+                    module_cc += _decision_increment(node)
+            if role & _NESTS:
+                level += 1
+        unit_of.append(unit)
+        level_of.append(level)
 
-    token_total = len(tokens)
-    if ccs:
+    starts = _token_starts(code)
+    token_total = len(starts)
+    if units:
         cc_total = sum(ccs)
-        cc_mean = cc_total / len(ccs)
-        token_mean = sum(unit_tokens) / len(ccs)
-        param_mean = param_total / len(ccs)
+        cc_mean = cc_total / len(units)
+        token_mean = sum(_unit_token_counts(units, code, starts)) / len(units)
+        param_total = sum(_param_count(unit) for unit in units)
+        param_mean = param_total / len(units)
     else:
         # the whole module is the single unit
         cc_total = module_cc
         cc_mean = float(cc_total)
         token_mean = float(token_total)
+        param_total = 0
         param_mean = 0.0
-
-    nesting_max = max(depths) if depths else 0
-    nesting_mean = sum(depths) / len(depths) if depths else 0.0
 
     return ComplexityMetrics(
         cc_total=cc_total,
@@ -181,6 +234,6 @@ def compute_complexity(tree: ast.Module, code: str) -> ComplexityMetrics:
         token_mean=token_mean,
         param_total=param_total,
         param_mean=param_mean,
-        nesting_max=nesting_max,
-        nesting_mean=nesting_mean,
+        nesting_max=depth_max,
+        nesting_mean=depth_total / statements if statements else 0.0,
     )

@@ -68,7 +68,7 @@ def featurize(code: str, include_eigenvector: bool = False) -> dict[str, float]:
     """Full feature vector for one source string, canonical column order."""
     graph = parse_to_graph(code)
     gf = compute_graph_features(graph, include_eigenvector=include_eigenvector)
-    values = gf.as_dict() | compute_complexity(graph.tree, code).as_dict()
+    values = gf.as_dict() | compute_complexity(graph, code).as_dict()
     return {name: values[name] for name in _column_names(include_eigenvector)}
 
 

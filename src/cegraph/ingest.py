@@ -142,7 +142,9 @@ def load_jsonl(path) -> Dataset:
 
     samples: list[CodeSample] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # records end at "\n" only: str.splitlines would also break inside a
+    # string at U+2028, U+2029 or U+0085, which dump_jsonl writes raw
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -26,15 +26,17 @@ class AstGraph:
     """Rooted tree of syntax nodes.
 
     nodes: (node_id, kind, depth) triples, ids 0..n-1 in preorder.
-    edges: (parent_id, child_id) pairs, directed parent -> child.
-    tree: the parsed module the graph was built from (None for graphs
-    built by hand); it takes no part in equality.
+    edges: (parent_id, child_id) pairs, directed parent -> child; in a
+    parsed graph edges[i - 1] joins node i to its parent.
+    ast_nodes: the parsed syntax nodes, ast_nodes[i] for node i, so
+    ast_nodes[0] is the module (empty for graphs built by hand); it takes
+    no part in equality.
     """
 
     nodes: tuple[tuple[int, str, int], ...]
     edges: tuple[tuple[int, int], ...]
     root_id: int = 0
-    tree: ast.Module | None = field(default=None, compare=False, repr=False)
+    ast_nodes: tuple[ast.AST, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -51,46 +53,45 @@ class AstGraph:
         return [depth for _, _, depth in self.nodes]
 
 
-def _children(node: ast.AST) -> list[ast.AST]:
-    """Child nodes in field order then list order, omitting context markers."""
-    out: list[ast.AST] = []
-    for _, value in ast.iter_fields(node):
-        if isinstance(value, ast.AST):
-            if not isinstance(value, _OMITTED):
-                out.append(value)
-        elif isinstance(value, list):
-            out.extend(
-                item
-                for item in value
-                if isinstance(item, ast.AST) and not isinstance(item, _OMITTED)
-            )
-    return out
-
-
 def parse_to_graph(code: str) -> AstGraph:
     """Parse source text into its abstract-grammar tree.
 
-    This is the one place cegraph parses source: the returned graph keeps
-    the parsed module in `tree` for the complexity metrics. Raises
-    ParseError for syntactically invalid code, and for code nested too
-    deeply for the parser, so batch callers can record the sample as
-    invalid instead of aborting.
+    This is the one place cegraph parses source, and the one walk of the
+    parsed tree: the returned graph keeps the syntax nodes in preorder in
+    `ast_nodes` for the complexity metrics. Raises ParseError for
+    syntactically invalid code, and for code nested too deeply for the
+    parser, so batch callers can record the sample as invalid instead of
+    aborting.
     """
     try:
         tree = ast.parse(code)
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ParseError(f"invalid Python source: {exc}") from exc
 
+    syntax: list[ast.AST] = []
     nodes: list[tuple[int, str, int]] = []
     edges: list[tuple[int, int]] = []
+    # children are pushed last field first, last item first, so they pop
+    # in field order then list order
     stack: list[tuple[ast.AST, int, int]] = [(tree, -1, 0)]
     while stack:
         node, parent_id, depth = stack.pop()
         node_id = len(nodes)
+        syntax.append(node)
         nodes.append((node_id, type(node).__name__, depth))
         if parent_id >= 0:
             edges.append((parent_id, node_id))
-        for child in reversed(_children(node)):
-            stack.append((child, node_id, depth + 1))
+        depth += 1
+        for name in reversed(node._fields):
+            value = getattr(node, name, None)
+            if isinstance(value, ast.AST):
+                if not isinstance(value, _OMITTED):
+                    stack.append((value, node_id, depth))
+            elif isinstance(value, list):
+                for item in reversed(value):
+                    if isinstance(item, ast.AST) and not isinstance(item, _OMITTED):
+                        stack.append((item, node_id, depth))
 
-    return AstGraph(nodes=tuple(nodes), edges=tuple(edges), root_id=0, tree=tree)
+    return AstGraph(
+        nodes=tuple(nodes), edges=tuple(edges), root_id=0, ast_nodes=tuple(syntax)
+    )

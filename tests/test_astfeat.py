@@ -156,13 +156,21 @@ def test_matches_oracles_on_fuzzed_modules():
 
 
 def test_graph_with_a_cycle_is_rejected():
-    # not a tree: triangle 0-1-2 plus a pendant node 3
-    g = AstGraph(
-        nodes=((0, "Module", 0), (1, "A", 1), (2, "B", 1), (3, "C", 2)),
-        edges=((0, 1), (1, 2), (0, 2), (2, 3)),
-    )
-    with pytest.raises(ValueError, match="not a tree"):
-        compute_graph_features(g)
+    # not a tree: triangle 0-1-2 plus a pendant node 3; then as many edges
+    # as a tree needs, but the cycle 1-2-3 leaves node 4 apart
+    graphs = [
+        AstGraph(
+            nodes=((0, "Module", 0), (1, "A", 1), (2, "B", 1), (3, "C", 2)),
+            edges=((0, 1), (1, 2), (0, 2), (2, 3)),
+        ),
+        AstGraph(
+            nodes=((0, "Module", 0), (1, "A", 1), (2, "B", 2), (3, "C", 3), (4, "D", 1)),
+            edges=((0, 1), (1, 2), (2, 3), (3, 1)),
+        ),
+    ]
+    for g in graphs:
+        with pytest.raises(ValueError, match="not a tree"):
+            compute_graph_features(g)
 
 
 def test_invariants_on_fuzzed_modules():
@@ -192,16 +200,32 @@ def _relabel(g: AstGraph, rng: random.Random) -> AstGraph:
     return AstGraph(nodes=tuple(nodes), edges=edges, root_id=perm[g.root_id])
 
 
+def _breadth_first(g: AstGraph) -> AstGraph:
+    """The same tree labeled in breadth-first order. Parents still come
+    before their children, as in preorder, but subtrees are not id ranges."""
+    children = {}
+    for p, c in g.edges:
+        children.setdefault(p, []).append(c)
+    order = [g.root_id]
+    for v in order:
+        order.extend(children.get(v, []))
+    label = {old: new for new, old in enumerate(order)}
+    nodes = tuple(sorted((label[i], kind, depth) for i, kind, depth in g.nodes))
+    edges = tuple(sorted(((label[p], label[c]) for p, c in g.edges), key=lambda e: e[1]))
+    return AstGraph(nodes=nodes, edges=edges, root_id=0)
+
+
 def test_features_invariant_under_node_relabeling():
     rng = random.Random(42)
     for seed in range(10):
         g = parse_to_graph(random_module(random.Random(400 + seed), 15))
         f1 = compute_graph_features(g)
-        f2 = compute_graph_features(_relabel(g, rng))
-        for name in AST_FEATURE_NAMES:
-            assert getattr(f1, name) == pytest.approx(
-                getattr(f2, name), rel=1e-12, abs=1e-12
-            ), name
+        for relabeled in (_relabel(g, rng), _breadth_first(g)):
+            f2 = compute_graph_features(relabeled)
+            for name in AST_FEATURE_NAMES:
+                assert getattr(f1, name) == pytest.approx(
+                    getattr(f2, name), rel=1e-12, abs=1e-12
+                ), name
 
 
 def test_as_dict_order_matches_canonical_names():

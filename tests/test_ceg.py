@@ -2,13 +2,16 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cegraph.ceg import build_ceg, graphs_to_json
 from cegraph.features import FeatureTable, featurize_dataset
-from cegraph.ingest import load_jsonl, validate
+from cegraph.ingest import CodeSample, Dataset, load_jsonl, validate
 from cegraph.synth import write_synthetic_log
 
 
@@ -259,3 +262,65 @@ def test_rank_order_preserved_under_monotone_fitness_transform(tmp_path):
     ranks_a = np.argsort([n.fitness_norm for n in ga.nodes])
     ranks_b = np.argsort([n.fitness_norm for n in gb.nodes])
     assert list(ranks_a) == list(ranks_b)
+
+
+def test_fitness_range_beyond_float_still_normalizes(tmp_path):
+    # hi - lo overflows to inf; inf / inf used to give NaN, which is not JSON
+    ds = make_dataset(tmp_path, simple_objs([1e308, -1e308, 0.0]))
+    table, _ = featurize_dataset(ds)
+    (g,) = build_ceg(ds, table)
+    assert [n.fitness_norm for n in g.nodes] == [1.0, 0.0, 0.5]
+    json.loads(graphs_to_json([g]), parse_constant=pytest.fail)
+
+
+# any finite score or none, with the two ends of the float range drawn often,
+# so that a pool's max - min can overflow
+_FITNESS = (
+    st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-sys.float_info.max, sys.float_info.max])
+)
+
+
+@st.composite
+def ceg_inputs(draw):
+    """Runs with lineage inside each run, any finite or missing fitness,
+    and feature rows for a random subset of the samples."""
+    samples = []
+    for r in range(draw(st.integers(1, 3))):
+        method = draw(st.sampled_from(["a", "b"]))
+        for i in range(draw(st.integers(1, 6))):
+            parents = draw(st.lists(st.integers(0, i - 1), max_size=2, unique=True)) if i else []
+            samples.append(CodeSample(
+                id=f"r{r}-{i}", name=f"r{r}-{i}", run_id=f"r{r}", method=method,
+                llm="", benchmark="", evaluation_index=i,
+                parent_ids=tuple(f"r{r}-{p}" for p in parents),
+                fitness_raw=draw(_FITNESS),
+                code="",
+            ))
+    ids = tuple(s.id for s in samples if draw(st.booleans()))
+    table = FeatureTable(ids, ("f",), np.arange(len(ids), dtype=float).reshape(-1, 1))
+    return Dataset(samples=tuple(samples)), table
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inputs=ceg_inputs(),
+    direction=st.sampled_from(["maximize", "minimize"]),
+    scope=st.sampled_from(["group", "run", "global"]),
+)
+def test_graphs_keep_their_invariants(inputs, direction, scope):
+    ds, table = inputs
+    by_id = ds.by_id()
+    graphs = build_ceg(ds, table, direction=direction, norm_scope=scope)
+    for g in graphs:
+        ids = {n.sample_id for n in g.nodes}
+        assert all(by_id[i].run_id == g.run_id for i in ids)
+        assert all(p in ids and c in ids for p, c in g.edges)
+        for n in g.nodes:
+            if by_id[n.sample_id].fitness_raw is None:
+                assert n.fitness_norm is None
+            else:
+                assert 0.0 <= n.fitness_norm <= 1.0
+            assert n.parent_frequency == sum(p == n.sample_id for p, _ in g.edges)
+    json.loads(graphs_to_json(graphs), parse_constant=pytest.fail)

@@ -2,15 +2,23 @@
 
 Token expectations were frozen from hand counts of the stated rule (all
 tokens except comments and layout), cross-checked against a raw tokenizer
-dump in test_token_total_matches_tokenizer_dump.
+dump in test_token_total_matches_tokenizer_dump. The lexer traps below are
+sources on which a regular-expression scanner easily parts from tokenize.
 """
 
+import ast
 import io
+import itertools
 import random
+import sys
 import token as token_mod
 import tokenize
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from cegraph.codemetrics import (
     COMPLEXITY_FEATURE_NAMES,
@@ -22,7 +30,7 @@ from cegraph.synth import random_module
 
 
 def complexity_of(code):
-    return compute_complexity(parse_to_graph(code).tree, code)
+    return compute_complexity(parse_to_graph(code), code)
 
 
 def test_identity_function_frozen_values():
@@ -268,3 +276,119 @@ def test_duplicating_renamed_function_doubles_totals():
     assert m2.cc_mean == m1.cc_mean
     assert m2.token_mean == m1.token_mean
     assert m2.param_mean == m1.param_mean
+
+
+# ------------------------------------------------------------ lexer traps
+
+
+def token_counts(code):
+    m = complexity_of(code)
+    return {"token_total": m.token_total, "token_mean": m.token_mean}
+
+
+def oracle_token_counts(code):
+    want = oracles.complexity_six(code)
+    return {"token_total": want["token_total"], "token_mean": want["token_mean"]}
+
+
+def test_trailing_comment_at_end_of_source_is_skipped_whole():
+    # a scan that restarts inside the comment would count c, d and e
+    code = "x = [1]  # c d e"
+    assert token_counts(code) == oracle_token_counts(code)
+    assert complexity_of(code).token_total == 5
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "x = 1\ry = 2\n",  # mid-line: one stray character
+        "x = 1  \ry = 2\n",  # and one per blank right before it
+        "x = 1\n\ry = 2\n",  # at a line start: tokenize skips the line
+        "# c\rx = 1\n",  # in a comment line: likewise
+        "def f():\n    x = 1\r    return x\n",
+    ],
+)
+def test_lone_carriage_return_counts_as_tokenize_does(code):
+    # the parser takes a lone \r for a line break, tokenize does not
+    assert token_counts(code) == oracle_token_counts(code)
+
+
+def test_form_feed_in_indentation_keeps_the_unit_span():
+    # a form feed is no line break: splitting lines at it shifts columns
+    code = "\fdef f():\n    \f return 1\n"
+    assert token_counts(code) == oracle_token_counts(code)
+    assert complexity_of(code).token_mean == 7.0
+
+
+def test_semicolon_after_a_one_line_def_is_in_its_span():
+    # the `;` lies outside the last statement, but the def's span ends after it
+    code = "def f(): return 1;\n"
+    assert token_counts(code) == oracle_token_counts(code)
+    assert complexity_of(code).token_mean == 8.0
+
+
+def test_utf8_columns_bound_the_unit_span():
+    # col_offset counts UTF-8 bytes, the scanner counts characters
+    code = "def f(): return '\u00e9\u00e9'; g = 1\nx = '\u00fc'\n"
+    assert token_counts(code) == oracle_token_counts(code)
+
+
+def test_f_string_is_one_token_on_every_interpreter():
+    # tokenize splits f-strings from Python 3.12 on; the count does not
+    assert complexity_of('x = f"a{b}c" + 1\n').token_total == 5
+
+
+# every string prefix in every case; f-strings only where tokenize keeps
+# them whole
+_PREFIXES = sorted(
+    "".join(chars)
+    for base in ("", "r", "u", "b", "br", "rb", "f", "fr", "rf")
+    for chars in itertools.product(*[(c, c.upper()) for c in base])
+    if sys.version_info < (3, 12) or "f" not in base
+)
+_TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n\x00")
+
+
+@st.composite
+def lexer_sources(draw):
+    """A fuzzed module with comment lines, trailing comments, string
+    literals of every prefix and multi-line triple-quoted strings inserted,
+    then optionally indented with tabs and given CRLF line ends."""
+    lines = random_module(
+        random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 30))
+    ).splitlines()
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(lines)))
+        ref = lines[at] if at < len(lines) else ""
+        indent = ref[: len(ref) - len(ref.lstrip())]
+        kind = draw(st.sampled_from(["comment", "trailing", "string", "triple"]))
+        prefix = draw(st.sampled_from(_PREFIXES))
+        body = draw(st.text(_TEXT.filter(lambda c: c not in "'\"\\{}"), max_size=8))
+        if "b" in prefix.lower():
+            body = body.encode("ascii", "ignore").decode()
+        if kind == "comment":
+            lines.insert(at, " " * draw(st.integers(0, 9)) + "#" + draw(st.text(_TEXT)))
+        elif kind == "trailing" and at < len(lines):
+            lines[at] += "  #" + draw(st.text(_TEXT))
+        elif kind == "string":
+            lines.insert(at, f"{indent}s = {prefix}'{body}\\'' + {prefix}\"\\\\\"")
+        elif kind == "triple":
+            quote = draw(st.sampled_from(["'''", '"""']))
+            gap = draw(st.sampled_from(["\n", "\\\n", "\n  \n"]))
+            lines[at:at] = f"{indent}t = {prefix}{quote}{body}{gap}{body}{quote}".split("\n")
+    code = "\n".join(lines) + "\n"
+    if draw(st.booleans()):
+        code = code.replace("    ", "\t")
+    if draw(st.booleans()):
+        code = code.replace("\n", "\r\n")
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(code=lexer_sources())
+def test_token_counts_match_tokenize(code):
+    try:
+        ast.parse(code)
+    except SyntaxError:
+        assume(False)  # an insertion before else/except breaks the syntax
+    assert token_counts(code) == oracle_token_counts(code)

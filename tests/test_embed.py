@@ -288,6 +288,28 @@ def test_spearman_ties_match_rank_pearson_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+# integers, so that each transform below is strictly increasing in floats too
+_RANKED = st.none() | st.just(math.nan) | st.integers(-40, 40)
+_INCREASING = [lambda v: v**3, lambda v: 2.0**v, lambda v: 3 * v - 7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 25))
+def test_spearman_invariant_under_increasing_transform_with_missing(data, n):
+    x = data.draw(st.lists(_RANKED, min_size=n, max_size=n))
+    y = data.draw(st.lists(_RANKED, min_size=n, max_size=n))
+    g = data.draw(st.sampled_from(_INCREASING))
+    h = data.draw(st.sampled_from(_INCREASING))
+
+    def transformed(values, f):
+        return [v if v is None or v != v else f(v) for v in values]
+
+    base = spearman(x, y)
+    assert spearman(transformed(x, g), y) == base
+    assert spearman(x, transformed(y, h)) == base
+    assert spearman(transformed(x, g), transformed(y, h)) == base
+
+
 def test_spearman_strictly_increasing_transform_invariance():
     rng = random.Random(13)
     x = [rng.uniform(-5, 5) for _ in range(25)]

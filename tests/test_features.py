@@ -101,6 +101,23 @@ def test_featurize_parses_each_sample_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_featurize_walks_the_tree_once(monkeypatch):
+    # parse_to_graph's walk is the only one: no helper walks the tree again
+    calls = []
+
+    def counted(helper):
+        def wrapper(*args, **kwargs):
+            calls.append(helper.__name__)
+            return helper(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ast, "walk", counted(ast.walk))
+    monkeypatch.setattr(ast, "iter_child_nodes", counted(ast.iter_child_nodes))
+    for code in ("", "x = 1\n", *HAND_WRITTEN, random_module(random.Random(5), 40)):
+        featurize(code, include_eigenvector=True)
+    assert calls == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), approx_lines=st.integers(1, 60))
 def test_complexity_and_nesting_columns_match_oracles(seed, approx_lines):

@@ -4,9 +4,13 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cegraph.features import featurize_dataset
 from cegraph.ingest import (
+    CodeSample,
+    Dataset,
     SchemaError,
     ValidationError,
     dump_jsonl,
@@ -282,3 +286,28 @@ def test_grouping_helpers(tmp_path):
          "benchmark": "b2", "method": "m2", "llm": "l2"},
     )
     assert ds.by_id()["c"].benchmark == "b2"
+
+
+def one_sample(code, name="s"):
+    return Dataset(samples=(CodeSample(
+        id="s1", name=name, run_id="r", method="m", llm="l", benchmark="b",
+        evaluation_index=0, parent_ids=(), fitness_raw=0.5, code=code,
+    ),))
+
+
+def test_round_trip_keeps_unicode_line_separators(tmp_path):
+    # dump_jsonl writes U+2028 raw; str.splitlines would break the record there
+    for sep in ("\u2028", "\u2029", "\x85"):
+        ds = one_sample(f"x = '{sep}'\n")
+        dump_jsonl(ds, tmp_path / "log.jsonl")
+        assert load_jsonl(tmp_path / "log.jsonl") == ds
+
+
+@settings(max_examples=150, deadline=None)
+@given(code=st.text(st.characters(blacklist_categories=("Cs",))),
+       name=st.text(st.characters(blacklist_categories=("Cs",))))
+def test_round_trip_of_arbitrary_text(tmp_path_factory, code, name):
+    path = tmp_path_factory.mktemp("round_trip") / "log.jsonl"
+    ds = one_sample(code, name)
+    dump_jsonl(ds, path)
+    assert load_jsonl(path) == ds
