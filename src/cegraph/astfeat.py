@@ -6,10 +6,10 @@ no triangles, so these are always 0; they keep the 22-column schema), and
 distance statistics. Graphs that are not trees are rejected.
 
 The distance features are computed with numpy from the parent array of
-the tree labeled in depth-first preorder, as parse_to_graph labels it
-(any other tree is relabeled by one traversal first), where each subtree
-is an interval of ids; there is no breadth-first search. Subtree sizes,
-summed one depth level at a time, give the average shortest path.
+the tree labeled in depth-first preorder, as parse_to_graph labels it (a
+graph built otherwise is relabeled by one traversal first), where each
+subtree is an interval of ids; there is no breadth-first search. Subtree
+sizes, summed one depth level at a time, give the average shortest path.
 Eccentricities come from the two ends of a diameter, with dist(a, v) =
 depth[a] + depth[v] - 2 depth[lca(a, v)] and the lowest common ancestor
 found through subtree intervals. Entropies are natural-log.
@@ -101,33 +101,21 @@ def _entropy(counts) -> float:
     return acc
 
 
-def _preorder_tree(n: int, e: np.ndarray, root: int, depth: np.ndarray) -> tuple:
-    """Parent and depth arrays of the tree rooted at `root`, labeled in
-    depth-first preorder, so that the subtree of node v is the id interval
+def _preorder_tree(graph: AstGraph, e: np.ndarray, depth: np.ndarray) -> tuple:
+    """Parent and depth arrays of the tree, labeled in depth-first preorder
+    from its root, so that the subtree of node v is the id interval
     [v, v + size[v]); and the subtree sizes.
 
-    A parsed graph is already labeled so (edges[i - 1] joins node i to its
-    parent, and `depth` lists the node depths), which is checked in a few
-    array operations; any other tree is relabeled by one traversal from
-    the root. Raises ValueError when the edges do not connect every node.
+    A parsed graph is labeled so already; any other tree is relabeled by
+    one traversal from the root, which raises ValueError when the edges do
+    not connect every node.
     """
-    parent = np.empty(n, dtype=np.int64)
-    parent[0] = -1
-    parent[1:] = e[:, 0]
-    ids = np.arange(n)
-    if (
-        root == 0
-        and np.array_equal(e[:, 1], ids[1:])
-        and (parent[1:] < ids[1:]).all()
-        and depth[0] == 0
-        and np.array_equal(depth[1:], depth[parent[1:]] + 1)
-    ):
-        size = _subtree_sizes(parent, depth)
-        # preorder: each subtree interval lies inside its parent's
-        end = ids + size
-        if (end[1:] <= end[parent[1:]]).all():
-            return parent, depth, size
-    parent, depth = _relabel_preorder(n, e, root)
+    if graph.parsed:
+        parent = np.empty(graph.node_count, dtype=np.int64)
+        parent[0] = -1
+        parent[1:] = e[:, 0]
+    else:
+        parent, depth = _relabel_preorder(graph.node_count, e, graph.root_id)
     return parent, depth, _subtree_sizes(parent, depth)
 
 
@@ -184,7 +172,7 @@ def _distances_from(a: int, parent, depth, size) -> np.ndarray:
     return depth[a] + depth - 2 * lca_depth
 
 
-def _tree_distance_features(n: int, e: np.ndarray, root: int, depth: np.ndarray) -> tuple:
+def _tree_distance_features(graph: AstGraph, e: np.ndarray, depth: np.ndarray) -> tuple:
     """(diameter, radius, mean eccentricity, mean pairwise distance).
 
     Each edge above a subtree of size s lies on s * (n - s) paths, which
@@ -192,7 +180,8 @@ def _tree_distance_features(n: int, e: np.ndarray, root: int, depth: np.ndarray)
     for the ends a, b of a diameter: a is a deepest node, b one farthest
     from a.
     """
-    parent, depth, size = _preorder_tree(n, e, root, depth)
+    n = graph.node_count
+    parent, depth, size = _preorder_tree(graph, e, depth)
     below = size[1:]
     total = int((below * (n - below)).sum())
     avg_shortest_path = total / (n * (n - 1) / 2)
@@ -279,7 +268,7 @@ def compute_graph_features(
         avg_shortest_path = 0.0
     else:
         diameter, radius, mean_eccentricity, avg_shortest_path = (
-            _tree_distance_features(n, e, graph.root_id, depths)
+            _tree_distance_features(graph, e, depths)
         )
 
     eig_max = eig_mean = None

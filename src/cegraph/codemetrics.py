@@ -6,8 +6,12 @@ module without any becomes a single module-level unit. Decision points
 attach to the innermost enclosing unit. Counted tokens are the lexemes that
 Python 3.11's tokenize module reports, except comments and pure layout
 (NL, NEWLINE, INDENT, DEDENT, ENDMARKER, ENCODING): names, numbers,
-strings, operators and stray characters. An f-string is one token on
-every interpreter, as it is to tokenize before Python 3.12.
+strings, operators and stray characters. An f-string is one token, as it
+is to tokenize before Python 3.12, so for sources that Python 3.11 parses
+the count does not depend on the interpreter. Python 3.12 also parses
+f-strings that reuse their own quote inside a replacement field, or whose
+replacement fields span lines; the scanner reads those by the 3.11 string
+rules and miscounts them.
 
 compute_complexity reads the syntax nodes that parse_to_graph keeps in
 preorder (AstGraph.ast_nodes) in one flat loop: each node takes its
@@ -39,9 +43,16 @@ NESTING_FEATURE_NAMES = ("nesting_max", "nesting_mean")
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-_BRANCH_NODES = (ast.If, ast.While, ast.For, ast.AsyncFor, ast.IfExp, ast.ExceptHandler)
-
-_DECISION_NODES = _BRANCH_NODES + (ast.comprehension, ast.BoolOp, ast.Match)
+# cyclomatic contribution of each decision node class
+_DECISION_INCREMENT = {
+    **dict.fromkeys(
+        (ast.If, ast.While, ast.For, ast.AsyncFor, ast.IfExp, ast.ExceptHandler),
+        lambda node: 1,
+    ),
+    ast.comprehension: lambda node: 1 + len(node.ifs),
+    ast.BoolOp: lambda node: len(node.values) - 1,
+    ast.Match: lambda node: max(len(node.cases) - 1, 0),
+}
 
 # compound statements that open a nesting level for the statements inside
 _NESTING_NODES = (
@@ -65,7 +76,7 @@ _ROLES = {
     cls: _STATEMENT * issubclass(cls, ast.stmt)
     | _UNIT * issubclass(cls, _FUNC_NODES)
     | _NESTS * issubclass(cls, _NESTING_NODES)
-    | _DECIDES * issubclass(cls, _DECISION_NODES)
+    | _DECIDES * (cls in _DECISION_INCREMENT)
     for cls in vars(ast).values()
     if isinstance(cls, type) and issubclass(cls, ast.AST)
 }
@@ -97,8 +108,9 @@ _STRING = (
 _TOKEN = rf"{_TRIPLE_STRING}|{_NUMBER}|{_OPERATOR}|{_STRING}|\w+"
 # What tokenize skips: a line whose first non-blank is a comment or a lone
 # carriage return (skipped up to the newline), a backslash continuation, a
-# comment, a newline. What follows it cannot fail, so it is possessive.
-_SKIPPED = r"(?:^[ \f\t]*[#\r][^\n]*|[ \f\t]*(?:\\\r?\n|#[^\r\n]*|\r?\n))*+"
+# comment, a newline. What follows it cannot fail, so the greedy repeat
+# never backtracks (a possessive one would need Python 3.11's re).
+_SKIPPED = r"(?:^[ \f\t]*[#\r][^\n]*|[ \f\t]*(?:\\\r?\n|#[^\r\n]*|\r?\n))*"
 # One match per counted token, back to back, so no match can start inside
 # skipped text: group 1 is a token; group 2 is a character no rule accepts
 # (tokenize's ERRORTOKEN; in parsable source a lone carriage return or a
@@ -123,19 +135,6 @@ class ComplexityMetrics:
     def as_dict(self) -> dict[str, float]:
         names = COMPLEXITY_FEATURE_NAMES + NESTING_FEATURE_NAMES
         return {name: float(getattr(self, name)) for name in names}
-
-
-def _decision_increment(node: ast.AST) -> int:
-    """Cyclomatic contribution of one syntax node."""
-    if isinstance(node, _BRANCH_NODES):
-        return 1
-    if isinstance(node, ast.comprehension):
-        return 1 + len(node.ifs)
-    if isinstance(node, ast.BoolOp):
-        return len(node.values) - 1
-    if isinstance(node, ast.Match):
-        return max(len(node.cases) - 1, 0)
-    return 0
 
 
 def _token_starts(code: str) -> list[int]:
@@ -178,7 +177,10 @@ def _param_count(unit: ast.AST) -> int:
 
 def compute_complexity(graph: AstGraph, code: str) -> ComplexityMetrics:
     """Compute complexity metrics for one module: `graph` is the graph
-    parse_to_graph built from the source text `code`."""
+    parse_to_graph built from the source text `code`. Raises ValueError
+    for any other graph, which lacks the syntax nodes."""
+    if not graph.parsed:
+        raise ValueError("compute_complexity needs the graph parse_to_graph built")
     syntax = graph.ast_nodes
     module_cc = 1  # counts only when the module has no units
     units: list[ast.AST] = []
@@ -203,9 +205,9 @@ def compute_complexity(graph: AstGraph, code: str) -> ComplexityMetrics:
                 ccs.append(1)
             elif role & _DECIDES:
                 if unit >= 0:
-                    ccs[unit] += _decision_increment(node)
+                    ccs[unit] += _DECISION_INCREMENT[type(node)](node)
                 else:
-                    module_cc += _decision_increment(node)
+                    module_cc += _DECISION_INCREMENT[type(node)](node)
             if role & _NESTS:
                 level += 1
         unit_of.append(unit)

@@ -25,12 +25,11 @@ _OMITTED = (ast.expr_context, ast.TypeIgnore)
 class AstGraph:
     """Rooted tree of syntax nodes.
 
-    nodes: (node_id, kind, depth) triples, ids 0..n-1 in preorder.
-    edges: (parent_id, child_id) pairs, directed parent -> child; in a
-    parsed graph edges[i - 1] joins node i to its parent.
+    nodes: (node_id, kind, depth) triples.
+    edges: (parent_id, child_id) pairs, directed parent -> child.
     ast_nodes: the parsed syntax nodes, ast_nodes[i] for node i, so
-    ast_nodes[0] is the module (empty for graphs built by hand); it takes
-    no part in equality.
+    ast_nodes[0] is the module; only parse_to_graph fills it (graphs built
+    by hand leave it empty), and it takes no part in equality.
     """
 
     nodes: tuple[tuple[int, str, int], ...]
@@ -45,6 +44,13 @@ class AstGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @property
+    def parsed(self) -> bool:
+        """Whether parse_to_graph built this graph, and so labeled it: ids
+        0..n-1 in depth-first preorder from root 0, edges[i - 1] joins
+        node i to its parent, and ast_nodes[i] is node i."""
+        return 0 < len(self.ast_nodes) == len(self.nodes)
 
     def kinds(self) -> list[str]:
         return [kind for _, kind, _ in self.nodes]

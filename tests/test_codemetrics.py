@@ -7,9 +7,11 @@ sources on which a regular-expression scanner easily parts from tokenize.
 """
 
 import ast
+import importlib
 import io
 import itertools
 import random
+import re
 import sys
 import token as token_mod
 import tokenize
@@ -20,12 +22,13 @@ from hypothesis import strategies as st
 
 import oracles
 
+from cegraph import codemetrics
 from cegraph.codemetrics import (
     COMPLEXITY_FEATURE_NAMES,
     NESTING_FEATURE_NAMES,
     compute_complexity,
 )
-from cegraph.pyast import ParseError, parse_to_graph
+from cegraph.pyast import AstGraph, ParseError, parse_to_graph
 from cegraph.synth import random_module
 
 
@@ -336,6 +339,43 @@ def test_utf8_columns_bound_the_unit_span():
 def test_f_string_is_one_token_on_every_interpreter():
     # tokenize splits f-strings from Python 3.12 on; the count does not
     assert complexity_of('x = f"a{b}c" + 1\n').token_total == 5
+
+
+def test_nested_quote_f_string_is_read_by_3_11_rules():
+    # Python 3.12 parses this; the scanner ends the string at the inner
+    # quote and takes the rest of the line for a comment
+    code = 'x = f"{d["#"]}"; y = 1\n'
+    assert len(codemetrics._token_starts(code)) == 3
+
+
+def _opcode_names(item, parser):
+    if isinstance(item, parser.SubPattern):
+        for op, arg in item.data:
+            yield op.name
+            yield from _opcode_names(arg, parser)
+    elif isinstance(item, (list, tuple)):
+        for part in item:
+            yield from _opcode_names(part, parser)
+
+
+def test_token_pattern_needs_no_python_3_11_re():
+    # possessive repeats and atomic groups came with Python 3.11's re;
+    # the project supports Python 3.10
+    parser = getattr(re, "_parser", None) or importlib.import_module("sre_parse")
+    names = set(_opcode_names(parser.parse(codemetrics._LEXEME), parser))
+    assert "MAX_REPEAT" in names
+    assert not names & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def test_graph_not_built_by_parse_to_graph_is_rejected():
+    code = "def f(a):\n    return a\n"
+    g = parse_to_graph(code)
+    for graph in (
+        AstGraph(nodes=g.nodes, edges=g.edges),
+        AstGraph(nodes=((0, "Module", 0),), edges=()),
+    ):
+        with pytest.raises(ValueError, match="parse_to_graph"):
+            compute_complexity(graph, code)
 
 
 # every string prefix in every case; f-strings only where tokenize keeps

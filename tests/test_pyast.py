@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cegraph.pyast import ParseError, parse_to_graph
+from cegraph.pyast import AstGraph, ParseError, parse_to_graph
 from cegraph.synth import random_module
 
 
@@ -83,3 +83,13 @@ def test_fuzzed_modules_form_rooted_trees():
         for p, c in g.edges:
             assert depth[c] == depth[p] + 1
             assert c > p
+
+
+def test_only_parsed_graphs_are_marked_parsed():
+    g = parse_to_graph("x = [i for i in range(3)]\n")
+    assert g.parsed
+    assert len(g.ast_nodes) == g.node_count
+    by_hand = AstGraph(nodes=g.nodes, edges=g.edges)
+    assert not by_hand.parsed
+    assert by_hand == g  # the syntax nodes take no part in equality
+    assert not AstGraph(nodes=(), edges=()).parsed
