@@ -2,14 +2,15 @@
 #
 # PCA gives the y axis for the per-run lineage plots (PC1 of the
 # standardized features, annotated with its explained variance share).
-# t-SNE places every sample from every run on a shared 2-d map.
+# t-SNE places every sample from every run on a shared 2-d map. The
+# renderers only draw: each figure takes the projection computed here.
 
 from pathlib import Path
 
 import numpy as np
 
 from cegraph import (
-    FigureSpec,
+    ALL_FEATURE_NAMES,
     build_ceg,
     featurize_dataset,
     load_jsonl,
@@ -30,7 +31,9 @@ def main():
     features, _ = featurize_dataset(dataset)
     graphs = build_ceg(dataset, features)
 
-    X = np.array([n.features_std for g in graphs for n in g.nodes])
+    # the 28 canonical standardized features, one row per node in graph order
+    cols = [features.names.index(name) for name in ALL_FEATURE_NAMES]
+    X = np.array([n.features_std[cols] for g in graphs for n in g.nodes])
     print(f"feature matrix: {X.shape[0]} samples x {X.shape[1]} features")
 
     res = pca(X, k=3)
@@ -44,12 +47,13 @@ def main():
           f"sx={spread[0]:.1f} sy={spread[1]:.1f}")
 
     OUT.mkdir(exist_ok=True)
-    fig = render_ceg(graphs, FigureSpec(y_axis="pc1"))
+    fig = render_ceg(graphs, res.projected[:, 0], "PC1",
+                     annotation=f"PC1 ({ratios[0]:.2f})")
     (OUT / "ceg_pc1.svg").write_text(fig.svg, encoding="utf-8")
     print(f"wrote {OUT / 'ceg_pc1.svg'} ({fig.width}x{fig.height}, "
           f"annotation {fig.annotation!r})")
 
-    fig = render_tsne(graphs, FigureSpec(perplexity=12.0, iterations=500))
+    fig = render_tsne(graphs, emb.coords)
     (OUT / "tsne.svg").write_text(fig.svg, encoding="utf-8")
     print(f"wrote {OUT / 'tsne.svg'} ({len(fig.legend)} legend entries)")
 

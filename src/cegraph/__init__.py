@@ -48,13 +48,7 @@ from .ingest import (
     validate,
 )
 from .pyast import AstGraph, ParseError, parse_to_graph
-from .report import (
-    FigureSpec,
-    RenderedFigure,
-    render_ceg,
-    render_heatmap,
-    render_tsne,
-)
+from .report import RenderedFigure, render_ceg, render_heatmap, render_tsne
 
 __version__ = "0.1.0"
 
@@ -73,7 +67,6 @@ __all__ = [
     "Dataset",
     "EvolutionGraph",
     "FeatureTable",
-    "FigureSpec",
     "GraphFeatures",
     "ParseError",
     "PcaResult",

@@ -13,12 +13,14 @@ import csv
 import sys
 from pathlib import Path
 
-from .astfeat import EIG_FEATURE_NAMES
-from .ceg import build_ceg, graphs_to_json
-from .embed import correlation_table
+import numpy as np
+
+from .astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES
+from .ceg import build_ceg, feature_columns, graphs_to_json
+from .embed import correlation_table, pca, tsne
 from .features import ALL_FEATURE_NAMES, featurize_dataset, resolve_feature_set
 from .ingest import ValidationError, load_jsonl, validate
-from .report import FigureSpec, render_ceg, render_heatmap, render_tsne
+from .report import render_ceg, render_heatmap, render_tsne
 
 _META_COLUMNS = (
     "id",
@@ -128,22 +130,30 @@ def _write_features_csv(dataset, table, path: Path, with_eig: bool) -> None:
             writer.writerow(meta + feats)
 
 
-def _y_axis(spelling: str) -> str:
-    if spelling == "pc1":
-        return "pc1"
-    if spelling == "tokens":
-        return "token_total"
-    if spelling.startswith("feature:"):
-        return spelling[len("feature:"):]
-    raise ValueError(
-        f"unknown y-axis {spelling!r}; use pc1, tokens or feature:<name>"
-    )
+def _y_axis(spelling: str, names) -> str:
+    """The lineage figure's y axis: "pc1" or one of the feature names."""
+    name = {"pc1": "pc1", "tokens": "token_total"}.get(spelling)
+    if name is None and spelling.startswith("feature:"):
+        name = spelling[len("feature:"):]
+        if name not in names:
+            raise ValueError(f"unknown y-axis feature {name!r}")
+    if name is None:
+        raise ValueError(f"unknown y-axis {spelling!r}; use pc1, tokens or feature:<name>")
+    return name
+
+
+def _standardized(graphs, names) -> np.ndarray:
+    """Projection input: the named standardized feature columns, one row
+    per node in graph order."""
+    _, cols = feature_columns(graphs, names)
+    return np.array([n.features_std[cols] for g in graphs for n in g.nodes])
 
 
 def _run(args) -> int:
-    """Load, validate and featurize the log, build the evolution graphs if
-    a selected artifact needs them, then write the selected artifacts in
-    order, listing each file written on stdout."""
+    """Load, validate and featurize the log, check every feature name,
+    build the evolution graphs if a selected artifact needs them, then
+    write the selected artifacts in order (each projection just before its
+    figure), listing each file written on stdout."""
     artifacts = SUBCOMMANDS[args.command][2]
     dataset = load_jsonl(args.input)
     dataset, violations = validate(dataset, policy=args.policy)
@@ -161,6 +171,10 @@ def _run(args) -> int:
         print(f"skipped {len(failures)} unparsable samples", file=sys.stderr)
         for sample_id, diagnostic in failures.items():
             print(f"  skipped sample {sample_id!r}: {diagnostic}", file=sys.stderr)
+    y_axis = _y_axis(args.y_axis, table.names)
+    feature_set = (
+        resolve_feature_set(args.feature_set, table.names) if args.feature_set else None
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -185,11 +199,17 @@ def _run(args) -> int:
     )
     if not graphs:
         raise ValidationError("no evolution graphs could be built")
-    feature_set = resolve_feature_set(args.feature_set) if args.feature_set else None
     if "ceg" in artifacts:
-        spec = FigureSpec(y_axis=_y_axis(args.y_axis), feature_set=feature_set)
         write("ceg.json", graphs_to_json(graphs))
-        write(f"ceg_{spec.y_axis}.svg", render_ceg(graphs, spec).svg)
+        if y_axis == "pc1":
+            pc = pca(_standardized(graphs, feature_set or AST_FEATURE_NAMES), 1)
+            y_values, y_label = pc.projected[:, 0], "PC1"
+            annotation = f"PC1 ({float(pc.explained_variance_ratio[0]):.2f})"
+        else:
+            col = table.names.index(y_axis)
+            y_values = [n.features_raw[col] for g in graphs for n in g.nodes]
+            y_label, annotation = y_axis, ""
+        write(f"ceg_{y_axis}.svg", render_ceg(graphs, y_values, y_label, annotation).svg)
     if "tsne" in artifacts:
         # keep the perplexity inside [1, (n - 1) / 3]
         n = sum(g.node_count for g in graphs)
@@ -200,13 +220,13 @@ def _run(args) -> int:
                 f"using {perplexity:g}",
                 file=sys.stderr,
             )
-        spec = FigureSpec(
-            feature_set=feature_set,
+        embedding = tsne(
+            _standardized(graphs, feature_set or ALL_FEATURE_NAMES),
             perplexity=perplexity,
             seed=args.seed,
             iterations=args.iterations,
         )
-        write("tsne.svg", render_tsne(graphs, spec).svg)
+        write("tsne.svg", render_tsne(graphs, embedding.coords).svg)
     if "correlations" in artifacts:
         corr = correlation_table(graphs, feature_set or ALL_FEATURE_NAMES)
         write("correlations.csv", corr.to_csv())

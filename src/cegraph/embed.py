@@ -36,7 +36,7 @@ def pca(X, k: int) -> PcaResult:
     Requires n >= 2 and 1 <= k <= min(n - 1, d). Eigenvalues below 0 from
     round-off are clamped; ratios are taken over all d eigenvalues.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)  # results must not depend on layout
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
     n, d = X.shape
@@ -193,7 +193,7 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
     np.random.default_rng(seed), so results are bit-reproducible for fixed
     inputs.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)  # results must not depend on layout
     n = X.shape[0]
     if n < 4:
         raise ValueError("need at least 4 samples")

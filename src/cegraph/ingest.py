@@ -113,6 +113,10 @@ def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
             raise SchemaError(
                 f"line {lineno}: code_path {code_path!r} is not UTF-8: {exc}"
             ) from exc
+        except ValueError as exc:  # a NUL character in the path
+            raise SchemaError(
+                f"line {lineno}: code_path {code_path!r} is not a valid path: {exc}"
+            ) from exc
         except OSError as exc:
             raise OSError(
                 f"line {lineno}: cannot read code_path {code_path!r}: {exc}"
@@ -151,6 +155,8 @@ def load_jsonl(path) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer literal past int()'s digit limit
+            raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise SchemaError(f"line {lineno}: invalid JSON: nesting too deep") from exc
         if not isinstance(obj, dict):

@@ -1,10 +1,12 @@
 """Deterministic SVG figure rendering.
 
 Three figure kinds: lineage grids (one cell per run, rows grouped by
-benchmark/method/llm, x = evaluation index, y = PC1 score or a chosen
+benchmark/method/llm, x = evaluation index, y = a PC1 score or a raw
 feature), t-SNE scatter of all samples (color = method/llm, marker shape
 cycles per run, size tracks normalized fitness), and a correlation
-heatmap with a diverging color scale.
+heatmap with a diverging color scale. Renderers only draw: the caller
+computes the projections and passes one y value or one (x, y) row per
+node, in graph order.
 
 The SVG is assembled from strings with fixed 2-decimal coordinates, so a
 given input always renders byte-identically. Elements carry class
@@ -16,11 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .astfeat import AST_FEATURE_NAMES
-from .ceg import feature_columns
-from .codemetrics import COMPLEXITY_FEATURE_NAMES
-from .embed import CorrelationTable, pca, tsne
 
 PALETTE = (
     "#1f77b4",
@@ -37,20 +34,9 @@ PALETTE = (
 
 MARKER_SHAPES = ("circle", "square", "triangle", "diamond", "cross")
 
-
-@dataclass(frozen=True)
-class FigureSpec:
-    """Rendering options of the lineage grid and the t-SNE scatter; fields
-    not applying to a figure are ignored by it."""
-
-    y_axis: str = "pc1"  # "pc1" or a feature name
-    feature_set: tuple[str, ...] | None = None  # projection input columns
-    perplexity: float = 30.0
-    seed: int = 0
-    iterations: int = 1000
-    base_radius: float = 2.0
-    cell_width: int = 240
-    cell_height: int = 170
+BASE_RADIUS = 2.0  # lineage node radius at parent frequency 0
+CELL_WIDTH = 240.0  # lineage grid cell size
+CELL_HEIGHT = 170.0
 
 
 @dataclass(frozen=True)
@@ -133,49 +119,22 @@ def _marker(shape: str, x: float, y: float, r: float, color: str, hollow: bool) 
     return f'<polygon class="point" points="{pts}" {style}/>'
 
 
-def _std_matrix(graphs, cols: list[int]) -> np.ndarray:
-    rows = [n.features_std[cols] for g in graphs for n in g.nodes]
-    return np.asarray(rows, dtype=float)
-
-
-def render_ceg(graphs, spec: FigureSpec | None = None) -> RenderedFigure:
+def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> RenderedFigure:
     """Grid of lineage plots: rows are (benchmark, method, llm) groups,
-    columns are runs, x is evaluation index. y is the first principal
-    component of the standardized features (annotated with its explained
-    variance fraction) or a raw feature value. Marker area tracks parent
-    frequency; samples without fitness are drawn hollow."""
-    spec = spec or FigureSpec()
-    base, _ = feature_columns(graphs)
+    columns are runs, x is evaluation index and y is y_values, one value
+    per node in graph order, labeled y_label. A non-empty annotation (such
+    as the explained variance of PC1) is printed above the grid. Marker
+    area tracks parent frequency; samples without fitness are drawn
+    hollow."""
     all_nodes = [n for g in graphs for n in g.nodes]
     if not all_nodes:
         raise ValueError("empty node set")
+    y_values = np.asarray(y_values, dtype=float)
+    if y_values.shape != (len(all_nodes),):
+        raise ValueError(f"need one y value per node, got shape {y_values.shape}")
 
-    annotation = ""
-    if spec.y_axis == "pc1":
-        names = spec.feature_set or tuple(
-            n for n in AST_FEATURE_NAMES if n in base
-        )
-        if not names:
-            raise ValueError("no usable features for pc1")
-        _, cols = feature_columns(graphs, names)
-        X = _std_matrix(graphs, cols)
-        result = pca(X, 1)
-        y_values = result.projected[:, 0]
-        annotation = f"PC1 ({float(result.explained_variance_ratio[0]):.2f})"
-        y_label = "PC1"
-    else:
-        if spec.y_axis not in base:
-            raise ValueError(f"unknown y-axis feature {spec.y_axis!r}")
-        col = base.index(spec.y_axis)
-        y_values = np.asarray([float(n.features_raw[col]) for n in all_nodes])
-        y_label = spec.y_axis
-
-    y_of = {}
-    pos = 0
-    for g in graphs:
-        for n in g.nodes:
-            y_of[(g.run_id, n.sample_id)] = float(y_values[pos])
-            pos += 1
+    keys = [(g.run_id, n.sample_id) for g in graphs for n in g.nodes]
+    y_of = dict(zip(keys, y_values.tolist()))
 
     row_keys = sorted({g.group_key for g in graphs})
     cols_per_row = {
@@ -188,7 +147,7 @@ def render_ceg(graphs, spec: FigureSpec | None = None) -> RenderedFigure:
     margin_left, margin_top = 150.0, 50.0
     margin_right, margin_bottom = 20.0, 45.0
     gap = 14.0
-    cw, ch = float(spec.cell_width), float(spec.cell_height)
+    cw, ch = CELL_WIDTH, CELL_HEIGHT
     width = margin_left + ncols * cw + (ncols - 1) * gap + margin_right
     height = margin_top + len(row_keys) * ch + (len(row_keys) - 1) * gap + margin_bottom
 
@@ -250,7 +209,7 @@ def render_ceg(graphs, spec: FigureSpec | None = None) -> RenderedFigure:
                 )
             for n in g.nodes:
                 x, y = node_pos[n.sample_id]
-                r = spec.base_radius * (1.0 + n.parent_frequency)
+                r = BASE_RADIUS * (1.0 + n.parent_frequency)
                 hollow = n.fitness_norm is None
                 fill = "none" if hollow else color
                 parts.append(
@@ -272,29 +231,17 @@ def render_ceg(graphs, spec: FigureSpec | None = None) -> RenderedFigure:
     )
 
 
-def render_tsne(graphs, spec: FigureSpec | None = None) -> RenderedFigure:
-    """t-SNE scatter of every node across all runs. Color encodes the
-    (method, llm) pair, marker shape cycles per run, marker size grows
-    with normalized fitness; missing fitness renders hollow at minimum
-    size."""
-    spec = spec or FigureSpec()
-    base, _ = feature_columns(graphs)
+def render_tsne(graphs, coords) -> RenderedFigure:
+    """Scatter of every node across all runs at coords, one (x, y) row
+    per node in graph order. Color encodes the (method, llm) pair, marker
+    shape cycles per run, marker size grows with normalized fitness;
+    missing fitness renders hollow at minimum size."""
     all_nodes = [(g, n) for g in graphs for n in g.nodes]
     if not all_nodes:
         raise ValueError("empty node set")
-
-    if spec.feature_set:
-        names = spec.feature_set
-    else:
-        # default projection input: the canonical feature set when present
-        canonical = AST_FEATURE_NAMES + COMPLEXITY_FEATURE_NAMES
-        names = canonical if all(n in base for n in canonical) else base
-    _, cols = feature_columns(graphs, names)
-    X = _std_matrix(graphs, cols)
-    result = tsne(
-        X, perplexity=spec.perplexity, seed=spec.seed, iterations=spec.iterations
-    )
-    coords = result.coords
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (len(all_nodes), 2):
+        raise ValueError(f"need one (x, y) row per node, got shape {coords.shape}")
 
     pairs = sorted({(g.group_key[1], g.group_key[2]) for g, _ in all_nodes})
     color_of = {p: PALETTE[i % len(PALETTE)] for i, p in enumerate(pairs)}
@@ -368,10 +315,11 @@ def _diverging(v: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def render_heatmap(table: CorrelationTable) -> RenderedFigure:
-    """Correlation heatmap: one row per group, one column per feature,
-    diverging color scale over [-1, 1], cells labeled to 2 decimals.
-    Cells without a defined correlation stay gray and unlabeled."""
+def render_heatmap(table) -> RenderedFigure:
+    """Correlation heatmap of an embed.CorrelationTable: one row per
+    group, one column per feature, diverging color scale over [-1, 1],
+    cells labeled to 2 decimals. Cells without a defined correlation stay
+    gray and unlabeled."""
     if not table.groups:
         raise ValueError("empty correlation table")
     cell_w, cell_h = 52.0, 26.0

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import oracles
+from synth import random_module
 from cegraph.astfeat import compute_graph_features
 from cegraph.cli import main
 from cegraph.embed import (
@@ -27,7 +28,6 @@ from cegraph.embed import (
 )
 from cegraph.features import ALL_FEATURE_NAMES, featurize
 from cegraph.pyast import parse_to_graph
-from cegraph.synth import random_module
 
 BUNDLED_LOG = Path(__file__).resolve().parent.parent / "data" / "synthetic_run.jsonl"
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
+from synth import random_module
 from cegraph.astfeat import AST_FEATURE_NAMES, compute_graph_features
 from cegraph.pyast import AstGraph, parse_to_graph
-from cegraph.synth import random_module
 
 
 def path3():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cegraph.ceg import build_ceg, graphs_to_json
 from cegraph.features import FeatureTable, featurize_dataset
 from cegraph.ingest import CodeSample, Dataset, load_jsonl, validate
-from cegraph.synth import write_synthetic_log
+from synth import write_synthetic_log
 
 
 def make_dataset(tmp_path, objs):

@@ -12,7 +12,7 @@ import pytest
 from cegraph.cli import main
 from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES, featurize_dataset
 from cegraph.ingest import load_jsonl
-from cegraph.synth import write_synthetic_log
+from synth import write_synthetic_log
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 META = ("id", "name", "run_id", "method", "llm", "benchmark",
@@ -101,12 +101,23 @@ def test_ceg_feature_y_axis_spelling(log_path, tmp_path):
     assert (out / "ceg_cc_total.svg").is_file()
 
 
-def test_unknown_y_axis_is_validation_failure(log_path, tmp_path):
-    code = run([
-        "ceg", "--input", log_path, "--out", tmp_path / "o",
-        "--y-axis", "feature:bogus",
-    ])
-    assert code == 1
+def test_unknown_y_axis_is_validation_failure(log_path, tmp_path, capsys):
+    # eigenvector centrality columns exist only under --include-eigencentrality
+    listing = tmp_path / "eig.txt"
+    listing.write_text("eig_centrality_max\n", encoding="utf-8")
+    for argv, message in (
+        (["ceg", "--y-axis", "feature:bogus"], "unknown y-axis feature 'bogus'"),
+        (["pipeline", "--feature-set", f"custom:{listing}"],
+         "unknown feature names: eig_centrality_max"),
+    ):
+        out = tmp_path / argv[0]
+        out.mkdir()
+        assert run(argv + ["--input", log_path, "--out", out]) == 1
+        # every name is checked before the first file is written
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert list(out.iterdir()) == []
 
 
 def test_tsne_clamps_out_of_range_perplexity(log_path, tmp_path, capsys):

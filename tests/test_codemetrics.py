@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from synth import random_module
 
 from cegraph import codemetrics
 from cegraph.codemetrics import (
@@ -29,7 +30,6 @@ from cegraph.codemetrics import (
     compute_complexity,
 )
 from cegraph.pyast import AstGraph, ParseError, parse_to_graph
-from cegraph.synth import random_module
 
 
 def complexity_of(code):

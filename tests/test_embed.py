@@ -257,6 +257,18 @@ def test_tsne_preconditions():
         tsne(X, perplexity=2.0, iterations=0)
 
 
+@pytest.mark.parametrize("n, d", [(66, 28), (200, 22), (400, 28)])
+def test_projections_do_not_depend_on_memory_layout(n, d):
+    X = np.random.default_rng(n).normal(size=(n, d))
+    padded = np.zeros((n, 2 * d))
+    padded[:, ::2] = X
+    want_pca = pca(X, 2).projected.tobytes()
+    want_tsne = tsne(X, perplexity=10.0, seed=3, iterations=60).coords.tobytes()
+    for view in (np.asfortranarray(X), padded[:, ::2]):
+        assert pca(view, 2).projected.tobytes() == want_pca
+        assert tsne(view, perplexity=10.0, seed=3, iterations=60).coords.tobytes() == want_tsne
+
+
 # ---------------------------------------------------------------- Spearman
 
 

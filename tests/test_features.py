@@ -5,6 +5,7 @@ import json
 import random
 
 import oracles
+from synth import random_module
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,6 @@ from cegraph.features import (
 )
 from cegraph.ingest import load_jsonl
 from cegraph.pyast import ParseError
-from cegraph.synth import random_module
 
 
 def test_canonical_name_lists():
@@ -136,7 +136,9 @@ HAND_WRITTEN = [
     "        case [a, *_] if a:\n            return a\n        case _:\n            pass\n",
     "async def g(a):\n    async with a as b:\n        async for c in b:\n"
     "            await c\n",
-    "try:\n    pass\nexcept* ValueError:\n    if a or b:\n        pass\n",
+    # except* parses from Python 3.11 on, where ast.TryStar appeared
+    *(["try:\n    pass\nexcept* ValueError:\n    if a or b:\n        pass\n"]
+      if hasattr(ast, "TryStar") else []),
     "@deco(1 if a else 2)\ndef outer():\n    def inner(y=1 if z else 2):\n"
     "        return y and z\n    return inner\n",
     "f = lambda x: x if x else 0\nclass B:\n    class C:\n        pass\n",

@@ -17,7 +17,7 @@ from cegraph.ingest import (
     load_jsonl,
     validate,
 )
-from cegraph.synth import synthetic_samples
+from synth import synthetic_samples
 
 
 def write_lines(path, lines):
@@ -311,3 +311,62 @@ def test_round_trip_of_arbitrary_text(tmp_path_factory, code, name):
     ds = one_sample(code, name)
     dump_jsonl(ds, path)
     assert load_jsonl(path) == ds
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# a code_path without "/" stays inside the log's directory
+CODE_PATHS = (
+    st.sampled_from(["ok.py", "latin.py", "gone.py", ".", "", "a\x00b"])
+    | st.text(max_size=300).filter(lambda s: "/" not in s)
+)
+FIELDS = {
+    "id": st.text(max_size=3),
+    "run_id": st.text(max_size=3),
+    "name": st.text(max_size=3),
+    "method": st.text(max_size=3),
+    "evaluation_index": st.integers(-1, 5) | st.integers(),
+    "parent_ids": st.lists(st.text(max_size=3), max_size=2),
+    "fitness_raw": st.floats() | st.integers(),
+    "code": st.text(max_size=20),
+    "code_path": CODE_PATHS,
+}
+SAMPLE_OBJECTS = st.fixed_dictionaries(
+    {}, optional={key: values | JSON_VALUES for key, values in FIELDS.items()}
+)
+JSONL_LINES = (
+    SAMPLE_OBJECTS.map(json.dumps)
+    | JSON_VALUES.map(json.dumps)
+    | st.sampled_from(["1" * 5000, '{"id": ' + "9" * 5000 + "}"])
+    | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"))
+)
+
+
+@pytest.fixture(scope="module")
+def code_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("any_line")
+    (path / "ok.py").write_text("x = 1\n", encoding="utf-8")
+    (path / "latin.py").write_bytes(b"x = 1\xff\n")
+    return path
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=JSONL_LINES)
+def test_any_line_loads_or_names_itself(code_dir, line):
+    # the only outcomes: a dataset, a SchemaError, or an OSError for an
+    # unreadable code_path; each error names the line
+    log = code_dir / "log.jsonl"
+    log.write_text(line + "\n", encoding="utf-8")
+    try:
+        ds = load_jsonl(log)
+    except SchemaError as exc:
+        assert str(exc).startswith("line 1: ")
+    except OSError as exc:
+        assert str(exc).startswith("line 1: cannot read code_path ")
+    else:
+        assert isinstance(ds, Dataset) and len(ds) <= 1
+        assert all(isinstance(s, CodeSample) for s in ds.samples)

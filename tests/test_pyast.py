@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cegraph.pyast import AstGraph, ParseError, parse_to_graph
-from cegraph.synth import random_module
+from synth import random_module
 
 
 def test_empty_module_is_single_node():

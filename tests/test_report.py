@@ -4,14 +4,16 @@ import json
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from cegraph.ceg import build_ceg
-from cegraph.embed import CorrelationTable, correlation_table
+from cegraph.cli import main
+from cegraph.embed import CorrelationTable, correlation_table, tsne
 from cegraph.features import ALL_FEATURE_NAMES, featurize_dataset
 from cegraph.ingest import load_jsonl, validate
-from cegraph.report import FigureSpec, render_ceg, render_heatmap, render_tsne
-from cegraph.synth import write_synthetic_log
+from cegraph.report import BASE_RADIUS, render_ceg, render_heatmap, render_tsne
+from synth import write_synthetic_log
 
 
 def make_graphs(tmp_path, objs, **ceg_kwargs):
@@ -51,11 +53,23 @@ def tag(el):
     return el.tag.rsplit("}", 1)[-1]
 
 
+def draw_ceg(graphs, y_axis="token_total"):
+    """The lineage figure with a raw feature on the y axis."""
+    col = graphs[0].feature_names.index(y_axis)
+    y_values = [n.features_raw[col] for g in graphs for n in g.nodes]
+    return render_ceg(graphs, y_values, y_axis)
+
+
 @pytest.fixture(scope="module")
-def synth_graphs(tmp_path_factory):
+def synth_log(tmp_path_factory):
     path = tmp_path_factory.mktemp("synth") / "run.jsonl"
     write_synthetic_log(path)
-    ds, _ = validate(load_jsonl(path))
+    return path
+
+
+@pytest.fixture(scope="module")
+def synth_graphs(synth_log):
+    ds, _ = validate(load_jsonl(synth_log))
     table, failures = featurize_dataset(ds)
     assert not failures
     return build_ceg(ds, table)
@@ -66,7 +80,7 @@ def synth_graphs(tmp_path_factory):
 
 def test_ceg_chain_has_five_glyphs_four_edges(tmp_path):
     graphs = make_graphs(tmp_path, chain_objs(5))
-    fig = render_ceg(graphs)
+    fig = draw_ceg(graphs)
     assert len(elements(fig.svg, "node")) == 5
     assert len(elements(fig.svg, "edge")) == 4
 
@@ -75,7 +89,7 @@ def test_ceg_parentless_run_has_no_edges(tmp_path):
     objs = chain_objs(6)
     for o in objs:
         o.pop("parent_ids", None)
-    fig = render_ceg(make_graphs(tmp_path, objs))
+    fig = draw_ceg(make_graphs(tmp_path, objs))
     assert len(elements(fig.svg, "node")) == 6
     assert len(elements(fig.svg, "edge")) == 0
 
@@ -92,26 +106,26 @@ def test_ceg_radius_is_base_times_one_plus_parent_frequency(tmp_path):
              "code": f"x = {i}\ny = 2\n", "fitness_raw": 0.6,
              "parent_ids": ["p"]}
         )
-    for base in (2.0, 1.5):
-        fig = render_ceg(
-            make_graphs(tmp_path, objs), FigureSpec(base_radius=base)
-        )
-        radii = sorted(float(c.get("r")) for c in elements(fig.svg, "node"))
-        assert radii == [base, base, base, 4.0 * base]
+    fig = draw_ceg(make_graphs(tmp_path, objs))
+    radii = sorted(float(c.get("r")) for c in elements(fig.svg, "node"))
+    assert radii == [BASE_RADIUS, BASE_RADIUS, BASE_RADIUS, 4.0 * BASE_RADIUS]
 
 
-def test_ceg_pc1_annotation_fraction(synth_graphs):
-    fig = render_ceg(synth_graphs)
-    m = re.fullmatch(r"PC1 \((\d\.\d\d)\)", fig.annotation)
-    assert m, fig.annotation
+def test_ceg_pc1_annotation_fraction(synth_log, tmp_path, capsys):
+    # the CLI computes PC1 and hands its explained variance to render_ceg
+    assert main(["ceg", "--input", str(synth_log), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    svg = (tmp_path / "ceg_pc1.svg").read_text(encoding="utf-8")
+    (annotation,) = elements(svg, "annotation")
+    m = re.fullmatch(r"PC1 \((\d\.\d\d)\)", annotation.text)
+    assert m, annotation.text
     frac = float(m.group(1))
     assert 0.0 < frac <= 1.0
-    assert fig.annotation in fig.svg
 
 
 def test_ceg_feature_y_axis_orders_nodes_by_raw_value(tmp_path):
     graphs = make_graphs(tmp_path, chain_objs(4))
-    fig = render_ceg(graphs, FigureSpec(y_axis="token_total"))
+    fig = draw_ceg(graphs, "token_total")
     assert fig.annotation == ""
     circles = elements(fig.svg, "node")
     # document order follows node order; token_total grows with i, and
@@ -121,38 +135,33 @@ def test_ceg_feature_y_axis_orders_nodes_by_raw_value(tmp_path):
 
 
 def test_ceg_missing_fitness_rendered_hollow(synth_graphs):
-    fig = render_ceg(synth_graphs)
+    fig = draw_ceg(synth_graphs)
     hollow = [c for c in elements(fig.svg, "node") if c.get("fill") == "none"]
     assert len(hollow) == 1
 
 
 def test_ceg_one_row_label_per_group_one_col_label_per_run(synth_graphs):
-    fig = render_ceg(synth_graphs)
+    fig = draw_ceg(synth_graphs)
     assert len(elements(fig.svg, "row-label")) == 3
     assert len(elements(fig.svg, "col-label")) == 3
     assert len(fig.legend) == 3
 
 
 def test_ceg_byte_deterministic(synth_graphs):
-    a = render_ceg(synth_graphs)
-    b = render_ceg(synth_graphs)
+    a = draw_ceg(synth_graphs)
+    b = draw_ceg(synth_graphs)
     assert a.svg == b.svg
 
 
 def test_ceg_errors(tmp_path, synth_graphs):
     with pytest.raises(ValueError):
-        render_ceg([])
-    with pytest.raises(ValueError, match="unknown"):
-        render_ceg(synth_graphs, FigureSpec(y_axis="no_such_feature"))
-    with pytest.raises(ValueError, match="unknown"):
-        render_ceg(
-            synth_graphs,
-            FigureSpec(y_axis="pc1", feature_set=("bogus",)),
-        )
+        render_ceg([], [], "y")
+    with pytest.raises(ValueError, match="one y value per node"):
+        render_ceg(synth_graphs, [0.0, 1.0], "y")
 
 
 def test_ceg_svg_well_formed(synth_graphs):
-    fig = render_ceg(synth_graphs)
+    fig = draw_ceg(synth_graphs)
     root = ET.fromstring(fig.svg)
     assert tag(root) == "svg"
     assert float(root.get("width")) == pytest.approx(fig.width)
@@ -181,15 +190,14 @@ def two_method_objs():
     return objs
 
 
-def tsne_spec(**kw):
-    kw.setdefault("perplexity", 2.5)
-    kw.setdefault("iterations", 260)
-    return FigureSpec(**kw)
+def tsne_coords(graphs, perplexity=2.5, seed=0):
+    X = np.array([n.features_std for g in graphs for n in g.nodes])
+    return tsne(X, perplexity=perplexity, seed=seed, iterations=260).coords
 
 
 def test_tsne_two_methods_two_runs_two_colors_two_shapes(tmp_path):
     graphs = make_graphs(tmp_path, two_method_objs())
-    fig = render_tsne(graphs, tsne_spec())
+    fig = render_tsne(graphs, tsne_coords(graphs))
     points = elements(fig.svg, "point")
     # 10 data markers, 2 pair swatches, 2 run swatches
     assert len(points) == 14
@@ -207,7 +215,7 @@ def test_tsne_equal_fitness_equal_sizes(tmp_path):
     for o in objs:
         o["fitness_raw"] = 0.7
     graphs = make_graphs(tmp_path, objs)
-    fig = render_tsne(graphs, tsne_spec())
+    fig = render_tsne(graphs, tsne_coords(graphs))
     points = elements(fig.svg, "point")[:10]
     radii = {
         float(p.get("r")) if tag(p) == "circle" else float(p.get("width")) / 2
@@ -222,7 +230,7 @@ def test_tsne_missing_fitness_hollow_minimum_size(tmp_path):
     objs = chain_objs(6, run_id="solo")
     objs[2]["fitness_raw"] = None
     graphs = make_graphs(tmp_path, objs)
-    fig = render_tsne(graphs, tsne_spec(perplexity=1.5))
+    fig = render_tsne(graphs, tsne_coords(graphs, perplexity=1.5))
     data = elements(fig.svg, "point")[:6]
     hollow = [p for p in data if p.get("fill") == "none"]
     assert len(hollow) == 1
@@ -231,20 +239,17 @@ def test_tsne_missing_fitness_hollow_minimum_size(tmp_path):
 
 def test_tsne_fixed_seed_identical_bytes(tmp_path):
     graphs = make_graphs(tmp_path, two_method_objs())
-    a = render_tsne(graphs, tsne_spec(seed=4))
-    b = render_tsne(graphs, tsne_spec(seed=4))
+    a = render_tsne(graphs, tsne_coords(graphs, seed=4))
+    b = render_tsne(graphs, tsne_coords(graphs, seed=4))
     assert a.svg == b.svg
 
 
 def test_tsne_errors(tmp_path):
     with pytest.raises(ValueError):
-        render_tsne([])
+        render_tsne([], np.zeros((0, 2)))
     graphs = make_graphs(tmp_path, chain_objs(3))
-    with pytest.raises(ValueError):
-        render_tsne(graphs, tsne_spec(perplexity=1.0))  # n=3 too small
-    big = make_graphs(tmp_path, chain_objs(6))
-    with pytest.raises(ValueError, match="unknown"):
-        render_tsne(big, tsne_spec(feature_set=("nope",), perplexity=1.5))
+    with pytest.raises(ValueError, match="one \\(x, y\\) row per node"):
+        render_tsne(graphs, np.zeros((2, 2)))
 
 
 # --------------------------------------------------------- render_heatmap
@@ -329,7 +334,7 @@ def test_heatmap_empty_table_error():
 
 
 def test_coordinates_have_two_decimals(synth_graphs):
-    fig = render_ceg(synth_graphs)
+    fig = draw_ceg(synth_graphs)
     for c in elements(fig.svg, "node"):
         for attr in ("cx", "cy", "r"):
             assert re.fullmatch(r"-?\d+\.\d\d", c.get(attr))

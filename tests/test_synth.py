@@ -6,7 +6,7 @@ from pathlib import Path
 
 from cegraph.features import featurize_dataset
 from cegraph.ingest import load_jsonl, validate
-from cegraph.synth import random_module, synthetic_samples, write_synthetic_log
+from synth import random_module, synthetic_samples, write_synthetic_log
 
 BUNDLED = Path(__file__).resolve().parent.parent / "data" / "synthetic_run.jsonl"
 
