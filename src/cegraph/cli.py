@@ -150,10 +150,11 @@ def _standardized(graphs, names) -> np.ndarray:
 
 
 def _run(args) -> int:
-    """Load, validate and featurize the log, check every feature name,
-    build the evolution graphs if a selected artifact needs them, then
-    write the selected artifacts in order (each projection just before its
-    figure), listing each file written on stdout."""
+    """Load, validate and featurize the log, check every feature name and
+    the projections' sample counts, build the evolution graphs if a
+    selected artifact needs them, then write the selected artifacts in
+    order (each projection just before its figure), listing each file
+    written on stdout."""
     artifacts = SUBCOMMANDS[args.command][2]
     dataset = load_jsonl(args.input)
     dataset, violations = validate(dataset, policy=args.policy)
@@ -175,6 +176,13 @@ def _run(args) -> int:
     feature_set = (
         resolve_feature_set(args.feature_set, table.names) if args.feature_set else None
     )
+    # the projections' sample counts (every parsed sample becomes a node);
+    # an empty table is left to the "no sample" errors below
+    n = len(table.ids)
+    if n and "ceg" in artifacts and y_axis == "pc1" and n < 2:
+        raise ValueError("need at least 2 samples")
+    if n and "tsne" in artifacts and n < 4:
+        raise ValueError("need at least 4 samples")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

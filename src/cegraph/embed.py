@@ -231,14 +231,18 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
 def _rank(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based), ties share the mean of their positions."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ordered = values[order]
+    n = len(values)
+    # the runs of equal values in sorted order: run k covers positions
+    # starts[k] .. ends[k] and shares rank (starts[k] + ends[k]) / 2 + 1
+    new_run = np.empty(n, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    sizes = np.diff(starts, append=n)
+    ends = starts + sizes - 1
+    ranks = np.empty(n, dtype=float)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, sizes)
     return ranks
 
 

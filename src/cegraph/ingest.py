@@ -141,7 +141,10 @@ def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
 def load_jsonl(path) -> Dataset:
     """Read a run log. SchemaError on malformed content, OSError on I/O."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    # newline="": no newline translation, so a lone "\r", which JSON reads
+    # as whitespace, stays inside its record instead of ending it
+    with path.open(encoding="utf-8", newline="") as fh:
+        text = fh.read()
     base_dir = path.parent
 
     samples: list[CodeSample] = []

@@ -214,6 +214,27 @@ def test_exit_codes(tmp_path, log_path, capsys):
     assert not (tmp_path / "o3").exists()
 
 
+@pytest.mark.parametrize("command, samples, message", [
+    ("pipeline", 3, "need at least 4 samples"),
+    ("tsne", 3, "need at least 4 samples"),
+    ("pipeline", 1, "need at least 2 samples"),
+    ("ceg", 1, "need at least 2 samples"),
+])
+def test_log_too_small_to_project_writes_nothing(tmp_path, capsys, command, samples, message):
+    log = tmp_path / "small.jsonl"
+    log.write_text("".join(
+        json.dumps({"id": f"s{i}", "run_id": "r", "evaluation_index": i,
+                    "code": f"x = {i}\n", "fitness_raw": float(i)}) + "\n"
+        for i in range(samples)
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([command, "--input", log, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "wrote" not in captured.out
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("bad_line", ["deep_json", "code_path_not_utf8"])
 def test_malformed_log_exits_1_without_traceback(tmp_path, bad_line):
     # run as a process: an escaped exception would print a traceback there

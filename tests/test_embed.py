@@ -13,6 +13,7 @@ import oracles
 from cegraph.ceg import build_ceg
 from cegraph.embed import (
     _joint_probabilities,
+    _rank,
     correlation_table,
     kl_divergence_and_grad,
     pca,
@@ -298,6 +299,19 @@ def test_spearman_ties_match_rank_pearson_oracle():
         got = spearman(x, y)
         want = max(-1.0, min(1.0, oracles.spearman_with_ties(x, y)))
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# few distinct values, so that most draws hold long runs of ties
+_TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, -5e-324,
+                         1.7976931348623157e308, -1.7976931348623157e308,
+                         math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_TIED | st.floats(allow_nan=False), max_size=60))
+def test_rank_equals_loop_oracle_bitwise(values):
+    got = _rank(np.array(values, dtype=float))
+    assert got.tobytes() == np.array(oracles.rank_with_ties(values), dtype=float).tobytes()
 
 
 # integers, so that each transform below is strictly increasing in floats too

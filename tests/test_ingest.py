@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cegraph.features import featurize_dataset
@@ -46,6 +46,17 @@ def test_minimal_sample_defaults(tmp_path):
 def test_blank_lines_are_skipped(tmp_path):
     p = write_lines(tmp_path / "log.jsonl", [sample_line(), "", "   "])
     assert len(load_jsonl(p)) == 1
+
+
+def test_lone_cr_is_whitespace_inside_a_record(tmp_path):
+    p = tmp_path / "log.jsonl"
+    p.write_bytes(b'{"id": "a", "run_id": "r",\r "evaluation_index": 0, "code": "x = 1\\n"}\n')
+    (s,) = load_jsonl(p).samples
+    assert (s.id, s.run_id, s.evaluation_index, s.code) == ("a", "r", 0, "x = 1\n")
+    # CRLF records still load: the trailing "\r" is whitespace too
+    p.write_bytes(b"\r\n".join(line.encode() for line in
+                               (sample_line(), sample_line(id="s2"), "")))
+    assert [s.id for s in load_jsonl(p).samples] == ["s1", "s2"]
 
 
 def test_code_path_resolves_relative_to_log(tmp_path):
@@ -356,6 +367,7 @@ def code_dir(tmp_path_factory):
 
 @settings(max_examples=400, deadline=None)
 @given(line=JSONL_LINES)
+@example("\r:")
 def test_any_line_loads_or_names_itself(code_dir, line):
     # the only outcomes: a dataset, a SchemaError, or an OSError for an
     # unreadable code_path; each error names the line
