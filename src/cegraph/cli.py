@@ -114,8 +114,6 @@ def _write_features_csv(dataset, table, path: Path, with_eig: bool) -> None:
     (plus the two eigenvector-centrality columns when enabled)."""
     row_of = table.row_of()
     rows = [s for s in dataset.samples if s.id in row_of]
-    if not rows:
-        raise ValidationError("no sample produced a feature vector")
     feature_names = list(ALL_FEATURE_NAMES)
     if with_eig:
         feature_names += list(EIG_FEATURE_NAMES)
@@ -154,7 +152,8 @@ def _run(args) -> int:
     the projections' sample counts, build the evolution graphs if a
     selected artifact needs them, then write the selected artifacts in
     order (each projection just before its figure), listing each file
-    written on stdout."""
+    written on stdout. Every check, the lineage's included, comes before
+    the first write."""
     artifacts = SUBCOMMANDS[args.command][2]
     dataset = load_jsonl(args.input)
     dataset, violations = validate(dataset, policy=args.policy)
@@ -176,13 +175,26 @@ def _run(args) -> int:
     feature_set = (
         resolve_feature_set(args.feature_set, table.names) if args.feature_set else None
     )
-    # the projections' sample counts (every parsed sample becomes a node);
-    # an empty table is left to the "no sample" errors below
+    # an empty table gets "no sample" for features.csv, else "no evolution
+    # graphs" below; the projections' sample counts come next (every
+    # parsed sample becomes a node)
     n = len(table.ids)
+    if not n and "features" in artifacts:
+        raise ValidationError("no sample produced a feature vector")
     if n and "ceg" in artifacts and y_axis == "pc1" and n < 2:
         raise ValueError("need at least 2 samples")
     if n and "tsne" in artifacts and n < 4:
         raise ValueError("need at least 4 samples")
+    if artifacts != ("features",):
+        graphs = build_ceg(
+            dataset,
+            table,
+            normalize=args.normalize,
+            direction=args.direction,
+            norm_scope=args.norm_scope,
+        )
+        if not graphs:
+            raise ValidationError("no evolution graphs could be built")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -195,18 +207,6 @@ def _run(args) -> int:
             dataset, table, out / "features.csv", args.include_eigencentrality
         )
         print(f"wrote {out / 'features.csv'}")
-    if artifacts == ("features",):
-        return 0
-
-    graphs = build_ceg(
-        dataset,
-        table,
-        normalize=args.normalize,
-        direction=args.direction,
-        norm_scope=args.norm_scope,
-    )
-    if not graphs:
-        raise ValidationError("no evolution graphs could be built")
     if "ceg" in artifacts:
         write("ceg.json", graphs_to_json(graphs))
         if y_axis == "pc1":

@@ -8,6 +8,8 @@ bisection on the Shannon entropy that steps all rows at once, early
 exaggeration, momentum switch, seeded initialization from a dedicated
 generator. The optimization loop computes only the gradient, in two (n, n)
 buffers allocated once per call; the KL value is not evaluated inside it.
+On two or more CPUs a large input's gradient is computed by two processes,
+each over half of the rows, with the same bits as one process gives.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import signal
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import features
 from .ceg import feature_columns
 
 
@@ -131,35 +137,213 @@ def _joint_probabilities(X: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum(P, 1e-12)
 
 
-def _gradient(P: np.ndarray, Y: np.ndarray, num: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """KL gradient with respect to Y, computed in the (n, n) buffers num and g.
+# tsne splits each gradient's O(n^2) elementwise passes between this
+# process and one forked worker once n reaches this many points. Measured
+# on t-SNE alone (1000 iterations, 2-core host, two rounds), the split runs
+# at 0.75-0.83x the serial speed at n=200, breaks even near n=256
+# (1.02-1.05x), and gains 7-9% at n=288-320 and 22-33% at n=400. Below
+# n=256 the hand-offs, four per iteration, cost more than the halved passes
+# save. The worker spins through the parent's whole steps, so the CPU time
+# rises by 25-80%; the threshold sits above break-even so that no run pays
+# that for a gain within noise
+_SPLIT_MIN_POINTS = 300
+# semaphore polls (about 0.2 us each) before a wait blocks; the blocking
+# wait checks every _WAIT_S that the other process is still alive
+_SPINS = 10_000
+_WAIT_S = 0.05
+# with a worker, every cycle of _CYCLE iterations starts with _WINDOW
+# iterations on each path and runs the rest on the path whose median
+# gradient took less time; both paths give the same bits. The split loses
+# when another program keeps a CPU busy (0.4x the serial speed at n=400,
+# with the worker often descheduled mid-hand-off) or when OpenBLAS runs
+# the larger products on threads of their own that compete with the two
+# processes (0.5x at n=1000). A median, so that one stall of a few ms
+# does not pick the path
+_WINDOW = 10
+_CYCLE = 200
+# the commands a worker runs, posted in _Work.ctrl[0]
+_STOP, _KERNEL, _GRADIENT = 0, 1, 2
 
-    On return num holds the Student-t kernel 1 / (1 + |y_i - y_j|^2) with a
-    zero diagonal. Every step repeats the operation order of the dense
-    formula 4 * (diag(rowsum(PQ)) - PQ) @ Y with PQ = (P - Q) * num, so the
-    result is bitwise the same as evaluating that formula directly.
-    """
-    n = Y.shape[0]
-    sq = np.sum(Y * Y, axis=1)
-    np.matmul(Y, Y.T, out=g)
+
+class _Work:
+    """The buffers of one exact t-SNE gradient, views of one flat float
+    array: the affinity matrices P[k], the (n, n) buffers num and g, the
+    (n, 2) factors a = [sq, 1] and b = [1, sq] of sq_i + sq_j, and ctrl,
+    which holds the posted command and num.sum()."""
+
+    def __init__(self, n: int, n_p: int, flat: np.ndarray | None = None):
+        shapes = [(n, n)] * (n_p + 2) + [(n, 2), (n, 2), (2,)]
+        if flat is None:
+            flat = np.empty(_Work.size(n, n_p))
+        views, offset = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[offset:offset + size].reshape(shape))
+            offset += size
+        *self.P, self.num, self.g, self.a, self.b, self.ctrl = views
+        self.a[:, 1] = 1.0
+        self.b[:, 0] = 1.0
+
+    @staticmethod
+    def size(n: int, n_p: int) -> int:
+        return (n_p + 2) * n * n + 4 * n + 2
+
+
+def _kernel_rows(work: _Work, lo: int, hi: int) -> None:
+    """Rows lo:hi of the Student-t kernel. On entry g holds Y @ Y.T; on
+    return g holds 2 Y @ Y.T and num holds 1 / (1 + |y_i - y_j|^2) with a
+    zero diagonal. a @ b.T is sq_i + sq_j: both products are exact and the
+    sum is rounded once, so it is the broadcast sum bit for bit, without
+    numpy's one inner loop per row."""
+    n = work.num.shape[0]
+    g, num = work.g[lo:hi], work.num[lo:hi]
     g *= 2.0
-    np.add(sq[:, None], sq[None, :], out=num)
+    np.matmul(work.a[lo:hi], work.b.T, out=num)
     num -= g
     np.maximum(num, 0.0, out=num)
     num += 1.0
     np.divide(1.0, num, out=num)
-    np.fill_diagonal(num, 0.0)
-    np.divide(num, num.sum(), out=g)
+    num.flat[lo :: n + 1] = 0.0
+
+
+def _gradient_rows(work: _Work, P: np.ndarray, lo: int, hi: int) -> None:
+    """Rows lo:hi of diag(rowsum(PQ)) - PQ, written to g, with
+    PQ = (P - Q) * num and Q = max(num / num.sum(), 1e-12)."""
+    n = work.num.shape[0]
+    g, num = work.g[lo:hi], work.num[lo:hi]
+    np.divide(num, work.ctrl[1], out=g)
     np.maximum(g, 1e-12, out=g)
-    np.subtract(P, g, out=g)
+    np.subtract(P[lo:hi], g, out=g)
     g *= num
     # diag(rowsum) - PQ: 0 - x rather than -x off the diagonal, so that zero
     # entries keep the sign the dense formula gives them
-    rowsum = g.sum(axis=1)
-    diag = rowsum - g.diagonal()
+    diag = g.sum(axis=1) - g.flat[lo :: n + 1]
     np.subtract(0.0, g, out=g)
-    g.flat[:: n + 1] = diag
-    return 4.0 * (g @ Y)
+    g.flat[lo :: n + 1] = diag
+
+
+def _run_rows(work: _Work, command: int, lo: int, hi: int) -> None:
+    if command == _KERNEL:
+        _kernel_rows(work, lo, hi)
+    else:
+        _gradient_rows(work, work.P[command - _GRADIENT], lo, hi)
+
+
+def _gradient(work: _Work, Y: np.ndarray, k: int, helper: _Helper | None = None) -> np.ndarray:
+    """KL gradient with respect to Y for the affinities work.P[k].
+
+    On return work.num holds the Student-t kernel with a zero diagonal.
+    Every step repeats the operation order of the dense formula
+    4 * (diag(rowsum(PQ)) - PQ) @ Y with PQ = (P - Q) * num, so the result
+    is bitwise the same as evaluating that formula directly. With a helper,
+    the worker runs the row kernels on its rows while this process runs
+    them on the rest; Y @ Y.T, num.sum() and g @ Y stay whole here, since
+    their bits depend on how the matrix is split.
+    """
+    n = Y.shape[0]
+    rows = helper.lo if helper else n
+    sq = np.sum(Y * Y, axis=1)
+    work.a[:, 0] = sq
+    work.b[:, 1] = sq
+    np.matmul(Y, Y.T, out=work.g)
+    for command in (_KERNEL, _GRADIENT + k):
+        if command != _KERNEL:
+            work.ctrl[1] = work.num.sum()
+        if helper:
+            helper.post(command)
+        _run_rows(work, command, 0, rows)
+        if helper:
+            helper.wait()
+    return 4.0 * (work.g @ Y)
+
+
+def _acquire(sem, alive) -> bool:
+    """Take sem, polling it first; False once alive() says the process
+    that would release it is gone. The poll avoids waking a sleeping
+    process, about 0.2 ms each time, at four hand-offs per iteration.
+    Semaphore calls also synchronize memory between the processes."""
+    for _ in range(_SPINS):
+        if sem.acquire(False):
+            return True
+    while not sem.acquire(timeout=_WAIT_S):
+        if not alive():
+            return sem.acquire(False)
+    return True
+
+
+def _serve(work: _Work, lo: int, hi: int, go, done, parent: int) -> None:
+    """The worker: run each posted command on rows lo:hi until told to
+    stop or the parent is gone."""
+    # an interrupt reaches the whole process group; the parent handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while _acquire(go, lambda: os.getppid() == parent):
+        command = int(work.ctrl[0])
+        if command == _STOP:
+            return
+        _run_rows(work, command, lo, hi)
+        done.release()
+
+
+class _Helper:
+    """One forked worker process that runs the row kernels on rows lo:n of
+    buffers in shared anonymous memory."""
+
+    def __init__(self, context, n: int, n_p: int):
+        import mmap
+
+        # the pages stay untouched until after the fork, so the worker
+        # inherits none of the values written to them
+        memory = mmap.mmap(-1, 8 * _Work.size(n, n_p))
+        self.work = _Work(n, n_p, np.frombuffer(memory, dtype=float))
+        self.lo = n // 2
+        self._go, self._done = context.Semaphore(0), context.Semaphore(0)
+        self._process = context.Process(
+            target=_serve,
+            args=(self.work, self.lo, n, self._go, self._done, os.getpid()),
+            daemon=True,
+        )
+        self._process.start()
+
+    def post(self, command: int) -> None:
+        self.work.ctrl[0] = command
+        self._go.release()
+
+    def wait(self) -> None:
+        if not _acquire(self._done, self._process.is_alive):
+            raise RuntimeError(
+                f"t-SNE worker process exited with code {self._process.exitcode}"
+            )
+
+    def close(self) -> None:
+        self.post(_STOP)
+        self._process.join(timeout=10.0)
+        if self._process.is_alive():
+            self._process.kill()
+            self._process.join()
+
+
+def _start_helper(n: int, n_p: int) -> _Helper | None:
+    """A _Helper when the process may run on two CPUs and can fork a
+    worker, else None."""
+    if features._usable_cpus() < 2:
+        return None
+    # imported here: the serial path, and `import cegraph`, do without it
+    import multiprocessing
+
+    # a daemonic process, such as a multiprocessing.Pool worker, may not
+    # start processes of its own
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return None
+    # fork, not spawn: a spawned worker re-imports numpy and cegraph and
+    # re-runs the caller's __main__. Forking is safe here: the only other
+    # thread, OpenBLAS's, is stopped by its own atfork handler
+    try:
+        return _Helper(multiprocessing.get_context("fork"), n, n_p)
+    except OSError:  # the fork was refused (process or memory limits)
+        return None
 
 
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -167,9 +351,10 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
 
     grad_i = 4 * sum_j (p_ij - q_ij) * (1 + |y_i - y_j|^2)^-1 * (y_i - y_j)
     """
-    n = Y.shape[0]
-    num = np.empty((n, n))
-    grad = _gradient(P, Y, num, np.empty((n, n)))
+    work = _Work(Y.shape[0], 1)
+    work.P[0][...] = P
+    grad = _gradient(work, Y, 0)
+    num = work.num
     Q = np.maximum(num / num.sum(), 1e-12)
     mask = P > 1e-12
     kl = float((P[mask] * np.log(P[mask] / Q[mask])).sum())
@@ -204,26 +389,43 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
     if iterations < 1:
         raise ValueError("iterations must be positive")
 
-    P = _joint_probabilities(X, perplexity)
-    P_exaggerated = P * 12.0
-    num = np.empty((n, n))
-    work = np.empty((n, n))
-    rng = np.random.default_rng(seed)
-    Y = rng.normal(0.0, 1e-4, size=(n, 2))
-    velocity = np.zeros_like(Y)
-    gains = np.ones_like(Y)
-    lr = 200.0
+    # the worker forks before P exists, so it does not hold a copy of it
+    helper = _start_helper(n, 2) if n >= _SPLIT_MIN_POINTS else None
+    try:
+        work = helper.work if helper else _Work(n, 2)
+        P = _joint_probabilities(X, perplexity)
+        np.multiply(P, 12.0, out=work.P[0])
+        work.P[1][...] = P
+        del P
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(0.0, 1e-4, size=(n, 2))
+        velocity = np.zeros_like(Y)
+        gains = np.ones_like(Y)
+        lr = 200.0
 
-    for it in range(iterations):
-        grad = _gradient(P_exaggerated if it < 250 else P, Y, num, work)
-        momentum = 0.5 if it < 250 else 0.8
-        # adaptive per-coordinate gains keep lr=200 stable on small inputs
-        same = np.sign(grad) == np.sign(velocity)
-        gains = np.where(same, gains * 0.8, gains + 0.2)
-        np.clip(gains, 0.01, None, out=gains)
-        velocity = momentum * velocity - lr * (gains * grad)
-        Y = Y + velocity
-        Y = Y - Y.mean(axis=0)
+        took = np.empty(2 * _WINDOW)
+        faster = helper
+        for it in range(iterations):
+            step = it % _CYCLE
+            split = helper if step < _WINDOW else faster if step >= 2 * _WINDOW else None
+            start = time.perf_counter()
+            grad = _gradient(work, Y, 0 if it < 250 else 1, split)
+            if helper and step < 2 * _WINDOW:
+                took[step] = time.perf_counter() - start
+                if step == 2 * _WINDOW - 1:
+                    split_won = np.median(took[:_WINDOW]) < np.median(took[_WINDOW:])
+                    faster = helper if split_won else None
+            momentum = 0.5 if it < 250 else 0.8
+            # adaptive per-coordinate gains keep lr=200 stable on small inputs
+            same = np.sign(grad) == np.sign(velocity)
+            gains = np.where(same, gains * 0.8, gains + 0.2)
+            np.clip(gains, 0.01, None, out=gains)
+            velocity = momentum * velocity - lr * (gains * grad)
+            Y = Y + velocity
+            Y = Y - Y.mean(axis=0)
+    finally:
+        if helper:
+            helper.close()
 
     return TsneResult(coords=Y, perplexity=perplexity, seed=seed, iterations=iterations)
 

@@ -235,6 +235,42 @@ def test_log_too_small_to_project_writes_nothing(tmp_path, capsys, command, samp
     assert list(out.glob("*")) == []
 
 
+def test_lineage_error_writes_nothing(tmp_path, capsys):
+    # build_ceg rejects the run only after featurization succeeded
+    log = tmp_path / "mixed.jsonl"
+    log.write_text("".join(
+        json.dumps({"id": f"s{i}", "run_id": "r", "llm": "ab"[i % 2], "evaluation_index": i,
+                    "code": f"x = {i}\n", "fitness_raw": float(i)}) + "\n"
+        for i in range(6)
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["pipeline", "--input", log, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: run 'r' mixes group keys")
+    assert captured.out == ""
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command, message", [
+    ("pipeline", "no sample produced a feature vector"),
+    ("extract", "no sample produced a feature vector"),
+    ("ceg", "no evolution graphs could be built"),
+])
+def test_all_unparsable_log_writes_nothing(tmp_path, capsys, command, message):
+    log = tmp_path / "broken.jsonl"
+    log.write_text("".join(
+        json.dumps({"id": f"s{i}", "run_id": "r", "evaluation_index": i,
+                    "code": "def broken(:\n", "fitness_raw": float(i)}) + "\n"
+        for i in range(5)
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([command, "--input", log, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: {message}\n")
+    assert captured.out == ""
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("bad_line", ["deep_json", "code_path_not_utf8"])
 def test_malformed_log_exits_1_without_traceback(tmp_path, bad_line):
     # run as a process: an escaped exception would print a traceback there

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from cegraph.ceg import build_ceg
 from cegraph.embed import (
+    _Work,
     _joint_probabilities,
     _rank,
     correlation_table,
@@ -183,6 +184,33 @@ def test_kl_and_gradient_bitwise_equal_to_dense_reference():
         want_kl, want_grad = oracles.kl_divergence_and_grad_reference(P, Y)
         assert kl == want_kl
         assert grad.tobytes() == want_grad.tobytes()
+
+
+_SQUARED_NORMS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1e308, 1.7e308, float.fromhex("0x1.fffffffffffffp+1023")]),
+    st.floats(0.0, None, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SQUARED_NORMS, min_size=1, max_size=300), st.data())
+def test_two_term_product_is_the_broadcast_sum(values, data):
+    # the t-SNE kernel forms sq_i + sq_j as [sq, 1] @ [1, sq].T, whole or
+    # one block of rows at a time; sums past the largest float become inf
+    sq = np.array(values)
+    n = len(sq)
+    lo = data.draw(st.integers(0, n - 1))
+    work = _Work(n, 0)
+    work.a[:, 0] = sq
+    work.b[:, 1] = sq
+    with np.errstate(over="ignore"):
+        want = (sq[:, None] + sq[None, :]).tobytes()
+        np.matmul(work.a, work.b.T, out=work.num)
+        assert work.num.tobytes() == want
+        work.num[...] = np.nan
+        np.matmul(work.a[:lo], work.b.T, out=work.num[:lo])
+        np.matmul(work.a[lo:], work.b.T, out=work.num[lo:])
+        assert work.num.tobytes() == want
 
 
 def test_kl_gradient_matches_central_differences():
