@@ -14,7 +14,6 @@ over the whole dataset; zero-variance columns become 0.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ import numpy as np
 
 from .features import FeatureTable
 from .ingest import CodeSample, Dataset
-
-log = logging.getLogger(__name__)
 
 NORM_SCOPES = ("group", "run", "global")
 
@@ -140,9 +137,6 @@ def build_ceg(
 
     row_of = features.row_of()
     eligible = [s for s in dataset.samples if s.id in row_of]
-    skipped = len(dataset.samples) - len(eligible)
-    if skipped:
-        log.warning("skipping %d samples without feature vectors", skipped)
     if not eligible:
         return []
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -148,12 +149,12 @@ def _standardized(graphs, names) -> np.ndarray:
 
 
 def _run(args) -> int:
-    """Load, validate and featurize the log, check every feature name and
-    the projections' sample counts, build the evolution graphs if a
-    selected artifact needs them, then write the selected artifacts in
-    order (each projection just before its figure), listing each file
-    written on stdout. Every check, the lineage's included, comes before
-    the first write."""
+    """Load, validate and featurize the log, check every feature name, the
+    projection flags and the projections' sample counts, build the
+    evolution graphs if a selected artifact needs them, then write the
+    selected artifacts in order (each projection just before its figure),
+    listing each file written on stdout. Every check, the lineage's
+    included, comes before the first write."""
     artifacts = SUBCOMMANDS[args.command][2]
     dataset = load_jsonl(args.input)
     dataset, violations = validate(dataset, policy=args.policy)
@@ -175,6 +176,13 @@ def _run(args) -> int:
     feature_set = (
         resolve_feature_set(args.feature_set, table.names) if args.feature_set else None
     )
+    if "tsne" in artifacts:
+        if args.iterations < 1:
+            raise ValueError(f"--iterations must be positive, got {args.iterations}")
+        if math.isnan(args.perplexity):
+            raise ValueError("--perplexity must be a number, got nan")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
     # an empty table gets "no sample" for features.csv, else "no evolution
     # graphs" below; the projections' sample counts come next (every
     # parsed sample becomes a node)

@@ -322,30 +322,6 @@ class _Helper:
             self._process.join()
 
 
-def _start_helper(n: int, n_p: int) -> _Helper | None:
-    """A _Helper when the process may run on two CPUs and can fork a
-    worker, else None."""
-    if features._usable_cpus() < 2:
-        return None
-    # imported here: the serial path, and `import cegraph`, do without it
-    import multiprocessing
-
-    # a daemonic process, such as a multiprocessing.Pool worker, may not
-    # start processes of its own
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return None
-    # fork, not spawn: a spawned worker re-imports numpy and cegraph and
-    # re-runs the caller's __main__. Forking is safe here: the only other
-    # thread, OpenBLAS's, is stopped by its own atfork handler
-    try:
-        return _Helper(multiprocessing.get_context("fork"), n, n_p)
-    except OSError:  # the fork was refused (process or memory limits)
-        return None
-
-
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """KL(P || Q) under the Student-t kernel and its analytic gradient.
 
@@ -390,7 +366,8 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
         raise ValueError("iterations must be positive")
 
     # the worker forks before P exists, so it does not hold a copy of it
-    helper = _start_helper(n, 2) if n >= _SPLIT_MIN_POINTS else None
+    cpus = features._usable_cpus() if n >= _SPLIT_MIN_POINTS else 1
+    helper = features._fork_workers(cpus, lambda context: _Helper(context, n, 2))
     try:
         work = helper.work if helper else _Work(n, 2)
         P = _joint_probabilities(X, perplexity)

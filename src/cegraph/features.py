@@ -114,6 +114,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_workers(workers: int, start):
+    """start(context) with a fork context, or None, which means: run
+    serially. None when there are fewer than 2 workers, the platform cannot
+    fork, or this process is daemonic (a multiprocessing.Pool worker, which
+    may not start processes); also when start raises OSError, as a refused
+    fork does, once the children it forked are killed and joined."""
+    if workers < 2:
+        return None
+    # imported here: the serial paths, and `import cegraph`, do without it
+    import multiprocessing
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return None
+    # fork, not spawn: a spawned worker re-imports numpy and cegraph and
+    # re-runs the caller's __main__. Forking is safe: the only other thread,
+    # OpenBLAS's, is stopped by its own atfork handler, and a
+    # ProcessPoolExecutor forks all its workers before its manager thread
+    before = set(multiprocessing.active_children())
+    try:
+        return start(multiprocessing.get_context("fork"))
+    except OSError:
+        for child in set(multiprocessing.active_children()) - before:
+            child.kill()
+            child.join()
+        return None
+
+
 def _featurize_row(code: str, include_eigenvector: bool):
     """(row, None) for code that parses, (None, diagnostic) otherwise."""
     try:
@@ -125,27 +155,20 @@ def _featurize_row(code: str, include_eigenvector: bool):
 
 def _featurize_rows(codes: list[str], include_eigenvector: bool) -> list:
     """_featurize_row over codes, in order. A pool of forked workers, one
-    per usable CPU and at most one per chunk, runs it when that makes at
-    least two workers and the codes reach _PARALLEL_MIN_CHARS; map runs it
-    otherwise."""
+    per usable CPU and at most one per chunk, runs it when the codes reach
+    _PARALLEL_MIN_CHARS and _fork_workers allows; map runs it otherwise."""
     flags = repeat(include_eigenvector)
-    workers = min(_usable_cpus(), math.ceil(len(codes) / _CHUNKSIZE))
-    if workers >= 2 and sum(map(len, codes)) >= _PARALLEL_MIN_CHARS:
-        # imported here: the serial path, and `import cegraph`, do without them
-        import multiprocessing
+    large = sum(map(len, codes)) >= _PARALLEL_MIN_CHARS
+    workers = min(_usable_cpus(), math.ceil(len(codes) / _CHUNKSIZE)) if large else 1
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
+    def pooled(context):
+        from concurrent.futures import ProcessPoolExecutor
 
-            # fork, not spawn: a spawned worker re-imports numpy and cegraph
-            # and re-runs the caller's __main__. Forking is safe here: the
-            # only other thread, OpenBLAS's, is stopped by its own atfork
-            # handler, and the executor forks every worker before it starts
-            # its manager thread
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(_featurize_row, codes, flags, chunksize=_CHUNKSIZE))
-    return list(map(_featurize_row, codes, flags))
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return list(pool.map(_featurize_row, codes, flags, chunksize=_CHUNKSIZE))
+
+    rows = _fork_workers(workers, pooled)
+    return list(map(_featurize_row, codes, flags)) if rows is None else rows
 
 
 def featurize_dataset(

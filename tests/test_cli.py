@@ -271,6 +271,42 @@ def test_all_unparsable_log_writes_nothing(tmp_path, capsys, command, message):
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("command", ["pipeline", "tsne"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--iterations", "0", "--iterations must be positive, got 0"),
+    ("--perplexity", "nan", "--perplexity must be a number, got nan"),
+    ("--seed", "-1", "--seed must be non-negative, got -1"),
+], ids=["iterations", "perplexity", "seed"])
+def test_bad_projection_flag_writes_nothing(log_path, tmp_path, capsys, command, flag,
+                                            value, message):
+    out = tmp_path / "out"
+    assert run([command, "--input", log_path, "--out", out, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert list(out.glob("*")) == []
+
+
+def test_unparsable_sample_is_reported_once(tmp_path):
+    # run as a process: stderr then shows every report, logging's included
+    log = tmp_path / "broken.jsonl"
+    log.write_text("".join(
+        json.dumps({"id": f"s{i}", "run_id": "r", "evaluation_index": i,
+                    "code": "def broken(:\n" if i == 3 else f"x = {i}\n",
+                    "fitness_raw": float(i)}) + "\n"
+        for i in range(8)
+    ), encoding="utf-8")
+    (diagnostic,) = featurize_dataset(load_jsonl(log))[1].values()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cegraph.cli", "pipeline", "--input", str(log),
+         "--out", str(tmp_path / "out"), "--perplexity", "2", "--iterations", "50"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"skipped 1 unparsable samples\n  skipped sample 's3': {diagnostic}\n"
+
+
 @pytest.mark.parametrize("bad_line", ["deep_json", "code_path_not_utf8"])
 def test_malformed_log_exits_1_without_traceback(tmp_path, bad_line):
     # run as a process: an escaped exception would print a traceback there

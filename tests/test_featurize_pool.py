@@ -5,6 +5,7 @@ so each test picks its path by replacing the private CPU-count helper.
 """
 
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -20,6 +21,12 @@ from cegraph.ingest import CodeSample, Dataset, load_jsonl
 from synth import random_module
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +156,94 @@ def test_pool_modules_are_imported_only_when_a_pool_runs():
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _featurized(path):
+    """featurize_dataset's results for the log at path, and the worker count
+    of each pool this process started."""
+    table, failures = features.featurize_dataset(load_jsonl(path))
+    return table.ids, table.values.tobytes(), list(failures.items()), CountingPool.started
+
+
+def test_a_daemonic_process_runs_serially(monkeypatch, pool_spy, big_log):
+    # multiprocessing.Pool workers are daemonic and may not start processes
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        *got, started = pool.apply(_featurized, (big_log,))
+    assert started == []
+    *want, started = _featurized(big_log)
+    assert started == [2]
+    assert got == want
+
+
+# os.fork raises from its refused-th call on, as it does when the process
+# or memory limit is reached
+_REFUSED_FORK = """
+import multiprocessing, os, sys
+from cegraph import features
+from cegraph.ingest import load_jsonl
+
+path, refused = sys.argv[1], int(sys.argv[2])
+fork, forks = os.fork, []
+
+def refusing_fork():
+    forks.append(1)
+    if len(forks) >= refused:
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    return fork()
+
+features._usable_cpus = lambda: 1
+want, want_failures = features.featurize_dataset(load_jsonl(path))
+features._usable_cpus = lambda: 2
+os.fork = refusing_fork
+got, got_failures = features.featurize_dataset(load_jsonl(path))
+same = (got.ids == want.ids and got.values.tobytes() == want.values.tobytes()
+        and list(got_failures.items()) == list(want_failures.items()))
+print(len(forks), same, multiprocessing.active_children())
+"""
+
+
+@pytest.mark.parametrize("refused", [1, 2])
+def test_a_refused_fork_runs_serially(big_log, refused):
+    # a refused second fork leaves the first worker behind until it is killed
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_FORK, str(big_log), str(refused)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{refused} True []\n"
+
+
+_REFUSED_PIPELINE = """
+import os, sys
+from cegraph import embed, features
+from cegraph.cli import main
+
+def refused_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+features._usable_cpus = lambda: 2
+embed._SPLIT_MIN_POINTS = 4  # the t-SNE worker is refused too
+os.fork = refused_fork
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def test_pipeline_with_a_refused_fork_writes_the_serial_artifacts(monkeypatch, big_log,
+                                                                  tmp_path, capsys):
+    argv = ["pipeline", "--input", str(big_log), "--policy", "drop-dangling-edges",
+            "--iterations", "100"]
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 1)
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    serial = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_PIPELINE, *argv,
+                           "--out", str(tmp_path / "refused")],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == serial.err
+    assert proc.stdout == serial.out.replace(str(tmp_path / "serial"),
+                                             str(tmp_path / "refused"))
+    artifacts = [{p.name: p.read_bytes() for p in sorted((tmp_path / side).iterdir())}
+                 for side in ("serial", "refused")]
+    assert len(artifacts[0]) == 6
+    assert artifacts[1] == artifacts[0]

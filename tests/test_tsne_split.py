@@ -21,6 +21,12 @@ from cegraph import embed, features
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    yield
+    assert multiprocessing.active_children() == []
+
+
 class CountingHelper(embed._Helper):
     """An embed._Helper that records the row split of each worker."""
 
@@ -204,6 +210,35 @@ def dying(work, Y, k, helper=None):
 embed._gradient = dying
 embed.tsne(np.random.default_rng(0).normal(size=(30, 3)), perplexity=5.0)
 """
+
+
+_REFUSED_FORK = """
+import multiprocessing, os
+import numpy as np
+from cegraph import embed, features
+
+forks = []
+
+def refused_fork():
+    forks.append(1)
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+embed._SPLIT_MIN_POINTS = 4
+X = np.random.default_rng(0).normal(size=(30, 3))
+features._usable_cpus = lambda: 1
+want = embed.tsne(X, perplexity=5.0, iterations=100).coords
+features._usable_cpus = lambda: 2
+os.fork = refused_fork
+got = embed.tsne(X, perplexity=5.0, iterations=100).coords
+print(len(forks), got.tobytes() == want.tobytes(), multiprocessing.active_children())
+"""
+
+
+def test_a_refused_fork_runs_serially():
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_FORK], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 True []\n"
 
 
 def _running(pid: int) -> bool:
