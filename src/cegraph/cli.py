@@ -3,7 +3,7 @@
 Subcommands: extract (features.csv), ceg (ceg.json + lineage figure),
 tsne (tsne.svg), correlate (correlations.csv + heatmap.svg), pipeline
 (all of the above). Exit codes: 0 success, 1 schema/validation failure,
-2 I/O error or bad usage.
+2 I/O error, bad usage or a worker process that died.
 """
 
 from __future__ import annotations
@@ -268,6 +268,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # a worker process died, for example killed for memory
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

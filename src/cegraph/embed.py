@@ -6,8 +6,9 @@ of each component so its largest-magnitude coefficient is positive. t-SNE
 is the exact O(n^2) formulation: per-point bandwidths found by one
 bisection on the Shannon entropy that steps all rows at once, early
 exaggeration, momentum switch, seeded initialization from a dedicated
-generator. The optimization loop computes only the gradient, in two (n, n)
-buffers allocated once per call; the KL value is not evaluated inside it.
+generator. The optimization loop computes only the gradient, in three
+(n, n) buffers allocated once per call, the affinities among them; the KL
+value is not evaluated inside it.
 On two or more CPUs a large input's gradient is computed by two processes,
 each over half of the rows, with the same bits as one process gives.
 """
@@ -161,32 +162,26 @@ _WAIT_S = 0.05
 # does not pick the path
 _WINDOW = 10
 _CYCLE = 200
+# the size of one block of the exaggerated affinities in _gradient_rows
+_BLOCK_BYTES = 1 << 18
 # the commands a worker runs, posted in _Work.ctrl[0]
 _STOP, _KERNEL, _GRADIENT = 0, 1, 2
 
 
 class _Work:
     """The buffers of one exact t-SNE gradient, views of one flat float
-    array: the affinity matrices P[k], the (n, n) buffers num and g, the
-    (n, 2) factors a = [sq, 1] and b = [1, sq] of sq_i + sq_j, and ctrl,
-    which holds the posted command and num.sum()."""
+    array from alloc(size): the (n, n) affinities P and buffers num and g,
+    the (n, 2) factors a = [sq, 1] and b = [1, sq] of sq_i + sq_j, and
+    ctrl, which holds the posted command, num.sum() and the exaggeration."""
 
-    def __init__(self, n: int, n_p: int, flat: np.ndarray | None = None):
-        shapes = [(n, n)] * (n_p + 2) + [(n, 2), (n, 2), (2,)]
-        if flat is None:
-            flat = np.empty(_Work.size(n, n_p))
-        views, offset = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(flat[offset:offset + size].reshape(shape))
-            offset += size
-        *self.P, self.num, self.g, self.a, self.b, self.ctrl = views
+    def __init__(self, n: int, alloc=np.empty):
+        shapes = [(n, n)] * 3 + [(n, 2), (n, 2), (3,)]
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        parts = np.split(alloc(int(ends[-1])), ends[:-1])
+        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        self.P, self.num, self.g, self.a, self.b, self.ctrl = views
         self.a[:, 1] = 1.0
         self.b[:, 0] = 1.0
-
-    @staticmethod
-    def size(n: int, n_p: int) -> int:
-        return (n_p + 2) * n * n + 4 * n + 2
 
 
 def _kernel_rows(work: _Work, lo: int, hi: int) -> None:
@@ -206,39 +201,48 @@ def _kernel_rows(work: _Work, lo: int, hi: int) -> None:
     num.flat[lo :: n + 1] = 0.0
 
 
-def _gradient_rows(work: _Work, P: np.ndarray, lo: int, hi: int) -> None:
+def _gradient_rows(work: _Work, lo: int, hi: int) -> None:
     """Rows lo:hi of diag(rowsum(PQ)) - PQ, written to g, with
-    PQ = (P - Q) * num and Q = max(num / num.sum(), 1e-12)."""
+    PQ = (e * P - Q) * num, Q = max(num / num.sum(), 1e-12) and e the
+    exaggeration. The rows go a block at a time, so that e * P is held in a
+    block-sized scratch rather than a second (n, n) matrix; each product
+    rounds as in the whole e * P."""
     n = work.num.shape[0]
-    g, num = work.g[lo:hi], work.num[lo:hi]
-    np.divide(num, work.ctrl[1], out=g)
-    np.maximum(g, 1e-12, out=g)
-    np.subtract(P[lo:hi], g, out=g)
-    g *= num
-    # diag(rowsum) - PQ: 0 - x rather than -x off the diagonal, so that zero
-    # entries keep the sign the dense formula gives them
-    diag = g.sum(axis=1) - g.flat[lo :: n + 1]
-    np.subtract(0.0, g, out=g)
-    g.flat[lo :: n + 1] = diag
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    scratch = np.empty((min(rows, hi - lo), n))
+    for r in range(lo, hi, rows):
+        end = min(r + rows, hi)
+        g, num, eP = work.g[r:end], work.num[r:end], scratch[:end - r]
+        np.multiply(work.P[r:end], work.ctrl[2], out=eP)
+        np.divide(num, work.ctrl[1], out=g)
+        np.maximum(g, 1e-12, out=g)
+        np.subtract(eP, g, out=g)
+        g *= num
+        # diag(rowsum) - PQ: 0 - x rather than -x off the diagonal, so that
+        # zero entries keep the sign the dense formula gives them
+        diag = g.sum(axis=1) - g.flat[r :: n + 1]
+        np.subtract(0.0, g, out=g)
+        g.flat[r :: n + 1] = diag
 
 
 def _run_rows(work: _Work, command: int, lo: int, hi: int) -> None:
     if command == _KERNEL:
         _kernel_rows(work, lo, hi)
     else:
-        _gradient_rows(work, work.P[command - _GRADIENT], lo, hi)
+        _gradient_rows(work, lo, hi)
 
 
-def _gradient(work: _Work, Y: np.ndarray, k: int, helper: _Helper | None = None) -> np.ndarray:
-    """KL gradient with respect to Y for the affinities work.P[k].
+def _gradient(work: _Work, Y: np.ndarray, exaggeration: float,
+              helper: _Helper | None = None) -> np.ndarray:
+    """KL gradient with respect to Y for the affinities exaggeration * work.P.
 
     On return work.num holds the Student-t kernel with a zero diagonal.
     Every step repeats the operation order of the dense formula
-    4 * (diag(rowsum(PQ)) - PQ) @ Y with PQ = (P - Q) * num, so the result
-    is bitwise the same as evaluating that formula directly. With a helper,
-    the worker runs the row kernels on its rows while this process runs
-    them on the rest; Y @ Y.T, num.sum() and g @ Y stay whole here, since
-    their bits depend on how the matrix is split.
+    4 * (diag(rowsum(PQ)) - PQ) @ Y with PQ = (exaggeration * P - Q) * num,
+    so the result is bitwise the same as evaluating that formula directly.
+    With a helper, the worker runs the row kernels on its rows while this
+    process runs them on the rest; Y @ Y.T, num.sum() and g @ Y stay whole
+    here, since their bits depend on how the matrix is split.
     """
     n = Y.shape[0]
     rows = helper.lo if helper else n
@@ -246,9 +250,9 @@ def _gradient(work: _Work, Y: np.ndarray, k: int, helper: _Helper | None = None)
     work.a[:, 0] = sq
     work.b[:, 1] = sq
     np.matmul(Y, Y.T, out=work.g)
-    for command in (_KERNEL, _GRADIENT + k):
-        if command != _KERNEL:
-            work.ctrl[1] = work.num.sum()
+    for command in (_KERNEL, _GRADIENT):
+        if command == _GRADIENT:
+            work.ctrl[1:] = work.num.sum(), exaggeration
         if helper:
             helper.post(command)
         _run_rows(work, command, 0, rows)
@@ -288,13 +292,12 @@ class _Helper:
     """One forked worker process that runs the row kernels on rows lo:n of
     buffers in shared anonymous memory."""
 
-    def __init__(self, context, n: int, n_p: int):
+    def __init__(self, context, n: int):
         import mmap
 
         # the pages stay untouched until after the fork, so the worker
         # inherits none of the values written to them
-        memory = mmap.mmap(-1, 8 * _Work.size(n, n_p))
-        self.work = _Work(n, n_p, np.frombuffer(memory, dtype=float))
+        self.work = _Work(n, lambda size: np.frombuffer(mmap.mmap(-1, 8 * size)))
         self.lo = n // 2
         self._go, self._done = context.Semaphore(0), context.Semaphore(0)
         self._process = context.Process(
@@ -327,9 +330,9 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
 
     grad_i = 4 * sum_j (p_ij - q_ij) * (1 + |y_i - y_j|^2)^-1 * (y_i - y_j)
     """
-    work = _Work(Y.shape[0], 1)
-    work.P[0][...] = P
-    grad = _gradient(work, Y, 0)
+    work = _Work(Y.shape[0])
+    work.P[...] = P
+    grad = _gradient(work, Y, 1.0)
     num = work.num
     Q = np.maximum(num / num.sum(), 1e-12)
     mask = P > 1e-12
@@ -367,13 +370,10 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
 
     # the worker forks before P exists, so it does not hold a copy of it
     cpus = features._usable_cpus() if n >= _SPLIT_MIN_POINTS else 1
-    helper = features._fork_workers(cpus, lambda context: _Helper(context, n, 2))
+    helper = features._fork_workers(cpus, lambda context: _Helper(context, n))
     try:
-        work = helper.work if helper else _Work(n, 2)
-        P = _joint_probabilities(X, perplexity)
-        np.multiply(P, 12.0, out=work.P[0])
-        work.P[1][...] = P
-        del P
+        work = helper.work if helper else _Work(n)
+        work.P[...] = _joint_probabilities(X, perplexity)
         rng = np.random.default_rng(seed)
         Y = rng.normal(0.0, 1e-4, size=(n, 2))
         velocity = np.zeros_like(Y)
@@ -385,14 +385,14 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
         for it in range(iterations):
             step = it % _CYCLE
             split = helper if step < _WINDOW else faster if step >= 2 * _WINDOW else None
+            exaggeration, momentum = (12.0, 0.5) if it < 250 else (1.0, 0.8)
             start = time.perf_counter()
-            grad = _gradient(work, Y, 0 if it < 250 else 1, split)
+            grad = _gradient(work, Y, exaggeration, split)
             if helper and step < 2 * _WINDOW:
                 took[step] = time.perf_counter() - start
                 if step == 2 * _WINDOW - 1:
                     split_won = np.median(took[:_WINDOW]) < np.median(took[_WINDOW:])
                     faster = helper if split_won else None
-            momentum = 0.5 if it < 250 else 0.8
             # adaptive per-coordinate gains keep lr=200 stable on small inputs
             same = np.sign(grad) == np.sign(velocity)
             gains = np.where(same, gains * 0.8, gains + 0.2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -144,6 +145,20 @@ def _fork_workers(workers: int, start):
         return None
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker within 0.1 s of its parent's exit.
+    A worker waiting on the call queue never sees end-of-file, since every
+    worker holds the queue's write end too."""
+    import threading
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _featurize_row(code: str, include_eigenvector: bool):
     """(row, None) for code that parses, (None, diagnostic) otherwise."""
     try:
@@ -164,7 +179,8 @@ def _featurize_rows(codes: list[str], include_eigenvector: bool) -> list:
     def pooled(context):
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
             return list(pool.map(_featurize_row, codes, flags, chunksize=_CHUNKSIZE))
 
     rows = _fork_workers(workers, pooled)

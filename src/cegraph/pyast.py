@@ -10,6 +10,7 @@ order then list order, so identical source always yields identical graphs.
 from __future__ import annotations
 
 import ast
+import warnings
 from dataclasses import dataclass, field
 
 
@@ -70,7 +71,11 @@ def parse_to_graph(code: str) -> AstGraph:
     aborting.
     """
     try:
-        tree = ast.parse(code)
+        # a warning, such as Python 3.12's for "\d" in a string, would
+        # reach stderr without the sample's id, once per process
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(code)
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ParseError(f"invalid Python source: {exc}") from exc
 

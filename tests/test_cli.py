@@ -288,11 +288,13 @@ def test_bad_projection_flag_writes_nothing(log_path, tmp_path, capsys, command,
 
 
 def test_unparsable_sample_is_reported_once(tmp_path):
-    # run as a process: stderr then shows every report, logging's included
+    # run as a process: stderr then shows every report, logging's and the
+    # parser's warnings included ("1if" warns: invalid decimal literal)
     log = tmp_path / "broken.jsonl"
     log.write_text("".join(
         json.dumps({"id": f"s{i}", "run_id": "r", "evaluation_index": i,
-                    "code": "def broken(:\n" if i == 3 else f"x = {i}\n",
+                    "code": {3: "def broken(:\n", 5: "x = 1if True else 2\n"}.get(
+                        i, f"x = {i}\n"),
                     "fitness_raw": float(i)}) + "\n"
         for i in range(8)
     ), encoding="utf-8")
@@ -305,6 +307,50 @@ def test_unparsable_sample_is_reported_once(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"skipped 1 unparsable samples\n  skipped sample 's3': {diagnostic}\n"
+
+
+# a worker process that dies (killed for memory, say) mid-run: the
+# featurization pool's, or the t-SNE worker's
+_DEAD_WORKER = """
+import os, sys
+from cegraph import embed, features
+from cegraph.cli import main
+
+def dying(*args):
+    os._exit(1)
+
+features._usable_cpus = lambda: 2
+embed._SPLIT_MIN_POINTS = 4
+if sys.argv[1] == "pool":
+    features._PARALLEL_MIN_CHARS = 1
+    features._featurize_row = dying
+else:
+    parent, run_rows = os.getpid(), embed._run_rows
+
+    def dying_in_worker(*args):
+        if os.getpid() != parent:
+            dying()
+        run_rows(*args)
+
+    embed._run_rows = dying_in_worker
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("worker", ["pool", "tsne"])
+def test_a_dead_worker_exits_2_without_traceback(log_path, tmp_path, worker):
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEAD_WORKER, worker, "pipeline", "--input", str(log_path),
+         "--out", str(tmp_path / "out"), "--iterations", "50"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last == ("error: t-SNE worker process exited with code 1" if worker == "tsne"
+                    else "error: A process in the process pool was terminated abruptly"
+                    " while the future was running or pending.")
 
 
 @pytest.mark.parametrize("bad_line", ["deep_json", "code_path_not_utf8"])

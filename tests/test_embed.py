@@ -200,7 +200,7 @@ def test_two_term_product_is_the_broadcast_sum(values, data):
     sq = np.array(values)
     n = len(sq)
     lo = data.draw(st.integers(0, n - 1))
-    work = _Work(n, 0)
+    work = _Work(n)
     work.a[:, 0] = sq
     work.b[:, 1] = sq
     with np.errstate(over="ignore"):

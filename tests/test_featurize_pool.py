@@ -8,8 +8,11 @@ import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -17,16 +20,11 @@ import pytest
 
 from cegraph import features
 from cegraph.cli import main
+from conftest import running
 from cegraph.ingest import CodeSample, Dataset, load_jsonl
 from synth import random_module
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture(autouse=True)
-def no_worker_left_running():
-    yield
-    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +138,50 @@ def test_a_dying_worker_raises_instead_of_hanging():
                           text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "BrokenProcessPool\n"
+
+
+_KILLED_PARENT = """
+import os, time
+from cegraph import features
+from cegraph.ingest import CodeSample, Dataset
+
+def stuck(code, include_eigenvector=False):
+    os.write(1, f"{os.getpid()}\\n".encode())  # one write: lines do not interleave
+    time.sleep(600)
+
+samples = tuple(CodeSample(f"s{i}", f"s{i}", "r", "", "", "", i, (), None, "x = 1\\n")
+                for i in range(32))
+features._usable_cpus = lambda: 2
+features._PARALLEL_MIN_CHARS = 1
+features.featurize = stuck
+features.featurize_dataset(Dataset(samples))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_pool_workers_exit_when_their_parent_is_killed():
+    # its own process group, killed whole at the end or after 60 s, so a
+    # worker that outlives its parent is not left running
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT], stdout=subprocess.PIPE,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                            start_new_session=True)
+    timeout = threading.Timer(60.0, os.killpg, (proc.pid, signal.SIGKILL))
+    timeout.start()
+    try:
+        workers = {int(proc.stdout.readline()) for _ in range(2)}
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 20.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        timeout.cancel()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.stdout.close()
 
 
 def test_pool_modules_are_imported_only_when_a_pool_runs():

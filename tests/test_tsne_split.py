@@ -16,15 +16,10 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import running
 from cegraph import embed, features
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture(autouse=True)
-def no_worker_left_running():
-    yield
-    assert multiprocessing.active_children() == []
 
 
 class CountingHelper(embed._Helper):
@@ -32,8 +27,8 @@ class CountingHelper(embed._Helper):
 
     started: list[tuple[int, int]] = []
 
-    def __init__(self, context, n, n_p):
-        super().__init__(context, n, n_p)
+    def __init__(self, context, n):
+        super().__init__(context, n)
         CountingHelper.started.append((self.lo, n))
 
 
@@ -81,6 +76,22 @@ def test_kl_and_gradient_bitwise_equal_to_dense_reference(split, n):
         assert grad.tobytes() == want_grad.tobytes()
 
 
+# blocks of 1 to 3 rows: each process runs several blocks of exaggerated
+# affinities, and most row ranges end on a shorter one
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("n", [13, 67])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_row_blocks_keep_the_bits(monkeypatch, helpers, cpus, n, rows):
+    monkeypatch.setattr(embed, "_BLOCK_BYTES", 8 * n * rows)
+    monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
+    monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
+    X, perplexity = _inputs(n, seed=3)
+    got = embed.tsne(X, perplexity=perplexity, seed=n, iterations=300).coords
+    assert helpers == ([(n // 2, n)] if cpus == 2 else [])
+    want = oracles.tsne_reference(X, perplexity, n, iterations=300)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_path_is_chosen_from_n_and_usable_cpus(monkeypatch, helpers):
     X, perplexity = _inputs(12)
     results = []
@@ -118,10 +129,10 @@ def test_the_faster_path_runs_and_keeps_the_bits(split, monkeypatch):
     monkeypatch.setattr(embed, "time", clock)
     gradient = embed._gradient
 
-    def timed(work, Y, k, helper=None):
+    def timed(work, Y, exaggeration, helper=None):
         clock.split.append(helper is not None)
         clock.now += clock.costs[(len(clock.split) - 1) // embed._CYCLE][helper is not None]
-        return gradient(work, Y, k, helper)
+        return gradient(work, Y, exaggeration, helper)
 
     monkeypatch.setattr(embed, "_gradient", timed)
     X, perplexity = _inputs(21)
@@ -200,12 +211,12 @@ embed._WINDOW = 1000  # the worker runs every iteration
 gradient = embed._gradient
 calls = []
 
-def dying(work, Y, k, helper=None):
+def dying(work, Y, exaggeration, helper=None):
     calls.append(1)
     if len(calls) == 50:
         print(helper._process.pid, flush=True)
         os._exit(0)
-    return gradient(work, Y, k, helper)
+    return gradient(work, Y, exaggeration, helper)
 
 embed._gradient = dying
 embed.tsne(np.random.default_rng(0).normal(size=(30, 3)), perplexity=5.0)
@@ -241,14 +252,6 @@ def test_a_refused_fork_runs_serially():
     assert proc.stdout == "1 True []\n"
 
 
-def _running(pid: int) -> bool:
-    try:
-        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
-    except FileNotFoundError:
-        return False
-    return state not in ("Z", "X")
-
-
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_the_worker_exits_when_its_parent_dies():
     proc = subprocess.run([sys.executable, "-c", _DYING_PARENT], capture_output=True,
@@ -256,9 +259,9 @@ def test_the_worker_exits_when_its_parent_dies():
     assert proc.returncode == 0, proc.stderr
     worker = int(proc.stdout)
     deadline = time.monotonic() + 20.0
-    while _running(worker) and time.monotonic() < deadline:
+    while running(worker) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert not _running(worker)
+    assert not running(worker)
 
 
 def test_split_modules_are_imported_only_when_the_split_runs():
