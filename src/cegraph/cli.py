@@ -3,7 +3,8 @@
 Subcommands: extract (features.csv), ceg (ceg.json + lineage figure),
 tsne (tsne.svg), correlate (correlations.csv + heatmap.svg), pipeline
 (all of the above). Exit codes: 0 success, 1 schema/validation failure,
-2 I/O error, bad usage or a worker process that died.
+2 I/O error, bad usage, out of memory or a worker process that died.
+A run writes its files only once every one of them is built.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -149,12 +152,11 @@ def _standardized(graphs, names) -> np.ndarray:
 
 
 def _run(args) -> int:
-    """Load, validate and featurize the log, check every feature name, the
-    projection flags and the projections' sample counts, build the
-    evolution graphs if a selected artifact needs them, then write the
-    selected artifacts in order (each projection just before its figure),
-    listing each file written on stdout. Every check, the lineage's
-    included, comes before the first write."""
+    """Load, validate and featurize the log, check the feature names and
+    projection flags, build the evolution graphs if a selected artifact
+    needs them, then write the selected artifacts in order to a staging
+    directory inside --out. Only after the last one are they moved into
+    --out and listed on stdout: a run that fails leaves --out as it was."""
     artifacts = SUBCOMMANDS[args.command][2]
     dataset = load_jsonl(args.input)
     dataset, violations = validate(dataset, policy=args.policy)
@@ -183,16 +185,8 @@ def _run(args) -> int:
             raise ValueError("--perplexity must be a number, got nan")
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    # an empty table gets "no sample" for features.csv, else "no evolution
-    # graphs" below; the projections' sample counts come next (every
-    # parsed sample becomes a node)
-    n = len(table.ids)
-    if not n and "features" in artifacts:
+    if not table.ids and "features" in artifacts:
         raise ValidationError("no sample produced a feature vector")
-    if n and "ceg" in artifacts and y_axis == "pc1" and n < 2:
-        raise ValueError("need at least 2 samples")
-    if n and "tsne" in artifacts and n < 4:
-        raise ValueError("need at least 4 samples")
     if artifacts != ("features",):
         graphs = build_ceg(
             dataset,
@@ -205,48 +199,54 @@ def _run(args) -> int:
             raise ValidationError("no evolution graphs could be built")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".cegraph-", dir=out) as tmp:
+        staging = Path(tmp)
+        names = []
 
-    def write(name: str, text: str) -> None:
-        (out / name).write_text(text, encoding="utf-8")
-        print(f"wrote {out / name}")
+        def write(name: str, text: str) -> None:
+            (staging / name).write_text(text, encoding="utf-8")
+            names.append(name)
 
-    if "features" in artifacts:
-        _write_features_csv(
-            dataset, table, out / "features.csv", args.include_eigencentrality
-        )
-        print(f"wrote {out / 'features.csv'}")
-    if "ceg" in artifacts:
-        write("ceg.json", graphs_to_json(graphs))
-        if y_axis == "pc1":
-            pc = pca(_standardized(graphs, feature_set or AST_FEATURE_NAMES), 1)
-            y_values, y_label = pc.projected[:, 0], "PC1"
-            annotation = f"PC1 ({float(pc.explained_variance_ratio[0]):.2f})"
-        else:
-            col = table.names.index(y_axis)
-            y_values = [n.features_raw[col] for g in graphs for n in g.nodes]
-            y_label, annotation = y_axis, ""
-        write(f"ceg_{y_axis}.svg", render_ceg(graphs, y_values, y_label, annotation).svg)
-    if "tsne" in artifacts:
-        # keep the perplexity inside [1, (n - 1) / 3]
-        n = sum(g.node_count for g in graphs)
-        perplexity = min(max(args.perplexity, 1.0), max(1.0, (n - 1) / 3.0))
-        if perplexity != args.perplexity:
-            print(
-                f"perplexity {args.perplexity} out of range for {n} samples, "
-                f"using {perplexity:g}",
-                file=sys.stderr,
+        if "features" in artifacts:
+            _write_features_csv(
+                dataset, table, staging / "features.csv", args.include_eigencentrality
             )
-        embedding = tsne(
-            _standardized(graphs, feature_set or ALL_FEATURE_NAMES),
-            perplexity=perplexity,
-            seed=args.seed,
-            iterations=args.iterations,
-        )
-        write("tsne.svg", render_tsne(graphs, embedding.coords).svg)
-    if "correlations" in artifacts:
-        corr = correlation_table(graphs, feature_set or ALL_FEATURE_NAMES)
-        write("correlations.csv", corr.to_csv())
-        write("heatmap.svg", render_heatmap(corr).svg)
+            names.append("features.csv")
+        if "ceg" in artifacts:
+            write("ceg.json", graphs_to_json(graphs))
+            if y_axis == "pc1":
+                pc = pca(_standardized(graphs, feature_set or AST_FEATURE_NAMES), 1)
+                y_values, y_label = pc.projected[:, 0], "PC1"
+                annotation = f"PC1 ({float(pc.explained_variance_ratio[0]):.2f})"
+            else:
+                col = table.names.index(y_axis)
+                y_values = [n.features_raw[col] for g in graphs for n in g.nodes]
+                y_label, annotation = y_axis, ""
+            write(f"ceg_{y_axis}.svg", render_ceg(graphs, y_values, y_label, annotation).svg)
+        if "tsne" in artifacts:
+            # keep the perplexity inside [1, (n - 1) / 3]
+            n = sum(g.node_count for g in graphs)
+            perplexity = min(max(args.perplexity, 1.0), max(1.0, (n - 1) / 3.0))
+            embedding = tsne(
+                _standardized(graphs, feature_set or ALL_FEATURE_NAMES),
+                perplexity=perplexity,
+                seed=args.seed,
+                iterations=args.iterations,
+            )
+            if perplexity != args.perplexity:
+                print(
+                    f"perplexity {args.perplexity} out of range for {n} samples, "
+                    f"using {perplexity:g}",
+                    file=sys.stderr,
+                )
+            write("tsne.svg", render_tsne(graphs, embedding.coords).svg)
+        if "correlations" in artifacts:
+            corr = correlation_table(graphs, feature_set or ALL_FEATURE_NAMES)
+            write("correlations.csv", corr.to_csv())
+            write("heatmap.svg", render_heatmap(corr).svg)
+        for name in names:
+            os.replace(staging / name, out / name)
+            print(f"wrote {out / name}")
     return 0
 
 
@@ -272,6 +272,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         # a worker process died, for example killed for memory
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

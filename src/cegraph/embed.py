@@ -37,13 +37,24 @@ class PcaResult:
     mean: np.ndarray  # (d,)
 
 
+def _finite(X) -> np.ndarray:
+    """X as a C-contiguous float array, so that results do not depend on
+    its layout; ValueError if it holds a NaN or an infinity."""
+    X = np.ascontiguousarray(X, dtype=float)
+    bad = X.size - np.count_nonzero(np.isfinite(X))
+    if bad:
+        raise ValueError(f"X holds {bad} non-finite entries")
+    return X
+
+
 def pca(X, k: int) -> PcaResult:
     """Principal components of a row-sample matrix X with shape (n, d).
 
-    Requires n >= 2 and 1 <= k <= min(n - 1, d). Eigenvalues below 0 from
-    round-off are clamped; ratios are taken over all d eigenvalues.
+    Requires finite X, n >= 2 and 1 <= k <= min(n - 1, d). Eigenvalues
+    below 0 from round-off are clamped; ratios are taken over all d
+    eigenvalues.
     """
-    X = np.ascontiguousarray(X, dtype=float)  # results must not depend on layout
+    X = _finite(X)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
     n, d = X.shape
@@ -85,36 +96,49 @@ def pca(X, k: int) -> PcaResult:
     )
 
 
-def _joint_probabilities(X: np.ndarray, perplexity: float) -> np.ndarray:
-    """Symmetrized joint probabilities with per-point bandwidth search.
+def _joint_probabilities(X: np.ndarray, perplexity: float, P: np.ndarray) -> None:
+    """Symmetrized joint probabilities with per-point bandwidth search,
+    written to the C-contiguous (n, n) buffer P.
 
     Bisection on beta = 1/(2 sigma^2) targets Shannon entropy log2(perplexity)
     within 1e-5, at most 50 steps per point. All rows step together; a row
     leaves the active set once it converges, keeping the probabilities of
-    the last beta it tried.
+    the last beta it tried. P first holds the squared distances, then the
+    rows' probabilities, so the search holds one (n, n - 1) copy of the
+    distances besides the active rows' terms.
     """
     n = X.shape[0]
     sq = np.sum(X * X, axis=1)
-    D = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
-    offdiag = ~np.eye(n, dtype=bool)
-    # row i of D without D[i, i]; each row stays C-contiguous, so its sum
-    # reduces exactly as a 1-d sum over that row does
-    Doff = D[offdiag].reshape(n, n - 1)
-    del D
+    np.matmul(X, X.T, out=P)
+    P *= 2.0
+    np.subtract(sq[:, None] + sq[None, :], P, out=P)
+    np.maximum(P, 0.0, out=P)
+    # the entries of P off its diagonal, in row order
+    offdiag = P.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
+    # row i of the distances without D[i, i]; each row is C-contiguous, so
+    # its sum reduces exactly as a 1-d sum over that row does
+    Doff = offdiag.reshape(n, n - 1)
+    # the rows' probabilities, in the memory of P that offdiag is read from
+    Poff = P.reshape(-1)[:n * (n - 1)].reshape(n, n - 1)
     target = math.log2(perplexity)
     beta = np.ones(n)
     betamin = np.full(n, -np.inf)
     betamax = np.full(n, np.inf)
-    Poff = np.zeros((n, n - 1))
     active = np.arange(n)
     for _ in range(50):
         b = beta[active]
-        w = np.exp(-Doff[active] * b[:, None])
-        s = w.sum(axis=1)
+        # the kernel exp(-beta D), normalized in place to the rows' pi
+        pi = Doff[active]
+        pi *= -b[:, None]
+        np.exp(pi, out=pi)
+        s = pi.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            pi = w / s[:, None]
+            pi /= s[:, None]
             pi[s <= 0.0] = 0.0
-            h = -np.where(pi > 0.0, pi * np.log2(pi), 0.0).sum(axis=1)
+        terms = np.log2(pi, out=np.zeros_like(pi), where=pi > 0.0)
+        terms *= pi
+        h = -terms.sum(axis=1)
+        del terms  # before the next rows' pi is allocated
         Poff[active] = pi
         # summing the zeros too may move h by an ulp from a sum over the
         # nonzero terms alone; h only steers the branch, P keeps pi itself
@@ -132,10 +156,13 @@ def _joint_probabilities(X: np.ndarray, perplexity: float) -> np.ndarray:
         )
         betamin[active] = lo
         betamax[active] = hi
-    P = np.zeros((n, n))
-    P[offdiag] = Poff.ravel()
-    P = (P + P.T) / (2.0 * n)
-    return np.maximum(P, 1e-12)
+    del pi, Doff
+    # numpy copies Poff before it moves its rows into place, as they overlap
+    offdiag[...] = Poff.reshape(n - 1, n)
+    P.flat[:: n + 1] = 0.0
+    P += P.T
+    P /= 2.0 * n
+    np.maximum(P, 1e-12, out=P)
 
 
 # tsne splits each gradient's O(n^2) elementwise passes between this
@@ -349,7 +376,8 @@ class TsneResult:
 
 
 def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> TsneResult:
-    """Exact 2-d t-SNE. Requires n >= 4 and 1 <= perplexity <= (n - 1) / 3.
+    """Exact 2-d t-SNE. Requires finite X, n >= 4 and
+    1 <= perplexity <= (n - 1) / 3.
 
     Early exaggeration x12 for the first 250 iterations, learning rate 200
     modulated by the usual sign-agreement gains, momentum 0.5 switching to
@@ -357,7 +385,7 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
     np.random.default_rng(seed), so results are bit-reproducible for fixed
     inputs.
     """
-    X = np.ascontiguousarray(X, dtype=float)  # results must not depend on layout
+    X = _finite(X)
     n = X.shape[0]
     if n < 4:
         raise ValueError("need at least 4 samples")
@@ -373,7 +401,7 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
     helper = features._fork_workers(cpus, lambda context: _Helper(context, n))
     try:
         work = helper.work if helper else _Work(n)
-        work.P[...] = _joint_probabilities(X, perplexity)
+        _joint_probabilities(X, perplexity, work.P)
         rng = np.random.default_rng(seed)
         Y = rng.normal(0.0, 1e-4, size=(n, 2))
         velocity = np.zeros_like(Y)

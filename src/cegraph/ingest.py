@@ -142,8 +142,9 @@ def load_jsonl(path) -> Dataset:
     """Read a run log. SchemaError on malformed content, OSError on I/O."""
     path = Path(path)
     # newline="": no newline translation, so a lone "\r", which JSON reads
-    # as whitespace, stays inside its record instead of ending it
-    with path.open(encoding="utf-8", newline="") as fh:
+    # as whitespace, stays inside its record instead of ending it;
+    # utf-8-sig drops a leading byte order mark, as for code_path files
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         text = fh.read()
     base_dir = path.parent
 

@@ -314,7 +314,8 @@ def test_criterion_3_pca(capsys):
 def test_criterion_4_tsne(capsys):
     rng = np.random.default_rng(17)
     Xg = rng.normal(size=(6, 3))
-    P = _joint_probabilities(Xg, perplexity=1.5)
+    P = np.empty((6, 6))
+    _joint_probabilities(Xg, 1.5, P)
     Y = rng.normal(size=(6, 2))
     _, grad = kl_divergence_and_grad(P, Y)
     h = 1e-5

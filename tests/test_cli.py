@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cegraph import cli, embed, features
 from cegraph.cli import main
 from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES, featurize_dataset
 from cegraph.ingest import load_jsonl
@@ -314,6 +315,7 @@ def test_unparsable_sample_is_reported_once(tmp_path):
 _DEAD_WORKER = """
 import os, sys
 from cegraph import embed, features
+from cegraph import cli, embed, features
 from cegraph.cli import main
 
 def dying(*args):
@@ -351,6 +353,92 @@ def test_a_dead_worker_exits_2_without_traceback(log_path, tmp_path, worker):
     assert last == ("error: t-SNE worker process exited with code 1" if worker == "tsne"
                     else "error: A process in the process pool was terminated abruptly"
                     " while the future was running or pending.")
+
+
+_NO_MEMORY = ("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+              " and data type float64")
+
+
+def _kill_tsne_worker(monkeypatch):
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
+    parent, run_rows = os.getpid(), embed._run_rows
+
+    def dying_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        run_rows(*args)
+
+    monkeypatch.setattr(embed, "_run_rows", dying_in_worker)
+
+
+def _run_out_of_memory(monkeypatch):
+    def tsne(*args, **kwargs):
+        raise MemoryError(_NO_MEMORY)
+
+    monkeypatch.setattr(cli, "tsne", tsne)
+
+
+def _fail_heatmap_write(monkeypatch):
+    write_text = Path.write_text
+
+    def failing(path, *args, **kwargs):
+        if path.name == "heatmap.svg":
+            raise OSError(28, "No space left on device")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+
+
+@pytest.mark.parametrize("fail, message", [
+    (_kill_tsne_worker, "error: t-SNE worker process exited with code 1"),
+    (_run_out_of_memory, f"error: out of memory: {_NO_MEMORY}"),
+    (_fail_heatmap_write, "i/o error: [Errno 28] No space left on device"),
+], ids=["tsne_worker", "memory", "heatmap_write"])
+def test_a_run_that_fails_late_leaves_out_as_it_was(log_path, tmp_path, capsys, monkeypatch,
+                                                    fail, message):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", log_path, "--out", out, "--iterations", "50"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 6
+    fail(monkeypatch)
+    # each of the six artifacts would differ from the first run's
+    assert run(argv + ["--include-eigencentrality", "--feature-set", "complexity6",
+                       "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err.splitlines()[-1] == message
+    # the same six files with the same bytes, and no staging directory
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+_OUT_OF_MEMORY = f"""
+import sys
+from cegraph import cli
+
+def tsne(*args, **kwargs):
+    raise MemoryError({_NO_MEMORY!r})
+
+cli.tsne = tsne
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_exits_2_without_traceback(log_path, tmp_path):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", _OUT_OF_MEMORY, "pipeline", "--input", str(log_path),
+         "--out", str(out), "--iterations", "50"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"error: out of memory: {_NO_MEMORY}"
+    assert proc.stdout == ""
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad_line", ["deep_json", "code_path_not_utf8"])

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,7 +127,8 @@ def two_clusters(n_per=10, d=5, gap=100.0, seed=5):
 
 def test_joint_probabilities_shape_and_mass():
     X = two_clusters()
-    P = _joint_probabilities(X, perplexity=5.0)
+    P = np.empty((20, 20))
+    _joint_probabilities(X, 5.0, P)
     assert P.shape == (20, 20)
     assert np.array_equal(P, P.T)
     assert float(P.sum()) == pytest.approx(1.0, abs=1e-6)
@@ -156,9 +158,34 @@ def affinity_inputs(draw):
 @given(affinity_inputs())
 def test_joint_probabilities_bitwise_equal_to_per_row_bisection(case):
     X, perplexity = case
-    got = _joint_probabilities(X, perplexity)
+    got = np.full((len(X), len(X)), np.nan)
+    _joint_probabilities(X, perplexity, got)
     want = oracles.joint_probabilities_reference(X, perplexity)
     assert got.tobytes() == want.tobytes()
+
+
+def test_joint_probabilities_peak_memory():
+    # one (n, n - 1) copy of the distances, the active rows' pi and their
+    # entropy terms; no (n, n) mask and no second (n, n) matrix besides P
+    n = 300
+    X = np.random.default_rng(0).normal(size=(n, 28))
+    P = np.empty((n, n))
+    tracemalloc.start()
+    try:
+        _joint_probabilities(X, 30.0, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("project", [lambda X: pca(X, 1), tsne], ids=["pca", "tsne"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_projections_reject_non_finite_input(project, bad):
+    X = np.random.default_rng(0).normal(size=(20, 3))
+    X[4, 1] = bad
+    with pytest.raises(ValueError, match=r"^X holds 1 non-finite entries$"):
+        project(X)
 
 
 @pytest.mark.parametrize("n, d, scale, perplexity, seed", [
@@ -178,7 +205,8 @@ def test_tsne_bitwise_equal_to_dense_reference(n, d, scale, perplexity, seed):
 def test_kl_and_gradient_bitwise_equal_to_dense_reference():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 4))
-    P = _joint_probabilities(X, perplexity=6.0)
+    P = np.empty((30, 30))
+    _joint_probabilities(X, 6.0, P)
     for Y in (rng.normal(size=(30, 2)), rng.normal(0.0, 1e-4, size=(30, 2))):
         kl, grad = kl_divergence_and_grad(P, Y)
         want_kl, want_grad = oracles.kl_divergence_and_grad_reference(P, Y)
@@ -216,7 +244,8 @@ def test_two_term_product_is_the_broadcast_sum(values, data):
 def test_kl_gradient_matches_central_differences():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(6, 3))
-    P = _joint_probabilities(X, perplexity=1.5)
+    P = np.empty((6, 6))
+    _joint_probabilities(X, 1.5, P)
     Y = rng.normal(size=(6, 2))
     kl, grad = kl_divergence_and_grad(P, Y)
     assert kl >= 0.0

@@ -59,6 +59,13 @@ def test_lone_cr_is_whitespace_inside_a_record(tmp_path):
     assert [s.id for s in load_jsonl(p).samples] == ["s1", "s2"]
 
 
+def test_log_with_utf8_bom_loads_like_without(tmp_path):
+    src = write_lines(tmp_path / "log.jsonl", [json.dumps(s) for s in synthetic_samples()])
+    bom = tmp_path / "bom.jsonl"
+    bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+    assert load_jsonl(bom) == load_jsonl(src)
+
+
 def test_code_path_resolves_relative_to_log(tmp_path):
     (tmp_path / "snippets").mkdir()
     (tmp_path / "snippets" / "a.py").write_text("y = 2\n", encoding="utf-8")

@@ -67,7 +67,8 @@ def test_split_tsne_bitwise_equal_to_dense_reference(split, n):
 @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 13, 14, 15, 41])
 def test_kl_and_gradient_bitwise_equal_to_dense_reference(split, n):
     X, perplexity = _inputs(n, seed=5)
-    P = embed._joint_probabilities(X, perplexity)
+    P = np.empty((n, n))
+    embed._joint_probabilities(X, perplexity, P)
     for Y in (np.random.default_rng(n).normal(size=(n, 2)),
               np.random.default_rng(n).normal(0.0, 1e-4, size=(n, 2))):
         kl, grad = embed.kl_divergence_and_grad(P, Y)
