@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
 import os
 import sys
@@ -244,6 +245,11 @@ def _run(args) -> int:
             corr = correlation_table(graphs, feature_set or ALL_FEATURE_NAMES)
             write("correlations.csv", corr.to_csv())
             write("heatmap.svg", render_heatmap(corr).svg)
+        # os.replace cannot put a file where a directory is; finding that
+        # after the first move would leave two runs' artifacts in --out
+        for name in names:
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
         for name in names:
             os.replace(staging / name, out / name)
             print(f"wrote {out / name}")

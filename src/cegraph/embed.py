@@ -6,11 +6,12 @@ of each component so its largest-magnitude coefficient is positive. t-SNE
 is the exact O(n^2) formulation: per-point bandwidths found by one
 bisection on the Shannon entropy that steps all rows at once, early
 exaggeration, momentum switch, seeded initialization from a dedicated
-generator. The optimization loop computes only the gradient, in three
-(n, n) buffers allocated once per call, the affinities among them; the KL
-value is not evaluated inside it.
-On two or more CPUs a large input's gradient is computed by two processes,
-each over half of the rows, with the same bits as one process gives.
+generator. The optimization loop computes only the gradient, in two
+(n, n) buffers allocated once per call, the affinities and the kernel,
+one fixed block of rows at a time; the KL value is not evaluated inside
+it. On two or more CPUs a large input's gradient is computed by two
+processes, each over half of the blocks, with the same bits as one
+process gives, whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -96,52 +97,91 @@ def pca(X, k: int) -> PcaResult:
     )
 
 
-def _joint_probabilities(X: np.ndarray, perplexity: float, P: np.ndarray) -> None:
-    """Symmetrized joint probabilities with per-point bandwidth search,
-    written to the C-contiguous (n, n) buffer P.
+def _row_blocks(n: int) -> range:
+    """The first rows of the fixed row blocks in which every O(n^2) step
+    of exact t-SNE runs. They depend on n alone, so the serial and the
+    split path, and the dense oracle of the tests, cut each product the
+    same way: an (n, n) buffer larger than _BLOCK_BYTES is cut into an
+    even number of blocks of about that size, so that the split gives
+    each process half of them."""
+    count = -(-8 * n * n // _BLOCK_BYTES)
+    if count > 1:
+        count += count % 2
+    return range(0, n, -(-n // count))
 
-    Bisection on beta = 1/(2 sigma^2) targets Shannon entropy log2(perplexity)
-    within 1e-5, at most 50 steps per point. All rows step together; a row
-    leaves the active set once it converges, keeping the probabilities of
-    the last beta it tried. P first holds the squared distances, then the
-    rows' probabilities, so the search holds one (n, n - 1) copy of the
-    distances besides the active rows' terms.
+
+def _off_diagonal(M: np.ndarray) -> np.ndarray:
+    """The entries of the C-contiguous (n, n) array M off its diagonal, in
+    row order, as an (n - 1, n) view."""
+    n = M.shape[0]
+    return M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
+
+
+def _joint_probabilities(X: np.ndarray, perplexity: float, P: np.ndarray,
+                         scratch: np.ndarray) -> None:
+    """Symmetrized joint probabilities with per-point bandwidth search,
+    written to the C-contiguous (n, n) buffer P; the C-contiguous (n, n)
+    buffer scratch holds the distances meanwhile and is left undefined.
+
+    The squared distances are sums of exact squared differences, one
+    feature after another, so they need no matrix product and their bits
+    do not depend on the BLAS thread count. Bisection on
+    beta = 1/(2 sigma^2) targets Shannon entropy log2(perplexity) within
+    1e-5, at most 50 steps per point. All rows step together; a row leaves
+    the active set once it converges, keeping the probabilities of the
+    last beta it tried. P first holds the squared distances, then the
+    rows' probabilities, and the rows step one block at a time, so the
+    search allocates no (n, n) array of its own.
     """
     n = X.shape[0]
-    sq = np.sum(X * X, axis=1)
-    np.matmul(X, X.T, out=P)
-    P *= 2.0
-    np.subtract(sq[:, None] + sq[None, :], P, out=P)
-    np.maximum(P, 0.0, out=P)
-    # the entries of P off its diagonal, in row order
-    offdiag = P.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
-    # row i of the distances without D[i, i]; each row is C-contiguous, so
-    # its sum reduces exactly as a 1-d sum over that row does
-    Doff = offdiag.reshape(n, n - 1)
-    # the rows' probabilities, in the memory of P that offdiag is read from
+    blocks = _row_blocks(n)
+    diff = np.empty((blocks.step, n))
+    # the squared distances into P, a block of rows at a time, as the sums
+    # of (x_i - x_j)^2 over the features in order
+    for r in blocks:
+        D = P[r:r + blocks.step]
+        t = diff[:len(D)]
+        D.fill(0.0)
+        for x in X.T:
+            np.subtract(x[r:r + blocks.step, None], x, out=t)
+            np.multiply(t, t, out=t)
+            D += t
+    del diff
+    # row i of the distances without D[i, i], copied to scratch; each row
+    # is C-contiguous, so its sum reduces exactly as a 1-d sum over that
+    # row does
+    Doff = scratch.reshape(-1)[:n * (n - 1)].reshape(n, n - 1)
+    Doff.reshape(n - 1, n)[...] = _off_diagonal(P)
+    # the rows' probabilities, in the memory of P that the distances left
     Poff = P.reshape(-1)[:n * (n - 1)].reshape(n, n - 1)
     target = math.log2(perplexity)
     beta = np.ones(n)
     betamin = np.full(n, -np.inf)
     betamax = np.full(n, np.inf)
+    entropy = np.empty(n)
     active = np.arange(n)
     for _ in range(50):
         b = beta[active]
-        # the kernel exp(-beta D), normalized in place to the rows' pi
-        pi = Doff[active]
-        pi *= -b[:, None]
-        np.exp(pi, out=pi)
-        s = pi.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pi /= s[:, None]
-            pi[s <= 0.0] = 0.0
-        terms = np.log2(pi, out=np.zeros_like(pi), where=pi > 0.0)
-        terms *= pi
-        h = -terms.sum(axis=1)
-        del terms  # before the next rows' pi is allocated
-        Poff[active] = pi
+        # a block of the active rows at a time, so that their pi and
+        # entropy terms take no (n, n) buffer; each row's sums reduce the
+        # same way in any block
+        for c in range(0, active.size, blocks.step):
+            rows = active[c:c + blocks.step]
+            # the kernel exp(-beta D), normalized in place to the rows' pi
+            pi = Doff[rows]
+            pi *= -b[c:c + blocks.step, None]
+            np.exp(pi, out=pi)
+            s = pi.sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pi /= s[:, None]
+                pi[s <= 0.0] = 0.0
+            terms = np.log2(pi, out=np.zeros_like(pi), where=pi > 0.0)
+            terms *= pi
+            entropy[c:c + len(rows)] = -terms.sum(axis=1)
+            Poff[rows] = pi
         # summing the zeros too may move h by an ulp from a sum over the
         # nonzero terms alone; h only steers the branch, P keeps pi itself
+        h = entropy[:active.size]
         going = np.abs(h - target) >= 1e-5
         active, b, h = active[going], b[going], h[going]
         if active.size == 0:
@@ -156,24 +196,22 @@ def _joint_probabilities(X: np.ndarray, perplexity: float, P: np.ndarray) -> Non
         )
         betamin[active] = lo
         betamax[active] = hi
-    del pi, Doff
-    # numpy copies Poff before it moves its rows into place, as they overlap
-    offdiag[...] = Poff.reshape(n - 1, n)
-    P.flat[:: n + 1] = 0.0
-    P += P.T
+    # the rows' probabilities into place in scratch, then their symmetrized
+    # mean into P: no copy overlaps its source, so numpy makes no temporary
+    _off_diagonal(scratch)[...] = Poff.reshape(n - 1, n)
+    scratch.flat[:: n + 1] = 0.0
+    np.add(scratch, scratch.T, out=P)
     P /= 2.0 * n
     np.maximum(P, 1e-12, out=P)
 
 
-# tsne splits each gradient's O(n^2) elementwise passes between this
-# process and one forked worker once n reaches this many points. Measured
-# on t-SNE alone (1000 iterations, 2-core host, two rounds), the split runs
-# at 0.75-0.83x the serial speed at n=200, breaks even near n=256
-# (1.02-1.05x), and gains 7-9% at n=288-320 and 22-33% at n=400. Below
-# n=256 the hand-offs, four per iteration, cost more than the halved passes
-# save. The worker spins through the parent's whole steps, so the CPU time
-# rises by 25-80%; the threshold sits above break-even so that no run pays
-# that for a gain within noise
+# tsne splits each gradient's O(n^2) steps between this process and one
+# forked worker once n reaches this many points. Measured on t-SNE's loop
+# alone (1000 iterations, 28-d input, 2-core host, two rounds), the split
+# runs at 1.3-1.4x the serial speed at n=200 and 256, 1.6x at n=300 and
+# 1.4-1.6x at n=400; below n=182 there is one row block, and the worker
+# would get none. The worker spins while it waits for its next command,
+# so the CPU time rises with the split
 _SPLIT_MIN_POINTS = 300
 # semaphore polls (about 0.2 us each) before a wait blocks; the blocking
 # wait checks every _WAIT_S that the other process is still alive
@@ -183,13 +221,16 @@ _WAIT_S = 0.05
 # iterations on each path and runs the rest on the path whose median
 # gradient took less time; both paths give the same bits. The split loses
 # when another program keeps a CPU busy (0.4x the serial speed at n=400,
-# with the worker often descheduled mid-hand-off) or when OpenBLAS runs
-# the larger products on threads of their own that compete with the two
-# processes (0.5x at n=1000). A median, so that one stall of a few ms
-# does not pick the path
+# with the worker often descheduled mid-hand-off). A median, so that one
+# stall of a few ms does not pick the path
 _WINDOW = 10
 _CYCLE = 200
-# the size of one block of the exaggerated affinities in _gradient_rows
+# the size of one row block of an (n, n) buffer (_row_blocks). A block
+# holds at most _BLOCK_BYTES / 8 + n entries; its kernel product takes 4
+# multiply-adds per entry and its gradient product 2, so below n = 2^15
+# each stays under the 2^18 multiply-adds up to which OpenBLAS runs a
+# product on one thread. So the bits do not depend on the CPU count, and
+# no BLAS thread competes with the split
 _BLOCK_BYTES = 1 << 18
 # the commands a worker runs, posted in _Work.ctrl[0]
 _STOP, _KERNEL, _GRADIENT = 0, 1, 2
@@ -197,59 +238,64 @@ _STOP, _KERNEL, _GRADIENT = 0, 1, 2
 
 class _Work:
     """The buffers of one exact t-SNE gradient, views of one flat float
-    array from alloc(size): the (n, n) affinities P and buffers num and g,
-    the (n, 2) factors a = [sq, 1] and b = [1, sq] of sq_i + sq_j, and
-    ctrl, which holds the posted command, num.sum() and the exaggeration."""
+    array from alloc(size): the (n, n) affinities P and kernel num; the
+    (n, 4) factors A = [sq, 1, y0, y1] and B = [1, sq, -2 y0, -2 y1] of
+    the squared distances; the (n, 2) coordinates Y and gradient grad; the
+    (n,) row sums rowz of num; and ctrl, which holds the posted command,
+    the kernel total Z and the exaggeration. scratch, two blocks of rows
+    for _gradient_rows, comes from np.empty: each process writes its own
+    copy of it."""
 
     def __init__(self, n: int, alloc=np.empty):
-        shapes = [(n, n)] * 3 + [(n, 2), (n, 2), (3,)]
+        shapes = [(n, n)] * 2 + [(n, 4)] * 2 + [(n, 2)] * 2 + [(n,), (3,)]
         ends = np.cumsum([math.prod(shape) for shape in shapes])
         parts = np.split(alloc(int(ends[-1])), ends[:-1])
         views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-        self.P, self.num, self.g, self.a, self.b, self.ctrl = views
-        self.a[:, 1] = 1.0
-        self.b[:, 0] = 1.0
+        self.P, self.num, self.A, self.B, self.Y, self.grad, self.rowz, self.ctrl = views
+        self.A[:, 1] = 1.0
+        self.B[:, 0] = 1.0
+        self.blocks = _row_blocks(n)
+        self.scratch = np.empty((2, self.blocks.step, n))
 
 
 def _kernel_rows(work: _Work, lo: int, hi: int) -> None:
-    """Rows lo:hi of the Student-t kernel. On entry g holds Y @ Y.T; on
-    return g holds 2 Y @ Y.T and num holds 1 / (1 + |y_i - y_j|^2) with a
-    zero diagonal. a @ b.T is sq_i + sq_j: both products are exact and the
-    sum is rounded once, so it is the broadcast sum bit for bit, without
-    numpy's one inner loop per row."""
-    n = work.num.shape[0]
-    g, num = work.g[lo:hi], work.num[lo:hi]
-    g *= 2.0
-    np.matmul(work.a[lo:hi], work.b.T, out=num)
-    num -= g
-    np.maximum(num, 0.0, out=num)
-    num += 1.0
-    np.divide(1.0, num, out=num)
-    num.flat[lo :: n + 1] = 0.0
+    """Rows lo:hi of the Student-t kernel num = 1 / (1 + |y_i - y_j|^2)
+    with a zero diagonal, and their sums in rowz, one block at a time."""
+    n, step = work.num.shape[0], work.blocks.step
+    for r in range(lo, hi, step):
+        num = work.num[r:r + step]
+        # sq_i + sq_j - 2 y_i . y_j as one product with K = 4
+        np.matmul(work.A[r:r + step], work.B.T, out=num)
+        np.maximum(num, 0.0, out=num)
+        num += 1.0
+        np.divide(1.0, num, out=num)
+        num.flat[r :: n + 1] = 0.0
+        num.sum(axis=1, out=work.rowz[r:r + step])
 
 
 def _gradient_rows(work: _Work, lo: int, hi: int) -> None:
-    """Rows lo:hi of diag(rowsum(PQ)) - PQ, written to g, with
-    PQ = (e * P - Q) * num, Q = max(num / num.sum(), 1e-12) and e the
-    exaggeration. The rows go a block at a time, so that e * P is held in a
-    block-sized scratch rather than a second (n, n) matrix; each product
-    rounds as in the whole e * P."""
-    n = work.num.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    scratch = np.empty((min(rows, hi - lo), n))
-    for r in range(lo, hi, rows):
-        end = min(r + rows, hi)
-        g, num, eP = work.g[r:end], work.num[r:end], scratch[:end - r]
-        np.multiply(work.P[r:end], work.ctrl[2], out=eP)
-        np.divide(num, work.ctrl[1], out=g)
+    """Rows lo:hi of L @ Y, written to grad, with L = diag(rowsum(PQ)) - PQ,
+    PQ = (e * P - Q) * num, Q = max(num / Z, 1e-12) and e the
+    exaggeration. Each block of L is formed in the scratch, so L takes no
+    (n, n) buffer."""
+    n, step = work.num.shape[0], work.blocks.step
+    Z, exaggeration = work.ctrl[1], work.ctrl[2]
+    for r in range(lo, hi, step):
+        num, P = work.num[r:r + step], work.P[r:r + step]
+        g = work.scratch[0, :len(num)]
+        np.divide(num, Z, out=g)
         np.maximum(g, 1e-12, out=g)
-        np.subtract(eP, g, out=g)
+        # 1.0 * P is P bit for bit
+        if exaggeration != 1.0:
+            P = np.multiply(P, exaggeration, out=work.scratch[1, :len(num)])
+        np.subtract(P, g, out=g)
         g *= num
         # diag(rowsum) - PQ: 0 - x rather than -x off the diagonal, so that
         # zero entries keep the sign the dense formula gives them
         diag = g.sum(axis=1) - g.flat[r :: n + 1]
         np.subtract(0.0, g, out=g)
         g.flat[r :: n + 1] = diag
+        np.matmul(g, work.Y, out=work.grad[r:r + step])
 
 
 def _run_rows(work: _Work, command: int, lo: int, hi: int) -> None:
@@ -263,29 +309,29 @@ def _gradient(work: _Work, Y: np.ndarray, exaggeration: float,
               helper: _Helper | None = None) -> np.ndarray:
     """KL gradient with respect to Y for the affinities exaggeration * work.P.
 
-    On return work.num holds the Student-t kernel with a zero diagonal.
-    Every step repeats the operation order of the dense formula
-    4 * (diag(rowsum(PQ)) - PQ) @ Y with PQ = (exaggeration * P - Q) * num,
-    so the result is bitwise the same as evaluating that formula directly.
-    With a helper, the worker runs the row kernels on its rows while this
-    process runs them on the rest; Y @ Y.T, num.sum() and g @ Y stay whole
-    here, since their bits depend on how the matrix is split.
+    On return work.num holds the Student-t kernel with a zero diagonal and
+    work.ctrl[1] its total Z. The result is 4 * L @ Y, L and the kernel
+    computed one block of rows at a time (_row_blocks); Z is the sum of the
+    rows' sums. With a helper, the worker runs the blocks from helper.lo on
+    while this process runs the others, which gives the same bits, so no
+    step is left whole.
     """
     n = Y.shape[0]
     rows = helper.lo if helper else n
-    sq = np.sum(Y * Y, axis=1)
-    work.a[:, 0] = sq
-    work.b[:, 1] = sq
-    np.matmul(Y, Y.T, out=work.g)
+    work.Y[...] = Y
+    work.A[:, 2:] = Y
+    np.multiply(Y, -2.0, out=work.B[:, 2:])
+    np.sum(np.square(Y), axis=1, out=work.A[:, 0])
+    work.B[:, 1] = work.A[:, 0]
     for command in (_KERNEL, _GRADIENT):
         if command == _GRADIENT:
-            work.ctrl[1:] = work.num.sum(), exaggeration
+            work.ctrl[1:] = work.rowz.sum(), exaggeration
         if helper:
             helper.post(command)
         _run_rows(work, command, 0, rows)
         if helper:
             helper.wait()
-    return 4.0 * (work.g @ Y)
+    return 4.0 * work.grad
 
 
 def _acquire(sem, alive) -> bool:
@@ -325,7 +371,9 @@ class _Helper:
         # the pages stay untouched until after the fork, so the worker
         # inherits none of the values written to them
         self.work = _Work(n, lambda size: np.frombuffer(mmap.mmap(-1, 8 * size)))
-        self.lo = n // 2
+        # the first row of the second half of the blocks
+        blocks = self.work.blocks
+        self.lo = blocks.step * ((len(blocks) + 1) // 2)
         self._go, self._done = context.Semaphore(0), context.Semaphore(0)
         self._process = context.Process(
             target=_serve,
@@ -360,8 +408,7 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
     work = _Work(Y.shape[0])
     work.P[...] = P
     grad = _gradient(work, Y, 1.0)
-    num = work.num
-    Q = np.maximum(num / num.sum(), 1e-12)
+    Q = np.maximum(work.num / work.ctrl[1], 1e-12)
     mask = P > 1e-12
     kl = float((P[mask] * np.log(P[mask] / Q[mask])).sum())
     return kl, grad
@@ -401,7 +448,7 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
     helper = features._fork_workers(cpus, lambda context: _Helper(context, n))
     try:
         work = helper.work if helper else _Work(n)
-        _joint_probabilities(X, perplexity, work.P)
+        _joint_probabilities(X, perplexity, work.P, work.num)
         rng = np.random.default_rng(seed)
         Y = rng.normal(0.0, 1e-4, size=(n, 2))
         velocity = np.zeros_like(Y)

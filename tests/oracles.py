@@ -275,13 +275,16 @@ def nesting_two(code):
 # ------------------------------------------------------------ exact t-SNE
 # The straightforward dense formulation that cegraph.embed must match bit
 # for bit: a scalar bandwidth bisection per row, and the KL value and
-# np.diag gradient evaluated on every iteration.
+# np.diag gradient evaluated on every iteration. The two matrix products
+# are cut into the fixed row blocks of embed._row_blocks, since their
+# bits depend on how a product is cut; everything else is whole.
 
 
 def joint_probabilities_reference(X, perplexity):
-    n = X.shape[0]
-    sq = np.sum(X * X, axis=1)
-    D = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
+    n, d = X.shape
+    D = np.zeros((n, n))
+    for k in range(d):
+        D += (X[:, k, None] - X[None, :, k]) ** 2
     target = math.log2(perplexity)
     P = np.zeros((n, n))
     for i in range(n):
@@ -311,15 +314,27 @@ def joint_probabilities_reference(X, perplexity):
     return np.maximum(P, 1e-12)
 
 
+def blockwise_product(M, N):
+    """M @ N, one of embed's fixed row blocks of M at a time."""
+    from cegraph.embed import _row_blocks
+
+    blocks = _row_blocks(M.shape[0])
+    return np.vstack([M[r:r + blocks.step] @ N for r in blocks])
+
+
 def kl_divergence_and_grad_reference(P, Y):
     sq = np.sum(Y * Y, axis=1)
-    num = 1.0 / (1.0 + np.maximum(sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T), 0.0))
+    ones = np.ones_like(sq)
+    # |y_i - y_j|^2 = [sq, 1, y] . [1, sq, -2 y]
+    A = np.column_stack([sq, ones, Y])
+    B = np.column_stack([ones, sq, -2.0 * Y])
+    num = 1.0 / (1.0 + np.maximum(blockwise_product(A, B.T), 0.0))
     np.fill_diagonal(num, 0.0)
-    Q = np.maximum(num / num.sum(), 1e-12)
+    Q = np.maximum(num / num.sum(axis=1).sum(), 1e-12)
     mask = P > 1e-12
     kl = float((P[mask] * np.log(P[mask] / Q[mask])).sum())
     PQ = (P - Q) * num
-    grad = 4.0 * ((np.diag(PQ.sum(axis=1)) - PQ) @ Y)
+    grad = 4.0 * blockwise_product(np.diag(PQ.sum(axis=1)) - PQ, Y)
     return kl, grad
 
 

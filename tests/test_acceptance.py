@@ -315,7 +315,7 @@ def test_criterion_4_tsne(capsys):
     rng = np.random.default_rng(17)
     Xg = rng.normal(size=(6, 3))
     P = np.empty((6, 6))
-    _joint_probabilities(Xg, 1.5, P)
+    _joint_probabilities(Xg, 1.5, P, np.empty_like(P))
     Y = rng.normal(size=(6, 2))
     _, grad = kl_divergence_and_grad(P, Y)
     h = 1e-5

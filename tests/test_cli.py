@@ -1,6 +1,7 @@
 """Command line behavior: manifests, exit codes, CSV shape, determinism."""
 
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -412,6 +413,29 @@ def test_a_run_that_fails_late_leaves_out_as_it_was(log_path, tmp_path, capsys, 
     assert captured.err.splitlines()[-1] == message
     # the same six files with the same bytes, and no staging directory
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_directory_in_the_way_moves_no_artifact(log_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", log_path, "--out", out, "--iterations", "50"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    (out / "tsne.svg").unlink()
+    (out / "tsne.svg").mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert len(before) == 5
+    # each of the five files would differ from the first run's
+    assert run(argv + ["--include-eigencentrality", "--feature-set", "complexity6",
+                       "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err.splitlines()[-1] == (
+        f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out / 'tsne.svg'}'"
+    )
+    # the same five files with the same bytes, the directory, and no
+    # staging directory
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, "tsne.svg"])
 
 
 _OUT_OF_MEMORY = f"""

@@ -11,9 +11,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import running
@@ -41,10 +44,19 @@ def helpers(monkeypatch):
 
 @pytest.fixture
 def split(monkeypatch, helpers):
-    """Every tsne call with n >= 4 forks a worker."""
+    """Every tsne call with n >= 4 forks a worker, and blocks of 256 bytes
+    give each process several of them (2 at n=8, 142 at n=67)."""
     monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
+    monkeypatch.setattr(embed, "_BLOCK_BYTES", 256)
     monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
     return helpers
+
+
+def worker_rows(n):
+    """The worker's rows: the second half of the row blocks, the smaller
+    one when their number is odd."""
+    starts = list(embed._row_blocks(n)) + [n]
+    return starts[len(starts) // 2], n
 
 
 def _inputs(n, seed=0):
@@ -53,13 +65,14 @@ def _inputs(n, seed=0):
     return X, min(5.0, (n - 1) / 3.0)
 
 
-# every n mod 8, odd and even n, and an odd split (the worker takes the
-# larger half)
+# every n mod 8, odd and even n, an odd number of blocks (n=9: 3 blocks
+# of 3 rows) and a short last block (n=10: 4 blocks of 3 rows)
 @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 13, 14, 15, 67])
 def test_split_tsne_bitwise_equal_to_dense_reference(split, n):
     X, perplexity = _inputs(n)
     got = embed.tsne(X, perplexity=perplexity, seed=n, iterations=300).coords
-    assert split == [(n // 2, n)]
+    assert split == [worker_rows(n)]
+    assert split[0][0] in embed._row_blocks(n)
     want = oracles.tsne_reference(X, perplexity, n, iterations=300)
     assert got.tobytes() == want.tobytes()
 
@@ -68,7 +81,7 @@ def test_split_tsne_bitwise_equal_to_dense_reference(split, n):
 def test_kl_and_gradient_bitwise_equal_to_dense_reference(split, n):
     X, perplexity = _inputs(n, seed=5)
     P = np.empty((n, n))
-    embed._joint_probabilities(X, perplexity, P)
+    embed._joint_probabilities(X, perplexity, P, np.empty_like(P))
     for Y in (np.random.default_rng(n).normal(size=(n, 2)),
               np.random.default_rng(n).normal(0.0, 1e-4, size=(n, 2))):
         kl, grad = embed.kl_divergence_and_grad(P, Y)
@@ -77,8 +90,8 @@ def test_kl_and_gradient_bitwise_equal_to_dense_reference(split, n):
         assert grad.tobytes() == want_grad.tobytes()
 
 
-# blocks of 1 to 3 rows: each process runs several blocks of exaggerated
-# affinities, and most row ranges end on a shorter one
+# blocks of 1 to 3 rows: each process runs several blocks, and most row
+# ranges end on a shorter one
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("n", [13, 67])
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -88,12 +101,75 @@ def test_row_blocks_keep_the_bits(monkeypatch, helpers, cpus, n, rows):
     monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
     X, perplexity = _inputs(n, seed=3)
     got = embed.tsne(X, perplexity=perplexity, seed=n, iterations=300).coords
-    assert helpers == ([(n // 2, n)] if cpus == 2 else [])
+    assert helpers == ([worker_rows(n)] if cpus == 2 else [])
     want = oracles.tsne_reference(X, perplexity, n, iterations=300)
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(4, 40), st.floats(-4.0, 3.0), st.sampled_from([1.0, 12.0]),
+       st.integers(0, 2**32 - 1))
+def test_blocks_have_the_same_bits_in_either_process(data, n, scale, exaggeration, seed):
+    # a block's kernel rows, their sums and its gradient rows have the same
+    # bits whichever process computes them: a worker that takes the second
+    # half of the blocks gives the serial path's kernel, total and gradient,
+    # which are the dense oracle's
+    rows = data.draw(st.integers(1, n // 2))
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(size=(n, 2)) * 10.0**scale
+    Y[-1] = Y[0]
+    P = rng.random((n, n))
+    P += P.T
+    P /= P.sum()
+    with mock.patch.object(embed, "_BLOCK_BYTES", 8 * n * rows):
+        serial = embed._Work(n)
+        serial.P[...] = P
+        want = embed._gradient(serial, Y, exaggeration)
+        helper = embed._Helper(multiprocessing.get_context("fork"), n)
+        try:
+            helper.work.P[...] = P
+            got = embed._gradient(helper.work, Y, exaggeration, helper)
+        finally:
+            helper.close()
+        _, oracle = oracles.kl_divergence_and_grad_reference(exaggeration * P, Y)
+        assert (helper.lo, n) == worker_rows(n)
+    assert 0 < helper.lo < n
+    assert helper.work.num.tobytes() == serial.num.tobytes()
+    assert helper.work.ctrl[1] == serial.ctrl[1]
+    assert got.tobytes() == want.tobytes() == oracle.tobytes()
+
+
+_ON_CPUS = """
+import hashlib, os
+os.sched_setaffinity(0, {cpus})
+import numpy as np  # after the affinity is set: OpenBLAS sizes its threads on load
+from cegraph import embed
+for n in (900, 1000):
+    X = np.random.default_rng(n).normal(size=(n, 28))
+    Y = embed.tsne(X, perplexity=30.0, seed=1, iterations=30).coords
+    print(n, hashlib.sha256(Y.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_tsne_has_the_same_bits_on_one_and_on_two_cpus():
+    # from about 900 points, whole matrix products round differently on one
+    # and on two BLAS threads; 30 iterations run both paths of the split
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "OMP_"))}
+    env["PYTHONPATH"] = str(SRC)
+    runs = [subprocess.run([sys.executable, "-c", _ON_CPUS.format(cpus=chosen)],
+                           capture_output=True, text=True, env=env, timeout=120)
+            for chosen in (cpus[:1], cpus)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout.count("\n") == 2
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_path_is_chosen_from_n_and_usable_cpus(monkeypatch, helpers):
+    monkeypatch.setattr(embed, "_BLOCK_BYTES", 256)
     X, perplexity = _inputs(12)
     results = []
     for threshold, cpus in ((13, 2), (12, 1), (12, 2)):
@@ -110,7 +186,8 @@ def test_large_inputs_take_the_split_by_default(monkeypatch, helpers):
     X = np.random.default_rng(1).normal(size=(n, 4))
     embed.tsne(X, perplexity=30.0, iterations=1)
     embed.tsne(X[:-1], perplexity=30.0, iterations=1)
-    assert helpers == [(n // 2, n)]
+    # 4 blocks of 75 rows
+    assert helpers == [(150, n)]
 
 
 class FakeClock:
