@@ -7,17 +7,20 @@ is the exact O(n^2) formulation: per-point bandwidths found by one
 bisection on the Shannon entropy that steps all rows at once, early
 exaggeration, momentum switch, seeded initialization from a dedicated
 generator. The optimization loop computes only the gradient, in two
-(n, n) buffers allocated once per call, the affinities and the kernel,
-one fixed block of rows at a time; the KL value is not evaluated inside
-it. On two or more CPUs a large input's gradient is computed by two
-processes, each over half of the blocks, with the same bits as one
-process gives, whatever the number of CPUs.
+(n, n) buffers allocated once per call, the affinities and the kernel.
+Both are symmetric, so each fixed block of rows stores and computes only
+its columns from its own first row on: each pair's kernel and gradient
+term is computed once. The KL value is not evaluated inside the loop. On
+two or more CPUs a large input's gradient is computed by two processes,
+each over a group of blocks that holds about half the pairs, with the
+same bits as one process gives, whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import signal
@@ -102,12 +105,45 @@ def _row_blocks(n: int) -> range:
     of exact t-SNE runs. They depend on n alone, so the serial and the
     split path, and the dense oracle of the tests, cut each product the
     same way: an (n, n) buffer larger than _BLOCK_BYTES is cut into an
-    even number of blocks of about that size, so that the split gives
-    each process half of them."""
+    even number of blocks of about that size."""
     count = -(-8 * n * n // _BLOCK_BYTES)
     if count > 1:
         count += count % 2
     return range(0, n, -(-n // count))
+
+
+def _groups(n: int) -> tuple[range, range]:
+    """The indices of the row blocks of each of the two groups that the
+    split runs in two processes: contiguous, and cut at the boundary that
+    shares the blocks' packed areas most evenly (the first such boundary
+    on a tie). A block of rows r:r+h holds h * (n - r) entries (_packed),
+    so the first group takes fewer blocks than the second. Like the
+    blocks, the groups depend on n alone; with one block the second group
+    is empty."""
+    blocks = _row_blocks(n)
+    ends = list(blocks[1:]) + [n]
+    area = list(itertools.accumulate((end - r) * (n - r) for r, end in zip(blocks, ends)))
+    cut = min(range(1, len(blocks)), key=lambda k: abs(2 * area[k - 1] - area[-1]), default=1)
+    return range(cut), range(cut, len(blocks))
+
+
+def _packed(M: np.ndarray, r: int, h: int) -> np.ndarray:
+    """The block of rows r:r+h of a symmetric matrix in the packed layout of
+    the C-contiguous (n, n) buffer M: their columns r:n (the block's h x h
+    square on the diagonal and everything right of it), as one
+    C-contiguous (h, n - r) array at the start of the block's own rows.
+    Over the blocks of _row_blocks(n), each pair i < j is stored once,
+    in the block of row i."""
+    n = M.shape[0]
+    return M.reshape(-1)[r * n:r * n + h * (n - r)].reshape(h, n - r)
+
+
+def _total(M: np.ndarray, h: int) -> float:
+    """The sum over the symmetric matrix that the packed (h, w) block M
+    stands for in its rows and columns: the square once and the entries
+    right of it twice, since they also stand for their mirror images."""
+    total = M[:, :h].sum()
+    return total + 2.0 * M[:, h:].sum() if M.shape[1] > h else total
 
 
 def _off_diagonal(M: np.ndarray) -> np.ndarray:
@@ -120,8 +156,9 @@ def _off_diagonal(M: np.ndarray) -> np.ndarray:
 def _joint_probabilities(X: np.ndarray, perplexity: float, P: np.ndarray,
                          scratch: np.ndarray) -> None:
     """Symmetrized joint probabilities with per-point bandwidth search,
-    written to the C-contiguous (n, n) buffer P; the C-contiguous (n, n)
-    buffer scratch holds the distances meanwhile and is left undefined.
+    written to the C-contiguous (n, n) buffer P in the packed layout of
+    _packed; the C-contiguous (n, n) buffer scratch holds the distances
+    meanwhile and is left undefined.
 
     The squared distances are sums of exact squared differences, one
     feature after another, so they need no matrix product and their bits
@@ -196,22 +233,27 @@ def _joint_probabilities(X: np.ndarray, perplexity: float, P: np.ndarray,
         )
         betamin[active] = lo
         betamax[active] = hi
-    # the rows' probabilities into place in scratch, then their symmetrized
-    # mean into P: no copy overlaps its source, so numpy makes no temporary
+    # the rows' probabilities into place in scratch, then each block's
+    # symmetrized mean into P: no block overlaps its source, so numpy
+    # makes no temporary
     _off_diagonal(scratch)[...] = Poff.reshape(n - 1, n)
     scratch.flat[:: n + 1] = 0.0
-    np.add(scratch, scratch.T, out=P)
-    P /= 2.0 * n
-    np.maximum(P, 1e-12, out=P)
+    for r in blocks:
+        rows = slice(r, r + blocks.step)
+        Pr = _packed(P, r, len(scratch[rows]))
+        np.add(scratch[rows, r:], scratch.T[rows, r:], out=Pr)
+        Pr /= 2.0 * n
+        np.maximum(Pr, 1e-12, out=Pr)
 
 
 # tsne splits each gradient's O(n^2) steps between this process and one
 # forked worker once n reaches this many points. Measured on t-SNE's loop
-# alone (1000 iterations, 28-d input, 2-core host, two rounds), the split
-# runs at 1.3-1.4x the serial speed at n=200 and 256, 1.6x at n=300 and
-# 1.4-1.6x at n=400; below n=182 there is one row block, and the worker
-# would get none. The worker spins while it waits for its next command,
-# so the CPU time rises with the split
+# alone (28-d input, 2-core host, two rounds), the split runs at 1.15-1.35x
+# the serial speed at n=200 and 256, where the worker's one block of 2
+# holds a third of the pairs, 1.3-1.7x at n=300 and 1.5-1.6x at n=400;
+# below n=182 there is one row block, and the worker would get none. The
+# worker spins while it waits for its next command, so the CPU time rises
+# with the split
 _SPLIT_MIN_POINTS = 300
 # semaphore polls (about 0.2 us each) before a wait blocks; the blocking
 # wait checks every _WAIT_S that the other process is still alive
@@ -226,11 +268,11 @@ _WAIT_S = 0.05
 _WINDOW = 10
 _CYCLE = 200
 # the size of one row block of an (n, n) buffer (_row_blocks). A block
-# holds at most _BLOCK_BYTES / 8 + n entries; its kernel product takes 4
-# multiply-adds per entry and its gradient product 2, so below n = 2^15
-# each stays under the 2^18 multiply-adds up to which OpenBLAS runs a
-# product on one thread. So the bits do not depend on the CPU count, and
-# no BLAS thread competes with the split
+# holds at most _BLOCK_BYTES / 8 + n entries; its kernel product takes 5
+# multiply-adds per entry and its two gradient products 3, so below
+# n = 19660 each stays under the 2^18 multiply-adds up to which OpenBLAS
+# runs a product on one thread. So the bits do not depend on the CPU
+# count, and no BLAS thread competes with the split
 _BLOCK_BYTES = 1 << 18
 # the commands a worker runs, posted in _Work.ctrl[0]
 _STOP, _KERNEL, _GRADIENT = 0, 1, 2
@@ -238,100 +280,127 @@ _STOP, _KERNEL, _GRADIENT = 0, 1, 2
 
 class _Work:
     """The buffers of one exact t-SNE gradient, views of one flat float
-    array from alloc(size): the (n, n) affinities P and kernel num; the
-    (n, 4) factors A = [sq, 1, y0, y1] and B = [1, sq, -2 y0, -2 y1] of
-    the squared distances; the (n, 2) coordinates Y and gradient grad; the
-    (n,) row sums rowz of num; and ctrl, which holds the posted command,
-    the kernel total Z and the exaggeration. scratch, two blocks of rows
-    for _gradient_rows, comes from np.empty: each process writes its own
-    copy of it."""
+    array from alloc(size): the (n, n) affinities P and kernel num, both
+    symmetric and stored in the packed layout of _packed; the (n, 5)
+    factors A = [sq, 1, y0, y1, 1] and B = [1, sq, -2 y0, -2 y1, 1] of
+    1 + |y_i - y_j|^2; acc, one (n, 3) accumulator of [PQ @ Y, rowsum(PQ)]
+    per group of blocks (_groups); the blocks' kernel totals; and ctrl,
+    which holds the posted command, the kernel total Z and the
+    exaggeration. Each block's views are made once, in parts. The
+    scratch, two blocks for _gradient_group, and tmp come from np.empty:
+    each process writes its own copy of them."""
 
     def __init__(self, n: int, alloc=np.empty):
-        shapes = [(n, n)] * 2 + [(n, 4)] * 2 + [(n, 2)] * 2 + [(n,), (3,)]
+        blocks = _row_blocks(n)
+        shapes = [(n, n)] * 2 + [(n, 5)] * 2 + [(2, n, 3), (len(blocks),), (3,)]
         ends = np.cumsum([math.prod(shape) for shape in shapes])
         parts = np.split(alloc(int(ends[-1])), ends[:-1])
         views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-        self.P, self.num, self.A, self.B, self.Y, self.grad, self.rowz, self.ctrl = views
-        self.A[:, 1] = 1.0
-        self.B[:, 0] = 1.0
-        self.blocks = _row_blocks(n)
-        self.scratch = np.empty((2, self.blocks.step, n))
+        self.P, self.num, self.A, self.B, self.acc, self.totals, self.ctrl = views
+        self.A[:, [1, 4]] = 1.0
+        self.B[:, [0, 4]] = 1.0
+        self.groups = _groups(n)
+        # the first row of the second group
+        self.lo = blocks[self.groups[1].start] if self.groups[1] else n
+        self.scratch = np.empty((2, blocks.step * n))
+        self.tmp = np.empty((n, 3))
+        # per block: its first row r, its height h and its packed (h, n - r)
+        # views of P, num and the two scratch blocks
+        self.parts = []
+        for r in blocks:
+            h = min(blocks.step, n - r)
+            size = h * (n - r)
+            self.parts.append((r, h, _packed(self.P, r, h), _packed(self.num, r, h),
+                               *(s[:size].reshape(h, n - r) for s in self.scratch)))
 
 
-def _kernel_rows(work: _Work, lo: int, hi: int) -> None:
-    """Rows lo:hi of the Student-t kernel num = 1 / (1 + |y_i - y_j|^2)
-    with a zero diagonal, and their sums in rowz, one block at a time."""
-    n, step = work.num.shape[0], work.blocks.step
-    for r in range(lo, hi, step):
-        num = work.num[r:r + step]
-        # sq_i + sq_j - 2 y_i . y_j as one product with K = 4
-        np.matmul(work.A[r:r + step], work.B.T, out=num)
-        np.maximum(num, 0.0, out=num)
-        num += 1.0
+def _pack(P: np.ndarray, work: _Work) -> None:
+    """The symmetric (n, n) array P into work.P's packed layout."""
+    for r, h, Pr, *_ in work.parts:
+        Pr[...] = P[r:r + h, r:]
+
+
+def _kernel_group(work: _Work, group: int) -> None:
+    """The Student-t kernel num = 1 / (1 + |y_i - y_j|^2), with a zero
+    diagonal, on the blocks of one group, and each block's total."""
+    for k in work.groups[group]:
+        r, h, _, num, _, _ = work.parts[k]
+        # 1 + sq_i + sq_j - 2 y_i . y_j as one product with K = 5
+        np.matmul(work.A[r:r + h], work.B[r:].T, out=num)
+        np.maximum(num, 1.0, out=num)
         np.divide(1.0, num, out=num)
-        num.flat[r :: n + 1] = 0.0
-        num.sum(axis=1, out=work.rowz[r:r + step])
+        num.flat[:: num.shape[1] + 1] = 0.0
+        work.totals[k] = _total(num, h)
 
 
-def _gradient_rows(work: _Work, lo: int, hi: int) -> None:
-    """Rows lo:hi of L @ Y, written to grad, with L = diag(rowsum(PQ)) - PQ,
-    PQ = (e * P - Q) * num, Q = max(num / Z, 1e-12) and e the
-    exaggeration. Each block of L is formed in the scratch, so L takes no
-    (n, n) buffer."""
-    n, step = work.num.shape[0], work.blocks.step
+def _gradient_group(work: _Work, group: int) -> None:
+    """Accumulate PQ @ [Y, 1] into work.acc[group] from the blocks of one
+    group, in block order, with PQ = (e * P - Q) * num, Q = max(num / Z,
+    1e-12) and e the exaggeration. A block of rows r:r+h adds its PQ rows
+    times [Y, 1] to its own rows, and, since PQ is symmetric, the
+    transpose of its part right of the square times its rows' [Y, 1] to
+    the later rows. The group's first block writes the accumulator's rows
+    r:n, so it needs no zeroing. PQ is formed in the scratch, so it takes
+    no (n, n) buffer."""
     Z, exaggeration = work.ctrl[1], work.ctrl[2]
-    for r in range(lo, hi, step):
-        num, P = work.num[r:r + step], work.P[r:r + step]
-        g = work.scratch[0, :len(num)]
+    acc, Y1 = work.acc[group], work.A[:, 2:]
+    blocks = work.groups[group]
+    for k in blocks:
+        r, h, P, num, g, scaled = work.parts[k]
+        w = num.shape[1]
         np.divide(num, Z, out=g)
         np.maximum(g, 1e-12, out=g)
         # 1.0 * P is P bit for bit
         if exaggeration != 1.0:
-            P = np.multiply(P, exaggeration, out=work.scratch[1, :len(num)])
+            P = np.multiply(P, exaggeration, out=scaled)
         np.subtract(P, g, out=g)
         g *= num
-        # diag(rowsum) - PQ: 0 - x rather than -x off the diagonal, so that
-        # zero entries keep the sign the dense formula gives them
-        diag = g.sum(axis=1) - g.flat[r :: n + 1]
-        np.subtract(0.0, g, out=g)
-        g.flat[r :: n + 1] = diag
-        np.matmul(g, work.Y, out=work.grad[r:r + step])
+        out = acc[r:] if k == blocks.start else work.tmp[:w]
+        np.matmul(g, Y1[r:], out=out[:h])
+        if w > h:
+            np.matmul(g[:, h:].T, Y1[r:r + h], out=out[h:])
+        if k != blocks.start:
+            acc[r:] += out
 
 
-def _run_rows(work: _Work, command: int, lo: int, hi: int) -> None:
+def _run_group(work: _Work, command: int, group: int) -> None:
     if command == _KERNEL:
-        _kernel_rows(work, lo, hi)
+        _kernel_group(work, group)
     else:
-        _gradient_rows(work, lo, hi)
+        _gradient_group(work, group)
 
 
 def _gradient(work: _Work, Y: np.ndarray, exaggeration: float,
               helper: _Helper | None = None) -> np.ndarray:
     """KL gradient with respect to Y for the affinities exaggeration * work.P.
 
-    On return work.num holds the Student-t kernel with a zero diagonal and
-    work.ctrl[1] its total Z. The result is 4 * L @ Y, L and the kernel
-    computed one block of rows at a time (_row_blocks); Z is the sum of the
-    rows' sums. With a helper, the worker runs the blocks from helper.lo on
-    while this process runs the others, which gives the same bits, so no
-    step is left whole.
+    On return work.num holds the Student-t kernel with a zero diagonal, in
+    the packed layout, and work.ctrl[1] its total Z, the sum of the
+    blocks' totals. Each pair's kernel and gradient term is computed once,
+    one block at a time (_row_blocks). The result is 4 * (s2 * Y - s01),
+    where [s01, s2] = [PQ @ Y, rowsum(PQ)] is the sum of the two groups'
+    accumulators (_groups). With a helper, the worker runs the second group
+    while this process runs the first; without one, this process runs both,
+    each into its own accumulator, so both paths give the same bits.
     """
-    n = Y.shape[0]
-    rows = helper.lo if helper else n
-    work.Y[...] = Y
-    work.A[:, 2:] = Y
-    np.multiply(Y, -2.0, out=work.B[:, 2:])
+    work.A[:, 2:4] = Y
+    np.multiply(Y, -2.0, out=work.B[:, 2:4])
     np.sum(np.square(Y), axis=1, out=work.A[:, 0])
     work.B[:, 1] = work.A[:, 0]
     for command in (_KERNEL, _GRADIENT):
         if command == _GRADIENT:
-            work.ctrl[1:] = work.rowz.sum(), exaggeration
+            work.ctrl[1:] = work.totals.sum(), exaggeration
         if helper:
             helper.post(command)
-        _run_rows(work, command, 0, rows)
+        _run_group(work, command, 0)
         if helper:
             helper.wait()
-    return 4.0 * work.grad
+        else:
+            _run_group(work, command, 1)
+    s, lo = work.acc[0], work.lo
+    if lo < len(Y):
+        s[lo:] += work.acc[1, lo:]
+    return 4.0 * (s[:, 2:] * Y - s[:, :2])
 
 
 def _acquire(sem, alive) -> bool:
@@ -348,22 +417,22 @@ def _acquire(sem, alive) -> bool:
     return True
 
 
-def _serve(work: _Work, lo: int, hi: int, go, done, parent: int) -> None:
-    """The worker: run each posted command on rows lo:hi until told to
-    stop or the parent is gone."""
+def _serve(work: _Work, go, done, parent: int) -> None:
+    """The worker: run each posted command on the second group of blocks
+    until told to stop or the parent is gone."""
     # an interrupt reaches the whole process group; the parent handles it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while _acquire(go, lambda: os.getppid() == parent):
         command = int(work.ctrl[0])
         if command == _STOP:
             return
-        _run_rows(work, command, lo, hi)
+        _run_group(work, command, 1)
         done.release()
 
 
 class _Helper:
-    """One forked worker process that runs the row kernels on rows lo:n of
-    buffers in shared anonymous memory."""
+    """One forked worker process that runs the second group of row blocks
+    (_groups), rows work.lo:n, of buffers in shared anonymous memory."""
 
     def __init__(self, context, n: int):
         import mmap
@@ -371,13 +440,10 @@ class _Helper:
         # the pages stay untouched until after the fork, so the worker
         # inherits none of the values written to them
         self.work = _Work(n, lambda size: np.frombuffer(mmap.mmap(-1, 8 * size)))
-        # the first row of the second half of the blocks
-        blocks = self.work.blocks
-        self.lo = blocks.step * ((len(blocks) + 1) // 2)
         self._go, self._done = context.Semaphore(0), context.Semaphore(0)
         self._process = context.Process(
             target=_serve,
-            args=(self.work, self.lo, n, self._go, self._done, os.getpid()),
+            args=(self.work, self._go, self._done, os.getpid()),
             daemon=True,
         )
         self._process.start()
@@ -401,17 +467,29 @@ class _Helper:
 
 
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
-    """KL(P || Q) under the Student-t kernel and its analytic gradient.
+    """KL(P || Q) under the Student-t kernel and its analytic gradient, for
+    symmetric affinities P (only the entries of the packed layout are read).
 
     grad_i = 4 * sum_j (p_ij - q_ij) * (1 + |y_i - y_j|^2)^-1 * (y_i - y_j)
+
+    The KL terms are summed one packed block at a time, each block as
+    _total sums it, then over the blocks.
     """
     work = _Work(Y.shape[0])
-    work.P[...] = P
+    _pack(P, work)
     grad = _gradient(work, Y, 1.0)
-    Q = np.maximum(work.num / work.ctrl[1], 1e-12)
-    mask = P > 1e-12
-    kl = float((P[mask] * np.log(P[mask] / Q[mask])).sum())
-    return kl, grad
+    Z = work.ctrl[1]
+    kl = np.empty(len(work.parts))
+    for k, (_, h, Pr, num, t, _) in enumerate(work.parts):
+        np.divide(num, Z, out=t)
+        np.maximum(t, 1e-12, out=t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(Pr, t, out=t)
+            np.log(t, out=t)
+        t *= Pr
+        t[Pr <= 1e-12] = 0.0
+        kl[k] = _total(t, h)
+    return float(kl.sum()), grad
 
 
 @dataclass(frozen=True, eq=False)

@@ -274,10 +274,40 @@ def nesting_two(code):
 
 # ------------------------------------------------------------ exact t-SNE
 # The straightforward dense formulation that cegraph.embed must match bit
-# for bit: a scalar bandwidth bisection per row, and the KL value and
-# np.diag gradient evaluated on every iteration. The two matrix products
-# are cut into the fixed row blocks of embed._row_blocks, since their
-# bits depend on how a product is cut; everything else is whole.
+# for bit: a scalar bandwidth bisection per row, and the KL value and the
+# gradient evaluated on whole (n, n) matrices on every iteration. Since
+# their bits depend on how a product or a sum is cut, the products and the
+# sums are cut the way embed cuts them: into the fixed row blocks of
+# embed._row_blocks, each block's rows over the columns from its first row
+# on (a copy of the (h, n - r) block, laid out as embed packs it), and the
+# gradient's contributions added up per group of embed._groups.
+
+
+def _blocks(n):
+    from cegraph.embed import _row_blocks
+
+    blocks = _row_blocks(n)
+    return [(r, min(blocks.step, n - r)) for r in blocks]
+
+
+def unpacked(M):
+    """The symmetric (n, n) matrix stored in embed's packed layout of the
+    (n, n) buffer M: the block of rows r:r+h keeps their columns r:n as one
+    C-contiguous (h, n - r) array from the start of row r."""
+    n = M.shape[0]
+    D = np.empty((n, n))
+    for r, h in _blocks(n):
+        B = M.reshape(-1)[r * n:r * n + h * (n - r)].reshape(h, n - r)
+        D[r:r + h, r:] = B
+        D[r + h:, r:r + h] = B[:, h:].T
+    return D
+
+
+def _block_sum(M, r, h):
+    """The block's share of the sum of the symmetric M: its square once and
+    the rest of its rows twice."""
+    B = np.ascontiguousarray(M[r:r + h, r:])
+    return B[:, :h].sum() + 2.0 * B[:, h:].sum()
 
 
 def joint_probabilities_reference(X, perplexity):
@@ -314,27 +344,42 @@ def joint_probabilities_reference(X, perplexity):
     return np.maximum(P, 1e-12)
 
 
-def blockwise_product(M, N):
-    """M @ N, one of embed's fixed row blocks of M at a time."""
-    from cegraph.embed import _row_blocks
-
-    blocks = _row_blocks(M.shape[0])
-    return np.vstack([M[r:r + blocks.step] @ N for r in blocks])
-
-
 def kl_divergence_and_grad_reference(P, Y):
+    from cegraph.embed import _groups
+
+    n = len(Y)
+    blocks = _blocks(n)
     sq = np.sum(Y * Y, axis=1)
     ones = np.ones_like(sq)
-    # |y_i - y_j|^2 = [sq, 1, y] . [1, sq, -2 y]
-    A = np.column_stack([sq, ones, Y])
-    B = np.column_stack([ones, sq, -2.0 * Y])
-    num = 1.0 / (1.0 + np.maximum(blockwise_product(A, B.T), 0.0))
+    # 1 + |y_i - y_j|^2 = [sq, 1, y, 1] . [1, sq, -2 y, 1]
+    A = np.column_stack([sq, ones, Y, ones])
+    B = np.column_stack([ones, sq, -2.0 * Y, ones])
+    D = np.empty((n, n))
+    for r, h in blocks:
+        D[r:r + h, r:] = A[r:r + h] @ B[r:].T
+        D[r + h:, r:r + h] = D[r:r + h, r + h:].T
+    num = 1.0 / np.maximum(D, 1.0)
     np.fill_diagonal(num, 0.0)
-    Q = np.maximum(num / num.sum(axis=1).sum(), 1e-12)
-    mask = P > 1e-12
-    kl = float((P[mask] * np.log(P[mask] / Q[mask])).sum())
+    Z = np.sum([_block_sum(num, r, h) for r, h in blocks])
+    Q = np.maximum(num / Z, 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = P * np.log(P / Q)
+    terms[P <= 1e-12] = 0.0
+    kl = float(np.sum([_block_sum(terms, r, h) for r, h in blocks]))
     PQ = (P - Q) * num
-    grad = 4.0 * blockwise_product(np.diag(PQ.sum(axis=1)) - PQ, Y)
+    # row i of PQ @ [Y, 1] is [sum_j PQ_ij y_j, sum_j PQ_ij]; a block adds
+    # its rows' part to its rows, and the mirror image of the rest to the
+    # later rows
+    Y1 = A[:, 2:]
+    acc = np.zeros((2, n, 3))
+    for g, group in enumerate(_groups(n)):
+        for k in group:
+            r, h = blocks[k]
+            rows = np.ascontiguousarray(PQ[r:r + h, r:])
+            acc[g, r:r + h] += rows @ Y1[r:]
+            acc[g, r + h:] += rows[:, h:].T @ Y1[r:r + h]
+    s = acc[0] + acc[1]
+    grad = 4.0 * (s[:, 2:] * Y - s[:, :2])
     return kl, grad
 
 

@@ -316,6 +316,7 @@ def test_criterion_4_tsne(capsys):
     Xg = rng.normal(size=(6, 3))
     P = np.empty((6, 6))
     _joint_probabilities(Xg, 1.5, P, np.empty_like(P))
+    P = oracles.unpacked(P)
     Y = rng.normal(size=(6, 2))
     _, grad = kl_divergence_and_grad(P, Y)
     h = 1e-5

@@ -328,14 +328,14 @@ if sys.argv[1] == "pool":
     features._PARALLEL_MIN_CHARS = 1
     features._featurize_row = dying
 else:
-    parent, run_rows = os.getpid(), embed._run_rows
+    parent, run_group = os.getpid(), embed._run_group
 
     def dying_in_worker(*args):
         if os.getpid() != parent:
             dying()
-        run_rows(*args)
+        run_group(*args)
 
-    embed._run_rows = dying_in_worker
+    embed._run_group = dying_in_worker
 raise SystemExit(main(sys.argv[2:]))
 """
 
@@ -363,14 +363,14 @@ _NO_MEMORY = ("Unable to allocate 7.28 TiB for an array with shape (1000000, 100
 def _kill_tsne_worker(monkeypatch):
     monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
-    parent, run_rows = os.getpid(), embed._run_rows
+    parent, run_group = os.getpid(), embed._run_group
 
     def dying_in_worker(*args):
         if os.getpid() != parent:
             os._exit(1)
-        run_rows(*args)
+        run_group(*args)
 
-    monkeypatch.setattr(embed, "_run_rows", dying_in_worker)
+    monkeypatch.setattr(embed, "_run_group", dying_in_worker)
 
 
 def _run_out_of_memory(monkeypatch):

@@ -128,9 +128,9 @@ def two_clusters(n_per=10, d=5, gap=100.0, seed=5):
 
 def test_joint_probabilities_shape_and_mass():
     X = two_clusters()
-    P = np.empty((20, 20))
-    _joint_probabilities(X, 5.0, P, np.empty_like(P))
-    assert P.shape == (20, 20)
+    packed = np.empty((20, 20))
+    _joint_probabilities(X, 5.0, packed, np.empty_like(packed))
+    P = oracles.unpacked(packed)
     assert np.array_equal(P, P.T)
     assert float(P.sum()) == pytest.approx(1.0, abs=1e-6)
     assert float(P.min()) >= 1e-12
@@ -163,6 +163,7 @@ def test_joint_probabilities_bitwise_equal_to_per_row_bisection(case, rows):
     got = np.full((len(X), len(X)), np.nan)
     with mock.patch.object(embed, "_BLOCK_BYTES", 8 * len(X) * rows):
         _joint_probabilities(X, perplexity, got, np.full_like(got, np.nan))
+        got = oracles.unpacked(got)
     want = oracles.joint_probabilities_reference(X, perplexity)
     assert got.tobytes() == want.tobytes()
 
@@ -228,6 +229,7 @@ def test_kl_and_gradient_bitwise_equal_to_dense_reference():
     X = rng.normal(size=(30, 4))
     P = np.empty((30, 30))
     _joint_probabilities(X, 6.0, P, np.empty_like(P))
+    P = oracles.unpacked(P)
     for Y in (rng.normal(size=(30, 2)), rng.normal(0.0, 1e-4, size=(30, 2))):
         kl, grad = kl_divergence_and_grad(P, Y)
         want_kl, want_grad = oracles.kl_divergence_and_grad_reference(P, Y)
@@ -240,6 +242,7 @@ def test_kl_gradient_matches_central_differences():
     X = rng.normal(size=(6, 3))
     P = np.empty((6, 6))
     _joint_probabilities(X, 1.5, P, np.empty_like(P))
+    P = oracles.unpacked(P)
     Y = rng.normal(size=(6, 2))
     kl, grad = kl_divergence_and_grad(P, Y)
     assert kl >= 0.0

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -32,7 +32,7 @@ class CountingHelper(embed._Helper):
 
     def __init__(self, context, n):
         super().__init__(context, n)
-        CountingHelper.started.append((self.lo, n))
+        CountingHelper.started.append((self.work.lo, n))
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ def helpers(monkeypatch):
 @pytest.fixture
 def split(monkeypatch, helpers):
     """Every tsne call with n >= 4 forks a worker, and blocks of 256 bytes
-    give each process several of them (2 at n=8, 142 at n=67)."""
+    cut the rows into several (2 at n=8, 67 of one row at n=67)."""
     monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
     monkeypatch.setattr(embed, "_BLOCK_BYTES", 256)
     monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
@@ -53,10 +53,13 @@ def split(monkeypatch, helpers):
 
 
 def worker_rows(n):
-    """The worker's rows: the second half of the row blocks, the smaller
-    one when their number is odd."""
+    """The worker's rows: from the first row block boundary that shares the
+    blocks' packed areas (rows r:e hold (e - r) * (n - r) entries) most
+    evenly between the rows before it and the rows from it on."""
     starts = list(embed._row_blocks(n)) + [n]
-    return starts[len(starts) // 2], n
+    area = [(e - r) * (n - r) for r, e in zip(starts, starts[1:])]
+    cut = min(range(1, len(area)), key=lambda k: abs(sum(area[:k]) - sum(area[k:])))
+    return starts[cut], n
 
 
 def _inputs(n, seed=0):
@@ -82,6 +85,7 @@ def test_kl_and_gradient_bitwise_equal_to_dense_reference(split, n):
     X, perplexity = _inputs(n, seed=5)
     P = np.empty((n, n))
     embed._joint_probabilities(X, perplexity, P, np.empty_like(P))
+    P = oracles.unpacked(P)
     for Y in (np.random.default_rng(n).normal(size=(n, 2)),
               np.random.default_rng(n).normal(0.0, 1e-4, size=(n, 2))):
         kl, grad = embed.kl_divergence_and_grad(P, Y)
@@ -110,10 +114,10 @@ def test_row_blocks_keep_the_bits(monkeypatch, helpers, cpus, n, rows):
 @given(st.data(), st.integers(4, 40), st.floats(-4.0, 3.0), st.sampled_from([1.0, 12.0]),
        st.integers(0, 2**32 - 1))
 def test_blocks_have_the_same_bits_in_either_process(data, n, scale, exaggeration, seed):
-    # a block's kernel rows, their sums and its gradient rows have the same
-    # bits whichever process computes them: a worker that takes the second
-    # half of the blocks gives the serial path's kernel, total and gradient,
-    # which are the dense oracle's
+    # a block's kernel, its total and its gradient terms have the same bits
+    # whichever process computes them: a worker that takes the second group
+    # of blocks gives the serial path's kernel, total and gradient, which
+    # are the dense oracle's
     rows = data.draw(st.integers(1, n // 2))
     rng = np.random.default_rng(seed)
     Y = rng.normal(size=(n, 2)) * 10.0**scale
@@ -123,20 +127,62 @@ def test_blocks_have_the_same_bits_in_either_process(data, n, scale, exaggeratio
     P /= P.sum()
     with mock.patch.object(embed, "_BLOCK_BYTES", 8 * n * rows):
         serial = embed._Work(n)
-        serial.P[...] = P
+        embed._pack(P, serial)
         want = embed._gradient(serial, Y, exaggeration)
         helper = embed._Helper(multiprocessing.get_context("fork"), n)
         try:
-            helper.work.P[...] = P
+            embed._pack(P, helper.work)
             got = embed._gradient(helper.work, Y, exaggeration, helper)
         finally:
             helper.close()
         _, oracle = oracles.kl_divergence_and_grad_reference(exaggeration * P, Y)
-        assert (helper.lo, n) == worker_rows(n)
-    assert 0 < helper.lo < n
-    assert helper.work.num.tobytes() == serial.num.tobytes()
+        assert (helper.work.lo, n) == worker_rows(n)
+        kernels = [oracles.unpacked(work.num).tobytes() for work in (helper.work, serial)]
+    assert 0 < helper.work.lo < n
+    assert kernels[0] == kernels[1]
     assert helper.work.ctrl[1] == serial.ctrl[1]
     assert got.tobytes() == want.tobytes() == oracle.tobytes()
+
+
+# OpenBLAS runs a product of at most this many multiply-adds on one thread
+_ONE_THREAD = 1 << 18
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 20_000))
+@example(181)
+@example(182)
+@example(299)
+@example(300)
+@example(392)
+@example(400)
+@example(19_660)
+@example(20_000)
+def test_blocks_and_groups_by_arithmetic(n):
+    blocks = embed._row_blocks(n)
+    ends = list(blocks[1:]) + [n]
+    assert blocks.start == 0 and all(r < e for r, e in zip(blocks, ends))
+    pairs, area = 0, []
+    for r, e in zip(blocks, ends):
+        h, w = e - r, n - r
+        # the kernel (h, 5) @ (5, w), the rows' (h, w) @ (w, 3) and the
+        # later rows' (w - h, h) @ (h, 3)
+        assert h * w * 5 <= _ONE_THREAD
+        assert h * w * 3 <= _ONE_THREAD
+        assert (w - h) * h * 3 <= _ONE_THREAD
+        # the pairs i < j stored in the block: within its square, and
+        # between its rows and the later ones
+        pairs += h * (h - 1) // 2 + h * (w - h)
+        area.append(h * w)
+    assert pairs == n * (n - 1) // 2
+    first, second = embed._groups(n)
+    assert first == range(len(first)) and second == range(len(first), len(blocks))
+    assert len(first) >= 1 and bool(second) == (len(blocks) > 1)
+    if n >= embed._SPLIT_MIN_POINTS:
+        # the larger group holds at most 60% of the packed entries (60% at
+        # n=300, where 4 blocks hold 22500, 16875, 11250 and 5625)
+        shares = sum(area[k] for k in first), sum(area[k] for k in second)
+        assert 5 * max(shares) <= 3 * sum(area)
 
 
 _ON_CPUS = """
@@ -144,7 +190,7 @@ import hashlib, os
 os.sched_setaffinity(0, {cpus})
 import numpy as np  # after the affinity is set: OpenBLAS sizes its threads on load
 from cegraph import embed
-for n in (900, 1000):
+for n in (392, 400, 900, 1000):
     X = np.random.default_rng(n).normal(size=(n, 28))
     Y = embed.tsne(X, perplexity=30.0, seed=1, iterations=30).coords
     print(n, hashlib.sha256(Y.tobytes()).hexdigest())
@@ -155,7 +201,8 @@ for n in (900, 1000):
                     reason="needs two usable CPUs")
 def test_tsne_has_the_same_bits_on_one_and_on_two_cpus():
     # from about 900 points, whole matrix products round differently on one
-    # and on two BLAS threads; 30 iterations run both paths of the split
+    # and on two BLAS threads; at 392 and 400 points the groups hold 2 and 4
+    # of 6 blocks; 30 iterations run both paths of the split
     cpus = sorted(os.sched_getaffinity(0))[:2]
     env = {k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "OMP_"))}
     env["PYTHONPATH"] = str(SRC)
@@ -164,7 +211,7 @@ def test_tsne_has_the_same_bits_on_one_and_on_two_cpus():
             for chosen in (cpus[:1], cpus)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
-    assert runs[0].stdout.count("\n") == 2
+    assert runs[0].stdout.count("\n") == 4
     assert runs[0].stdout == runs[1].stdout
 
 
@@ -176,7 +223,8 @@ def test_path_is_chosen_from_n_and_usable_cpus(monkeypatch, helpers):
         monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", threshold)
         monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
         results.append(embed.tsne(X, perplexity=perplexity, iterations=40).coords.tobytes())
-    assert helpers == [(6, 12)]
+    # 6 blocks of 2 rows; the first 2 hold 24 + 20 of the 84 packed entries
+    assert helpers == [(4, 12)]
     assert results[0] == results[1] == results[2]
 
 
@@ -186,8 +234,8 @@ def test_large_inputs_take_the_split_by_default(monkeypatch, helpers):
     X = np.random.default_rng(1).normal(size=(n, 4))
     embed.tsne(X, perplexity=30.0, iterations=1)
     embed.tsne(X[:-1], perplexity=30.0, iterations=1)
-    # 4 blocks of 75 rows
-    assert helpers == [(150, n)]
+    # 4 blocks of 75 rows, of 22500, 16875, 11250 and 5625 packed entries
+    assert helpers == [(75, n)]
 
 
 class FakeClock:
@@ -254,14 +302,14 @@ from cegraph import embed, features
 features._usable_cpus = lambda: 2
 embed._SPLIT_MIN_POINTS = 4
 parent = os.getpid()
-run_rows = embed._run_rows
+run_group = embed._run_group
 
-def dying(work, command, lo, hi):
+def dying(work, command, group):
     if os.getpid() != parent:
         os._exit(1)
-    run_rows(work, command, lo, hi)
+    run_group(work, command, group)
 
-embed._run_rows = dying
+embed._run_group = dying
 start = time.monotonic()
 try:
     embed.tsne(np.random.default_rng(0).normal(size=(30, 3)), perplexity=5.0)
@@ -368,4 +416,4 @@ def test_a_daemonic_process_runs_serially(split):
         got = pool.apply(_tsne_coords, (X, perplexity))
     assert split == []
     assert got.tobytes() == _tsne_coords(X, perplexity).tobytes()
-    assert split == [(6, 12)]
+    assert split == [(4, 12)]
