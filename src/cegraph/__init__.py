@@ -10,6 +10,7 @@ from .astfeat import (
     AST_FEATURE_NAMES,
     EIG_FEATURE_NAMES,
     GraphFeatures,
+    PreorderTree,
     compute_graph_features,
 )
 from .ceg import CegNode, EvolutionGraph, build_ceg, graphs_to_json
@@ -70,6 +71,7 @@ __all__ = [
     "GraphFeatures",
     "ParseError",
     "PcaResult",
+    "PreorderTree",
     "RenderedFigure",
     "SchemaError",
     "TsneResult",

@@ -5,10 +5,11 @@ counts, degree statistics, depth statistics, clustering terms (a tree has
 no triangles, so these are always 0; they keep the 22-column schema), and
 distance statistics. Graphs that are not trees are rejected.
 
-The distance features are computed with numpy from the parent array of
-the tree labeled in depth-first preorder, as parse_to_graph labels it (a
-graph built otherwise is relabeled by one traversal first), where each
-subtree is an interval of ids; there is no breadth-first search. Subtree
+Every feature is computed with numpy from two arrays, the parent and the
+depth of each node of the tree labeled in depth-first preorder, as
+parse_to_graph labels it (PreorderTree; a graph built otherwise is
+relabeled by one traversal first), where each subtree is an interval of
+ids; there is no breadth-first search. Subtree
 sizes, summed one depth level at a time, give the average shortest path.
 Eccentricities come from the two ends of a diameter, with dist(a, v) =
 depth[a] + depth[v] - 2 depth[lca(a, v)] and the lowest common ancestor
@@ -21,6 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,22 +103,33 @@ def _entropy(counts) -> float:
     return acc
 
 
-def _preorder_tree(graph: AstGraph, e: np.ndarray, depth: np.ndarray) -> tuple:
-    """Parent and depth arrays of the tree, labeled in depth-first preorder
-    from its root, so that the subtree of node v is the id interval
-    [v, v + size[v]); and the subtree sizes.
+class PreorderTree(NamedTuple):
+    """A rooted tree labeled in depth-first preorder from root 0, as
+    arrays: parent[v] is the parent of node v (parent[0] is -1) and
+    depth[v] its depth, so the subtree of node v is the id interval
+    [v, v + size[v]). parse_to_graph labels its graphs so."""
 
-    A parsed graph is labeled so already; any other tree is relabeled by
-    one traversal from the root, which raises ValueError when the edges do
-    not connect every node.
-    """
-    if graph.parsed:
-        parent = np.empty(graph.node_count, dtype=np.int64)
-        parent[0] = -1
-        parent[1:] = e[:, 0]
-    else:
-        parent, depth = _relabel_preorder(graph.node_count, e, graph.root_id)
-    return parent, depth, _subtree_sizes(parent, depth)
+    parent: np.ndarray
+    depth: np.ndarray
+
+    @classmethod
+    def of(cls, graph: AstGraph) -> PreorderTree:
+        """The tree of a syntax-tree graph. A parsed graph is labeled in
+        preorder already; any other tree is relabeled by one traversal from
+        its root. Raises ValueError for a graph that is not a tree."""
+        n = graph.node_count
+        m = graph.edge_count
+        if n == 0:
+            raise ValueError("graph has no nodes")
+        if m != n - 1:
+            raise ValueError(f"not a tree: {n} nodes but {m} edges")
+        if graph.parsed:
+            parent = np.empty(n, dtype=np.int64)
+            parent[0] = -1
+            parent[1:] = np.fromiter((p for p, _ in graph.edges), np.int64, m)
+            return cls(parent, np.fromiter((d for _, _, d in graph.nodes), np.int64, n))
+        e = np.fromiter(chain.from_iterable(graph.edges), np.int64, 2 * m).reshape(m, 2)
+        return cls(*_relabel_preorder(n, e, graph.root_id))
 
 
 def _relabel_preorder(n: int, e: np.ndarray, root: int) -> tuple:
@@ -172,7 +185,7 @@ def _distances_from(a: int, parent, depth, size) -> np.ndarray:
     return depth[a] + depth - 2 * lca_depth
 
 
-def _tree_distance_features(graph: AstGraph, e: np.ndarray, depth: np.ndarray) -> tuple:
+def _tree_distance_features(parent: np.ndarray, depth: np.ndarray) -> tuple:
     """(diameter, radius, mean eccentricity, mean pairwise distance).
 
     Each edge above a subtree of size s lies on s * (n - s) paths, which
@@ -180,8 +193,8 @@ def _tree_distance_features(graph: AstGraph, e: np.ndarray, depth: np.ndarray) -
     for the ends a, b of a diameter: a is a deepest node, b one farthest
     from a.
     """
-    n = graph.node_count
-    parent, depth, size = _preorder_tree(graph, e, depth)
+    n = len(parent)
+    size = _subtree_sizes(parent, depth)
     below = size[1:]
     total = int((below * (n - below)).sum())
     avg_shortest_path = total / (n * (n - 1) / 2)
@@ -191,18 +204,15 @@ def _tree_distance_features(graph: AstGraph, e: np.ndarray, depth: np.ndarray) -
     return int(ecc.max()), int(ecc.min()), int(ecc.sum()) / n, avg_shortest_path
 
 
-def _eig_centrality(n: int, e: np.ndarray, tol: float = 1e-10, max_iter: int = 1000):
-    """Power iteration on A + I (shifted to kill the bipartite sign flip)."""
+def _eig_centrality(n: int, src: np.ndarray, dst: np.ndarray, tol: float = 1e-10,
+                    max_iter: int = 1000):
+    """Power iteration on A + I (shifted to kill the bipartite sign flip),
+    where A joins src[i] and dst[i]."""
     x = np.full(n, 1.0 / math.sqrt(n))
-    if len(e):
-        src, dst = e[:, 0], e[:, 1]
-    else:
-        src = dst = None
     for _ in range(max_iter):
         nxt = x.copy()
-        if src is not None:
-            np.add.at(nxt, src, x[dst])
-            np.add.at(nxt, dst, x[src])
+        np.add.at(nxt, src, x[dst])
+        np.add.at(nxt, dst, x[src])
         nxt /= np.linalg.norm(nxt)
         if np.max(np.abs(nxt - x)) < tol:
             x = nxt
@@ -212,9 +222,10 @@ def _eig_centrality(n: int, e: np.ndarray, tol: float = 1e-10, max_iter: int = 1
 
 
 def compute_graph_features(
-    graph: AstGraph, include_eigenvector: bool = False
+    graph: AstGraph | PreorderTree, include_eigenvector: bool = False
 ) -> GraphFeatures:
-    """Compute the structural feature vector of a syntax-tree graph.
+    """Compute the structural feature vector of a syntax-tree graph, given
+    as an AstGraph (see PreorderTree.of) or as the arrays of its tree.
 
     Degenerate cases follow fixed conventions: a single-node graph has all
     degree, depth, clustering and distance statistics equal to 0 and
@@ -223,16 +234,15 @@ def compute_graph_features(
     count is not its node count minus one is not a tree and raises
     ValueError.
     """
-    n = graph.node_count
-    edges = graph.edges
-    m = len(edges)
-    if n == 0:
-        raise ValueError("graph has no nodes")
-    if m != n - 1:
-        raise ValueError(f"not a tree: {n} nodes but {m} edges")
-
-    e = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
-    deg = np.bincount(e.ravel(), minlength=n)
+    tree = graph if isinstance(graph, PreorderTree) else PreorderTree.of(graph)
+    parent, depths = tree.parent, tree.depth
+    n = len(parent)
+    m = n - 1
+    # edge i joins node i + 1 to its parent
+    src = parent[1:]
+    dst = np.arange(1, n)
+    deg = np.bincount(src, minlength=n)
+    deg[1:] += 1
 
     edge_density = m / n
     degree_min = float(deg.min())
@@ -244,8 +254,8 @@ def compute_graph_features(
     if m == 0:
         assortativity = 0.0
     else:
-        du = deg[e[:, 0]].astype(float)
-        dv = deg[e[:, 1]].astype(float)
+        du = deg[src].astype(float)
+        dv = deg[dst].astype(float)
         x = np.concatenate([du, dv])
         y = np.concatenate([dv, du])
         vx = x.var()
@@ -256,7 +266,6 @@ def compute_graph_features(
             cov = float(((x - x.mean()) * (y - y.mean())).mean())
             assortativity = max(-1.0, min(1.0, cov / math.sqrt(vx * vy)))
 
-    depths = np.fromiter([depth for _, _, depth in graph.nodes], np.int64, n)
     depth_min = float(depths.min())
     depth_max = float(depths.max())
     depth_mean = int(depths.sum()) / n
@@ -268,12 +277,12 @@ def compute_graph_features(
         avg_shortest_path = 0.0
     else:
         diameter, radius, mean_eccentricity, avg_shortest_path = (
-            _tree_distance_features(graph, e, depths)
+            _tree_distance_features(parent, depths)
         )
 
     eig_max = eig_mean = None
     if include_eigenvector:
-        eig_max, eig_mean = _eig_centrality(n, e)
+        eig_max, eig_mean = _eig_centrality(n, src, dst)
 
     return GraphFeatures(
         node_count=n,

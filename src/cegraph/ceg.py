@@ -90,8 +90,16 @@ def feature_columns(graphs, names=None) -> tuple[tuple[str, ...], list[int]]:
 
 
 def graphs_to_json(graphs: list[EvolutionGraph]) -> str:
-    """Serialize a list of evolution graphs, stable ordering."""
-    return json.dumps({"graphs": [g.to_dict() for g in graphs]}, indent=2)
+    """Serialize a list of evolution graphs, stable ordering: the text of
+    json.dumps({"graphs": [g.to_dict() for g in graphs]}, indent=2), built
+    one graph at a time, so only one graph's dict is held at once."""
+    if not graphs:
+        return json.dumps({"graphs": []}, indent=2)
+    # a graph's text two levels in; JSON strings hold no raw line break
+    items = ",\n".join(
+        "    " + json.dumps(g.to_dict(), indent=2).replace("\n", "\n    ") for g in graphs
+    )
+    return '{\n  "graphs": [\n' + items + "\n  ]\n}"
 
 
 def _minmax(value: float, lo: float, hi: float, direction: str) -> float:

@@ -14,11 +14,13 @@ replacement fields span lines; the scanner reads those by the 3.11 string
 rules and miscounts them.
 
 compute_complexity reads the syntax nodes that parse_to_graph keeps in
-preorder (AstGraph.ast_nodes) in one flat loop: each node takes its
-innermost unit and its statement-nesting level from its parent, which
-comes before it. Tokens are found by one compiled regular expression
-matched back to back over the source, with tokenize's rules in tokenize's
-order; a unit's tokens are those that start inside its source span.
+preorder (AstGraph.ast_nodes) in one flat loop: each node takes from its
+parent, which comes before it, whether it is inside a unit and its
+statement-nesting level. It returns the integer counts the metrics are
+quotients of, which add up over a module's top-level statements. Tokens
+are found by one compiled regular expression matched back to back over
+the source, with tokenize's rules in tokenize's order; a unit's tokens
+are those that start inside its source span.
 """
 
 from __future__ import annotations
@@ -123,14 +125,58 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")
 
 @dataclass(frozen=True)
 class ComplexityMetrics:
-    cc_total: int
-    cc_mean: float
-    token_total: int
-    token_mean: float
-    param_total: int
-    param_mean: float
+    """The counts the eight metrics are computed from. Each is a sum over
+    the statements, units or tokens of a source, or a maximum, so the
+    counts of consecutive top-level statements combine into those of the
+    module they form (see combine), and every metric, a quotient of two
+    integers, comes out the same."""
+
+    statements: int
+    nesting_total: int  # of the statements' nesting levels
     nesting_max: int
-    nesting_mean: float
+    module_decisions: int  # decision increments outside every unit
+    units: int
+    unit_cc: int  # summed over the units
+    unit_tokens: int
+    param_total: int
+    token_total: int
+
+    @classmethod
+    def combine(cls, parts: list[ComplexityMetrics]) -> ComplexityMetrics:
+        """The counts of the concatenated sources of `parts`, each a run of
+        whole top-level statements."""
+        return cls(
+            statements=sum(p.statements for p in parts),
+            nesting_total=sum(p.nesting_total for p in parts),
+            nesting_max=max((p.nesting_max for p in parts), default=0),
+            module_decisions=sum(p.module_decisions for p in parts),
+            units=sum(p.units for p in parts),
+            unit_cc=sum(p.unit_cc for p in parts),
+            unit_tokens=sum(p.unit_tokens for p in parts),
+            param_total=sum(p.param_total for p in parts),
+            token_total=sum(p.token_total for p in parts),
+        )
+
+    @property
+    def cc_total(self) -> int:
+        # a module without units is the single unit
+        return self.unit_cc if self.units else 1 + self.module_decisions
+
+    @property
+    def cc_mean(self) -> float:
+        return self.cc_total / self.units if self.units else float(self.cc_total)
+
+    @property
+    def token_mean(self) -> float:
+        return self.unit_tokens / self.units if self.units else float(self.token_total)
+
+    @property
+    def param_mean(self) -> float:
+        return self.param_total / self.units if self.units else 0.0
+
+    @property
+    def nesting_mean(self) -> float:
+        return self.nesting_total / self.statements if self.statements else 0.0
 
     def as_dict(self) -> dict[str, float]:
         names = COMPLEXITY_FEATURE_NAMES + NESTING_FEATURE_NAMES
@@ -182,60 +228,46 @@ def compute_complexity(graph: AstGraph, code: str) -> ComplexityMetrics:
     if not graph.parsed:
         raise ValueError("compute_complexity needs the graph parse_to_graph built")
     syntax = graph.ast_nodes
-    module_cc = 1  # counts only when the module has no units
+    module_decisions = 0
     units: list[ast.AST] = []
-    ccs: list[int] = []  # per unit
-    # per node: index of its innermost unit (-1 at module level), and the
-    # nesting level of the statements directly inside it
-    unit_of = [-1]
+    unit_cc = 0
+    # per node: whether it is inside a unit, and the nesting level of the
+    # statements directly inside it
+    in_unit = [False]
     level_of = [0]
-    statements = depth_total = depth_max = 0
+    statements = nesting_total = nesting_max = 0
     for (parent, _), node in zip(graph.edges, syntax[1:]):
-        unit = unit_of[parent]
+        inside = in_unit[parent]
         level = level_of[parent]
         role = _ROLES[type(node)]
         if role:
             if role & _STATEMENT:
                 statements += 1
-                depth_total += level
-                depth_max = max(depth_max, level)
+                nesting_total += level
+                nesting_max = max(nesting_max, level)
             if role & _UNIT:
-                unit = len(units)
+                inside = True
                 units.append(node)
-                ccs.append(1)
+                unit_cc += 1
             elif role & _DECIDES:
-                if unit >= 0:
-                    ccs[unit] += _DECISION_INCREMENT[type(node)](node)
+                if inside:
+                    unit_cc += _DECISION_INCREMENT[type(node)](node)
                 else:
-                    module_cc += _DECISION_INCREMENT[type(node)](node)
+                    module_decisions += _DECISION_INCREMENT[type(node)](node)
             if role & _NESTS:
                 level += 1
-        unit_of.append(unit)
+        in_unit.append(inside)
         level_of.append(level)
 
     starts = _token_starts(code)
-    token_total = len(starts)
-    if units:
-        cc_total = sum(ccs)
-        cc_mean = cc_total / len(units)
-        token_mean = sum(_unit_token_counts(units, code, starts)) / len(units)
-        param_total = sum(_param_count(unit) for unit in units)
-        param_mean = param_total / len(units)
-    else:
-        # the whole module is the single unit
-        cc_total = module_cc
-        cc_mean = float(cc_total)
-        token_mean = float(token_total)
-        param_total = 0
-        param_mean = 0.0
-
     return ComplexityMetrics(
-        cc_total=cc_total,
-        cc_mean=cc_mean,
-        token_total=token_total,
-        token_mean=token_mean,
-        param_total=param_total,
-        param_mean=param_mean,
-        nesting_max=depth_max,
-        nesting_mean=depth_total / statements if statements else 0.0,
+        statements=statements,
+        nesting_total=nesting_total,
+        nesting_max=nesting_max,
+        module_decisions=module_decisions,
+        units=len(units),
+        unit_cc=unit_cc,
+        unit_tokens=sum(_unit_token_counts(units, code, starts)) if units else 0,
+        param_total=sum(map(_param_count, units)),
+        token_total=len(starts),
     )

@@ -4,23 +4,44 @@ The canonical feature vector has 28 columns: the 22 graph features followed
 by the 6 complexity features. Nesting depth columns and (optionally)
 eigenvector centrality columns are appended after those, so selecting
 "all28" always yields the same 28 names in the same order.
+
+A sample is featurized by its top-level statements. Its code is split
+before every line that can begin one (a decorator run joins the statement
+below it), and the statements that occur once in the log join their
+neighbours of that kind into one chunk. Each distinct chunk is parsed
+once, into its syntax tree as arrays and its complexity counts, and a
+sample's row is assembled from its chunks: the module's tree is a root
+above the chunks' trees, and its complexity counts are the chunks' sums.
+A module is a sequence of statements, so the row is the one its whole
+code gives, bit for bit. Where a chunk does not parse alone, the whole
+code is the one chunk, so an unparsable sample keeps the whole module's
+diagnostic.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES, compute_graph_features
+from .astfeat import (
+    AST_FEATURE_NAMES,
+    EIG_FEATURE_NAMES,
+    PreorderTree,
+    compute_graph_features,
+)
 from .codemetrics import (
     COMPLEXITY_FEATURE_NAMES,
     NESTING_FEATURE_NAMES,
+    ComplexityMetrics,
     compute_complexity,
 )
 from .ingest import Dataset
@@ -68,12 +89,112 @@ def _column_names(include_eigenvector: bool) -> tuple[str, ...]:
     return names + EIG_FEATURE_NAMES if include_eigenvector else names
 
 
+# A line that can begin a top-level statement: its first character is no
+# blank, comment or line break, and it continues no compound statement. The
+# search finds the line break before it. re compiles it on first use.
+_STATEMENT_LINE = r"\n(?=[^\s#])(?!(?:else|elif|except|finally)\b)"
+
+
+def _statements(code: str) -> list[str]:
+    """code cut before each line that can begin a top-level statement,
+    unless the line before that is a decorator, so that a run of decorators
+    joins the statement below it. Code that holds a carriage return, where
+    the parser breaks lines and the split does not, stays one piece."""
+    if "\r" in code:
+        return [code]
+    pieces = []
+    start = 0
+    decorated = code.startswith("@")
+    for match in re.finditer(_STATEMENT_LINE, code):
+        at = match.end()
+        if not decorated:
+            pieces.append(code[start:at])
+            start = at
+        decorated = code.startswith("@", at)
+    pieces.append(code[start:])
+    return pieces
+
+
+def _chunks(code: str, counts: Counter) -> list[str]:
+    """The chunks code is featurized by: its statements (_statements), with
+    each run of consecutive statements that occur once in `counts` joined
+    into one chunk. A log without repeated statements is featurized sample
+    by sample, with no more parser calls than whole samples need."""
+    starts = []
+    at = 0
+    single = False
+    for text in _statements(code):
+        once = counts[text] == 1
+        if not (once and single):
+            starts.append(at)
+        single = once
+        at += len(text)
+    return [code[a:b] for a, b in zip(starts, starts[1:] + [len(code)])]
+
+
+class _Chunk(NamedTuple):
+    """What one chunk of code adds to a sample's features: its syntax tree
+    below the module root, node v's distance up to its parent (up[v]) and
+    its depth, in preorder; and its complexity counts."""
+
+    up: np.ndarray
+    depth: np.ndarray
+    complexity: ComplexityMetrics
+
+
+def _parse_chunk(text: str) -> _Chunk | str:
+    """The _Chunk of text, or the parser's diagnostic."""
+    try:
+        graph = parse_to_graph(text)
+    except ParseError as exc:
+        return str(exc)
+    tree = PreorderTree.of(graph)
+    up = np.arange(len(tree.parent)) - tree.parent
+    return _Chunk(
+        up[1:].astype(np.int32), tree.depth[1:].astype(np.int32), compute_complexity(graph, text)
+    )
+
+
+def _parsed(memo: dict, text: str) -> _Chunk | str:
+    """_parse_chunk(text), computed once for each memo."""
+    part = memo.get(text)
+    if part is None:
+        part = memo[text] = _parse_chunk(text)
+    return part
+
+
+def _row(code: str, chunks: list[str], memo: dict, include_eigenvector: bool):
+    """(row, None) for code that parses, (None, diagnostic) otherwise; code
+    is the concatenation of chunks, and memo maps chunk text to
+    _parse_chunk's result (see _parsed)."""
+    parts = [_parsed(memo, text) for text in chunks]
+    if len(parts) > 1 and any(isinstance(part, str) for part in parts):
+        # some chunk does not parse alone: the whole code is the one chunk
+        parts = [_parsed(memo, code)]
+    if isinstance(parts[0], str):
+        return None, parts[0]
+    # the module root (up 1, so parent -1) above the chunks' trees, whose
+    # top-level statements (depth 1) hang from it
+    up = np.concatenate([[1], *(part.up for part in parts)], dtype=np.int64)
+    depth = np.concatenate([[0], *(part.depth for part in parts)], dtype=np.int64)
+    parent = np.arange(len(up)) - up
+    parent[depth == 1] = 0
+    graph = compute_graph_features(PreorderTree(parent, depth), include_eigenvector)
+    values = graph.as_dict() | ComplexityMetrics.combine(
+        [part.complexity for part in parts]
+    ).as_dict()
+    return [values[name] for name in _column_names(include_eigenvector)], None
+
+
 def featurize(code: str, include_eigenvector: bool = False) -> dict[str, float]:
-    """Full feature vector for one source string, canonical column order."""
-    graph = parse_to_graph(code)
-    gf = compute_graph_features(graph, include_eigenvector=include_eigenvector)
-    values = gf.as_dict() | compute_complexity(graph, code).as_dict()
-    return {name: values[name] for name in _column_names(include_eigenvector)}
+    """Full feature vector for one source string, canonical column order.
+    Raises ParseError, with the parser's diagnostic, for code that does
+    not parse."""
+    chunks = _chunks(code, Counter(_statements(code)))
+    row, diagnostic = _row(code, chunks, {}, include_eigenvector)
+    if row is None:
+        raise ParseError(diagnostic)
+    return dict(zip(_column_names(include_eigenvector), row))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +219,16 @@ class FeatureTable:
         return {sample_id: i for i, sample_id in enumerate(self.ids)}
 
 
-# featurize_dataset hands a log to a process pool only when it holds at
-# least this many characters of code. Measured on two cores: the pool's wall
-# time breaks even near 50k characters, but below 256k it adds 17% or more to
-# the featurization CPU time to save at most about 0.2 s
-_PARALLEL_MIN_CHARS = 1 << 18
+# featurize_dataset hands a log's distinct chunks to a process pool only when
+# they hold at least this many characters. The workers parse the chunks, but
+# the rows are still assembled in this process, so the pool gains less than
+# it did on whole samples. Medians of 6 runs on two shared cores, serial
+# against pooled featurization: on the perfbench logs (seed 5), whose
+# distinct chunks hold 197k and 241k characters, the pool lost (0.49
+# against 0.57 s, 0.70 against 0.80 s); on two of those logs joined (404k
+# and 501k) it won (0.85 against 0.71 s, 1.27 against 1.08 s) for about
+# 24% more CPU time
+_PARALLEL_MIN_CHARS = 3 << 17
 _CHUNKSIZE = 8
 
 
@@ -159,32 +285,23 @@ def _exit_with_parent(parent: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _featurize_row(code: str, include_eigenvector: bool):
-    """(row, None) for code that parses, (None, diagnostic) otherwise."""
-    try:
-        row = featurize(code, include_eigenvector=include_eigenvector)
-    except ParseError as exc:
-        return None, str(exc)
-    return list(row.values()), None
-
-
-def _featurize_rows(codes: list[str], include_eigenvector: bool) -> list:
-    """_featurize_row over codes, in order. A pool of forked workers, one
-    per usable CPU and at most one per chunk, runs it when the codes reach
-    _PARALLEL_MIN_CHARS and _fork_workers allows; map runs it otherwise."""
-    flags = repeat(include_eigenvector)
-    large = sum(map(len, codes)) >= _PARALLEL_MIN_CHARS
-    workers = min(_usable_cpus(), math.ceil(len(codes) / _CHUNKSIZE)) if large else 1
+def _parse_chunks(texts: list[str]) -> list:
+    """_parse_chunk over texts, in order. A pool of forked workers, one per
+    usable CPU and at most one per _CHUNKSIZE texts, runs it when the texts
+    reach _PARALLEL_MIN_CHARS and _fork_workers allows; map runs it
+    otherwise."""
+    large = sum(map(len, texts)) >= _PARALLEL_MIN_CHARS
+    workers = min(_usable_cpus(), math.ceil(len(texts) / _CHUNKSIZE)) if large else 1
 
     def pooled(context):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent,
                                  initargs=(os.getpid(),)) as pool:
-            return list(pool.map(_featurize_row, codes, flags, chunksize=_CHUNKSIZE))
+            return list(pool.map(_parse_chunk, texts, chunksize=_CHUNKSIZE))
 
-    rows = _fork_workers(workers, pooled)
-    return list(map(_featurize_row, codes, flags)) if rows is None else rows
+    parts = _fork_workers(workers, pooled)
+    return list(map(_parse_chunk, texts)) if parts is None else parts
 
 
 def featurize_dataset(
@@ -194,18 +311,26 @@ def featurize_dataset(
 
     Returns (table, failures): table has one row per parsed sample in
     dataset order, with the columns of featurize; failures maps the ids of
-    unparsable samples to the parser diagnostic, in dataset order. Large
-    logs are featurized by a pool of forked worker processes, one per
-    usable CPU; the results are the same as a serial run's.
+    unparsable samples to the parser diagnostic, in dataset order.
+
+    Each distinct chunk of the log's code (see the module docstring) is
+    parsed once per call, into a memo that this call alone holds, and each
+    row is assembled from the memo. Where the distinct chunks hold at least
+    _PARALLEL_MIN_CHARS characters, a pool of forked worker processes, one
+    per usable CPU, parses them; the results are the same as a serial
+    run's.
     """
     names = _column_names(include_eigenvector)
+    counts = Counter(chain.from_iterable(_statements(s.code) for s in dataset.samples))
+    texts = list(dict.fromkeys(
+        chain.from_iterable(_chunks(s.code, counts) for s in dataset.samples)
+    ))
+    memo = dict(zip(texts, _parse_chunks(texts)))
     ids: list[str] = []
     rows: list[list[float]] = []
     failures: dict[str, str] = {}
-    codes = [s.code for s in dataset.samples]
-    for s, (row, diagnostic) in zip(
-        dataset.samples, _featurize_rows(codes, include_eigenvector)
-    ):
+    for s in dataset.samples:
+        row, diagnostic = _row(s.code, _chunks(s.code, counts), memo, include_eigenvector)
         if row is None:
             failures[s.id] = diagnostic
             continue

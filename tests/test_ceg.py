@@ -245,6 +245,16 @@ def test_json_export_schema(synthetic):
                 assert 0.0 <= n["fitness_norm"] <= 1.0
 
 
+def test_json_export_is_one_dumps_of_every_graph(synthetic):
+    # built one graph at a time, with the bytes of one json.dumps of them all
+    ds, table = synthetic
+    graphs = build_ceg(ds, table)
+    assert len(graphs) == 3
+    for part in (graphs, graphs[1:2], []):
+        want = json.dumps({"graphs": [g.to_dict() for g in part]}, indent=2)
+        assert graphs_to_json(part) == want
+
+
 def test_rank_order_preserved_under_monotone_fitness_transform(tmp_path):
     fits = [3.0, 1.0, 4.0, 1.5, 9.0]
     objs_a = simple_objs(fits, run_id="ra")

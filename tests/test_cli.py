@@ -326,7 +326,7 @@ features._usable_cpus = lambda: 2
 embed._SPLIT_MIN_POINTS = 4
 if sys.argv[1] == "pool":
     features._PARALLEL_MIN_CHARS = 1
-    features._featurize_row = dying
+    features._parse_chunk = dying
 else:
     parent, run_group = os.getpid(), embed._run_group
 

@@ -3,6 +3,7 @@
 import ast
 import json
 import random
+from collections import Counter
 
 import oracles
 from synth import random_module
@@ -10,8 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cegraph.astfeat import AST_FEATURE_NAMES
-from cegraph.codemetrics import COMPLEXITY_FEATURE_NAMES, NESTING_FEATURE_NAMES
+from cegraph import features
+from cegraph.astfeat import AST_FEATURE_NAMES, compute_graph_features
+from cegraph.codemetrics import (
+    COMPLEXITY_FEATURE_NAMES,
+    NESTING_FEATURE_NAMES,
+    compute_complexity,
+)
 from cegraph.features import (
     ALL_FEATURE_NAMES,
     FEATURE_SETS,
@@ -19,8 +25,8 @@ from cegraph.features import (
     featurize_dataset,
     resolve_feature_set,
 )
-from cegraph.ingest import load_jsonl
-from cegraph.pyast import ParseError
+from cegraph.ingest import CodeSample, Dataset, load_jsonl
+from cegraph.pyast import ParseError, parse_to_graph
 
 
 def test_canonical_name_lists():
@@ -99,6 +105,45 @@ def test_featurize_parses_each_sample_once(monkeypatch):
         calls.clear()
         featurize(code, include_eigenvector=True)
         assert len(calls) == 1
+
+
+def _dataset(codes):
+    return Dataset(tuple(CodeSample(f"s{i}", f"s{i}", "r", "", "", "", i, (), None, code)
+                         for i, code in enumerate(codes)))
+
+
+def test_featurize_dataset_parses_each_distinct_chunk_once_per_call(monkeypatch):
+    parsed = []
+    real = features.parse_to_graph
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(features, "parse_to_graph", counting)
+    parent = random_module(random.Random(8), 30)
+    child = parent + "def g(a):\n    return a\n"
+    cut = parent + "def g(a):\n    return (a,\n"  # a last statement cut short
+    dataset = _dataset([parent, child, parent, cut, child])
+    # every statement of parent occurs at least 4 times, so each is a chunk
+    # of its own; the cut sample's chunks do not all parse, so its whole
+    # code is parsed too
+    want = [*features._statements(parent), "def g(a):\n    return a\n",
+            "def g(a):\n    return (a,\n", cut]
+    for _ in range(2):  # the second call starts with an empty memo
+        parsed.clear()
+        table, failures = features.featurize_dataset(dataset)
+        assert sorted(parsed) == sorted(set(want))
+        assert table.ids == ("s0", "s1", "s2", "s4") and list(failures) == ["s3"]
+
+
+def test_statements_seen_once_join_into_one_chunk():
+    once = ["a = 1\n", "@d\ndef f():\n    pass\n", "b = 2\n"]
+    shared = ["x = 1\n", "class C:\n    pass\n"]
+    code = once[0] + shared[0] + once[1] + once[2] + shared[1] + shared[0]
+    counts = Counter(features._statements(code) + shared)
+    assert features._chunks(code, counts) == [
+        once[0], shared[0], once[1] + once[2], shared[1], shared[0]]
 
 
 def test_featurize_walks_the_tree_once(monkeypatch):
@@ -185,3 +230,122 @@ def test_mutated_source_gives_features_or_parse_error(code):
     except ParseError:
         return
     assert tuple(row) == ALL_FEATURE_NAMES + NESTING_FEATURE_NAMES
+
+
+def _hex_row(code, include_eigenvector, featurizer):
+    """featurizer's row as float.hex strings, or its ParseError's text."""
+    try:
+        row = featurizer(code, include_eigenvector)
+    except ParseError as exc:
+        return str(exc)
+    assert tuple(row) == features._column_names(include_eigenvector)
+    return [value.hex() for value in row.values()]
+
+
+def one_chunk(code, include_eigenvector):
+    """The features of code parsed whole, with no split."""
+    graph = parse_to_graph(code)
+    values = (compute_graph_features(graph, include_eigenvector).as_dict()
+              | compute_complexity(graph, code).as_dict())
+    return {name: values[name] for name in features._column_names(include_eigenvector)}
+
+
+def split_featurize(code, include_eigenvector):
+    """featurize_dataset's row for code in a log that holds it twice, so
+    that each of its statements is a chunk of its own."""
+    table, failures = featurize_dataset(_dataset([code, code]), include_eigenvector)
+    if failures:
+        raise ParseError(failures["s0"])
+    return dict(zip(table.names, table.values[0].tolist()))
+
+
+def assert_same_as_one_chunk(code):
+    for include_eigenvector in (False, True):
+        want = _hex_row(code, include_eigenvector, one_chunk)
+        assert _hex_row(code, include_eigenvector, split_featurize) == want
+        assert _hex_row(code, include_eigenvector, featurize) == want
+
+
+# statements that a split at column-0 lines could get wrong
+_TRAPS = (
+    "@deco\ndef dec{k}(a):\n    return a\n",
+    "@deco(1)\n# between\n\n@other.attr\nclass C{k}:\n    x = 1\n",
+    "@deco\n",  # no def below
+    "if a:\n    b = 1\nelif c:\n    b = 2\nelse:\n    b = 3\n",
+    "try:\n    a = 1\nexcept ValueError:\n    a = 2\nelse:\n    a = 3\nfinally:\n    a = 4\n",
+    "for i in r:\n    pass\nelse:\n    b = 1\n",
+    'doc = """\nx = 1\n"""\n',
+    "t = 1 + \\\n2\n",
+    "u = [\n1,\n]\n",
+    "\\\n",
+    "a = 1; b = 2\n",
+    "from __future__ import annotations\n",
+    "from __future__ import barry_as_FLUFL\n",
+    "x = 1 <> 2\n",
+    "x = 1 != 2\n",
+    "def f{k}():\n    a = 1\n# a column-0 comment in the body\n    return a\n",
+    "# comment\n\n",
+    "  x = 1\n",
+)
+
+
+@st.composite
+def split_traps(draw):
+    """A fuzzed module with traps inserted, mostly between top-level
+    statements; then optionally given CRLF line ends or a lone carriage
+    return, or cut short."""
+    lines = random_module(random.Random(draw(st.integers(0, 2**32 - 1))),
+                          draw(st.integers(1, 30))).splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 5))):
+        tops = [i for i, line in enumerate(lines + ["x"])
+                if not line[0].isspace() and not line.startswith(("else", "except"))]
+        at = draw(st.sampled_from(tops) if draw(st.integers(0, 4)) else st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(_TRAPS)).replace("{k}", str(at)))
+    code = "".join(lines)
+    change = draw(st.sampled_from(["none", "none", "crlf", "cr", "cut"]))
+    if change == "crlf":
+        code = code.replace("\n", "\r\n")
+    elif change == "cr":
+        at = draw(st.integers(0, len(code)))
+        code = code[:at] + "\r" + code[at:]
+    elif change == "cut":
+        code = code[: draw(st.integers(0, len(code)))]
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=split_traps() | mutated_sources())
+def test_chunked_featurize_equals_the_one_chunk_path(code):
+    assert "".join(features._statements(code)) == code
+    assert_same_as_one_chunk(code)
+
+
+@pytest.mark.parametrize("code", [
+    "@staticmethod\ndef f(x):\n    return x\ny = 1\n",
+    "@dataclass\n# note\n@other(1)\nclass A:\n    x: int = 0\nz = A()\n",
+    "x = 1\n@deco\n",
+    "if a:\n    b = 1\nelse:\n    b = 2\nc = b\n",
+    "try:\n    a = 1\nexcept ValueError:\n    a = 2\nfinally:\n    b = 3\nc = 4\n",
+    "try:\n    a = 1\nexcept:\n    a = 2\nc = 4\n",
+    'x = 1\ndoc = """\ny = 2\n"""\nz = 3\n',
+    "x = 1 + \\\n2\ny = 3\n",
+    "x = 1 \\\ny = 2\n",
+    "x = 1\n\\\ny = 2\n",
+    "a = 1; b = 2\nc = 3\n",
+    "def f():\r\n    return 1\r\nx = f()\r\n",
+    "# note\rdef g(a):\n    return a\nx = 1\n",
+    "from __future__ import barry_as_FLUFL\nx = 1 != 2\n",
+    "from __future__ import barry_as_FLUFL\nx = 1 <> 2\n",
+    "x = 1\ndef f(a):\n    return g(\n",
+    "x = 1\ndef f(a):\n    retu",
+    "  x = 1\ny = 2\n",
+    "x = [\n1,\n]\ny = 2\n",
+], ids=[
+    "decorated-def", "decorated-class", "dangling-decorator", "else", "except-finally",
+    "bare-except", "triple-quoted-string", "backslash-continuation",
+    "backslash-before-statement", "backslash-line", "semicolon", "crlf", "lone-cr",
+    "barry-ne", "barry-diamond", "cut-in-brackets", "cut-in-name", "starts-indented",
+    "brackets",
+])
+def test_split_traps_give_the_whole_module_result(code):
+    assert_same_as_one_chunk(code)

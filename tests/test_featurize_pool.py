@@ -121,11 +121,16 @@ from concurrent.futures.process import BrokenProcessPool
 from cegraph import features
 from cegraph.ingest import CodeSample, Dataset
 
-code = "x = 1\\n" * 3000
-samples = tuple(CodeSample(f"s{i}", f"s{i}", "r", "", "", "", i, (), None, code)
+# every statement differs, so the distinct chunks reach the pool's threshold
+samples = tuple(CodeSample(f"s{i}", f"s{i}", "r", "", "", "", i, (), None,
+                           "".join(f"x{i}_{j} = 1\\n" for j in range(3000)))
                 for i in range(24))
+
+def dying(text):
+    os._exit(1)
+
 features._usable_cpus = lambda: 2
-features.featurize = lambda code, include_eigenvector=False: os._exit(1)
+features._parse_chunk = dying
 try:
     features.featurize_dataset(Dataset(samples))
 except BrokenProcessPool:
@@ -145,15 +150,15 @@ import os, time
 from cegraph import features
 from cegraph.ingest import CodeSample, Dataset
 
-def stuck(code, include_eigenvector=False):
+def stuck(text):
     os.write(1, f"{os.getpid()}\\n".encode())  # one write: lines do not interleave
     time.sleep(600)
 
-samples = tuple(CodeSample(f"s{i}", f"s{i}", "r", "", "", "", i, (), None, "x = 1\\n")
-                for i in range(32))
+samples = tuple(CodeSample(f"s{i}", f"s{i}", "r", "", "", "", i, (), None, f"x{i} = 1\\n")
+                for i in range(4 * features._CHUNKSIZE))
 features._usable_cpus = lambda: 2
 features._PARALLEL_MIN_CHARS = 1
-features.featurize = stuck
+features._parse_chunk = stuck
 features.featurize_dataset(Dataset(samples))
 """
 
