@@ -3,7 +3,7 @@
 Subcommands: extract (features.csv), ceg (ceg.json + lineage figure),
 tsne (tsne.svg), correlate (correlations.csv + heatmap.svg), pipeline
 (all of the above). Exit codes: 0 success, 1 schema/validation failure,
-2 I/O error, bad usage, out of memory or a worker process that died.
+2 I/O error, bad usage, out of memory or a t-SNE worker process that died.
 A run writes its files only once every one of them is built.
 """
 
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # a worker process died, for example killed for memory
+        # the t-SNE worker process died, for example killed for memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import features
 from .ceg import feature_columns
 
 
@@ -466,6 +465,40 @@ class _Helper:
             self._process.join()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_workers(workers: int, start):
+    """start(context) with a fork context, or None, which means: run
+    serially. None when there are fewer than 2 workers, the platform cannot
+    fork, or this process is daemonic (a multiprocessing.Pool worker, which
+    may not start processes); also when start raises OSError, as a refused
+    fork does."""
+    if workers < 2:
+        return None
+    # imported here: the serial paths, and `import cegraph`, do without it
+    import multiprocessing
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return None
+    # fork, not spawn: a spawned worker re-imports numpy and cegraph and
+    # re-runs the caller's __main__. Forking is safe: the only other thread,
+    # OpenBLAS's, is stopped by its own atfork handler
+    try:
+        return start(multiprocessing.get_context("fork"))
+    except OSError:
+        return None
+
+
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     """KL(P || Q) under the Student-t kernel and its analytic gradient, for
     symmetric affinities P (only the entries of the packed layout are read).
@@ -522,8 +555,8 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
         raise ValueError("iterations must be positive")
 
     # the worker forks before P exists, so it does not hold a copy of it
-    cpus = features._usable_cpus() if n >= _SPLIT_MIN_POINTS else 1
-    helper = features._fork_workers(cpus, lambda context: _Helper(context, n))
+    cpus = _usable_cpus() if n >= _SPLIT_MIN_POINTS else 1
+    helper = _fork_workers(cpus, lambda context: _Helper(context, n))
     try:
         work = helper.work if helper else _Work(n)
         _joint_probabilities(X, perplexity, work.P, work.num)

@@ -20,10 +20,7 @@ diagnostic.
 
 from __future__ import annotations
 
-import math
-import os
 import re
-import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -219,91 +216,6 @@ class FeatureTable:
         return {sample_id: i for i, sample_id in enumerate(self.ids)}
 
 
-# featurize_dataset hands a log's distinct chunks to a process pool only when
-# they hold at least this many characters. The workers parse the chunks, but
-# the rows are still assembled in this process, so the pool gains less than
-# it did on whole samples. Medians of 6 runs on two shared cores, serial
-# against pooled featurization: on the perfbench logs (seed 5), whose
-# distinct chunks hold 197k and 241k characters, the pool lost (0.49
-# against 0.57 s, 0.70 against 0.80 s); on two of those logs joined (404k
-# and 501k) it won (0.85 against 0.71 s, 1.27 against 1.08 s) for about
-# 24% more CPU time
-_PARALLEL_MIN_CHARS = 3 << 17
-_CHUNKSIZE = 8
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _fork_workers(workers: int, start):
-    """start(context) with a fork context, or None, which means: run
-    serially. None when there are fewer than 2 workers, the platform cannot
-    fork, or this process is daemonic (a multiprocessing.Pool worker, which
-    may not start processes); also when start raises OSError, as a refused
-    fork does, once the children it forked are killed and joined."""
-    if workers < 2:
-        return None
-    # imported here: the serial paths, and `import cegraph`, do without it
-    import multiprocessing
-
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return None
-    # fork, not spawn: a spawned worker re-imports numpy and cegraph and
-    # re-runs the caller's __main__. Forking is safe: the only other thread,
-    # OpenBLAS's, is stopped by its own atfork handler, and a
-    # ProcessPoolExecutor forks all its workers before its manager thread
-    before = set(multiprocessing.active_children())
-    try:
-        return start(multiprocessing.get_context("fork"))
-    except OSError:
-        for child in set(multiprocessing.active_children()) - before:
-            child.kill()
-            child.join()
-        return None
-
-
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker within 0.1 s of its parent's exit.
-    A worker waiting on the call queue never sees end-of-file, since every
-    worker holds the queue's write end too."""
-    import threading
-
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(0.1)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _parse_chunks(texts: list[str]) -> list:
-    """_parse_chunk over texts, in order. A pool of forked workers, one per
-    usable CPU and at most one per _CHUNKSIZE texts, runs it when the texts
-    reach _PARALLEL_MIN_CHARS and _fork_workers allows; map runs it
-    otherwise."""
-    large = sum(map(len, texts)) >= _PARALLEL_MIN_CHARS
-    workers = min(_usable_cpus(), math.ceil(len(texts) / _CHUNKSIZE)) if large else 1
-
-    def pooled(context):
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent,
-                                 initargs=(os.getpid(),)) as pool:
-            return list(pool.map(_parse_chunk, texts, chunksize=_CHUNKSIZE))
-
-    parts = _fork_workers(workers, pooled)
-    return list(map(_parse_chunk, texts)) if parts is None else parts
-
-
 def featurize_dataset(
     dataset: Dataset, include_eigenvector: bool = False
 ) -> tuple[FeatureTable, dict[str, str]]:
@@ -314,18 +226,12 @@ def featurize_dataset(
     unparsable samples to the parser diagnostic, in dataset order.
 
     Each distinct chunk of the log's code (see the module docstring) is
-    parsed once per call, into a memo that this call alone holds, and each
-    row is assembled from the memo. Where the distinct chunks hold at least
-    _PARALLEL_MIN_CHARS characters, a pool of forked worker processes, one
-    per usable CPU, parses them; the results are the same as a serial
-    run's.
+    parsed once per call, the first time a row needs it, into a memo that
+    this call alone holds.
     """
     names = _column_names(include_eigenvector)
     counts = Counter(chain.from_iterable(_statements(s.code) for s in dataset.samples))
-    texts = list(dict.fromkeys(
-        chain.from_iterable(_chunks(s.code, counts) for s in dataset.samples)
-    ))
-    memo = dict(zip(texts, _parse_chunks(texts)))
+    memo: dict = {}
     ids: list[str] = []
     rows: list[list[float]] = []
     failures: dict[str, str] = {}

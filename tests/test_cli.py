@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cegraph import cli, embed, features
+from cegraph import cli, embed
 from cegraph.cli import main
 from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES, featurize_dataset
 from cegraph.ingest import load_jsonl
@@ -311,49 +311,37 @@ def test_unparsable_sample_is_reported_once(tmp_path):
     assert proc.stderr == f"skipped 1 unparsable samples\n  skipped sample 's3': {diagnostic}\n"
 
 
-# a worker process that dies (killed for memory, say) mid-run: the
-# featurization pool's, or the t-SNE worker's
+# the t-SNE worker process dies (killed for memory, say) mid-run
 _DEAD_WORKER = """
 import os, sys
-from cegraph import embed, features
-from cegraph import cli, embed, features
+from cegraph import embed
 from cegraph.cli import main
 
-def dying(*args):
-    os._exit(1)
-
-features._usable_cpus = lambda: 2
+embed._usable_cpus = lambda: 2
 embed._SPLIT_MIN_POINTS = 4
-if sys.argv[1] == "pool":
-    features._PARALLEL_MIN_CHARS = 1
-    features._parse_chunk = dying
-else:
-    parent, run_group = os.getpid(), embed._run_group
+parent, run_group = os.getpid(), embed._run_group
 
-    def dying_in_worker(*args):
-        if os.getpid() != parent:
-            dying()
-        run_group(*args)
+def dying_in_worker(*args):
+    if os.getpid() != parent:
+        os._exit(1)
+    run_group(*args)
 
-    embed._run_group = dying_in_worker
-raise SystemExit(main(sys.argv[2:]))
+embed._run_group = dying_in_worker
+raise SystemExit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("worker", ["pool", "tsne"])
+@pytest.mark.parametrize("worker", ["tsne"])
 def test_a_dead_worker_exits_2_without_traceback(log_path, tmp_path, worker):
     proc = subprocess.run(
-        [sys.executable, "-c", _DEAD_WORKER, worker, "pipeline", "--input", str(log_path),
+        [sys.executable, "-c", _DEAD_WORKER, "pipeline", "--input", str(log_path),
          "--out", str(tmp_path / "out"), "--iterations", "50"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=120,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    last = proc.stderr.splitlines()[-1]
-    assert last == ("error: t-SNE worker process exited with code 1" if worker == "tsne"
-                    else "error: A process in the process pool was terminated abruptly"
-                    " while the future was running or pending.")
+    assert proc.stderr.splitlines()[-1] == "error: t-SNE worker process exited with code 1"
 
 
 _NO_MEMORY = ("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
@@ -361,7 +349,7 @@ _NO_MEMORY = ("Unable to allocate 7.28 TiB for an array with shape (1000000, 100
 
 
 def _kill_tsne_worker(monkeypatch):
-    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(embed, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
     parent, run_group = os.getpid(), embed._run_group
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cegraph import embed, features
+from cegraph import embed
 from cegraph.ceg import build_ceg
 from cegraph.embed import (
     _joint_probabilities,
@@ -189,7 +189,7 @@ def test_tsne_peak_memory(monkeypatch):
     # besides a few blocks of rows: measured 3.61 x 8n^2 at n=300, where a
     # block is a quarter of the rows (6.17 with the gradient's own (n, n)
     # buffer and the affinity step's (n, n) temporaries)
-    monkeypatch.setattr(features, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(embed, "_usable_cpus", lambda: 1)
     n = 300
     X = np.random.default_rng(0).normal(size=(n, 28))
     tracemalloc.start()

@@ -2,14 +2,19 @@
 
 Whether the worker runs depends on n and the host's usable CPUs, so each
 test picks its path by replacing the private threshold and CPU-count
-helper; the tests also run on a one-CPU host.
+helper; the tests also run on a one-CPU host. The t-SNE worker is the only
+process cegraph forks: featurization runs in the calling process.
 """
 
+import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +26,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import running
 from cegraph import embed, features
+from cegraph.cli import main
+from cegraph.ingest import load_jsonl
+from synth import random_module
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,7 +56,7 @@ def split(monkeypatch, helpers):
     cut the rows into several (2 at n=8, 67 of one row at n=67)."""
     monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
     monkeypatch.setattr(embed, "_BLOCK_BYTES", 256)
-    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(embed, "_usable_cpus", lambda: 2)
     return helpers
 
 
@@ -102,7 +110,7 @@ def test_kl_and_gradient_bitwise_equal_to_dense_reference(split, n):
 def test_row_blocks_keep_the_bits(monkeypatch, helpers, cpus, n, rows):
     monkeypatch.setattr(embed, "_BLOCK_BYTES", 8 * n * rows)
     monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
-    monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(embed, "_usable_cpus", lambda: cpus)
     X, perplexity = _inputs(n, seed=3)
     got = embed.tsne(X, perplexity=perplexity, seed=n, iterations=300).coords
     assert helpers == ([worker_rows(n)] if cpus == 2 else [])
@@ -221,7 +229,7 @@ def test_path_is_chosen_from_n_and_usable_cpus(monkeypatch, helpers):
     results = []
     for threshold, cpus in ((13, 2), (12, 1), (12, 2)):
         monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", threshold)
-        monkeypatch.setattr(features, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(embed, "_usable_cpus", lambda: cpus)
         results.append(embed.tsne(X, perplexity=perplexity, iterations=40).coords.tobytes())
     # 6 blocks of 2 rows; the first 2 hold 24 + 20 of the 84 packed entries
     assert helpers == [(4, 12)]
@@ -229,7 +237,7 @@ def test_path_is_chosen_from_n_and_usable_cpus(monkeypatch, helpers):
 
 
 def test_large_inputs_take_the_split_by_default(monkeypatch, helpers):
-    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(embed, "_usable_cpus", lambda: 2)
     n = embed._SPLIT_MIN_POINTS
     X = np.random.default_rng(1).normal(size=(n, 4))
     embed.tsne(X, perplexity=30.0, iterations=1)
@@ -297,9 +305,9 @@ def test_split_is_exact_while_other_processes_compete_for_the_cpus(split, monkey
 _DYING_WORKER = """
 import multiprocessing, os, time
 import numpy as np
-from cegraph import embed, features
+from cegraph import embed
 
-features._usable_cpus = lambda: 2
+embed._usable_cpus = lambda: 2
 embed._SPLIT_MIN_POINTS = 4
 parent = os.getpid()
 run_group = embed._run_group
@@ -329,9 +337,9 @@ def test_a_dying_worker_raises_instead_of_hanging():
 _DYING_PARENT = """
 import os
 import numpy as np
-from cegraph import embed, features
+from cegraph import embed
 
-features._usable_cpus = lambda: 2
+embed._usable_cpus = lambda: 2
 embed._SPLIT_MIN_POINTS = 4
 embed._WINDOW = 1000  # the worker runs every iteration
 gradient = embed._gradient
@@ -352,7 +360,7 @@ embed.tsne(np.random.default_rng(0).normal(size=(30, 3)), perplexity=5.0)
 _REFUSED_FORK = """
 import multiprocessing, os
 import numpy as np
-from cegraph import embed, features
+from cegraph import embed
 
 forks = []
 
@@ -362,9 +370,9 @@ def refused_fork():
 
 embed._SPLIT_MIN_POINTS = 4
 X = np.random.default_rng(0).normal(size=(30, 3))
-features._usable_cpus = lambda: 1
+embed._usable_cpus = lambda: 1
 want = embed.tsne(X, perplexity=5.0, iterations=100).coords
-features._usable_cpus = lambda: 2
+embed._usable_cpus = lambda: 2
 os.fork = refused_fork
 got = embed.tsne(X, perplexity=5.0, iterations=100).coords
 print(len(forks), got.tobytes() == want.tobytes(), multiprocessing.active_children())
@@ -417,3 +425,114 @@ def test_a_daemonic_process_runs_serially(split):
     assert split == []
     assert got.tobytes() == _tsne_coords(X, perplexity).tobytes()
     assert split == [(4, 12)]
+
+
+@pytest.fixture(scope="module")
+def big_log(tmp_path_factory):
+    """A log whose distinct chunks hold more than 393,216 characters
+    (3 * 2^17). Every ninth module is cut short so that it does not parse,
+    and one sample names a parent that does not exist."""
+    rng = random.Random(11)
+    lines, chars, i = [], 0, 0
+    while chars <= (3 << 17) + 40_000:
+        code = random_module(rng, approx_lines=120)
+        if i % 9 == 4:
+            code = code[: len(code) // 2] + "\ndef broken(:\n"
+        parents = ["ghost"] if i == 7 else [f"s{i - 3:03d}"] if i >= 3 else []
+        lines.append(json.dumps({"id": f"s{i:03d}", "run_id": f"r{i % 3}",
+                                 "evaluation_index": i, "parent_ids": parents,
+                                 "fitness_raw": float(rng.randint(0, 50)), "code": code}))
+        chars += len(code)
+        i += 1
+    path = tmp_path_factory.mktemp("big") / "log.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+_PIPELINE = ["pipeline", "--policy", "drop-dangling-edges", "--iterations", "100"]
+
+
+def test_pipeline_output_is_the_same_on_one_and_two_cpus(monkeypatch, split, big_log,
+                                                        tmp_path, capsys):
+    out = tmp_path / "out"
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(embed, "_usable_cpus", lambda: cpus)
+        assert main(_PIPELINE + ["--input", str(big_log), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        results.append((captured.out, captured.err, artifacts))
+    ((lo, n),) = split
+    assert 0 < lo < n
+    assert "skipped" in results[0][1] and "dropped" in results[0][1]
+    assert len(results[0][2]) == 6
+    assert results[1] == results[0]
+
+
+_REFUSED_PIPELINE = """
+import os, sys
+from cegraph import embed
+from cegraph.cli import main
+
+def refused_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+embed._usable_cpus = lambda: 2
+embed._SPLIT_MIN_POINTS = 4
+os.fork = refused_fork
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def test_pipeline_with_a_refused_fork_writes_the_serial_artifacts(monkeypatch, big_log,
+                                                                  tmp_path, capsys):
+    argv = _PIPELINE + ["--input", str(big_log)]
+    monkeypatch.setattr(embed, "_usable_cpus", lambda: 1)
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    serial = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_PIPELINE, *argv,
+                           "--out", str(tmp_path / "refused")],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == serial.err
+    assert proc.stdout == serial.out.replace(str(tmp_path / "serial"),
+                                             str(tmp_path / "refused"))
+    artifacts = [{p.name: p.read_bytes() for p in sorted((tmp_path / side).iterdir())}
+                 for side in ("serial", "refused")]
+    assert len(artifacts[0]) == 6
+    assert artifacts[1] == artifacts[0]
+
+
+_FEATURIZE = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+fork, forks = os.fork, []
+
+def counting_fork():
+    forks.append(1)
+    return fork()
+
+os.fork = counting_fork
+import cegraph.cli
+from cegraph.features import featurize_dataset
+from cegraph.ingest import load_jsonl
+table, failures = featurize_dataset(load_jsonl(sys.argv[1]))
+print(len(table.ids), len(failures), len(forks),
+      sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
+def test_a_large_log_is_featurized_in_this_process(big_log):
+    samples = load_jsonl(big_log).samples
+    counts = Counter(chain.from_iterable(features._statements(s.code) for s in samples))
+    distinct = dict.fromkeys(chain.from_iterable(features._chunks(s.code, counts)
+                                                 for s in samples))
+    assert sum(map(len, distinct)) > 3 << 17
+    proc = subprocess.run([sys.executable, "-c", _FEATURIZE, str(big_log)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    parsed, failed, forks, modules = proc.stdout.split(maxsplit=3)
+    assert int(parsed) >= 20 and int(failed) >= 3
+    assert (forks, modules) == ("0", "[]\n")
