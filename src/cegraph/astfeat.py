@@ -5,21 +5,32 @@ counts, degree statistics, depth statistics, clustering terms (a tree has
 no triangles, so these are always 0; they keep the 22-column schema), and
 distance statistics. Graphs that are not trees are rejected.
 
-Every feature is computed with numpy from two arrays, the parent and the
-depth of each node of the tree labeled in depth-first preorder, as
-parse_to_graph labels it (PreorderTree; a graph built otherwise is
-relabeled by one traversal first), where each subtree is an interval of
-ids; there is no breadth-first search. Subtree
-sizes, summed one depth level at a time, give the average shortest path.
-Eccentricities come from the two ends of a diameter, with dist(a, v) =
-depth[a] + depth[v] - 2 depth[lca(a, v)] and the lowest common ancestor
-found through subtree intervals. Entropies are natural-log.
+forest_features computes them for a forest at once, in a few numpy passes
+over its arrays, with no loop over depth levels or ancestors: the parent
+and the depth of each node of trees labeled in depth-first preorder
+(PreorderTree), one tree after another. compute_graph_features is
+forest_features on one tree; a graph not built by parse_to_graph is
+relabeled by one traversal first. In preorder each subtree is an interval
+of ids, [v, end[v]), whose end follows the last-child links, taken by
+doubling. Subtree sizes give the average shortest path. Eccentricities come
+from the two ends of a diameter, with dist(a, v) = depth[a] + depth[v] -
+2 depth[lca(a, v)], the depth of the lowest common ancestor counted
+through subtree intervals by one cumsum over the forest. Entropies are
+natural-log.
+
+A tree's row has the same bits in any forest, alone or not. Integer values
+(counts, extremes, integer sums) are exact in any order. The float sums
+behind degree_var and assortativity are each one 1-D sum over the tree's
+own contiguous slice of an array laid out as the tree alone gives it, in
+that element order (np.add.reduceat over the forest sums in another order
+and gives other bits). The entropies add their terms in order of the
+values' first appearance in the tree; for depths that order is
+ascending.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -107,7 +118,9 @@ class PreorderTree(NamedTuple):
     """A rooted tree labeled in depth-first preorder from root 0, as
     arrays: parent[v] is the parent of node v (parent[0] is -1) and
     depth[v] its depth, so the subtree of node v is the id interval
-    [v, v + size[v]). parse_to_graph labels its graphs so."""
+    [v, v + size[v]). parse_to_graph labels its graphs so. The same two
+    arrays can hold a forest, such trees one after another with ids
+    counted over the whole forest (see forest_features)."""
 
     parent: np.ndarray
     depth: np.ndarray
@@ -158,50 +171,37 @@ def _relabel_preorder(n: int, e: np.ndarray, root: int) -> tuple:
     return np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64)
 
 
-def _subtree_sizes(parent: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Node counts of all subtrees, summed up one depth level at a time."""
-    size = np.ones(len(parent), dtype=np.int64)
-    for d in range(int(depth.max()), 0, -1):
-        level = np.flatnonzero(depth == d)
-        np.add.at(size, parent[level], size[level])
-    return size
+def _subtree_ends(child: np.ndarray, up: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """end[v] for each node v of a preorder forest with edges child -> up,
+    so that v's subtree is the id interval [v, end[v]): one past v's last
+    descendant, which is v for a leaf and its last child's last descendant
+    otherwise. The last-child links are followed by doubling, so a depth D
+    takes D.bit_length() steps."""
+    last = np.arange(len(depth))
+    np.maximum.at(last, up, child)
+    for _ in range(int(depth.max()).bit_length()):
+        last = last[last]
+    return last + 1
 
 
-def _distances_from(a: int, parent, depth, size) -> np.ndarray:
-    """Tree distance from node a to every node of a preorder-labeled tree:
-    depth[a] + depth[v] - 2 * depth[lca(a, v)], where depth[lca(a, v)]
-    counts the non-root ancestors u of a (a included) whose subtree
-    interval [u, u + size[u]) holds v."""
-    ancestors = []
-    u = a
-    while u > 0:  # the root is node 0
-        ancestors.append(u)
-        u = int(parent[u])
-    path = np.array(ancestors, dtype=np.int64)
-    marks = np.zeros(len(parent) + 1, dtype=np.int64)
-    marks[path] += 1
-    np.subtract.at(marks, path + size[path], 1)
-    lca_depth = np.cumsum(marks[:-1])
-    return depth[a] + depth - 2 * lca_depth
+def _first_max(values: np.ndarray, tree: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The first node of each tree where values is largest (argmax)."""
+    at = np.flatnonzero(values == np.maximum.reduceat(values, starts)[tree])
+    return at[np.searchsorted(at, starts)]
 
 
-def _tree_distance_features(parent: np.ndarray, depth: np.ndarray) -> tuple:
-    """(diameter, radius, mean eccentricity, mean pairwise distance).
-
-    Each edge above a subtree of size s lies on s * (n - s) paths, which
-    gives the mean distance. On a tree ecc(v) = max(dist(v, a), dist(v, b))
-    for the ends a, b of a diameter: a is a deepest node, b one farthest
-    from a.
-    """
-    n = len(parent)
-    size = _subtree_sizes(parent, depth)
-    below = size[1:]
-    total = int((below * (n - below)).sum())
-    avg_shortest_path = total / (n * (n - 1) / 2)
-    dist_a = _distances_from(int(depth.argmax()), parent, depth, size)
-    dist_b = _distances_from(int(dist_a.argmax()), parent, depth, size)
-    ecc = np.maximum(dist_a, dist_b)
-    return int(ecc.max()), int(ecc.min()), int(ecc.sum()) / n, avg_shortest_path
+def _distances_from(a: np.ndarray, tree, depth, end) -> np.ndarray:
+    """Tree distance of every node from node a[t] of its tree t:
+    depth[a] + depth[v] - 2 depth[lca(a, v)], where depth[lca(a, v)] counts
+    the non-root ancestors u of a (a included), those whose interval
+    [u, end[u]) holds a, that also hold v. Each tree's marks sum to 0, so
+    one cumsum over the forest counts them."""
+    N = len(depth)
+    a = a[tree]
+    ids = np.arange(N)
+    path = np.flatnonzero((ids <= a) & (end > a) & (depth > 0))
+    marks = np.bincount(path, minlength=N + 1) - np.bincount(end[path], minlength=N + 1)
+    return depth[a] + depth - 2 * np.cumsum(marks[:N])
 
 
 def _eig_centrality(n: int, src: np.ndarray, dst: np.ndarray, tol: float = 1e-10,
@@ -221,92 +221,150 @@ def _eig_centrality(n: int, src: np.ndarray, dst: np.ndarray, tol: float = 1e-10
     return float(x.max()), float(x.mean())
 
 
+def _endpoint_degrees(deg, child, up, tree, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Each tree's endpoint degrees over both orientations of its edges,
+    less their mean, laid out tree after tree as a tree alone gives them:
+    x holds the parents' degrees, then the children's, y the reverse."""
+    m = np.diff(starts, append=len(deg)) - 1
+    # the mean is an integer sum over the edges over 2m, exact
+    mean = np.repeat(np.add.reduceat(deg * deg, starts) / np.maximum(2 * m, 1), 2 * m)
+    at = np.arange(len(child)) + (starts - np.arange(len(starts)))[tree[child]]
+    at_child = at + m[tree[child]]
+    x = np.empty(2 * len(child))
+    x[at], x[at_child] = deg[up], deg[child]
+    x -= mean
+    y = np.empty(2 * len(child))
+    y[at], y[at_child] = deg[child], deg[up]
+    y -= mean
+    return x, y
+
+
+def _degree_spread(deg, child, up, tree, starts) -> tuple[list, list]:
+    """Each tree's sum of squared degree deviations from the mean, and its
+    assortativity. Every float sum here is one 1-D sum over the tree's own
+    slice of an array laid out as a tree alone gives it."""
+    n = np.diff(starts, append=len(deg))
+    deviation = deg - (2 * (n - 1) / n)[tree]
+    deviation *= deviation
+    x, y = _endpoint_degrees(deg, child, up, tree, starts)
+    xy = x * y
+    x *= x
+    y *= y
+
+    bounds = np.append(starts, len(deg)).tolist()
+    edge_bounds = np.append(0, np.cumsum(2 * (n - 1))).tolist()
+    squares = []
+    assortativity = []
+    for t in range(len(starts)):
+        squares.append(deviation[bounds[t]:bounds[t + 1]].sum())
+        a, b = edge_bounds[t], edge_bounds[t + 1]
+        if a == b:
+            assortativity.append(0.0)
+            continue
+        vx = x[a:b].sum() / (b - a)
+        vy = y[a:b].sum() / (b - a)
+        if vx <= 0.0 or vy <= 0.0:
+            assortativity.append(0.0)
+        else:
+            cov = float(xy[a:b].sum() / (b - a))
+            assortativity.append(max(-1.0, min(1.0, cov / math.sqrt(vx * vy))))
+    return squares, assortativity
+
+
+def _entropies(values: np.ndarray, tree, starts) -> list[float]:
+    """Each tree's _entropy of its value counts, taken in order of the
+    values' first appearance."""
+    N = len(values)
+    offset = np.append(0, np.cumsum(np.maximum.reduceat(values, starts) + 1))
+    key = offset[tree] + values  # the place of (tree, value)
+    ids = np.arange(N)
+    first = np.full(offset[-1], N)
+    np.minimum.at(first, key, ids)
+    new = first[key] == ids
+    counts = np.bincount(key)[key[new]].tolist()
+    bounds = np.searchsorted(tree[new], np.arange(len(starts) + 1)).tolist()
+    return [_entropy(counts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _distance_columns(child, up, depth, tree, starts) -> np.ndarray:
+    """Each tree's diameter, radius, mean eccentricity and mean distance
+    between two nodes, as columns."""
+    N = len(depth)
+    n = np.diff(starts, append=N)
+    end = _subtree_ends(child, up, depth)
+    size = end - np.arange(N)
+    # each edge above a subtree of size s lies on s * (n - s) paths
+    paths = np.add.reduceat(size * (n[tree] - size), starts)
+    dist_a = _distances_from(_first_max(depth, tree, starts), tree, depth, end)
+    dist_b = _distances_from(_first_max(dist_a, tree, starts), tree, depth, end)
+    ecc = np.maximum(dist_a, dist_b)
+    out = np.zeros((len(starts), 4))
+    out[:, 0] = np.maximum.reduceat(ecc, starts)
+    out[:, 1] = np.minimum.reduceat(ecc, starts)
+    out[:, 2] = np.add.reduceat(ecc, starts) / n
+    out[:, 3] = paths / np.maximum(n * (n - 1) / 2, 1)  # paths is 0 where n is 1
+    return out
+
+
+def forest_features(forest: PreorderTree, include_eigenvector: bool = False) -> np.ndarray:
+    """The features of each tree of a forest, one row per tree with the
+    AST_FEATURE_NAMES columns, then the EIG_FEATURE_NAMES ones if
+    include_eigenvector. The forest is PreorderTree arrays of trees labeled
+    in preorder one after another, with ids counted over the whole forest:
+    each tree starts at its root, the one node at depth 0 (parent -1).
+
+    Degenerate cases follow fixed conventions: a single-node tree has all
+    degree, depth, clustering and distance statistics equal to 0 and
+    edge_density 0; assortativity is 0 whenever endpoint degrees have zero
+    variance; entropy of a one-valued distribution is 0.
+    """
+    parent, depth = forest
+    N = len(depth)
+    root = depth == 0
+    starts = np.flatnonzero(root)
+    tree = np.cumsum(root) - 1
+    n = np.diff(starts, append=N)
+    m = n - 1
+    # edge j joins node child[j] to its parent up[j]
+    child = np.flatnonzero(~root)
+    up = parent[child]
+    deg = np.bincount(up, minlength=N)
+    deg[child] += 1
+    squares, assortativity = _degree_spread(deg, child, up, tree, starts)
+
+    out = np.zeros((len(starts), len(AST_FEATURE_NAMES) + 2 * include_eigenvector))
+    out[:, 0] = n
+    out[:, 1] = m
+    out[:, 2] = m / n
+    out[:, 3] = np.minimum.reduceat(deg, starts)
+    out[:, 4] = np.maximum.reduceat(deg, starts)
+    out[:, 5] = 2 * m / n
+    out[:, 6] = np.array(squares) / n
+    out[:, 7] = _entropies(deg, tree, starts)
+    out[:, 8] = assortativity
+    out[:, 9] = np.minimum.reduceat(depth, starts)
+    out[:, 10] = np.maximum.reduceat(depth, starts)
+    out[:, 11] = np.add.reduceat(depth, starts) / n
+    out[:, 12] = _entropies(depth, tree, starts)
+    # columns 13-17, clustering and transitivity, stay 0 in a tree
+    out[:, 18:22] = _distance_columns(child, up, depth, tree, starts)
+    if include_eigenvector:
+        for t, (lo, k) in enumerate(zip(starts.tolist(), n.tolist())):
+            out[t, 22:] = _eig_centrality(k, parent[lo + 1:lo + k] - lo, np.arange(1, k))
+    return out
+
+
 def compute_graph_features(
     graph: AstGraph | PreorderTree, include_eigenvector: bool = False
 ) -> GraphFeatures:
     """Compute the structural feature vector of a syntax-tree graph, given
-    as an AstGraph (see PreorderTree.of) or as the arrays of its tree.
-
-    Degenerate cases follow fixed conventions: a single-node graph has all
-    degree, depth, clustering and distance statistics equal to 0 and
-    edge_density 0; assortativity is 0 whenever endpoint degrees have zero
-    variance; entropy of a one-valued distribution is 0. A graph whose edge
-    count is not its node count minus one is not a tree and raises
-    ValueError.
+    as an AstGraph (see PreorderTree.of) or as the arrays of its tree: the
+    row forest_features gives the one tree. A graph whose edge count is not
+    its node count minus one is not a tree and raises ValueError.
     """
     tree = graph if isinstance(graph, PreorderTree) else PreorderTree.of(graph)
-    parent, depths = tree.parent, tree.depth
-    n = len(parent)
-    m = n - 1
-    # edge i joins node i + 1 to its parent
-    src = parent[1:]
-    dst = np.arange(1, n)
-    deg = np.bincount(src, minlength=n)
-    deg[1:] += 1
-
-    edge_density = m / n
-    degree_min = float(deg.min())
-    degree_max = float(deg.max())
-    degree_mean = float(deg.mean())
-    degree_var = float(deg.var())
-    degree_entropy = _entropy(Counter(deg.tolist()).values())
-
-    if m == 0:
-        assortativity = 0.0
-    else:
-        du = deg[src].astype(float)
-        dv = deg[dst].astype(float)
-        x = np.concatenate([du, dv])
-        y = np.concatenate([dv, du])
-        vx = x.var()
-        vy = y.var()
-        if vx <= 0.0 or vy <= 0.0:
-            assortativity = 0.0
-        else:
-            cov = float(((x - x.mean()) * (y - y.mean())).mean())
-            assortativity = max(-1.0, min(1.0, cov / math.sqrt(vx * vy)))
-
-    depth_min = float(depths.min())
-    depth_max = float(depths.max())
-    depth_mean = int(depths.sum()) / n
-    depth_entropy = _entropy(Counter(depths.tolist()).values())
-
-    if n == 1:
-        diameter = radius = 0
-        mean_eccentricity = 0.0
-        avg_shortest_path = 0.0
-    else:
-        diameter, radius, mean_eccentricity, avg_shortest_path = (
-            _tree_distance_features(parent, depths)
-        )
-
-    eig_max = eig_mean = None
-    if include_eigenvector:
-        eig_max, eig_mean = _eig_centrality(n, src, dst)
-
-    return GraphFeatures(
-        node_count=n,
-        edge_count=m,
-        edge_density=edge_density,
-        degree_min=degree_min,
-        degree_max=degree_max,
-        degree_mean=degree_mean,
-        degree_var=degree_var,
-        degree_entropy=degree_entropy,
-        assortativity=assortativity,
-        depth_min=depth_min,
-        depth_max=depth_max,
-        depth_mean=depth_mean,
-        depth_entropy=depth_entropy,
-        clustering_min=0.0,
-        clustering_max=0.0,
-        clustering_mean=0.0,
-        clustering_var=0.0,
-        transitivity=0.0,
-        diameter=diameter,
-        radius=radius,
-        mean_eccentricity=mean_eccentricity,
-        avg_shortest_path=avg_shortest_path,
-        eig_centrality_max=eig_max,
-        eig_centrality_mean=eig_mean,
-    )
+    row = forest_features(tree, include_eigenvector)[0].tolist()
+    values = dict(zip(AST_FEATURE_NAMES + EIG_FEATURE_NAMES, row))
+    for name in ("node_count", "edge_count", "diameter", "radius"):
+        values[name] = int(values[name])
+    return GraphFeatures(**values)

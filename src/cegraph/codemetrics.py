@@ -30,6 +30,8 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .pyast import AstGraph
 
 COMPLEXITY_FEATURE_NAMES = (
@@ -128,8 +130,8 @@ class ComplexityMetrics:
     """The counts the eight metrics are computed from. Each is a sum over
     the statements, units or tokens of a source, or a maximum, so the
     counts of consecutive top-level statements combine into those of the
-    module they form (see combine), and every metric, a quotient of two
-    integers, comes out the same."""
+    module they form (see complexity_columns), and every metric, a quotient
+    of two integers, comes out the same."""
 
     statements: int
     nesting_total: int  # of the statements' nesting levels
@@ -140,22 +142,6 @@ class ComplexityMetrics:
     unit_tokens: int
     param_total: int
     token_total: int
-
-    @classmethod
-    def combine(cls, parts: list[ComplexityMetrics]) -> ComplexityMetrics:
-        """The counts of the concatenated sources of `parts`, each a run of
-        whole top-level statements."""
-        return cls(
-            statements=sum(p.statements for p in parts),
-            nesting_total=sum(p.nesting_total for p in parts),
-            nesting_max=max((p.nesting_max for p in parts), default=0),
-            module_decisions=sum(p.module_decisions for p in parts),
-            units=sum(p.units for p in parts),
-            unit_cc=sum(p.unit_cc for p in parts),
-            unit_tokens=sum(p.unit_tokens for p in parts),
-            param_total=sum(p.param_total for p in parts),
-            token_total=sum(p.token_total for p in parts),
-        )
 
     @property
     def cc_total(self) -> int:
@@ -181,6 +167,31 @@ class ComplexityMetrics:
     def as_dict(self) -> dict[str, float]:
         names = COMPLEXITY_FEATURE_NAMES + NESTING_FEATURE_NAMES
         return {name: float(getattr(self, name)) for name in names}
+
+
+def complexity_columns(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The COMPLEXITY_FEATURE_NAMES and NESTING_FEATURE_NAMES columns of
+    sources that are runs of whole top-level statements put together: row
+    i is the source made of the pieces whose counts are the rows
+    starts[i] up to starts[i + 1] of counts, each row a ComplexityMetrics'
+    fields in order. The values are ComplexityMetrics' of the whole source,
+    bit for bit: each count is a sum or a maximum, each metric the same
+    quotient of two integers."""
+    (statements, nesting_total, _, module_decisions, units, unit_cc, unit_tokens,
+     param_total, token_total) = np.add.reduceat(counts, starts).T
+    # a source without units has no parameters and is the single unit
+    cc_total = np.where(units > 0, unit_cc, 1 + module_decisions)
+    per_unit = np.maximum(units, 1)
+    return np.column_stack([
+        cc_total,
+        cc_total / per_unit,
+        token_total,
+        np.where(units > 0, unit_tokens / per_unit, token_total),
+        param_total,
+        param_total / per_unit,
+        np.maximum.reduceat(counts[:, 2], starts),
+        nesting_total / np.maximum(statements, 1),
+    ])
 
 
 def _token_starts(code: str) -> list[int]:

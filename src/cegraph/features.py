@@ -16,29 +16,33 @@ A module is a sequence of statements, so the row is the one its whole
 code gives, bit for bit. Where a chunk does not parse alone, the whole
 code is the one chunk, so an unparsable sample keeps the whole module's
 diagnostic.
+
+Rows are assembled a block of consecutive parsed samples at a time, up to
+_BLOCK_NODES nodes (a larger sample is a block alone): the block's trees
+form one forest, whose graph features astfeat.forest_features computes in
+a few numpy passes, and codemetrics.complexity_columns combines the
+chunks' complexity counts into the block's complexity columns. A tree's
+row has the same bits in any block (see astfeat), so where the blocks are
+cut changes no value.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import astuple, dataclass
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .astfeat import (
-    AST_FEATURE_NAMES,
-    EIG_FEATURE_NAMES,
-    PreorderTree,
-    compute_graph_features,
-)
+from .astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES, PreorderTree, forest_features
 from .codemetrics import (
     COMPLEXITY_FEATURE_NAMES,
     NESTING_FEATURE_NAMES,
-    ComplexityMetrics,
+    complexity_columns,
     compute_complexity,
 )
 from .ingest import Dataset
@@ -58,7 +62,8 @@ def resolve_feature_set(spec: str, available=None) -> tuple[str, ...]:
 
     Accepts "ast22", "complexity6", "all28" or "custom:<path>" where the
     file lists one feature name per line (blank lines and # comments are
-    skipped). Unknown names raise ValueError.
+    skipped). Unknown names, and names listed more than once, raise
+    ValueError.
     """
     if spec in FEATURE_SETS:
         return FEATURE_SETS[spec]
@@ -77,6 +82,11 @@ def resolve_feature_set(spec: str, available=None) -> tuple[str, ...]:
         unknown = [n for n in names if n not in known]
         if unknown:
             raise ValueError(f"unknown feature names: {', '.join(unknown)}")
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ValueError(
+                f"custom feature set {path} lists more than once: {', '.join(repeated)}"
+            )
         return tuple(names)
     raise ValueError(f"unknown feature set {spec!r}")
 
@@ -112,31 +122,32 @@ def _statements(code: str) -> list[str]:
     return pieces
 
 
-def _chunks(code: str, counts: Counter) -> list[str]:
-    """The chunks code is featurized by: its statements (_statements), with
-    each run of consecutive statements that occur once in `counts` joined
-    into one chunk. A log without repeated statements is featurized sample
-    by sample, with no more parser calls than whole samples need."""
-    starts = []
-    at = 0
+def _chunks(statements: list[str], counts: Counter) -> list[str]:
+    """The chunks a sample is featurized by: its statements (_statements),
+    with each run of consecutive statements that occur once in `counts`
+    joined into one chunk. A log without repeated statements is featurized
+    sample by sample, with no more parser calls than whole samples need."""
+    runs: list[list[str]] = []
     single = False
-    for text in _statements(code):
+    for text in statements:
         once = counts[text] == 1
-        if not (once and single):
-            starts.append(at)
+        if once and single:
+            runs[-1].append(text)
+        else:
+            runs.append([text])
         single = once
-        at += len(text)
-    return [code[a:b] for a, b in zip(starts, starts[1:] + [len(code)])]
+    return ["".join(run) for run in runs]
 
 
 class _Chunk(NamedTuple):
     """What one chunk of code adds to a sample's features: its syntax tree
     below the module root, node v's distance up to its parent (up[v]) and
-    its depth, in preorder; and its complexity counts."""
+    its depth, in preorder; and its complexity counts, the fields of its
+    ComplexityMetrics."""
 
     up: np.ndarray
     depth: np.ndarray
-    complexity: ComplexityMetrics
+    complexity: tuple[int, ...]
 
 
 def _parse_chunk(text: str) -> _Chunk | str:
@@ -148,7 +159,9 @@ def _parse_chunk(text: str) -> _Chunk | str:
     tree = PreorderTree.of(graph)
     up = np.arange(len(tree.parent)) - tree.parent
     return _Chunk(
-        up[1:].astype(np.int32), tree.depth[1:].astype(np.int32), compute_complexity(graph, text)
+        up[1:].astype(np.int32),
+        tree.depth[1:].astype(np.int32),
+        astuple(compute_complexity(graph, text)),
     )
 
 
@@ -160,37 +173,83 @@ def _parsed(memo: dict, text: str) -> _Chunk | str:
     return part
 
 
-def _row(code: str, chunks: list[str], memo: dict, include_eigenvector: bool):
-    """(row, None) for code that parses, (None, diagnostic) otherwise; code
-    is the concatenation of chunks, and memo maps chunk text to
-    _parse_chunk's result (see _parsed)."""
+def _parts(code: str, chunks: list[str], memo: dict) -> list[_Chunk] | str:
+    """The _Chunk of each of the chunks of code, or, for code that does not
+    parse, the diagnostic; memo maps chunk text to _parse_chunk's result
+    (see _parsed)."""
     parts = [_parsed(memo, text) for text in chunks]
     if len(parts) > 1 and any(isinstance(part, str) for part in parts):
         # some chunk does not parse alone: the whole code is the one chunk
         parts = [_parsed(memo, code)]
-    if isinstance(parts[0], str):
-        return None, parts[0]
-    # the module root (up 1, so parent -1) above the chunks' trees, whose
-    # top-level statements (depth 1) hang from it
-    up = np.concatenate([[1], *(part.up for part in parts)], dtype=np.int64)
-    depth = np.concatenate([[0], *(part.depth for part in parts)], dtype=np.int64)
-    parent = np.arange(len(up)) - up
-    parent[depth == 1] = 0
-    graph = compute_graph_features(PreorderTree(parent, depth), include_eigenvector)
-    values = graph.as_dict() | ComplexityMetrics.combine(
-        [part.complexity for part in parts]
-    ).as_dict()
-    return [values[name] for name in _column_names(include_eigenvector)], None
+    return parts[0] if isinstance(parts[0], str) else parts
+
+
+# The most nodes that one forest_features call takes, unless one sample has
+# more. At its peak the call holds about 27 8-byte items per node, some
+# 1.7 MB for a full block. Blocks of 2^12 to 2^14 nodes featurize the
+# perfbench logs equally fast, and blocks of 2^14 left the pipeline's peak
+# RSS on large-modules-400 about 0.3 MB higher than blocks of 2^13.
+_BLOCK_NODES = 1 << 13
+
+_ROOT = np.zeros(1, dtype=np.int32)
+
+
+def _blocks(samples: Iterable[list[_Chunk]]) -> Iterator[list[list[_Chunk]]]:
+    """samples, each the _Chunk list of its code, cut into runs of
+    consecutive samples whose trees hold at most _BLOCK_NODES nodes
+    together, or one sample alone."""
+    block: list[list[_Chunk]] = []
+    nodes = 0
+    for parts in samples:
+        size = 1 + sum(len(part.up) for part in parts)
+        if block and nodes + size > _BLOCK_NODES:
+            yield block
+            block, nodes = [], 0
+        block.append(parts)
+        nodes += size
+    if block:
+        yield block
+
+
+def _forest(block: list[list[_Chunk]]) -> PreorderTree:
+    """The trees of the samples of block, each given as the _Chunk list of
+    its code, as one forest: a sample's tree is the module root above its
+    chunks' trees, whose top-level statements (depth 1) hang from it."""
+    up = np.concatenate(
+        [a for parts in block for a in (_ROOT, *(part.up for part in parts))], dtype=np.int64
+    )
+    depth = np.concatenate(
+        [a for parts in block for a in (_ROOT, *(part.depth for part in parts))],
+        dtype=np.int64,
+    )
+    ids = np.arange(len(depth))
+    parent = ids - up
+    root = np.maximum.accumulate(np.where(depth == 0, ids, 0))
+    parent[depth == 1] = root[depth == 1]
+    parent[depth == 0] = -1
+    return PreorderTree(parent, depth)
+
+
+def _rows(block: list[list[_Chunk]], include_eigenvector: bool) -> np.ndarray:
+    """The feature rows of the samples of block, each given as the _Chunk
+    list of its code, in the columns of _column_names; a sample's
+    complexity counts are its chunks'."""
+    graph = forest_features(_forest(block), include_eigenvector)
+    counts = np.array([part.complexity for parts in block for part in parts], dtype=np.int64)
+    starts = np.cumsum([0] + [len(parts) for parts in block[:-1]])
+    k = len(AST_FEATURE_NAMES)
+    return np.hstack([graph[:, :k], complexity_columns(counts, starts), graph[:, k:]])
 
 
 def featurize(code: str, include_eigenvector: bool = False) -> dict[str, float]:
     """Full feature vector for one source string, canonical column order.
     Raises ParseError, with the parser's diagnostic, for code that does
     not parse."""
-    chunks = _chunks(code, Counter(_statements(code)))
-    row, diagnostic = _row(code, chunks, {}, include_eigenvector)
-    if row is None:
-        raise ParseError(diagnostic)
+    statements = _statements(code)
+    parts = _parts(code, _chunks(statements, Counter(statements)), {})
+    if isinstance(parts, str):
+        raise ParseError(parts)
+    row = _rows([parts], include_eigenvector)[0].tolist()
     return dict(zip(_column_names(include_eigenvector), row))
 
 
@@ -225,22 +284,29 @@ def featurize_dataset(
     dataset order, with the columns of featurize; failures maps the ids of
     unparsable samples to the parser diagnostic, in dataset order.
 
-    Each distinct chunk of the log's code (see the module docstring) is
-    parsed once per call, the first time a row needs it, into a memo that
-    this call alone holds.
+    Each sample's code is split into statements once. Each distinct chunk
+    of the log's code (see the module docstring) is parsed once per call,
+    the first time a sample needs it, into a memo that this call alone
+    holds; the rows are then assembled a block of samples at a time.
     """
     names = _column_names(include_eigenvector)
-    counts = Counter(chain.from_iterable(_statements(s.code) for s in dataset.samples))
+    # a statement that occurs again is kept as its first occurrence, so the
+    # kept statements take the memory of the distinct ones alone
+    first: dict[str, str] = {}
+    statements = [[first.setdefault(text, text) for text in _statements(s.code)]
+                  for s in dataset.samples]
+    counts = Counter(chain.from_iterable(statements))
     memo: dict = {}
     ids: list[str] = []
-    rows: list[list[float]] = []
+    parsed: list[list[_Chunk]] = []
     failures: dict[str, str] = {}
-    for s in dataset.samples:
-        row, diagnostic = _row(s.code, _chunks(s.code, counts), memo, include_eigenvector)
-        if row is None:
-            failures[s.id] = diagnostic
-            continue
-        ids.append(s.id)
-        rows.append(row)
-    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    for s, pieces in zip(dataset.samples, statements):
+        parts = _parts(s.code, _chunks(pieces, counts), memo)
+        if isinstance(parts, str):
+            failures[s.id] = parts
+        else:
+            ids.append(s.id)
+            parsed.append(parts)
+    rows = [_rows(block, include_eigenvector) for block in _blocks(parsed)]
+    values = np.concatenate(rows) if rows else np.empty((0, len(names)))
     return FeatureTable(tuple(ids), names, values), failures

@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations used to check the
 library. Everything here recomputes from first definitions (BFS distance
 matrices, triangle counting, closed-form rank correlation) without reusing
-any library code paths."""
+any library code paths, except the graph-feature and t-SNE references: they
+are the straightforward formulations that the library must match bit for
+bit."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import ast
 import io
 import math
 import tokenize
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -270,6 +272,114 @@ def nesting_two(code):
     if not levels:
         return {"nesting_max": 0, "nesting_mean": 0.0}
     return {"nesting_max": max(levels), "nesting_mean": sum(levels) / len(levels)}
+
+
+# ------------------------------------------------------- graph features
+# One tree at a time, as cegraph.astfeat computed the 22 graph features
+# before it worked on a block of trees: the bits astfeat must match. Its
+# float sums are numpy's 1-D sums over this one tree's arrays, its
+# entropies add the terms in order of first appearance.
+
+
+def _entropy(counts):
+    total = sum(counts)
+    acc = 0.0
+    for c in counts:
+        if c > 0:
+            p = c / total
+            acc -= p * math.log(p)
+    return acc
+
+
+def _subtree_sizes(parent, depth):
+    """Node counts of all subtrees, summed up one depth level at a time."""
+    size = np.ones(len(parent), dtype=np.int64)
+    for d in range(int(depth.max()), 0, -1):
+        level = np.flatnonzero(depth == d)
+        np.add.at(size, parent[level], size[level])
+    return size
+
+
+def _distances_from(a, parent, depth, size):
+    """Tree distance from node a to every node of a preorder-labeled tree:
+    depth[a] + depth[v] - 2 * depth[lca(a, v)], where depth[lca(a, v)]
+    counts the non-root ancestors u of a (a included) whose subtree
+    interval [u, u + size[u]) holds v."""
+    ancestors = []
+    u = a
+    while u > 0:  # the root is node 0
+        ancestors.append(u)
+        u = int(parent[u])
+    path = np.array(ancestors, dtype=np.int64)
+    marks = np.zeros(len(parent) + 1, dtype=np.int64)
+    marks[path] += 1
+    np.subtract.at(marks, path + size[path], 1)
+    lca_depth = np.cumsum(marks[:-1])
+    return depth[a] + depth - 2 * lca_depth
+
+
+def _tree_distance_features(parent, depth):
+    """(diameter, radius, mean eccentricity, mean pairwise distance): each
+    edge above a subtree of size s lies on s * (n - s) paths; ecc(v) is
+    max(dist(v, a), dist(v, b)) for the ends a, b of a diameter."""
+    n = len(parent)
+    size = _subtree_sizes(parent, depth)
+    below = size[1:]
+    total = int((below * (n - below)).sum())
+    avg_shortest_path = total / (n * (n - 1) / 2)
+    dist_a = _distances_from(int(depth.argmax()), parent, depth, size)
+    dist_b = _distances_from(int(dist_a.argmax()), parent, depth, size)
+    ecc = np.maximum(dist_a, dist_b)
+    return int(ecc.max()), int(ecc.min()), int(ecc.sum()) / n, avg_shortest_path
+
+
+def graph_features_reference(parent, depth):
+    """The 22 graph features of the preorder tree (parent, depth), keyed by
+    name in astfeat's order."""
+    n = len(parent)
+    m = n - 1
+    src = parent[1:]
+    dst = np.arange(1, n)
+    deg = np.bincount(src, minlength=n)
+    deg[1:] += 1
+
+    if m == 0:
+        assortativity = 0.0
+    else:
+        du = deg[src].astype(float)
+        dv = deg[dst].astype(float)
+        x = np.concatenate([du, dv])
+        y = np.concatenate([dv, du])
+        vx = x.var()
+        vy = y.var()
+        if vx <= 0.0 or vy <= 0.0:
+            assortativity = 0.0
+        else:
+            cov = float(((x - x.mean()) * (y - y.mean())).mean())
+            assortativity = max(-1.0, min(1.0, cov / math.sqrt(vx * vy)))
+
+    if n == 1:
+        distances = (0, 0, 0.0, 0.0)
+    else:
+        distances = _tree_distance_features(parent, depth)
+
+    values = (
+        n, m, m / n,
+        float(deg.min()), float(deg.max()), float(deg.mean()), float(deg.var()),
+        _entropy(Counter(deg.tolist()).values()), assortativity,
+        float(depth.min()), float(depth.max()), int(depth.sum()) / n,
+        _entropy(Counter(depth.tolist()).values()),
+        0.0, 0.0, 0.0, 0.0, 0.0,
+        *distances,
+    )
+    names = (
+        "node_count", "edge_count", "edge_density", "degree_min", "degree_max",
+        "degree_mean", "degree_var", "degree_entropy", "assortativity",
+        "depth_min", "depth_max", "depth_mean", "depth_entropy",
+        "clustering_min", "clustering_max", "clustering_mean", "clustering_var",
+        "transitivity", "diameter", "radius", "mean_eccentricity", "avg_shortest_path",
+    )
+    return dict(zip(names, values))
 
 
 # ------------------------------------------------------------ exact t-SNE

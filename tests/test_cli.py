@@ -122,6 +122,21 @@ def test_unknown_y_axis_is_validation_failure(log_path, tmp_path, capsys):
         assert list(out.iterdir()) == []
 
 
+def test_custom_feature_set_with_a_repeated_name_exits_1(log_path, tmp_path, capsys):
+    # a repeated column would appear twice in correlations.csv and the
+    # heatmap, and weigh twice in the projections
+    listing = tmp_path / "twice.txt"
+    listing.write_text("node_count\ncc_total\nnode_count\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["pipeline", "--input", log_path, "--out", out, "--feature-set", f"custom:{listing}"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lists more than once: node_count" in captured.err
+    assert list(out.iterdir()) == []
+
+
 def test_tsne_clamps_out_of_range_perplexity(log_path, tmp_path, capsys):
     out = tmp_path / "out"
     # n=66 caps perplexity at (66-1)/3; the default 30 must be pulled down

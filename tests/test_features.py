@@ -2,8 +2,13 @@
 
 import ast
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import oracles
 from synth import random_module
@@ -12,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cegraph import features
-from cegraph.astfeat import AST_FEATURE_NAMES, compute_graph_features
+from cegraph.astfeat import AST_FEATURE_NAMES, PreorderTree, compute_graph_features
 from cegraph.codemetrics import (
     COMPLEXITY_FEATURE_NAMES,
     NESTING_FEATURE_NAMES,
@@ -69,6 +74,14 @@ def test_custom_feature_set_rejects_unknown_names(tmp_path):
     p = tmp_path / "mine.txt"
     p.write_text("node_count\nbogus_feature\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bogus_feature"):
+        resolve_feature_set(f"custom:{p}")
+
+
+def test_custom_feature_set_rejects_repeated_names(tmp_path):
+    p = tmp_path / "mine.txt"
+    p.write_text("node_count\ntoken_total\nnode_count\n# again\ntoken_total\n",
+                 encoding="utf-8")
+    with pytest.raises(ValueError, match="more than once: node_count, token_total$"):
         resolve_feature_set(f"custom:{p}")
 
 
@@ -142,7 +155,7 @@ def test_statements_seen_once_join_into_one_chunk():
     shared = ["x = 1\n", "class C:\n    pass\n"]
     code = once[0] + shared[0] + once[1] + once[2] + shared[1] + shared[0]
     counts = Counter(features._statements(code) + shared)
-    assert features._chunks(code, counts) == [
+    assert features._chunks(features._statements(code), counts) == [
         once[0], shared[0], once[1] + once[2], shared[1], shared[0]]
 
 
@@ -349,3 +362,118 @@ def test_chunked_featurize_equals_the_one_chunk_path(code):
 ])
 def test_split_traps_give_the_whole_module_result(code):
     assert_same_as_one_chunk(code)
+
+
+def _reference_row(code, include_eigenvector):
+    """The row of code parsed whole, its graph features from the one-tree
+    reference, as float.hex strings."""
+    graph = parse_to_graph(code)
+    tree = PreorderTree.of(graph)
+    values = (oracles.graph_features_reference(tree.parent, tree.depth)
+              | compute_complexity(graph, code).as_dict())
+    if include_eigenvector:
+        values |= compute_graph_features(tree, True).as_dict()
+    return [float(values[name]).hex() for name in features._column_names(include_eigenvector)]
+
+
+def assert_rows_equal_the_reference(codes, include_eigenvector):
+    table, failures = featurize_dataset(_dataset(codes), include_eigenvector)
+    rows = dict(zip(table.ids, table.values.tolist()))
+    for i, code in enumerate(codes):
+        try:
+            want = _reference_row(code, include_eigenvector)
+        except ParseError as exc:
+            assert failures[f"s{i}"] == str(exc)
+            continue
+        assert [value.hex() for value in rows[f"s{i}"]] == want, code
+
+
+@st.composite
+def fuzzed_logs(draw):
+    """Fuzzed modules of mixed sizes, empty, cut short or repeated; one
+    module of a few hundred lines is larger than the smaller blocks."""
+    codes = []
+    for _ in range(draw(st.integers(1, 10))):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        kind = draw(st.sampled_from(["module", "module", "empty", "cut", "again", "large"]))
+        if kind == "empty":
+            codes.append("")
+        elif kind == "again" and codes:
+            codes.append(draw(st.sampled_from(codes)))
+        elif kind == "large":
+            codes.append(random_module(rng, 300))
+        else:
+            code = random_module(rng, draw(st.integers(1, 40)))
+            codes.append(code[: rng.randint(0, len(code))] if kind == "cut" else code)
+    return codes
+
+
+@settings(max_examples=120, deadline=None)
+@given(codes=fuzzed_logs(), budget=st.sampled_from([1, 50, 700, 1 << 13]),
+       include_eigenvector=st.booleans())
+def test_featurized_rows_equal_the_one_tree_reference(codes, budget, include_eigenvector):
+    # the block budget is drawn, so samples fall into blocks of one, of a
+    # few and of many, and some are larger than a block
+    with mock.patch.object(features, "_BLOCK_NODES", budget):
+        assert_rows_equal_the_reference(codes, include_eigenvector)
+
+
+def test_a_sample_larger_than_a_block_is_a_block_of_its_own():
+    small = random_module(random.Random(1), 20)
+    large = random_module(random.Random(2), 1700)
+    assert parse_to_graph(large).node_count > features._BLOCK_NODES
+    codes = [small, large, small, "", small]
+    blocks = features._blocks(
+        features._parts(code, [code], {}) for code in codes
+    )
+    assert [len(block) for block in blocks] == [1, 1, 3]
+    assert_rows_equal_the_reference(codes, include_eigenvector=False)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 30])
+def test_where_blocks_are_cut_changes_no_bit(monkeypatch, budget):
+    dataset = load_jsonl(Path(__file__).resolve().parent.parent / "data" / "synthetic_run.jsonl")
+    dataset = Dataset(dataset.samples + _dataset(
+        ["", "def broken(:\n", random_module(random.Random(3), 1700)]).samples)
+    for include_eigenvector in (False, True):
+        want, want_failures = featurize_dataset(dataset, include_eigenvector)
+        monkeypatch.setattr(features, "_BLOCK_NODES", budget)
+        table, failures = featurize_dataset(dataset, include_eigenvector)
+        monkeypatch.undo()
+        assert table.ids == want.ids and failures == want_failures
+        assert table.values.tobytes() == want.values.tobytes()
+
+
+_PEAK_MEMORY = """
+import random
+from synth import random_module
+from cegraph.features import featurize_dataset
+from cegraph.ingest import CodeSample, Dataset
+
+def hwm_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM"))
+
+modules = [random_module(random.Random(seed), 250) for seed in range(4)]
+dataset = Dataset(tuple(CodeSample(f"s{i}", f"s{i}", "r", "", "", "", i, (), None,
+                                   modules[i % 4]) for i in range(380)))
+before = hwm_kib()
+table, failures = featurize_dataset(dataset)
+print(int(table.values[:, 0].sum()), hwm_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_featurization_peak_memory_does_not_grow_with_the_log():
+    # 380 samples of four 250-line modules: a forest of about 553k nodes.
+    # Featurized as one block, the peak grew by 76 MB; in blocks of
+    # _BLOCK_NODES nodes it grew by 1.7 MB (parsing four modules, the memo
+    # and one block)
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_MEMORY], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    nodes, growth_kib = map(int, proc.stdout.split())
+    assert nodes >= 500_000
+    assert growth_kib <= 16 * 1024

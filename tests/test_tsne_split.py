@@ -526,8 +526,8 @@ print(len(table.ids), len(failures), len(forks),
 def test_a_large_log_is_featurized_in_this_process(big_log):
     samples = load_jsonl(big_log).samples
     counts = Counter(chain.from_iterable(features._statements(s.code) for s in samples))
-    distinct = dict.fromkeys(chain.from_iterable(features._chunks(s.code, counts)
-                                                 for s in samples))
+    distinct = dict.fromkeys(chain.from_iterable(
+        features._chunks(features._statements(s.code), counts) for s in samples))
     assert sum(map(len, distinct)) > 3 << 17
     proc = subprocess.run([sys.executable, "-c", _FEATURIZE, str(big_log)],
                           capture_output=True, text=True,
