@@ -3,17 +3,18 @@
 Everything here is deterministic given its arguments. PCA diagonalizes the
 sample covariance (ddof=1) with a symmetric eigensolver and fixes the sign
 of each component so its largest-magnitude coefficient is positive. t-SNE
-is the exact O(n^2) formulation: per-point bandwidths found by one
-bisection on the Shannon entropy that steps all rows at once, early
-exaggeration, momentum switch, seeded initialization from a dedicated
-generator. The optimization loop computes only the gradient, in two
-(n, n) buffers allocated once per call, the affinities and the kernel.
-Both are symmetric, so each fixed block of rows stores and computes only
-its columns from its own first row on: each pair's kernel and gradient
-term is computed once. The KL value is not evaluated inside the loop. On
-two or more CPUs a large input's gradient is computed by two processes,
-each over a group of blocks that holds about half the pairs, with the
-same bits as one process gives, whatever the number of CPUs.
+is the exact O(n^2) formulation: per-point bandwidths found by a
+bisection on the Shannon entropy that steps one block of rows at a time,
+early exaggeration, momentum switch, seeded initialization from a
+dedicated generator. The optimization loop computes only the gradient.
+The affinities and the kernel are symmetric, so each fixed block of rows
+stores and computes only its columns from its own first row on, in packed
+storage of about n^2 / 2 entries each, allocated once per call: each
+pair's kernel and gradient term is computed once. The KL value is not
+evaluated inside the loop. On two or more CPUs a large input's gradient is
+computed by two processes, each over a group of blocks that holds about
+half the pairs, with the same bits as one process gives, whatever the
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def _row_blocks(n: int) -> range:
     """The first rows of the fixed row blocks in which every O(n^2) step
     of exact t-SNE runs. They depend on n alone, so the serial and the
     split path, and the dense oracle of the tests, cut each product the
-    same way: an (n, n) buffer larger than _BLOCK_BYTES is cut into an
-    even number of blocks of about that size."""
+    same way: n rows of n floats, if they take more than _BLOCK_BYTES, are
+    cut into an even number of blocks of about that size."""
     count = -(-8 * n * n // _BLOCK_BYTES)
     if count > 1:
         count += count % 2
@@ -115,7 +116,7 @@ def _groups(n: int) -> tuple[range, range]:
     """The indices of the row blocks of each of the two groups that the
     split runs in two processes: contiguous, and cut at the boundary that
     shares the blocks' packed areas most evenly (the first such boundary
-    on a tie). A block of rows r:r+h holds h * (n - r) entries (_packed),
+    on a tie). A block of rows r:r+h stores h * (n - r) entries (_Work),
     so the first group takes fewer blocks than the second. Like the
     blocks, the groups depend on n alone; with one block the second group
     is empty."""
@@ -126,17 +127,6 @@ def _groups(n: int) -> tuple[range, range]:
     return range(cut), range(cut, len(blocks))
 
 
-def _packed(M: np.ndarray, r: int, h: int) -> np.ndarray:
-    """The block of rows r:r+h of a symmetric matrix in the packed layout of
-    the C-contiguous (n, n) buffer M: their columns r:n (the block's h x h
-    square on the diagonal and everything right of it), as one
-    C-contiguous (h, n - r) array at the start of the block's own rows.
-    Over the blocks of _row_blocks(n), each pair i < j is stored once,
-    in the block of row i."""
-    n = M.shape[0]
-    return M.reshape(-1)[r * n:r * n + h * (n - r)].reshape(h, n - r)
-
-
 def _total(M: np.ndarray, h: int) -> float:
     """The sum over the symmetric matrix that the packed (h, w) block M
     stands for in its rows and columns: the square once and the entries
@@ -145,79 +135,38 @@ def _total(M: np.ndarray, h: int) -> float:
     return total + 2.0 * M[:, h:].sum() if M.shape[1] > h else total
 
 
-def _off_diagonal(M: np.ndarray) -> np.ndarray:
-    """The entries of the C-contiguous (n, n) array M off its diagonal, in
-    row order, as an (n - 1, n) view."""
-    n = M.shape[0]
-    return M.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
-
-
-def _joint_probabilities(X: np.ndarray, perplexity: float, P: np.ndarray,
-                         scratch: np.ndarray) -> None:
-    """Symmetrized joint probabilities with per-point bandwidth search,
-    written to the C-contiguous (n, n) buffer P in the packed layout of
-    _packed; the C-contiguous (n, n) buffer scratch holds the distances
-    meanwhile and is left undefined.
-
-    The squared distances are sums of exact squared differences, one
-    feature after another, so they need no matrix product and their bits
-    do not depend on the BLAS thread count. Bisection on
-    beta = 1/(2 sigma^2) targets Shannon entropy log2(perplexity) within
-    1e-5, at most 50 steps per point. All rows step together; a row leaves
+def _bisect(D: np.ndarray, target: float) -> np.ndarray:
+    """The conditional probabilities of the rows of D, each row the squared
+    distances from one point to all the others, from a bisection on
+    beta = 1/(2 sigma^2) that targets Shannon entropy `target` within
+    1e-5, at most 50 steps per row. The rows step together; a row leaves
     the active set once it converges, keeping the probabilities of the
-    last beta it tried. P first holds the squared distances, then the
-    rows' probabilities, and the rows step one block at a time, so the
-    search allocates no (n, n) array of its own.
-    """
-    n = X.shape[0]
-    blocks = _row_blocks(n)
-    diff = np.empty((blocks.step, n))
-    # the squared distances into P, a block of rows at a time, as the sums
-    # of (x_i - x_j)^2 over the features in order
-    for r in blocks:
-        D = P[r:r + blocks.step]
-        t = diff[:len(D)]
-        D.fill(0.0)
-        for x in X.T:
-            np.subtract(x[r:r + blocks.step, None], x, out=t)
-            np.multiply(t, t, out=t)
-            D += t
-    del diff
-    # row i of the distances without D[i, i], copied to scratch; each row
-    # is C-contiguous, so its sum reduces exactly as a 1-d sum over that
-    # row does
-    Doff = scratch.reshape(-1)[:n * (n - 1)].reshape(n, n - 1)
-    Doff.reshape(n - 1, n)[...] = _off_diagonal(P)
-    # the rows' probabilities, in the memory of P that the distances left
-    Poff = P.reshape(-1)[:n * (n - 1)].reshape(n, n - 1)
-    target = math.log2(perplexity)
-    beta = np.ones(n)
-    betamin = np.full(n, -np.inf)
-    betamax = np.full(n, np.inf)
-    entropy = np.empty(n)
-    active = np.arange(n)
+    last beta it tried. Each row's sums reduce over that one C-contiguous
+    row, so its bits do not depend on the other rows of D."""
+    m = D.shape[0]
+    P = np.empty_like(D)
+    beta = np.ones(m)
+    betamin = np.full(m, -np.inf)
+    betamax = np.full(m, np.inf)
+    active = np.arange(m)
     for _ in range(50):
         b = beta[active]
-        # a block of the active rows at a time, so that their pi and
-        # entropy terms take no (n, n) buffer; each row's sums reduce the
-        # same way in any block
-        for c in range(0, active.size, blocks.step):
-            rows = active[c:c + blocks.step]
-            # the kernel exp(-beta D), normalized in place to the rows' pi
-            pi = Doff[rows]
-            pi *= -b[c:c + blocks.step, None]
-            np.exp(pi, out=pi)
-            s = pi.sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pi /= s[:, None]
-                pi[s <= 0.0] = 0.0
-            terms = np.log2(pi, out=np.zeros_like(pi), where=pi > 0.0)
-            terms *= pi
-            entropy[c:c + len(rows)] = -terms.sum(axis=1)
-            Poff[rows] = pi
+        # the kernel exp(-beta D), normalized in place to the rows' pi
+        pi = D[active]
+        pi *= -b[:, None]
+        np.exp(pi, out=pi)
+        s = pi.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pi /= s[:, None]
+            pi[s <= 0.0] = 0.0
+        terms = np.log2(pi, out=np.zeros_like(pi), where=pi > 0.0)
+        terms *= pi
+        P[active] = pi
         # summing the zeros too may move h by an ulp from a sum over the
         # nonzero terms alone; h only steers the branch, P keeps pi itself
-        h = entropy[:active.size]
+        h = -terms.sum(axis=1)
+        # freed before the next step's pi, so that at most three blocks live
+        del pi, terms
         going = np.abs(h - target) >= 1e-5
         active, b, h = active[going], b[going], h[going]
         if active.size == 0:
@@ -232,17 +181,47 @@ def _joint_probabilities(X: np.ndarray, perplexity: float, P: np.ndarray,
         )
         betamin[active] = lo
         betamax[active] = hi
-    # the rows' probabilities into place in scratch, then each block's
-    # symmetrized mean into P: no block overlaps its source, so numpy
-    # makes no temporary
-    _off_diagonal(scratch)[...] = Poff.reshape(n - 1, n)
-    scratch.flat[:: n + 1] = 0.0
-    for r in blocks:
-        rows = slice(r, r + blocks.step)
-        Pr = _packed(P, r, len(scratch[rows]))
-        np.add(scratch[rows, r:], scratch.T[rows, r:], out=Pr)
-        Pr /= 2.0 * n
-        np.maximum(Pr, 1e-12, out=Pr)
+    return P
+
+
+def _joint_probabilities(X: np.ndarray, perplexity: float, work: _Work) -> None:
+    """Symmetrized joint probabilities with per-point bandwidth search,
+    written to work.P one row block at a time; only block-sized arrays are
+    allocated.
+
+    A block's squared distances, in the scratch, are sums of exact squared
+    differences, one feature after another, so their bits do not depend on
+    the BLAS thread count. Its rows get a bisection of their own (_bisect).
+    Of its conditional rows cond, cond + cond.T goes into the block's
+    square, cond right of it into the rest of its packed rows, and the
+    part left of it, transposed, is added into the earlier blocks' rows.
+    So each pair i < j holds cond[i, j] + cond[j, i] before all of P is
+    divided by 2n and floored at 1e-12.
+    """
+    n = X.shape[0]
+    target = math.log2(perplexity)
+    for k, (r, h, Pr, *_) in enumerate(work.parts):
+        D = work.scratch[0, :h * n].reshape(h, n)
+        t = work.scratch[1, :h * n].reshape(h, n)
+        D.fill(0.0)
+        for x in X.T:
+            np.subtract(x[r:r + h, None], x, out=t)
+            np.multiply(t, t, out=t)
+            D += t
+        # the conditional rows replace the distances, each searched without
+        # its diagonal entry, as one C-contiguous row; the diagonal keeps its
+        # distance, an exact 0 for finite X
+        keep = np.arange(n) != np.arange(r, r + h)[:, None]
+        Doff = work.scratch[1, :h * (n - 1)]
+        Doff[...] = D[keep]
+        cond = D
+        cond[keep] = _bisect(Doff.reshape(h, n - 1), target).reshape(-1)
+        np.add(cond[:, r:r + h], cond[:, r:r + h].T, out=Pr[:, :h])
+        Pr[:, h:] = cond[:, r + h:]
+        for r0, h0, P0, *_ in work.parts[:k]:
+            P0[:, r - r0:r - r0 + h] += cond[:, r0:r0 + h0].T
+    work.P /= 2.0 * n
+    np.maximum(work.P, 1e-12, out=work.P)
 
 
 # tsne splits each gradient's O(n^2) steps between this process and one
@@ -266,12 +245,12 @@ _WAIT_S = 0.05
 # stall of a few ms does not pick the path
 _WINDOW = 10
 _CYCLE = 200
-# the size of one row block of an (n, n) buffer (_row_blocks). A block
-# holds at most _BLOCK_BYTES / 8 + n entries; its kernel product takes 5
-# multiply-adds per entry and its two gradient products 3, so below
-# n = 19660 each stays under the 2^18 multiply-adds up to which OpenBLAS
-# runs a product on one thread. So the bits do not depend on the CPU
-# count, and no BLAS thread competes with the split
+# about the size of one row block (_row_blocks), counted as full rows of n
+# floats. A block holds at most _BLOCK_BYTES / 8 + n entries; its kernel
+# product takes 5 multiply-adds per entry and its two gradient products 3,
+# so below n = 19660 each stays under the 2^18 multiply-adds up to which
+# OpenBLAS runs a product on one thread. So the bits do not depend on the
+# CPU count, and no BLAS thread competes with the split
 _BLOCK_BYTES = 1 << 18
 # the commands a worker runs, posted in _Work.ctrl[0]
 _STOP, _KERNEL, _GRADIENT = 0, 1, 2
@@ -279,19 +258,25 @@ _STOP, _KERNEL, _GRADIENT = 0, 1, 2
 
 class _Work:
     """The buffers of one exact t-SNE gradient, views of one flat float
-    array from alloc(size): the (n, n) affinities P and kernel num, both
-    symmetric and stored in the packed layout of _packed; the (n, 5)
-    factors A = [sq, 1, y0, y1, 1] and B = [1, sq, -2 y0, -2 y1, 1] of
+    array from alloc(size): the affinities P and the kernel num, both
+    symmetric and packed, each a flat array in which the blocks of
+    _row_blocks(n) follow each other, the block of rows r:r+h as one
+    C-contiguous (h, n - r) array of their columns r:n, so that each pair
+    i < j is stored once, in the block of row i; the (n, 5) factors
+    A = [sq, 1, y0, y1, 1] and B = [1, sq, -2 y0, -2 y1, 1] of
     1 + |y_i - y_j|^2; acc, one (n, 3) accumulator of [PQ @ Y, rowsum(PQ)]
     per group of blocks (_groups); the blocks' kernel totals; and ctrl,
     which holds the posted command, the kernel total Z and the
     exaggeration. Each block's views are made once, in parts. The
-    scratch, two blocks for _gradient_group, and tmp come from np.empty:
-    each process writes its own copy of them."""
+    scratch, two blocks of n columns for _joint_probabilities and
+    _gradient_group, and tmp come from np.empty: each process writes its
+    own copy of them."""
 
     def __init__(self, n: int, alloc=np.empty):
         blocks = _row_blocks(n)
-        shapes = [(n, n)] * 2 + [(n, 5)] * 2 + [(2, n, 3), (len(blocks),), (3,)]
+        heights = [min(blocks.step, n - r) for r in blocks]
+        packed = sum(h * (n - r) for r, h in zip(blocks, heights))
+        shapes = [(packed,)] * 2 + [(n, 5)] * 2 + [(2, n, 3), (len(blocks),), (3,)]
         ends = np.cumsum([math.prod(shape) for shape in shapes])
         parts = np.split(alloc(int(ends[-1])), ends[:-1])
         views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
@@ -306,11 +291,12 @@ class _Work:
         # per block: its first row r, its height h and its packed (h, n - r)
         # views of P, num and the two scratch blocks
         self.parts = []
-        for r in blocks:
-            h = min(blocks.step, n - r)
+        start = 0
+        for r, h in zip(blocks, heights):
             size = h * (n - r)
-            self.parts.append((r, h, _packed(self.P, r, h), _packed(self.num, r, h),
-                               *(s[:size].reshape(h, n - r) for s in self.scratch)))
+            P, num = (a[start:start + size].reshape(h, n - r) for a in (self.P, self.num))
+            self.parts.append((r, h, P, num, *(s[:size].reshape(h, n - r) for s in self.scratch)))
+            start += size
 
 
 def _pack(P: np.ndarray, work: _Work) -> None:
@@ -474,15 +460,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_workers(workers: int, start):
-    """start(context) with a fork context, or None, which means: run
-    serially. None when there are fewer than 2 workers, the platform cannot
-    fork, or this process is daemonic (a multiprocessing.Pool worker, which
-    may not start processes); also when start raises OSError, as a refused
+def _fork_workers(workers: int, n: int) -> _Helper | None:
+    """A _Helper for n points, or None, which means: run serially. None
+    when there are fewer than 2 workers, the platform cannot fork, or this
+    process is daemonic (a multiprocessing.Pool worker, which may not start
+    processes); also when starting the worker raises OSError, as a refused
     fork does."""
     if workers < 2:
         return None
-    # imported here: the serial paths, and `import cegraph`, do without it
+    # imported here: the serial path, and `import cegraph`, do without it
     import multiprocessing
 
     if (
@@ -494,7 +480,7 @@ def _fork_workers(workers: int, start):
     # re-runs the caller's __main__. Forking is safe: the only other thread,
     # OpenBLAS's, is stopped by its own atfork handler
     try:
-        return start(multiprocessing.get_context("fork"))
+        return _Helper(multiprocessing.get_context("fork"), n)
     except OSError:
         return None
 
@@ -556,10 +542,10 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
 
     # the worker forks before P exists, so it does not hold a copy of it
     cpus = _usable_cpus() if n >= _SPLIT_MIN_POINTS else 1
-    helper = _fork_workers(cpus, lambda context: _Helper(context, n))
+    helper = _fork_workers(cpus, n)
     try:
         work = helper.work if helper else _Work(n)
-        _joint_probabilities(X, perplexity, work.P, work.num)
+        _joint_probabilities(X, perplexity, work)
         rng = np.random.default_rng(seed)
         Y = rng.normal(0.0, 1e-4, size=(n, 2))
         velocity = np.zeros_like(Y)

@@ -400,16 +400,18 @@ def _blocks(n):
     return [(r, min(blocks.step, n - r)) for r in blocks]
 
 
-def unpacked(M):
-    """The symmetric (n, n) matrix stored in embed's packed layout of the
-    (n, n) buffer M: the block of rows r:r+h keeps their columns r:n as one
-    C-contiguous (h, n - r) array from the start of row r."""
-    n = M.shape[0]
+def unpacked(M, n):
+    """The symmetric (n, n) matrix stored in embed's packed layout in the
+    flat array M: the blocks lie one after another, the block of rows
+    r:r+h keeping their columns r:n as one C-contiguous (h, n - r) array."""
     D = np.empty((n, n))
+    start = 0
     for r, h in _blocks(n):
-        B = M.reshape(-1)[r * n:r * n + h * (n - r)].reshape(h, n - r)
+        B = M[start:start + h * (n - r)].reshape(h, n - r)
         D[r:r + h, r:] = B
         D[r + h:, r:r + h] = B[:, h:].T
+        start += h * (n - r)
+    assert start == M.size
     return D
 
 

@@ -20,6 +20,7 @@ from synth import random_module
 from cegraph.astfeat import compute_graph_features
 from cegraph.cli import main
 from cegraph.embed import (
+    _Work,
     _joint_probabilities,
     kl_divergence_and_grad,
     pca,
@@ -314,9 +315,9 @@ def test_criterion_3_pca(capsys):
 def test_criterion_4_tsne(capsys):
     rng = np.random.default_rng(17)
     Xg = rng.normal(size=(6, 3))
-    P = np.empty((6, 6))
-    _joint_probabilities(Xg, 1.5, P, np.empty_like(P))
-    P = oracles.unpacked(P)
+    work = _Work(6)
+    _joint_probabilities(Xg, 1.5, work)
+    P = oracles.unpacked(work.P, 6)
     Y = rng.normal(size=(6, 2))
     _, grad = kl_divergence_and_grad(P, Y)
     h = 1e-5

@@ -128,9 +128,9 @@ def two_clusters(n_per=10, d=5, gap=100.0, seed=5):
 
 def test_joint_probabilities_shape_and_mass():
     X = two_clusters()
-    packed = np.empty((20, 20))
-    _joint_probabilities(X, 5.0, packed, np.empty_like(packed))
-    P = oracles.unpacked(packed)
+    work = embed._Work(20)
+    _joint_probabilities(X, 5.0, work)
+    P = oracles.unpacked(work.P, 20)
     assert np.array_equal(P, P.T)
     assert float(P.sum()) == pytest.approx(1.0, abs=1e-6)
     assert float(P.min()) >= 1e-12
@@ -160,45 +160,57 @@ def affinity_inputs(draw):
 def test_joint_probabilities_bitwise_equal_to_per_row_bisection(case, rows):
     # blocks of 1 to n rows: the rows' bits do not depend on their block
     X, perplexity = case
-    got = np.full((len(X), len(X)), np.nan)
     with mock.patch.object(embed, "_BLOCK_BYTES", 8 * len(X) * rows):
-        _joint_probabilities(X, perplexity, got, np.full_like(got, np.nan))
-        got = oracles.unpacked(got)
+        work = embed._Work(len(X))
+        # NaN shows any packed entry left unwritten
+        work.P.fill(np.nan)
+        _joint_probabilities(X, perplexity, work)
+        got = oracles.unpacked(work.P, len(X))
     want = oracles.joint_probabilities_reference(X, perplexity)
     assert got.tobytes() == want.tobytes()
 
 
 def test_joint_probabilities_peak_memory():
-    # no (n, n) array besides P and the scratch: the distances' differences,
-    # the active rows' pi and their entropy terms are formed one block of
-    # rows at a time (at n=300, a quarter of the rows)
+    # no (n, n) array, and nothing besides the packed P and the scratch of
+    # the _Work but a few blocks: each block's distances, its rows' pi and
+    # their entropy terms (at n=300, a quarter of the rows); measured 0.83
+    # x 8n^2
     n = 300
     X = np.random.default_rng(0).normal(size=(n, 28))
-    P, scratch = np.empty((n, n)), np.empty((n, n))
+    work = embed._Work(n)
     tracemalloc.start()
     try:
-        _joint_probabilities(X, 30.0, P, scratch)
+        _joint_probabilities(X, 30.0, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * n * n
+    assert peak <= 1.0 * 8 * n * n
 
 
-def test_tsne_peak_memory(monkeypatch):
-    # the affinities and the kernel, the two (n, n) buffers of the loop,
-    # besides a few blocks of rows: measured 3.61 x 8n^2 at n=300, where a
-    # block is a quarter of the rows (6.17 with the gradient's own (n, n)
-    # buffer and the affinity step's (n, n) temporaries)
+def _tsne_peak(monkeypatch, n):
     monkeypatch.setattr(embed, "_usable_cpus", lambda: 1)
-    n = 300
     X = np.random.default_rng(0).normal(size=(n, 28))
     tracemalloc.start()
     try:
         tsne(X, perplexity=30.0, iterations=20)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.75 * 8 * n * n
+
+
+def test_tsne_peak_memory(monkeypatch):
+    # the affinities and the kernel, about n^2 / 2 packed entries each,
+    # besides a few blocks of rows: measured 2.64 x 8n^2 at n=300, where a
+    # block is a quarter of the rows
+    n = 300
+    assert _tsne_peak(monkeypatch, n) <= 3.0 * 8 * n * n
+
+
+def test_tsne_peak_memory_at_1000_points(monkeypatch):
+    # a block is 32 of 1000 rows, so the two packed halves dominate:
+    # measured 1.22 x 8n^2, where two (n, n) buffers alone would take 2
+    n = 1000
+    assert _tsne_peak(monkeypatch, n) <= 1.5 * 8 * n * n
 
 
 @pytest.mark.parametrize("project", [lambda X: pca(X, 1), tsne], ids=["pca", "tsne"])
@@ -227,9 +239,9 @@ def test_tsne_bitwise_equal_to_dense_reference(n, d, scale, perplexity, seed):
 def test_kl_and_gradient_bitwise_equal_to_dense_reference():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 4))
-    P = np.empty((30, 30))
-    _joint_probabilities(X, 6.0, P, np.empty_like(P))
-    P = oracles.unpacked(P)
+    work = embed._Work(30)
+    _joint_probabilities(X, 6.0, work)
+    P = oracles.unpacked(work.P, 30)
     for Y in (rng.normal(size=(30, 2)), rng.normal(0.0, 1e-4, size=(30, 2))):
         kl, grad = kl_divergence_and_grad(P, Y)
         want_kl, want_grad = oracles.kl_divergence_and_grad_reference(P, Y)
@@ -240,9 +252,9 @@ def test_kl_and_gradient_bitwise_equal_to_dense_reference():
 def test_kl_gradient_matches_central_differences():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(6, 3))
-    P = np.empty((6, 6))
-    _joint_probabilities(X, 1.5, P, np.empty_like(P))
-    P = oracles.unpacked(P)
+    work = embed._Work(6)
+    _joint_probabilities(X, 1.5, work)
+    P = oracles.unpacked(work.P, 6)
     Y = rng.normal(size=(6, 2))
     kl, grad = kl_divergence_and_grad(P, Y)
     assert kl >= 0.0

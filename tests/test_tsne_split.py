@@ -91,9 +91,9 @@ def test_split_tsne_bitwise_equal_to_dense_reference(split, n):
 @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 13, 14, 15, 41])
 def test_kl_and_gradient_bitwise_equal_to_dense_reference(split, n):
     X, perplexity = _inputs(n, seed=5)
-    P = np.empty((n, n))
-    embed._joint_probabilities(X, perplexity, P, np.empty_like(P))
-    P = oracles.unpacked(P)
+    work = embed._Work(n)
+    embed._joint_probabilities(X, perplexity, work)
+    P = oracles.unpacked(work.P, n)
     for Y in (np.random.default_rng(n).normal(size=(n, 2)),
               np.random.default_rng(n).normal(0.0, 1e-4, size=(n, 2))):
         kl, grad = embed.kl_divergence_and_grad(P, Y)
@@ -145,7 +145,7 @@ def test_blocks_have_the_same_bits_in_either_process(data, n, scale, exaggeratio
             helper.close()
         _, oracle = oracles.kl_divergence_and_grad_reference(exaggeration * P, Y)
         assert (helper.work.lo, n) == worker_rows(n)
-        kernels = [oracles.unpacked(work.num).tobytes() for work in (helper.work, serial)]
+        kernels = [oracles.unpacked(work.num, n).tobytes() for work in (helper.work, serial)]
     assert 0 < helper.work.lo < n
     assert kernels[0] == kernels[1]
     assert helper.work.ctrl[1] == serial.ctrl[1]
