@@ -12,9 +12,10 @@ stores and computes only its columns from its own first row on, in packed
 storage of about n^2 / 2 entries each, allocated once per call: each
 pair's kernel and gradient term is computed once. The KL value is not
 evaluated inside the loop. On two or more CPUs a large input's gradient is
-computed by two processes, each over a group of blocks that holds about
-half the pairs, with the same bits as one process gives, whatever the
-number of CPUs.
+computed by this process and a forked worker, which shares its buffers and
+takes its commands over a pipe, each over a group of blocks that holds
+about half the pairs, with the same bits as one process gives, whatever
+the number of CPUs.
 """
 
 from __future__ import annotations
@@ -229,14 +230,12 @@ def _joint_probabilities(X: np.ndarray, perplexity: float, work: _Work) -> None:
 # alone (28-d input, 2-core host, two rounds), the split runs at 1.15-1.35x
 # the serial speed at n=200 and 256, where the worker's one block of 2
 # holds a third of the pairs, 1.3-1.7x at n=300 and 1.5-1.6x at n=400;
-# below n=182 there is one row block, and the worker would get none. The
-# worker spins while it waits for its next command, so the CPU time rises
-# with the split
+# below n=182 there is one row block, and the worker would get none
 _SPLIT_MIN_POINTS = 300
-# semaphore polls (about 0.2 us each) before a wait blocks; the blocking
-# wait checks every _WAIT_S that the other process is still alive
-_SPINS = 10_000
-_WAIT_S = 0.05
+# a reader polls its pipe this long before it blocks in os.read: waking a
+# blocked process costs about 0.2 ms, and a longer poll slows the split when
+# both processes share one CPU
+_SPIN_S = 0.0005
 # with a worker, every cycle of _CYCLE iterations starts with _WINDOW
 # iterations on each path and runs the rest on the path whose median
 # gradient took less time; both paths give the same bits. The split loses
@@ -252,8 +251,8 @@ _CYCLE = 200
 # OpenBLAS runs a product on one thread. So the bits do not depend on the
 # CPU count, and no BLAS thread competes with the split
 _BLOCK_BYTES = 1 << 18
-# the commands a worker runs, posted in _Work.ctrl[0]
-_STOP, _KERNEL, _GRADIENT = 0, 1, 2
+# the commands a worker runs, each sent as one byte
+_KERNEL, _GRADIENT = 1, 2
 
 
 class _Work:
@@ -266,17 +265,16 @@ class _Work:
     A = [sq, 1, y0, y1, 1] and B = [1, sq, -2 y0, -2 y1, 1] of
     1 + |y_i - y_j|^2; acc, one (n, 3) accumulator of [PQ @ Y, rowsum(PQ)]
     per group of blocks (_groups); the blocks' kernel totals; and ctrl,
-    which holds the posted command, the kernel total Z and the
-    exaggeration. Each block's views are made once, in parts. The
-    scratch, two blocks of n columns for _joint_probabilities and
-    _gradient_group, and tmp come from np.empty: each process writes its
-    own copy of them."""
+    which holds the kernel total Z and the exaggeration. Each block's
+    views are made once, in parts. The scratch, two blocks of n columns
+    for _joint_probabilities and _gradient_group, and tmp come from
+    np.empty: each process writes its own copy of them."""
 
     def __init__(self, n: int, alloc=np.empty):
         blocks = _row_blocks(n)
         heights = [min(blocks.step, n - r) for r in blocks]
         packed = sum(h * (n - r) for r, h in zip(blocks, heights))
-        shapes = [(packed,)] * 2 + [(n, 5)] * 2 + [(2, n, 3), (len(blocks),), (3,)]
+        shapes = [(packed,)] * 2 + [(n, 5)] * 2 + [(2, n, 3), (len(blocks),), (2,)]
         ends = np.cumsum([math.prod(shape) for shape in shapes])
         parts = np.split(alloc(int(ends[-1])), ends[:-1])
         views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
@@ -327,7 +325,7 @@ def _gradient_group(work: _Work, group: int) -> None:
     the later rows. The group's first block writes the accumulator's rows
     r:n, so it needs no zeroing. PQ is formed in the scratch, so it takes
     no (n, n) buffer."""
-    Z, exaggeration = work.ctrl[1], work.ctrl[2]
+    Z, exaggeration = work.ctrl
     acc, Y1 = work.acc[group], work.A[:, 2:]
     blocks = work.groups[group]
     for k in blocks:
@@ -360,7 +358,7 @@ def _gradient(work: _Work, Y: np.ndarray, exaggeration: float,
     """KL gradient with respect to Y for the affinities exaggeration * work.P.
 
     On return work.num holds the Student-t kernel with a zero diagonal, in
-    the packed layout, and work.ctrl[1] its total Z, the sum of the
+    the packed layout, and work.ctrl[0] its total Z, the sum of the
     blocks' totals. Each pair's kernel and gradient term is computed once,
     one block at a time (_row_blocks). The result is 4 * (s2 * Y - s01),
     where [s01, s2] = [PQ @ Y, rowsum(PQ)] is the sum of the two groups'
@@ -374,7 +372,7 @@ def _gradient(work: _Work, Y: np.ndarray, exaggeration: float,
     work.B[:, 1] = work.A[:, 0]
     for command in (_KERNEL, _GRADIENT):
         if command == _GRADIENT:
-            work.ctrl[1:] = work.totals.sum(), exaggeration
+            work.ctrl[:] = work.totals.sum(), exaggeration
         if helper:
             helper.post(command)
         _run_group(work, command, 0)
@@ -388,67 +386,80 @@ def _gradient(work: _Work, Y: np.ndarray, exaggeration: float,
     return 4.0 * (s[:, 2:] * Y - s[:, :2])
 
 
-def _acquire(sem, alive) -> bool:
-    """Take sem, polling it first; False once alive() says the process
-    that would release it is gone. The poll avoids waking a sleeping
-    process, about 0.2 ms each time, at four hand-offs per iteration.
-    Semaphore calls also synchronize memory between the processes."""
-    for _ in range(_SPINS):
-        if sem.acquire(False):
-            return True
-    while not sem.acquire(timeout=_WAIT_S):
-        if not alive():
-            return sem.acquire(False)
-    return True
+def _receive(fd: int) -> bytes:
+    """One byte from the pipe fd, b"" once it has no writer left. The pipe
+    is polled for up to _SPIN_S before the read blocks."""
+    import select  # here, like mmap: the serial path does without it
 
-
-def _serve(work: _Work, go, done, parent: int) -> None:
-    """The worker: run each posted command on the second group of blocks
-    until told to stop or the parent is gone."""
-    # an interrupt reaches the whole process group; the parent handles it
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while _acquire(go, lambda: os.getppid() == parent):
-        command = int(work.ctrl[0])
-        if command == _STOP:
-            return
-        _run_group(work, command, 1)
-        done.release()
+    ready = select.poll()
+    ready.register(fd, select.POLLIN)
+    deadline = time.perf_counter() + _SPIN_S
+    while not ready.poll(0) and time.perf_counter() < deadline:
+        pass
+    return os.read(fd, 1)
 
 
 class _Helper:
     """One forked worker process that runs the second group of row blocks
-    (_groups), rows work.lo:n, of buffers in shared anonymous memory."""
+    (_groups), rows work.lo:n, of buffers in shared anonymous memory. It
+    reads each command as one byte from one pipe and answers it with one
+    byte on another. Each process closes the other's pipe ends, so a read
+    of b"" means the other process is gone: the worker then exits, and this
+    process raises RuntimeError. Pipe calls also synchronize memory."""
 
-    def __init__(self, context, n: int):
+    def __init__(self, n: int):
         import mmap
 
         # the pages stay untouched until after the fork, so the worker
         # inherits none of the values written to them
         self.work = _Work(n, lambda size: np.frombuffer(mmap.mmap(-1, 8 * size)))
-        self._go, self._done = context.Semaphore(0), context.Semaphore(0)
-        self._process = context.Process(
-            target=_serve,
-            args=(self.work, self._go, self._done, os.getpid()),
-            daemon=True,
-        )
-        self._process.start()
+        self._code = None
+        fds = list(os.pipe())
+        try:
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        commands, self._commands, self._answers, answers = fds
+        if self.pid == 0:
+            code = 1
+            try:
+                # an interrupt reaches the whole process group; the parent handles it
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(self._commands)
+                os.close(self._answers)
+                while command := _receive(commands):
+                    _run_group(self.work, command[0], 1)
+                    os.write(answers, command)
+                code = 0
+            finally:
+                # never unwind into the caller's frames and run their cleanup
+                os._exit(code)
+        os.close(commands)
+        os.close(answers)
 
     def post(self, command: int) -> None:
-        self.work.ctrl[0] = command
-        self._go.release()
+        try:
+            os.write(self._commands, bytes((command,)))
+        except BrokenPipeError:
+            self._exited()
 
     def wait(self) -> None:
-        if not _acquire(self._done, self._process.is_alive):
-            raise RuntimeError(
-                f"t-SNE worker process exited with code {self._process.exitcode}"
-            )
+        if not _receive(self._answers):
+            self._exited()
+
+    def _exited(self) -> None:
+        self._code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        raise RuntimeError(f"t-SNE worker process exited with code {self._code}")
 
     def close(self) -> None:
-        self.post(_STOP)
-        self._process.join(timeout=10.0)
-        if self._process.is_alive():
-            self._process.kill()
-            self._process.join()
+        """Close the pipes, which ends the worker, and reap it if need be."""
+        os.close(self._commands)
+        os.close(self._answers)
+        if self._code is None:
+            os.waitpid(self.pid, 0)
 
 
 def _usable_cpus() -> int:
@@ -462,25 +473,13 @@ def _usable_cpus() -> int:
 
 def _fork_workers(workers: int, n: int) -> _Helper | None:
     """A _Helper for n points, or None, which means: run serially. None
-    when there are fewer than 2 workers, the platform cannot fork, or this
-    process is daemonic (a multiprocessing.Pool worker, which may not start
-    processes); also when starting the worker raises OSError, as a refused
-    fork does."""
-    if workers < 2:
+    when there are fewer than 2 workers or the platform cannot fork; also
+    when starting the worker raises OSError, as a refused fork does."""
+    if workers < 2 or not hasattr(os, "fork"):
         return None
-    # imported here: the serial path, and `import cegraph`, do without it
-    import multiprocessing
-
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return None
-    # fork, not spawn: a spawned worker re-imports numpy and cegraph and
-    # re-runs the caller's __main__. Forking is safe: the only other thread,
-    # OpenBLAS's, is stopped by its own atfork handler
+    # forking is safe: the only other thread, OpenBLAS's, stops in its atfork handler
     try:
-        return _Helper(multiprocessing.get_context("fork"), n)
+        return _Helper(n)
     except OSError:
         return None
 
@@ -497,7 +496,7 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
     work = _Work(Y.shape[0])
     _pack(P, work)
     grad = _gradient(work, Y, 1.0)
-    Z = work.ctrl[1]
+    Z = work.ctrl[0]
     kl = np.empty(len(work.parts))
     for k, (_, h, Pr, num, t, _) in enumerate(work.parts):
         np.divide(num, Z, out=t)

@@ -4,6 +4,7 @@ import csv
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -376,6 +377,23 @@ def _kill_tsne_worker(monkeypatch):
     monkeypatch.setattr(embed, "_run_group", dying_in_worker)
 
 
+def _kill_idle_tsne_worker(monkeypatch):
+    # SIGKILL, as the out-of-memory killer sends, while the worker waits for
+    # its third command
+    monkeypatch.setattr(embed, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
+    gradient, calls = embed._gradient, []
+
+    def killing(work, Y, exaggeration, helper=None):
+        calls.append(1)
+        if len(calls) == 3:
+            os.kill(helper.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
+        return gradient(work, Y, exaggeration, helper)
+
+    monkeypatch.setattr(embed, "_gradient", killing)
+
+
 def _run_out_of_memory(monkeypatch):
     def tsne(*args, **kwargs):
         raise MemoryError(_NO_MEMORY)
@@ -396,9 +414,10 @@ def _fail_heatmap_write(monkeypatch):
 
 @pytest.mark.parametrize("fail, message", [
     (_kill_tsne_worker, "error: t-SNE worker process exited with code 1"),
+    (_kill_idle_tsne_worker, "error: t-SNE worker process exited with code -9"),
     (_run_out_of_memory, f"error: out of memory: {_NO_MEMORY}"),
     (_fail_heatmap_write, "i/o error: [Errno 28] No space left on device"),
-], ids=["tsne_worker", "memory", "heatmap_write"])
+], ids=["tsne_worker", "idle_tsne_worker", "memory", "heatmap_write"])
 def test_a_run_that_fails_late_leaves_out_as_it_was(log_path, tmp_path, capsys, monkeypatch,
                                                     fail, message):
     out = tmp_path / "out"

@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -30,7 +31,10 @@ from cegraph.cli import main
 from cegraph.ingest import load_jsonl
 from synth import random_module
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+# scripts run with this path can import conftest's checks
+SCRIPT_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(TESTS))))
 
 
 class CountingHelper(embed._Helper):
@@ -38,8 +42,8 @@ class CountingHelper(embed._Helper):
 
     started: list[tuple[int, int]] = []
 
-    def __init__(self, context, n):
-        super().__init__(context, n)
+    def __init__(self, n):
+        super().__init__(n)
         CountingHelper.started.append((self.work.lo, n))
 
 
@@ -137,7 +141,7 @@ def test_blocks_have_the_same_bits_in_either_process(data, n, scale, exaggeratio
         serial = embed._Work(n)
         embed._pack(P, serial)
         want = embed._gradient(serial, Y, exaggeration)
-        helper = embed._Helper(multiprocessing.get_context("fork"), n)
+        helper = embed._Helper(n)
         try:
             embed._pack(P, helper.work)
             got = embed._gradient(helper.work, Y, exaggeration, helper)
@@ -148,7 +152,7 @@ def test_blocks_have_the_same_bits_in_either_process(data, n, scale, exaggeratio
         kernels = [oracles.unpacked(work.num, n).tobytes() for work in (helper.work, serial)]
     assert 0 < helper.work.lo < n
     assert kernels[0] == kernels[1]
-    assert helper.work.ctrl[1] == serial.ctrl[1]
+    assert helper.work.ctrl[0] == serial.ctrl[0]
     assert got.tobytes() == want.tobytes() == oracle.tobytes()
 
 
@@ -303,9 +307,10 @@ def test_split_is_exact_while_other_processes_compete_for_the_cpus(split, monkey
 
 
 _DYING_WORKER = """
-import multiprocessing, os, time
+import os, time
 import numpy as np
 from cegraph import embed
+from conftest import has_child
 
 embed._usable_cpus = lambda: 2
 embed._SPLIT_MIN_POINTS = 4
@@ -323,15 +328,15 @@ try:
     embed.tsne(np.random.default_rng(0).normal(size=(30, 3)), perplexity=5.0)
 except RuntimeError as exc:
     print(exc)
-print(multiprocessing.active_children(), time.monotonic() - start < 20)
+print(has_child(), time.monotonic() - start < 20)
 """
 
 
 def test_a_dying_worker_raises_instead_of_hanging():
     proc = subprocess.run([sys.executable, "-c", _DYING_WORKER], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+                          text=True, env=SCRIPT_ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "t-SNE worker process exited with code 1\n[] True\n"
+    assert proc.stdout == "t-SNE worker process exited with code 1\nFalse True\n"
 
 
 _DYING_PARENT = """
@@ -348,7 +353,7 @@ calls = []
 def dying(work, Y, exaggeration, helper=None):
     calls.append(1)
     if len(calls) == 50:
-        print(helper._process.pid, flush=True)
+        print(helper.pid, flush=True)
         os._exit(0)
     return gradient(work, Y, exaggeration, helper)
 
@@ -358,9 +363,10 @@ embed.tsne(np.random.default_rng(0).normal(size=(30, 3)), perplexity=5.0)
 
 
 _REFUSED_FORK = """
-import multiprocessing, os
+import os
 import numpy as np
 from cegraph import embed
+from conftest import has_child
 
 forks = []
 
@@ -375,15 +381,15 @@ want = embed.tsne(X, perplexity=5.0, iterations=100).coords
 embed._usable_cpus = lambda: 2
 os.fork = refused_fork
 got = embed.tsne(X, perplexity=5.0, iterations=100).coords
-print(len(forks), got.tobytes() == want.tobytes(), multiprocessing.active_children())
+print(len(forks), got.tobytes() == want.tobytes(), has_child())
 """
 
 
 def test_a_refused_fork_runs_serially():
     proc = subprocess.run([sys.executable, "-c", _REFUSED_FORK], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+                          text=True, env=SCRIPT_ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 True []\n"
+    assert proc.stdout == "1 True False\n"
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
@@ -398,33 +404,65 @@ def test_the_worker_exits_when_its_parent_dies():
     assert not running(worker)
 
 
+def test_a_worker_killed_while_idle_raises(split, monkeypatch):
+    # killed with SIGKILL, as the out-of-memory killer kills, while it waits
+    # for its next command: the next command finds no reader on its pipe
+    gradient, calls = embed._gradient, []
+
+    def killing(work, Y, exaggeration, helper=None):
+        calls.append(helper)
+        if len(calls) == 3:
+            os.kill(helper.pid, signal.SIGKILL)
+            # its exit closes its ends of the pipes; tsne reaps it
+            os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
+        return gradient(work, Y, exaggeration, helper)
+
+    monkeypatch.setattr(embed, "_gradient", killing)
+    X, perplexity = _inputs(30)
+    with pytest.raises(RuntimeError) as failed:
+        embed.tsne(X, perplexity=perplexity)
+    assert str(failed.value) == "t-SNE worker process exited with code -9"
+    assert isinstance(failed.value.__context__, BrokenPipeError)
+    assert len(calls) == 3 and calls[2] is not None
+
+
 def test_split_modules_are_imported_only_when_the_split_runs():
+    # a serial run, then one that takes the split
     script = (
         "import sys\n"
         "import numpy as np\n"
         "import cegraph\n"
-        "cegraph.tsne(np.random.default_rng(0).normal(size=(30, 3)), perplexity=5.0,"
-        " iterations=20)\n"
-        "print(sorted({'multiprocessing', 'mmap'} & set(sys.modules)))\n"
+        "from cegraph import embed\n"
+        "X = np.random.default_rng(0).normal(size=(30, 3))\n"
+        "cegraph.tsne(X, perplexity=5.0, iterations=20)\n"
+        "print(sorted({'multiprocessing', 'mmap', 'select'} & set(sys.modules)))\n"
+        "embed._usable_cpus = lambda: 2\n"
+        "embed._SPLIT_MIN_POINTS = 4\n"
+        "cegraph.tsne(X, perplexity=5.0, iterations=20)\n"
+        "print(sorted({'multiprocessing', 'mmap', 'select'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n['mmap', 'select']\n"
 
 
-def _tsne_coords(X, perplexity):
-    return embed.tsne(X, perplexity=perplexity, iterations=40).coords
+def _split_tsne(X, perplexity):
+    """tsne's coordinates, and the row splits of the workers that this
+    process has forked."""
+    return embed.tsne(X, perplexity=perplexity, iterations=40).coords, CountingHelper.started
 
 
-def test_a_daemonic_process_runs_serially(split):
-    # multiprocessing.Pool workers are daemonic and may not start processes
+def test_a_pool_worker_takes_the_split_with_the_same_bits(split):
+    # multiprocessing.Pool workers are daemonic, which bars only
+    # multiprocessing's own processes: the t-SNE worker forks there too
     X, perplexity = _inputs(12)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        got = pool.apply(_tsne_coords, (X, perplexity))
-    assert split == []
-    assert got.tobytes() == _tsne_coords(X, perplexity).tobytes()
+        got, started = pool.apply(_split_tsne, (X, perplexity))
+    assert started == [(4, 12)] and split == []
+    want, _ = _split_tsne(X, perplexity)
     assert split == [(4, 12)]
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
