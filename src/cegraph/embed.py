@@ -5,8 +5,9 @@ sample covariance (ddof=1) with a symmetric eigensolver and fixes the sign
 of each component so its largest-magnitude coefficient is positive. t-SNE
 is the exact O(n^2) formulation: per-point bandwidths found by a
 bisection on the Shannon entropy that steps one block of rows at a time,
-early exaggeration, momentum switch, seeded initialization from a
-dedicated generator. The optimization loop computes only the gradient.
+early exaggeration, momentum switch, and an initial layout drawn from the
+standard library's seeded `random.Random`, so a run needs no
+`numpy.random`. The optimization loop computes only the gradient.
 The affinities and the kernel are symmetric, so each fixed block of rows
 stores and computes only its columns from its own first row on, in packed
 storage of about n^2 / 2 entries each, allocated once per call: each
@@ -25,6 +26,7 @@ import io
 import itertools
 import math
 import os
+import random
 import signal
 import time
 from dataclasses import dataclass
@@ -524,9 +526,10 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
 
     Early exaggeration x12 for the first 250 iterations, learning rate 200
     modulated by the usual sign-agreement gains, momentum 0.5 switching to
-    0.8 at iteration 250. Initial layout is rng.normal(0, 1e-4) from
-    np.random.default_rng(seed), so results are bit-reproducible for fixed
-    inputs.
+    0.8 at iteration 250. The initial layout is 2n draws of
+    random.Random(seed).gauss(0, 1e-4), filled row by row, so results are
+    bit-reproducible for fixed inputs on one machine and Python version.
+    The seed must be a non-negative integer.
     """
     X = _finite(X)
     n = X.shape[0]
@@ -538,6 +541,8 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
         )
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     # the worker forks before P exists, so it does not hold a copy of it
     cpus = _usable_cpus() if n >= _SPLIT_MIN_POINTS else 1
@@ -545,8 +550,8 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
     try:
         work = helper.work if helper else _Work(n)
         _joint_probabilities(X, perplexity, work)
-        rng = np.random.default_rng(seed)
-        Y = rng.normal(0.0, 1e-4, size=(n, 2))
+        gauss = random.Random(int(seed)).gauss
+        Y = np.array([gauss(0.0, 1e-4) for _ in range(2 * n)]).reshape(n, 2)
         velocity = np.zeros_like(Y)
         gains = np.ones_like(Y)
         lr = 200.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import io
 import math
+import random
 import tokenize
 from collections import Counter, deque
 
@@ -500,8 +501,8 @@ def tsne_reference(X, perplexity, seed, iterations=1000):
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     P = joint_probabilities_reference(X, perplexity)
-    rng = np.random.default_rng(seed)
-    Y = rng.normal(0.0, 1e-4, size=(n, 2))
+    rng = random.Random(seed)
+    Y = np.array([[rng.gauss(0.0, 1e-4), rng.gauss(0.0, 1e-4)] for _ in range(n)])
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     lr = 200.0

@@ -545,6 +545,28 @@ def test_pipeline_reruns_byte_identical(log_path, tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+_RANDOM_IMPORTED = """
+import sys
+from cegraph.cli import main
+code = main(sys.argv[1:])
+print('numpy.random' in sys.modules)
+raise SystemExit(code)
+"""
+
+
+def test_pipeline_never_imports_numpy_random(tmp_path):
+    # numpy.random's extension modules cost about 6 MB of resident memory
+    bundled = SRC.parent / "data" / "synthetic_run.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RANDOM_IMPORTED, "pipeline", "--input", str(bundled),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_subcommands_write_the_pipeline_artifacts(log_path, tmp_path, capsys):
     common = ["--input", log_path, "--include-eigencentrality"]
     ceg = ["--norm-scope", "run", "--direction", "minimize"]

@@ -322,6 +322,10 @@ def test_tsne_preconditions():
         tsne(X, perplexity=3.1)  # > (n-1)/3 = 3
     with pytest.raises(ValueError):
         tsne(X, perplexity=2.0, iterations=0)
+    # random.Random would fold -3 onto 3 and hash a float
+    for seed in (-3, 1.5, "0", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            tsne(X, perplexity=2.0, seed=seed)
 
 
 @pytest.mark.parametrize("n, d", [(66, 28), (200, 22), (400, 28)])
