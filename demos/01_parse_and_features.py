@@ -1,7 +1,7 @@
-"""Walk through parsing a source string into a syntax-tree graph and
-reading structural features off it.
+"""Walk through parsing a source string into a syntax tree and reading
+structural features off it.
 
-The graph keeps operator leaves and drops expression-context markers, so
+The tree keeps operator leaves and drops expression-context markers, so
 `a + b` contributes a BinOp node, an Add node and two Name nodes. Feature
 extraction treats it as an undirected simple graph.
 """
@@ -30,15 +30,15 @@ def main():
     print(f"nodes: {graph.node_count}  edges: {graph.edge_count}")
 
     # first few nodes in preorder, with their tree depth
-    for node_id, kind, depth in graph.nodes[:10]:
-        print(f"  [{node_id}] {kind:<16} depth={depth}")
+    for node_id, (node, depth) in enumerate(zip(graph.ast_nodes[:10], graph.depth)):
+        print(f"  [{node_id}] {type(node).__name__:<16} depth={depth}")
     print("  ...")
 
     feats = compute_graph_features(graph)
     print("\nstructural features:")
     for name in ("node_count", "edge_count", "degree_mean", "degree_entropy",
                  "depth_max", "diameter", "avg_shortest_path", "assortativity"):
-        print(f"  {name:<20} {getattr(feats, name):.4f}")
+        print(f"  {name:<20} {feats[name]:.4f}")
 
     # featurize() runs the full stack (graph + complexity) in one call
     row = featurize(SNIPPET)

@@ -9,7 +9,6 @@ projections, correlation tables and figures linking structure to fitness.
 from .astfeat import (
     AST_FEATURE_NAMES,
     EIG_FEATURE_NAMES,
-    GraphFeatures,
     PreorderTree,
     compute_graph_features,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "Dataset",
     "EvolutionGraph",
     "FeatureTable",
-    "GraphFeatures",
     "ParseError",
     "PcaResult",
     "PreorderTree",

@@ -1,22 +1,21 @@
-"""Graph-theoretic feature extraction from syntax-tree graphs.
+"""Graph-theoretic feature extraction from syntax trees.
 
 22 structural features computed on the undirected view of the tree:
 counts, degree statistics, depth statistics, clustering terms (a tree has
 no triangles, so these are always 0; they keep the 22-column schema), and
-distance statistics. Graphs that are not trees are rejected.
+distance statistics.
 
-forest_features computes them for a forest at once, in a few numpy passes
-over its arrays, with no loop over depth levels or ancestors: the parent
-and the depth of each node of trees labeled in depth-first preorder
-(PreorderTree), one tree after another. compute_graph_features is
-forest_features on one tree; a graph not built by parse_to_graph is
-relabeled by one traversal first. In preorder each subtree is an interval
-of ids, [v, end[v]), whose end follows the last-child links, taken by
-doubling. Subtree sizes give the average shortest path. Eccentricities come
-from the two ends of a diameter, with dist(a, v) = depth[a] + depth[v] -
-2 depth[lca(a, v)], the depth of the lowest common ancestor counted
-through subtree intervals by one cumsum over the forest. Entropies are
-natural-log.
+forest_features computes them for a forest at once, in a few numpy
+passes over its arrays, with no loop over depth levels or ancestors: the
+parent and the depth of each node of trees labeled in depth-first
+preorder (PreorderTree), one tree after another, as parse_to_graph
+labels them. compute_graph_features is forest_features on one tree. In
+preorder each subtree is an interval of ids, [v, end[v]), whose end
+follows the last-child links, taken by doubling. Subtree sizes give the
+average shortest path. Eccentricities come from the two ends of a
+diameter, with dist(a, v) = depth[a] + depth[v] - 2 depth[lca(a, v)],
+the depth of the lowest common ancestor counted through subtree
+intervals by one cumsum over the forest. Entropies are natural-log.
 
 A tree's row has the same bits in any forest, alone or not. Integer values
 (counts, extremes, integer sums) are exact in any order. The float sums
@@ -31,8 +30,6 @@ ascending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -67,42 +64,6 @@ AST_FEATURE_NAMES = (
 EIG_FEATURE_NAMES = ("eig_centrality_max", "eig_centrality_mean")
 
 
-@dataclass(frozen=True)
-class GraphFeatures:
-    node_count: int
-    edge_count: int
-    edge_density: float
-    degree_min: float
-    degree_max: float
-    degree_mean: float
-    degree_var: float
-    degree_entropy: float
-    assortativity: float
-    depth_min: float
-    depth_max: float
-    depth_mean: float
-    depth_entropy: float
-    clustering_min: float
-    clustering_max: float
-    clustering_mean: float
-    clustering_var: float
-    transitivity: float
-    diameter: int
-    radius: int
-    mean_eccentricity: float
-    avg_shortest_path: float
-    eig_centrality_max: float | None = None
-    eig_centrality_mean: float | None = None
-
-    def as_dict(self) -> dict[str, float]:
-        """Feature values keyed by canonical name, in canonical order."""
-        out = {name: float(getattr(self, name)) for name in AST_FEATURE_NAMES}
-        if self.eig_centrality_max is not None:
-            out["eig_centrality_max"] = float(self.eig_centrality_max)
-            out["eig_centrality_mean"] = float(self.eig_centrality_mean)
-        return out
-
-
 def _entropy(counts) -> float:
     """Shannon entropy in nats of a value-frequency distribution."""
     total = sum(counts)
@@ -118,57 +79,12 @@ class PreorderTree(NamedTuple):
     """A rooted tree labeled in depth-first preorder from root 0, as
     arrays: parent[v] is the parent of node v (parent[0] is -1) and
     depth[v] its depth, so the subtree of node v is the id interval
-    [v, v + size[v]). parse_to_graph labels its graphs so. The same two
+    [v, v + size[v]). parse_to_graph labels its trees so. The same two
     arrays can hold a forest, such trees one after another with ids
     counted over the whole forest (see forest_features)."""
 
     parent: np.ndarray
     depth: np.ndarray
-
-    @classmethod
-    def of(cls, graph: AstGraph) -> PreorderTree:
-        """The tree of a syntax-tree graph. A parsed graph is labeled in
-        preorder already; any other tree is relabeled by one traversal from
-        its root. Raises ValueError for a graph that is not a tree."""
-        n = graph.node_count
-        m = graph.edge_count
-        if n == 0:
-            raise ValueError("graph has no nodes")
-        if m != n - 1:
-            raise ValueError(f"not a tree: {n} nodes but {m} edges")
-        if graph.parsed:
-            parent = np.empty(n, dtype=np.int64)
-            parent[0] = -1
-            parent[1:] = np.fromiter((p for p, _ in graph.edges), np.int64, m)
-            return cls(parent, np.fromiter((d for _, _, d in graph.nodes), np.int64, n))
-        e = np.fromiter(chain.from_iterable(graph.edges), np.int64, 2 * m).reshape(m, 2)
-        return cls(*_relabel_preorder(n, e, graph.root_id))
-
-
-def _relabel_preorder(n: int, e: np.ndarray, root: int) -> tuple:
-    """Parent and depth arrays of the undirected tree `e`, numbered in
-    depth-first preorder from `root`."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for p, c in e.tolist():
-        adj[p].append(c)
-        adj[c].append(p)
-    label = [-1] * n
-    parent: list[int] = []
-    depth: list[int] = []
-    stack = [(root, -1, 0)]
-    while stack:
-        v, p, d = stack.pop()
-        if label[v] >= 0:
-            raise ValueError("not a tree: the edges close a cycle")
-        label[v] = len(parent)
-        parent.append(p)
-        depth.append(d)
-        for w in reversed(adj[v]):
-            if label[w] < 0:
-                stack.append((w, label[v], d + 1))
-    if len(parent) < n:
-        raise ValueError("not a tree: the edges do not connect every node")
-    return np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64)
 
 
 def _subtree_ends(child: np.ndarray, up: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -355,16 +271,12 @@ def forest_features(forest: PreorderTree, include_eigenvector: bool = False) -> 
 
 
 def compute_graph_features(
-    graph: AstGraph | PreorderTree, include_eigenvector: bool = False
-) -> GraphFeatures:
-    """Compute the structural feature vector of a syntax-tree graph, given
-    as an AstGraph (see PreorderTree.of) or as the arrays of its tree: the
-    row forest_features gives the one tree. A graph whose edge count is not
-    its node count minus one is not a tree and raises ValueError.
-    """
-    tree = graph if isinstance(graph, PreorderTree) else PreorderTree.of(graph)
+    tree: AstGraph | PreorderTree, include_eigenvector: bool = False
+) -> dict[str, float]:
+    """The structural features of one syntax tree, keyed by canonical name
+    in canonical order: the row forest_features gives the tree, given as
+    its PreorderTree or as the AstGraph parse_to_graph built."""
+    if not isinstance(tree, PreorderTree):
+        tree = PreorderTree(np.array(tree.parent), np.array(tree.depth))
     row = forest_features(tree, include_eigenvector)[0].tolist()
-    values = dict(zip(AST_FEATURE_NAMES + EIG_FEATURE_NAMES, row))
-    for name in ("node_count", "edge_count", "diameter", "radius"):
-        values[name] = int(values[name])
-    return GraphFeatures(**values)
+    return dict(zip(AST_FEATURE_NAMES + EIG_FEATURE_NAMES, row))

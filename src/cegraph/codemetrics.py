@@ -15,12 +15,12 @@ rules and miscounts them.
 
 compute_complexity reads the syntax nodes that parse_to_graph keeps in
 preorder (AstGraph.ast_nodes) in one flat loop: each node takes from its
-parent, which comes before it, whether it is inside a unit and its
-statement-nesting level. It returns the integer counts the metrics are
-quotients of, which add up over a module's top-level statements. Tokens
-are found by one compiled regular expression matched back to back over
-the source, with tokenize's rules in tokenize's order; a unit's tokens
-are those that start inside its source span.
+parent (AstGraph.parent), which comes before it, whether it is inside a
+unit and its statement-nesting level. It returns the integer counts the
+metrics are quotients of, which add up over a module's top-level
+statements. Tokens are found by one compiled regular expression matched
+back to back over the source, with tokenize's rules in tokenize's order;
+a unit's tokens are those that start inside its source span.
 """
 
 from __future__ import annotations
@@ -234,10 +234,7 @@ def _param_count(unit: ast.AST) -> int:
 
 def compute_complexity(graph: AstGraph, code: str) -> ComplexityMetrics:
     """Compute complexity metrics for one module: `graph` is the graph
-    parse_to_graph built from the source text `code`. Raises ValueError
-    for any other graph, which lacks the syntax nodes."""
-    if not graph.parsed:
-        raise ValueError("compute_complexity needs the graph parse_to_graph built")
+    parse_to_graph built from the source text `code`."""
     syntax = graph.ast_nodes
     module_decisions = 0
     units: list[ast.AST] = []
@@ -247,7 +244,7 @@ def compute_complexity(graph: AstGraph, code: str) -> ComplexityMetrics:
     in_unit = [False]
     level_of = [0]
     statements = nesting_total = nesting_max = 0
-    for (parent, _), node in zip(graph.edges, syntax[1:]):
+    for parent, node in zip(graph.parent[1:], syntax[1:]):
         inside = in_unit[parent]
         level = level_of[parent]
         role = _ROLES[type(node)]

@@ -156,11 +156,10 @@ def _parse_chunk(text: str) -> _Chunk | str:
         graph = parse_to_graph(text)
     except ParseError as exc:
         return str(exc)
-    tree = PreorderTree.of(graph)
-    up = np.arange(len(tree.parent)) - tree.parent
+    parent = np.array(graph.parent[1:], dtype=np.int32)
     return _Chunk(
-        up[1:].astype(np.int32),
-        tree.depth[1:].astype(np.int32),
+        np.arange(1, len(graph.parent), dtype=np.int32) - parent,
+        np.array(graph.depth[1:], dtype=np.int32),
         astuple(compute_complexity(graph, text)),
     )
 

@@ -1,10 +1,11 @@
-"""Parse Python 3 source text into a rooted syntax-tree graph.
+"""Parse Python 3 source text into a rooted syntax tree, as arrays.
 
-The graph follows the abstract grammar of the language reference with one
+The tree follows the abstract grammar of the language reference with one
 documented convention: expression-context markers (Load/Store/Del) and
 type-comment metadata are omitted, operator nodes (Add, And, ...) are kept.
 Node ids are assigned in depth-first preorder, children visited in field
-order then list order, so identical source always yields identical graphs.
+order then list order, so identical source always yields the same tree,
+and each subtree is an interval of ids.
 """
 
 from __future__ import annotations
@@ -24,40 +25,22 @@ _OMITTED = (ast.expr_context, ast.TypeIgnore)
 
 @dataclass(frozen=True)
 class AstGraph:
-    """Rooted tree of syntax nodes.
+    """A module's syntax tree in depth-first preorder from root 0: node v
+    is the syntax node ast_nodes[v] (ast_nodes[0] is the module), parent[v]
+    its parent (parent[0] is -1) and depth[v] its depth. The syntax nodes
+    take no part in equality."""
 
-    nodes: (node_id, kind, depth) triples.
-    edges: (parent_id, child_id) pairs, directed parent -> child.
-    ast_nodes: the parsed syntax nodes, ast_nodes[i] for node i, so
-    ast_nodes[0] is the module; only parse_to_graph fills it (graphs built
-    by hand leave it empty), and it takes no part in equality.
-    """
-
-    nodes: tuple[tuple[int, str, int], ...]
-    edges: tuple[tuple[int, int], ...]
-    root_id: int = 0
-    ast_nodes: tuple[ast.AST, ...] = field(default=(), compare=False, repr=False)
+    parent: list[int]
+    depth: list[int]
+    ast_nodes: list[ast.AST] = field(compare=False, repr=False)
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.parent)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def parsed(self) -> bool:
-        """Whether parse_to_graph built this graph, and so labeled it: ids
-        0..n-1 in depth-first preorder from root 0, edges[i - 1] joins
-        node i to its parent, and ast_nodes[i] is node i."""
-        return 0 < len(self.ast_nodes) == len(self.nodes)
-
-    def kinds(self) -> list[str]:
-        return [kind for _, kind, _ in self.nodes]
-
-    def depths(self) -> list[int]:
-        return [depth for _, _, depth in self.nodes]
+        return len(self.parent) - 1
 
 
 def parse_to_graph(code: str) -> AstGraph:
@@ -80,29 +63,26 @@ def parse_to_graph(code: str) -> AstGraph:
         raise ParseError(f"invalid Python source: {exc}") from exc
 
     syntax: list[ast.AST] = []
-    nodes: list[tuple[int, str, int]] = []
-    edges: list[tuple[int, int]] = []
+    parent: list[int] = []
+    depth: list[int] = []
     # children are pushed last field first, last item first, so they pop
     # in field order then list order
     stack: list[tuple[ast.AST, int, int]] = [(tree, -1, 0)]
     while stack:
-        node, parent_id, depth = stack.pop()
-        node_id = len(nodes)
+        node, up, level = stack.pop()
+        node_id = len(syntax)
         syntax.append(node)
-        nodes.append((node_id, type(node).__name__, depth))
-        if parent_id >= 0:
-            edges.append((parent_id, node_id))
-        depth += 1
+        parent.append(up)
+        depth.append(level)
+        level += 1
         for name in reversed(node._fields):
             value = getattr(node, name, None)
             if isinstance(value, ast.AST):
                 if not isinstance(value, _OMITTED):
-                    stack.append((value, node_id, depth))
+                    stack.append((value, node_id, level))
             elif isinstance(value, list):
                 for item in reversed(value):
                     if isinstance(item, ast.AST) and not isinstance(item, _OMITTED):
-                        stack.append((item, node_id, depth))
+                        stack.append((item, node_id, level))
 
-    return AstGraph(
-        nodes=tuple(nodes), edges=tuple(edges), root_id=0, ast_nodes=tuple(syntax)
-    )
+    return AstGraph(parent, depth, syntax)

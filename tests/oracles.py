@@ -17,6 +17,27 @@ from collections import Counter, deque
 import numpy as np
 
 
+def syntax_tree(code):
+    """The syntax tree of code by cegraph's parse convention, found by
+    recursion: (node type names, parent list, depth list) in depth-first
+    preorder, children in ast.iter_child_nodes order, without the
+    expression-context markers and type-ignore comments, operator nodes
+    kept."""
+    names, parent, depth = [], [], []
+
+    def visit(node, up, level):
+        node_id = len(names)
+        names.append(type(node).__name__)
+        parent.append(up)
+        depth.append(level)
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.expr_context, ast.TypeIgnore)):
+                visit(child, node_id, level + 1)
+
+    visit(ast.parse(code), -1, 0)
+    return names, parent, depth
+
+
 def adjacency(n, edges):
     adj = [[] for _ in range(n)]
     for p, c in edges:

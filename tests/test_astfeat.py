@@ -8,60 +8,63 @@ import pytest
 
 import oracles
 from synth import random_module
-from cegraph.astfeat import AST_FEATURE_NAMES, compute_graph_features
-from cegraph.pyast import AstGraph, parse_to_graph
+from cegraph.astfeat import (
+    AST_FEATURE_NAMES,
+    EIG_FEATURE_NAMES,
+    PreorderTree,
+    compute_graph_features,
+)
+from cegraph.pyast import parse_to_graph
 
 
 def path3():
-    return AstGraph(
-        nodes=((0, "Module", 0), (1, "A", 1), (2, "B", 2)),
-        edges=((0, 1), (1, 2)),
-    )
+    return PreorderTree(np.array([-1, 0, 1]), np.array([0, 1, 2]))
 
 
 def star4():
-    return AstGraph(
-        nodes=((0, "Module", 0), (1, "A", 1), (2, "B", 1), (3, "C", 1)),
-        edges=((0, 1), (0, 2), (0, 3)),
-    )
+    return PreorderTree(np.array([-1, 0, 0, 0]), np.array([0, 1, 1, 1]))
+
+
+def tree_edges(g):
+    return [(p, v) for v, p in enumerate(g.parent) if v]
 
 
 def test_path3_frozen_values():
     f = compute_graph_features(path3())
-    assert f.node_count == 3
-    assert f.edge_count == 2
-    assert f.edge_density == pytest.approx(2 / 3, abs=1e-12)
-    assert f.degree_min == 1.0
-    assert f.degree_max == 2.0
-    assert f.degree_mean == pytest.approx(4 / 3, abs=1e-12)
-    assert f.degree_var == pytest.approx(2 / 9, abs=1e-12)
+    assert f["node_count"] == 3
+    assert f["edge_count"] == 2
+    assert f["edge_density"] == pytest.approx(2 / 3, abs=1e-12)
+    assert f["degree_min"] == 1.0
+    assert f["degree_max"] == 2.0
+    assert f["degree_mean"] == pytest.approx(4 / 3, abs=1e-12)
+    assert f["degree_var"] == pytest.approx(2 / 9, abs=1e-12)
     # degree values {1: 2, 2: 1} -> ln 3 - (2/3) ln 2
-    assert f.degree_entropy == pytest.approx(
+    assert f["degree_entropy"] == pytest.approx(
         math.log(3) - (2 / 3) * math.log(2), abs=1e-12
     )
-    assert f.assortativity == pytest.approx(-1.0, abs=1e-12)
-    assert f.depth_min == 0.0
-    assert f.depth_max == 2.0
-    assert f.depth_mean == pytest.approx(1.0, abs=1e-12)
-    assert f.depth_entropy == pytest.approx(math.log(3), abs=1e-12)
-    assert f.clustering_min == f.clustering_max == 0.0
-    assert f.transitivity == 0.0
-    assert f.diameter == 2
-    assert f.radius == 1
-    assert f.mean_eccentricity == pytest.approx(5 / 3, abs=1e-12)
-    assert f.avg_shortest_path == pytest.approx(4 / 3, abs=1e-12)
+    assert f["assortativity"] == pytest.approx(-1.0, abs=1e-12)
+    assert f["depth_min"] == 0.0
+    assert f["depth_max"] == 2.0
+    assert f["depth_mean"] == pytest.approx(1.0, abs=1e-12)
+    assert f["depth_entropy"] == pytest.approx(math.log(3), abs=1e-12)
+    assert f["clustering_min"] == f["clustering_max"] == 0.0
+    assert f["transitivity"] == 0.0
+    assert f["diameter"] == 2
+    assert f["radius"] == 1
+    assert f["mean_eccentricity"] == pytest.approx(5 / 3, abs=1e-12)
+    assert f["avg_shortest_path"] == pytest.approx(4 / 3, abs=1e-12)
 
 
 def test_star4_frozen_values():
     f = compute_graph_features(star4())
-    assert f.edge_density == pytest.approx(3 / 4, abs=1e-12)
-    assert f.degree_max == 3.0
-    assert f.assortativity == pytest.approx(-1.0, abs=1e-12)
-    assert f.depth_mean == pytest.approx(3 / 4, abs=1e-12)
-    assert f.diameter == 2
-    assert f.radius == 1
-    assert f.mean_eccentricity == pytest.approx(7 / 4, abs=1e-12)
-    assert f.avg_shortest_path == pytest.approx(1.5, abs=1e-12)
+    assert f["edge_density"] == pytest.approx(3 / 4, abs=1e-12)
+    assert f["degree_max"] == 3.0
+    assert f["assortativity"] == pytest.approx(-1.0, abs=1e-12)
+    assert f["depth_mean"] == pytest.approx(3 / 4, abs=1e-12)
+    assert f["diameter"] == 2
+    assert f["radius"] == 1
+    assert f["mean_eccentricity"] == pytest.approx(7 / 4, abs=1e-12)
+    assert f["avg_shortest_path"] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_assignment_graph_is_a_star():
@@ -71,34 +74,33 @@ def test_assignment_graph_is_a_star():
     for name in AST_FEATURE_NAMES:
         if name in ("depth_min", "depth_max", "depth_mean", "depth_entropy"):
             continue  # rooted at a leaf instead of the hub
-        assert getattr(f, name) == pytest.approx(getattr(s, name), abs=1e-12)
+        assert f[name] == pytest.approx(s[name], abs=1e-12)
 
 
 def test_single_node_degenerate_values():
     f = compute_graph_features(parse_to_graph(""))
-    assert f.node_count == 1
-    assert f.edge_count == 0
+    assert f["node_count"] == 1
+    assert f["edge_count"] == 0
     for name in AST_FEATURE_NAMES[2:]:
-        assert getattr(f, name) == 0.0
+        assert f[name] == 0.0
 
 
 def test_single_node_eigencentrality_is_one():
     f = compute_graph_features(parse_to_graph(""), include_eigenvector=True)
-    assert f.eig_centrality_max == pytest.approx(1.0, abs=1e-12)
-    assert f.eig_centrality_mean == pytest.approx(1.0, abs=1e-12)
+    assert f["eig_centrality_max"] == pytest.approx(1.0, abs=1e-12)
+    assert f["eig_centrality_mean"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigencentrality_path3_matches_dense_solver():
     f = compute_graph_features(path3(), include_eigenvector=True)
     # principal eigenvector of the path: (1, sqrt(2), 1) / 2
-    assert f.eig_centrality_max == pytest.approx(math.sqrt(2) / 2, abs=1e-8)
-    assert f.eig_centrality_mean == pytest.approx((2 + math.sqrt(2)) / 6, abs=1e-8)
+    assert f["eig_centrality_max"] == pytest.approx(math.sqrt(2) / 2, abs=1e-8)
+    assert f["eig_centrality_mean"] == pytest.approx((2 + math.sqrt(2)) / 6, abs=1e-8)
 
 
 def test_eigencentrality_disabled_by_default():
     f = compute_graph_features(path3())
-    assert f.eig_centrality_max is None
-    assert "eig_centrality_max" not in f.as_dict()
+    assert "eig_centrality_max" not in f
 
 
 def test_eigencentrality_matches_eigh_on_fuzzed_graphs():
@@ -107,12 +109,12 @@ def test_eigencentrality_matches_eigh_on_fuzzed_graphs():
         f = compute_graph_features(g, include_eigenvector=True)
         n = g.node_count
         a = np.eye(n)
-        for p, c in g.edges:
+        for p, c in tree_edges(g):
             a[p, c] = a[c, p] = 1.0
         vals, vecs = np.linalg.eigh(a)
         v = np.abs(vecs[:, -1])
-        assert f.eig_centrality_max == pytest.approx(float(v.max()), abs=1e-7)
-        assert f.eig_centrality_mean == pytest.approx(float(v.mean()), abs=1e-7)
+        assert f["eig_centrality_max"] == pytest.approx(float(v.max()), abs=1e-7)
+        assert f["eig_centrality_mean"] == pytest.approx(float(v.mean()), abs=1e-7)
 
 
 def test_matches_oracles_on_fuzzed_modules():
@@ -120,114 +122,60 @@ def test_matches_oracles_on_fuzzed_modules():
         code = random_module(random.Random(100 + seed), approx_lines=20)
         g = parse_to_graph(code)
         f = compute_graph_features(g)
-        n, edges = g.node_count, g.edges
+        n, edges = g.node_count, tree_edges(g)
 
         deg = oracles.degrees(n, edges)
-        assert f.degree_min == min(deg)
-        assert f.degree_max == max(deg)
-        assert f.degree_mean == pytest.approx(sum(deg) / n, abs=1e-12)
+        assert f["degree_min"] == min(deg)
+        assert f["degree_max"] == max(deg)
+        assert f["degree_mean"] == pytest.approx(sum(deg) / n, abs=1e-12)
         mean = sum(deg) / n
-        assert f.degree_var == pytest.approx(
+        assert f["degree_var"] == pytest.approx(
             sum((d - mean) ** 2 for d in deg) / n, abs=1e-9
         )
-        assert f.degree_entropy == pytest.approx(
+        assert f["degree_entropy"] == pytest.approx(
             oracles.entropy_of_counts(deg), abs=1e-9
         )
-        assert f.depth_entropy == pytest.approx(
-            oracles.entropy_of_counts(g.depths()), abs=1e-9
+        assert f["depth_entropy"] == pytest.approx(
+            oracles.entropy_of_counts(g.depth), abs=1e-9
         )
-        assert f.assortativity == pytest.approx(
+        assert f["assortativity"] == pytest.approx(
             oracles.assortativity(n, edges), abs=1e-9
         )
 
         diam, rad, mean_ecc, avg_sp = oracles.distance_stats(n, edges)
-        assert f.diameter == diam
-        assert f.radius == rad
-        assert f.mean_eccentricity == pytest.approx(mean_ecc, abs=1e-9)
-        assert f.avg_shortest_path == pytest.approx(avg_sp, abs=1e-9)
+        assert f["diameter"] == diam
+        assert f["radius"] == rad
+        assert f["mean_eccentricity"] == pytest.approx(mean_ecc, abs=1e-9)
+        assert f["avg_shortest_path"] == pytest.approx(avg_sp, abs=1e-9)
 
         coeffs = oracles.local_clustering(n, edges)
-        assert f.clustering_min == min(coeffs)
-        assert f.clustering_max == max(coeffs)
-        assert f.clustering_mean == pytest.approx(
+        assert f["clustering_min"] == min(coeffs)
+        assert f["clustering_max"] == max(coeffs)
+        assert f["clustering_mean"] == pytest.approx(
             sum(coeffs) / n, abs=1e-12
         )
-        assert f.transitivity == oracles.transitivity(n, edges)
-
-
-def test_graph_with_a_cycle_is_rejected():
-    # not a tree: triangle 0-1-2 plus a pendant node 3; then as many edges
-    # as a tree needs, but the cycle 1-2-3 leaves node 4 apart
-    graphs = [
-        AstGraph(
-            nodes=((0, "Module", 0), (1, "A", 1), (2, "B", 1), (3, "C", 2)),
-            edges=((0, 1), (1, 2), (0, 2), (2, 3)),
-        ),
-        AstGraph(
-            nodes=((0, "Module", 0), (1, "A", 1), (2, "B", 2), (3, "C", 3), (4, "D", 1)),
-            edges=((0, 1), (1, 2), (2, 3), (3, 1)),
-        ),
-    ]
-    for g in graphs:
-        with pytest.raises(ValueError, match="not a tree"):
-            compute_graph_features(g)
+        assert f["transitivity"] == oracles.transitivity(n, edges)
 
 
 def test_invariants_on_fuzzed_modules():
     for seed in range(30):
         g = parse_to_graph(random_module(random.Random(200 + seed), 30))
         f = compute_graph_features(g)
-        n = f.node_count
-        assert f.edge_count == n - 1
-        assert f.radius <= f.diameter <= 2 * f.radius
-        assert 0.0 <= f.degree_entropy <= math.log(n) + 1e-12
-        assert 0.0 <= f.depth_entropy <= math.log(n) + 1e-12
-        assert -1.0 <= f.assortativity <= 1.0
-        assert f.clustering_max == 0.0  # trees have no triangles
-        assert f.transitivity == 0.0
-        assert f.radius <= f.mean_eccentricity <= f.diameter
-        assert 0.0 < f.avg_shortest_path <= f.diameter
-        assert f.degree_mean == pytest.approx(2 * f.edge_count / n, abs=1e-12)
-
-
-def _relabel(g: AstGraph, rng: random.Random) -> AstGraph:
-    perm = list(range(g.node_count))
-    rng.shuffle(perm)
-    nodes = sorted(
-        (perm[i], kind, depth) for i, kind, depth in g.nodes
-    )
-    edges = tuple((perm[p], perm[c]) for p, c in g.edges)
-    return AstGraph(nodes=tuple(nodes), edges=edges, root_id=perm[g.root_id])
-
-
-def _breadth_first(g: AstGraph) -> AstGraph:
-    """The same tree labeled in breadth-first order. Parents still come
-    before their children, as in preorder, but subtrees are not id ranges."""
-    children = {}
-    for p, c in g.edges:
-        children.setdefault(p, []).append(c)
-    order = [g.root_id]
-    for v in order:
-        order.extend(children.get(v, []))
-    label = {old: new for new, old in enumerate(order)}
-    nodes = tuple(sorted((label[i], kind, depth) for i, kind, depth in g.nodes))
-    edges = tuple(sorted(((label[p], label[c]) for p, c in g.edges), key=lambda e: e[1]))
-    return AstGraph(nodes=nodes, edges=edges, root_id=0)
-
-
-def test_features_invariant_under_node_relabeling():
-    rng = random.Random(42)
-    for seed in range(10):
-        g = parse_to_graph(random_module(random.Random(400 + seed), 15))
-        f1 = compute_graph_features(g)
-        for relabeled in (_relabel(g, rng), _breadth_first(g)):
-            f2 = compute_graph_features(relabeled)
-            for name in AST_FEATURE_NAMES:
-                assert getattr(f1, name) == pytest.approx(
-                    getattr(f2, name), rel=1e-12, abs=1e-12
-                ), name
+        n = f["node_count"]
+        assert f["edge_count"] == n - 1
+        assert f["radius"] <= f["diameter"] <= 2 * f["radius"]
+        assert 0.0 <= f["degree_entropy"] <= math.log(n) + 1e-12
+        assert 0.0 <= f["depth_entropy"] <= math.log(n) + 1e-12
+        assert -1.0 <= f["assortativity"] <= 1.0
+        assert f["clustering_max"] == 0.0  # trees have no triangles
+        assert f["transitivity"] == 0.0
+        assert f["radius"] <= f["mean_eccentricity"] <= f["diameter"]
+        assert 0.0 < f["avg_shortest_path"] <= f["diameter"]
+        assert f["degree_mean"] == pytest.approx(2 * f["edge_count"] / n, abs=1e-12)
 
 
 def test_as_dict_order_matches_canonical_names():
-    f = compute_graph_features(path3())
-    assert tuple(f.as_dict().keys()) == AST_FEATURE_NAMES
+    assert tuple(compute_graph_features(path3())) == AST_FEATURE_NAMES
+    with_eig = compute_graph_features(parse_to_graph("x = 1"), include_eigenvector=True)
+    assert tuple(with_eig) == AST_FEATURE_NAMES + EIG_FEATURE_NAMES
+    assert all(type(value) is float for value in with_eig.values())

@@ -29,7 +29,7 @@ from cegraph.codemetrics import (
     NESTING_FEATURE_NAMES,
     compute_complexity,
 )
-from cegraph.pyast import AstGraph, ParseError, parse_to_graph
+from cegraph.pyast import ParseError, parse_to_graph
 
 
 def complexity_of(code):
@@ -365,17 +365,6 @@ def test_token_pattern_needs_no_python_3_11_re():
     names = set(_opcode_names(parser.parse(codemetrics._LEXEME), parser))
     assert "MAX_REPEAT" in names
     assert not names & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
-
-
-def test_graph_not_built_by_parse_to_graph_is_rejected():
-    code = "def f(a):\n    return a\n"
-    g = parse_to_graph(code)
-    for graph in (
-        AstGraph(nodes=g.nodes, edges=g.edges),
-        AstGraph(nodes=((0, "Module", 0),), edges=()),
-    ):
-        with pytest.raises(ValueError, match="parse_to_graph"):
-            compute_complexity(graph, code)
 
 
 # every string prefix in every case; f-strings only where tokenize keeps

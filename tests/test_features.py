@@ -10,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import oracles
 from synth import random_module
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cegraph import features
-from cegraph.astfeat import AST_FEATURE_NAMES, PreorderTree, compute_graph_features
+from cegraph.astfeat import AST_FEATURE_NAMES, compute_graph_features
 from cegraph.codemetrics import (
     COMPLEXITY_FEATURE_NAMES,
     NESTING_FEATURE_NAMES,
@@ -258,7 +259,7 @@ def _hex_row(code, include_eigenvector, featurizer):
 def one_chunk(code, include_eigenvector):
     """The features of code parsed whole, with no split."""
     graph = parse_to_graph(code)
-    values = (compute_graph_features(graph, include_eigenvector).as_dict()
+    values = (compute_graph_features(graph, include_eigenvector)
               | compute_complexity(graph, code).as_dict())
     return {name: values[name] for name in features._column_names(include_eigenvector)}
 
@@ -368,11 +369,11 @@ def _reference_row(code, include_eigenvector):
     """The row of code parsed whole, its graph features from the one-tree
     reference, as float.hex strings."""
     graph = parse_to_graph(code)
-    tree = PreorderTree.of(graph)
-    values = (oracles.graph_features_reference(tree.parent, tree.depth)
+    parent, depth = np.array(graph.parent), np.array(graph.depth)
+    values = (oracles.graph_features_reference(parent, depth)
               | compute_complexity(graph, code).as_dict())
     if include_eigenvector:
-        values |= compute_graph_features(tree, True).as_dict()
+        values |= compute_graph_features(graph, True)
     return [float(values[name]).hex() for name in features._column_names(include_eigenvector)]
 
 
