@@ -1,8 +1,10 @@
 # Cyclomatic complexity and token accounting on a few function styles.
 # Decision points: if/elif, loops, ternaries, except handlers, boolean
-# operators (n-1 per chain), comprehension filters, match cases.
+# operators (n-1 per chain), comprehension filters, match cases. The
+# metrics are read from featurize's row, where they follow the 22 graph
+# features.
 
-from cegraph import compute_complexity, parse_to_graph
+from cegraph import featurize
 
 CASES = {
     "straight-line": '''\
@@ -37,12 +39,12 @@ print(sum(x))
 
 def main():
     for label, code in CASES.items():
-        m = compute_complexity(parse_to_graph(code), code)
+        row = featurize(code)
         print(f"{label}:")
-        print(f"  cc_total={m.cc_total}  cc_mean={m.cc_mean:.2f}")
-        print(f"  token_total={m.token_total}  token_mean={m.token_mean:.1f}  "
-              f"param_total={m.param_total}")
-        print(f"  nesting_max={m.nesting_max}")
+        print(f"  cc_total={row['cc_total']:g}  cc_mean={row['cc_mean']:.2f}")
+        print(f"  token_total={row['token_total']:g}  token_mean={row['token_mean']:.1f}  "
+              f"param_total={row['param_total']:g}")
+        print(f"  nesting_max={row['nesting_max']:g}")
         print()
 
 

@@ -47,15 +47,17 @@ def main():
           f"sx={spread[0]:.1f} sy={spread[1]:.1f}")
 
     OUT.mkdir(exist_ok=True)
-    fig = render_ceg(graphs, res.projected[:, 0], "PC1",
+    # each renderer returns the SVG document as a string
+    svg = render_ceg(graphs, res.projected[:, 0], "PC1",
                      annotation=f"PC1 ({ratios[0]:.2f})")
-    (OUT / "ceg_pc1.svg").write_text(fig.svg, encoding="utf-8")
-    print(f"wrote {OUT / 'ceg_pc1.svg'} ({fig.width}x{fig.height}, "
-          f"annotation {fig.annotation!r})")
+    (OUT / "ceg_pc1.svg").write_text(svg, encoding="utf-8")
+    nodes = svg.count('class="node"')
+    print(f"wrote {OUT / 'ceg_pc1.svg'} ({len(svg)} characters, {nodes} nodes)")
 
-    fig = render_tsne(graphs, emb.coords)
-    (OUT / "tsne.svg").write_text(fig.svg, encoding="utf-8")
-    print(f"wrote {OUT / 'tsne.svg'} ({len(fig.legend)} legend entries)")
+    svg = render_tsne(graphs, emb.coords)
+    (OUT / "tsne.svg").write_text(svg, encoding="utf-8")
+    legend = svg.count('class="legend"')
+    print(f"wrote {OUT / 'tsne.svg'} ({legend} legend entries)")
 
 
 if __name__ == "__main__":

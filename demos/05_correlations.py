@@ -47,8 +47,7 @@ def main():
 
     OUT.mkdir(exist_ok=True)
     (OUT / "correlations.csv").write_text(table.to_csv(), encoding="utf-8")
-    fig = render_heatmap(table)
-    (OUT / "heatmap.svg").write_text(fig.svg, encoding="utf-8")
+    (OUT / "heatmap.svg").write_text(render_heatmap(table), encoding="utf-8")
     print(f"\nwrote {OUT / 'correlations.csv'} and {OUT / 'heatmap.svg'}")
 
 

@@ -9,7 +9,6 @@ projections, correlation tables and figures linking structure to fitness.
 from .astfeat import (
     AST_FEATURE_NAMES,
     EIG_FEATURE_NAMES,
-    PreorderTree,
     compute_graph_features,
 )
 from .ceg import CegNode, EvolutionGraph, build_ceg, graphs_to_json
@@ -48,7 +47,7 @@ from .ingest import (
     validate,
 )
 from .pyast import AstGraph, ParseError, parse_to_graph
-from .report import RenderedFigure, render_ceg, render_heatmap, render_tsne
+from .report import render_ceg, render_heatmap, render_tsne
 
 __version__ = "0.1.0"
 
@@ -69,8 +68,6 @@ __all__ = [
     "FeatureTable",
     "ParseError",
     "PcaResult",
-    "PreorderTree",
-    "RenderedFigure",
     "SchemaError",
     "TsneResult",
     "ValidationError",

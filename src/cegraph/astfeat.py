@@ -9,7 +9,8 @@ forest_features computes them for a forest at once, in a few numpy
 passes over its arrays, with no loop over depth levels or ancestors: the
 parent and the depth of each node of trees labeled in depth-first
 preorder (PreorderTree), one tree after another, as parse_to_graph
-labels them. compute_graph_features is forest_features on one tree. In
+labels them. compute_graph_features is forest_features on the one tree
+of an AstGraph, which parse_to_graph labeled so. In
 preorder each subtree is an interval of ids, [v, end[v]), whose end
 follows the last-child links, taken by doubling. Subtree sizes give the
 average shortest path. Eccentricities come from the two ends of a
@@ -270,13 +271,10 @@ def forest_features(forest: PreorderTree, include_eigenvector: bool = False) -> 
     return out
 
 
-def compute_graph_features(
-    tree: AstGraph | PreorderTree, include_eigenvector: bool = False
-) -> dict[str, float]:
-    """The structural features of one syntax tree, keyed by canonical name
-    in canonical order: the row forest_features gives the tree, given as
-    its PreorderTree or as the AstGraph parse_to_graph built."""
-    if not isinstance(tree, PreorderTree):
-        tree = PreorderTree(np.array(tree.parent), np.array(tree.depth))
+def compute_graph_features(graph: AstGraph, include_eigenvector: bool = False) -> dict[str, float]:
+    """The structural features of the syntax tree parse_to_graph built,
+    keyed by canonical name in canonical order: the row forest_features
+    gives that tree."""
+    tree = PreorderTree(np.array(graph.parent), np.array(graph.depth))
     row = forest_features(tree, include_eigenvector)[0].tolist()
     return dict(zip(AST_FEATURE_NAMES + EIG_FEATURE_NAMES, row))

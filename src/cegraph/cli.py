@@ -223,7 +223,7 @@ def _run(args) -> int:
                 col = table.names.index(y_axis)
                 y_values = [n.features_raw[col] for g in graphs for n in g.nodes]
                 y_label, annotation = y_axis, ""
-            write(f"ceg_{y_axis}.svg", render_ceg(graphs, y_values, y_label, annotation).svg)
+            write(f"ceg_{y_axis}.svg", render_ceg(graphs, y_values, y_label, annotation))
         if "tsne" in artifacts:
             # keep the perplexity inside [1, (n - 1) / 3]
             n = sum(g.node_count for g in graphs)
@@ -240,11 +240,11 @@ def _run(args) -> int:
                     f"using {perplexity:g}",
                     file=sys.stderr,
                 )
-            write("tsne.svg", render_tsne(graphs, embedding.coords).svg)
+            write("tsne.svg", render_tsne(graphs, embedding.coords))
         if "correlations" in artifacts:
             corr = correlation_table(graphs, feature_set or ALL_FEATURE_NAMES)
             write("correlations.csv", corr.to_csv())
-            write("heatmap.svg", render_heatmap(corr).svg)
+            write("heatmap.svg", render_heatmap(corr))
         # os.replace cannot put a file where a directory is; finding that
         # after the first move would leave two runs' artifacts in --out
         for name in names:

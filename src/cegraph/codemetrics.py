@@ -17,10 +17,13 @@ compute_complexity reads the syntax nodes that parse_to_graph keeps in
 preorder (AstGraph.ast_nodes) in one flat loop: each node takes from its
 parent (AstGraph.parent), which comes before it, whether it is inside a
 unit and its statement-nesting level. It returns the integer counts the
-metrics are quotients of, which add up over a module's top-level
-statements. Tokens are found by one compiled regular expression matched
-back to back over the source, with tokenize's rules in tokenize's order;
-a unit's tokens are those that start inside its source span.
+metrics are quotients of (ComplexityMetrics), which add up over a
+module's top-level statements; complexity_columns, the one place the
+eight metrics are computed, turns the counts of the pieces of one or many
+sources into the sources' metrics. Tokens are found by one compiled
+regular expression matched back to back over the source, with tokenize's
+rules in tokenize's order; a unit's tokens are those that start inside
+its source span.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import ast
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,13 +128,12 @@ _LEXEME = rf"{_SKIPPED}(?:[ \f\t]*(?:({_TOKEN})|\Z)|([\s\S]))"
 _LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
-@dataclass(frozen=True)
-class ComplexityMetrics:
-    """The counts the eight metrics are computed from. Each is a sum over
-    the statements, units or tokens of a source, or a maximum, so the
-    counts of consecutive top-level statements combine into those of the
-    module they form (see complexity_columns), and every metric, a quotient
-    of two integers, comes out the same."""
+class ComplexityMetrics(NamedTuple):
+    """The counts the eight metrics are computed from (complexity_columns
+    computes the metrics). Each is a sum over the statements, units or
+    tokens of a source, or a maximum, so the counts of consecutive
+    top-level statements combine into those of the module they form, and
+    every metric, a quotient of two integers, comes out the same."""
 
     statements: int
     nesting_total: int  # of the statements' nesting levels
@@ -143,40 +145,18 @@ class ComplexityMetrics:
     param_total: int
     token_total: int
 
-    @property
-    def cc_total(self) -> int:
-        # a module without units is the single unit
-        return self.unit_cc if self.units else 1 + self.module_decisions
-
-    @property
-    def cc_mean(self) -> float:
-        return self.cc_total / self.units if self.units else float(self.cc_total)
-
-    @property
-    def token_mean(self) -> float:
-        return self.unit_tokens / self.units if self.units else float(self.token_total)
-
-    @property
-    def param_mean(self) -> float:
-        return self.param_total / self.units if self.units else 0.0
-
-    @property
-    def nesting_mean(self) -> float:
-        return self.nesting_total / self.statements if self.statements else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        names = COMPLEXITY_FEATURE_NAMES + NESTING_FEATURE_NAMES
-        return {name: float(getattr(self, name)) for name in names}
-
 
 def complexity_columns(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The COMPLEXITY_FEATURE_NAMES and NESTING_FEATURE_NAMES columns of
     sources that are runs of whole top-level statements put together: row
     i is the source made of the pieces whose counts are the rows
     starts[i] up to starts[i + 1] of counts, each row a ComplexityMetrics'
-    fields in order. The values are ComplexityMetrics' of the whole source,
-    bit for bit: each count is a sum or a maximum, each metric the same
-    quotient of two integers."""
+    fields in order. The means are per unit (cc, tokens, parameters) and
+    per statement (nesting); a source without units is the single unit,
+    of cyclomatic complexity 1 plus its decisions, all its tokens and no
+    parameters. The values are the whole source's, bit for bit: each of
+    its counts is the sum or the maximum of its pieces', each metric the
+    same quotient of two integers."""
     (statements, nesting_total, _, module_decisions, units, unit_cc, unit_tokens,
      param_total, token_total) = np.add.reduceat(counts, starts).T
     # a source without units has no parameters and is the single unit
@@ -233,7 +213,7 @@ def _param_count(unit: ast.AST) -> int:
 
 
 def compute_complexity(graph: AstGraph, code: str) -> ComplexityMetrics:
-    """Compute complexity metrics for one module: `graph` is the graph
+    """The ComplexityMetrics counts of one module: `graph` is the graph
     parse_to_graph built from the source text `code`."""
     syntax = graph.ast_nodes
     module_decisions = 0

@@ -503,10 +503,12 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
     for k, (_, h, Pr, num, t, _) in enumerate(work.parts):
         np.divide(num, Z, out=t)
         np.maximum(t, 1e-12, out=t)
+        # where Pr is 0 the log is -inf and its product with Pr nan; the
+        # next line zeroes those terms
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(Pr, t, out=t)
             np.log(t, out=t)
-        t *= Pr
+            t *= Pr
         t[Pr <= 1e-12] = 0.0
         kl[k] = _total(t, h)
     return float(kl.sum()), grad

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -42,6 +42,7 @@ from .astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES, PreorderTree, forest_
 from .codemetrics import (
     COMPLEXITY_FEATURE_NAMES,
     NESTING_FEATURE_NAMES,
+    ComplexityMetrics,
     complexity_columns,
     compute_complexity,
 )
@@ -142,12 +143,12 @@ def _chunks(statements: list[str], counts: Counter) -> list[str]:
 class _Chunk(NamedTuple):
     """What one chunk of code adds to a sample's features: its syntax tree
     below the module root, node v's distance up to its parent (up[v]) and
-    its depth, in preorder; and its complexity counts, the fields of its
-    ComplexityMetrics."""
+    its depth, in preorder; and its complexity counts, as compute_complexity
+    gives them."""
 
     up: np.ndarray
     depth: np.ndarray
-    complexity: tuple[int, ...]
+    complexity: ComplexityMetrics
 
 
 def _parse_chunk(text: str) -> _Chunk | str:
@@ -160,7 +161,7 @@ def _parse_chunk(text: str) -> _Chunk | str:
     return _Chunk(
         np.arange(1, len(graph.parent), dtype=np.int32) - parent,
         np.array(graph.depth[1:], dtype=np.int32),
-        astuple(compute_complexity(graph, text)),
+        compute_complexity(graph, text),
     )
 
 

@@ -8,14 +8,13 @@ heatmap with a diverging color scale. Renderers only draw: the caller
 computes the projections and passes one y value or one (x, y) row per
 node, in graph order.
 
-The SVG is assembled from strings with fixed 2-decimal coordinates, so a
-given input always renders byte-identically. Elements carry class
-attributes (node, edge, point, cell, ...) so tests can count them.
+Each renderer returns the SVG document as a string, assembled with fixed
+2-decimal coordinates, so a given input always renders byte-identically.
+Elements carry class attributes (node, edge, point, cell, ...) so tests
+can count them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +36,6 @@ MARKER_SHAPES = ("circle", "square", "triangle", "diamond", "cross")
 BASE_RADIUS = 2.0  # lineage node radius at parent frequency 0
 CELL_WIDTH = 240.0  # lineage grid cell size
 CELL_HEIGHT = 170.0
-
-
-@dataclass(frozen=True)
-class RenderedFigure:
-    svg: str
-    width: float
-    height: float
-    legend: tuple[str, ...] = ()
-    annotation: str = ""
 
 
 def _esc(text: str) -> str:
@@ -119,7 +109,7 @@ def _marker(shape: str, x: float, y: float, r: float, color: str, hollow: bool) 
     return f'<polygon class="point" points="{pts}" {style}/>'
 
 
-def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> RenderedFigure:
+def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> str:
     """Grid of lineage plots: rows are (benchmark, method, llm) groups,
     columns are runs, x is evaluation index and y is y_values, one value
     per node in graph order, labeled y_label. A non-empty annotation (such
@@ -166,11 +156,9 @@ def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> Rendered
         f'font-size="12" text-anchor="middle">evaluation index</text>\n'
     )
 
-    legend = []
     for row, key in enumerate(row_keys):
         color = PALETTE[row % len(PALETTE)]
         label = "/".join(key)
-        legend.append(label)
         cell_y = margin_top + row * (ch + gap)
         parts.append(
             f'<text class="row-label" x="{_f(margin_left - 10)}" '
@@ -222,16 +210,10 @@ def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> Rendered
         f'font-size="12">{_esc(y_label)}</text>\n'
     )
     parts.append("</svg>\n")
-    return RenderedFigure(
-        svg="".join(parts),
-        width=width,
-        height=height,
-        legend=tuple(legend),
-        annotation=annotation,
-    )
+    return "".join(parts)
 
 
-def render_tsne(graphs, coords) -> RenderedFigure:
+def render_tsne(graphs, coords) -> str:
     """Scatter of every node across all runs at coords, one (x, y) row
     per node in graph order. Color encodes the (method, llm) pair, marker
     shape cycles per run, marker size grows with normalized fitness;
@@ -274,12 +256,10 @@ def render_tsne(graphs, coords) -> RenderedFigure:
             _marker(shape_of[g.run_id], x, y, r, color_of[pair], hollow) + "\n"
         )
 
-    legend = []
     lx = margin + plot_w + 20.0
     ly = margin + 10.0
     for pair in pairs:
         label = "/".join(p for p in pair if p) or "(unlabeled)"
-        legend.append(label)
         parts.append(
             _marker("circle", lx + 6, ly, 5.0, color_of[pair], False) + "\n"
         )
@@ -290,7 +270,6 @@ def render_tsne(graphs, coords) -> RenderedFigure:
         ly += 18.0
     ly += 8.0
     for run_id in run_ids:
-        legend.append(f"run {run_id}")
         parts.append(_marker(shape_of[run_id], lx + 6, ly, 5.0, "#555555", False) + "\n")
         parts.append(
             f'<text class="legend" x="{_f(lx + 18)}" y="{_f(ly + 4)}" '
@@ -298,9 +277,7 @@ def render_tsne(graphs, coords) -> RenderedFigure:
         )
         ly += 18.0
     parts.append("</svg>\n")
-    return RenderedFigure(
-        svg="".join(parts), width=width, height=height, legend=tuple(legend)
-    )
+    return "".join(parts)
 
 
 def _diverging(v: float) -> str:
@@ -315,7 +292,7 @@ def _diverging(v: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def render_heatmap(table) -> RenderedFigure:
+def render_heatmap(table) -> str:
     """Correlation heatmap of an embed.CorrelationTable: one row per
     group, one column per feature, diverging color scale over [-1, 1],
     cells labeled to 2 decimals. Cells without a defined correlation stay
@@ -382,9 +359,4 @@ def render_heatmap(table) -> RenderedFigure:
             f"{lab}</text>\n"
         )
     parts.append("</svg>\n")
-    return RenderedFigure(
-        svg="".join(parts),
-        width=width,
-        height=height,
-        legend=tuple("/".join(g) for g in table.groups),
-    )
+    return "".join(parts)

@@ -3,7 +3,8 @@ library. Everything here recomputes from first definitions (BFS distance
 matrices, triangle counting, closed-form rank correlation) without reusing
 any library code paths, except the graph-feature and t-SNE references: they
 are the straightforward formulations that the library must match bit for
-bit."""
+bit. complexity_metrics is no reference: it reads the library's eight
+complexity metrics of one source, for the tests to check."""
 
 from __future__ import annotations
 
@@ -267,6 +268,20 @@ def complexity_six(code):
         "param_total": 0,
         "param_mean": 0.0,
     }
+
+
+def complexity_metrics(counts):
+    """The eight complexity metrics of one source, keyed by name, as
+    cegraph.codemetrics.complexity_columns computes them from the counts
+    that compute_complexity gives for the source."""
+    from cegraph.codemetrics import (
+        COMPLEXITY_FEATURE_NAMES,
+        NESTING_FEATURE_NAMES,
+        complexity_columns,
+    )
+
+    row = complexity_columns(np.array([counts], dtype=np.int64), np.array([0]))[0]
+    return dict(zip(COMPLEXITY_FEATURE_NAMES + NESTING_FEATURE_NAMES, row.tolist()))
 
 
 # compound statements: each one adds a nesting level for the statements

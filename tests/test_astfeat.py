@@ -8,21 +8,18 @@ import pytest
 
 import oracles
 from synth import random_module
-from cegraph.astfeat import (
-    AST_FEATURE_NAMES,
-    EIG_FEATURE_NAMES,
-    PreorderTree,
-    compute_graph_features,
-)
+from cegraph.astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES, compute_graph_features
 from cegraph.pyast import parse_to_graph
 
 
 def path3():
-    return PreorderTree(np.array([-1, 0, 1]), np.array([0, 1, 2]))
+    # Module - Expr - Name
+    return parse_to_graph("x")
 
 
 def star4():
-    return PreorderTree(np.array([-1, 0, 0, 0]), np.array([0, 1, 1, 1]))
+    # Module above three Pass statements
+    return parse_to_graph("pass\npass\npass")
 
 
 def tree_edges(g):

@@ -4,6 +4,7 @@ import csv
 import errno
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from cegraph import cli, embed
 from cegraph.cli import main
 from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES, featurize_dataset
 from cegraph.ingest import load_jsonl
-from synth import write_synthetic_log
+from synth import random_module, write_synthetic_log
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 META = ("id", "name", "run_id", "method", "llm", "benchmark",
@@ -325,6 +326,34 @@ def test_unparsable_sample_is_reported_once(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"skipped 1 unparsable samples\n  skipped sample 's3': {diagnostic}\n"
+
+
+def test_pipeline_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_path):
+    # enough samples for t-SNE's split, and iterations through both of its
+    # timing windows, so that on two usable CPUs the forked worker and the
+    # serial path both run; a warning, an unclosed file or pipe, or a worker
+    # left unreaped then fails the run or shows on stderr
+    rng = random.Random(22)
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(
+        json.dumps({"id": f"s{i}", "run_id": f"r{i % 3}", "evaluation_index": i,
+                    "code": random_module(rng, approx_lines=12),
+                    "fitness_raw": float(rng.randint(0, 50))}) + "\n"
+        for i in range(embed._SPLIT_MIN_POINTS)
+    ), encoding="utf-8")
+    runs = {}
+    for name, flags in (("plain", []), ("dev", ["-X", "dev", "-W", "error"])):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "cegraph.cli", "pipeline", "--input", str(log),
+             "--out", str(out), "--iterations", "60"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = proc.stderr, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(runs["plain"][1]) == 6
+    assert runs["dev"] == runs["plain"]
 
 
 # the t-SNE worker process dies (killed for memory, say) mid-run

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -247,6 +248,21 @@ def test_kl_and_gradient_bitwise_equal_to_dense_reference():
         want_kl, want_grad = oracles.kl_divergence_and_grad_reference(P, Y)
         assert kl == want_kl
         assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_kl_of_zero_affinities_warns_nothing():
+    # a zero entry gives a log of 0 and a product 0 * -inf, whose term is
+    # then set to 0; neither may warn
+    n = 6
+    P = np.full((n, n), 1.0 / (n * (n - 1)))
+    np.fill_diagonal(P, 0.0)
+    Y = np.random.default_rng(5).normal(size=(n, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kl, grad = kl_divergence_and_grad(P, Y)
+        want_kl, want_grad = oracles.kl_divergence_and_grad_reference(P, Y)
+    assert kl == want_kl
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_kl_gradient_matches_central_differences():

@@ -260,7 +260,7 @@ def one_chunk(code, include_eigenvector):
     """The features of code parsed whole, with no split."""
     graph = parse_to_graph(code)
     values = (compute_graph_features(graph, include_eigenvector)
-              | compute_complexity(graph, code).as_dict())
+              | oracles.complexity_metrics(compute_complexity(graph, code)))
     return {name: values[name] for name in features._column_names(include_eigenvector)}
 
 
@@ -371,7 +371,7 @@ def _reference_row(code, include_eigenvector):
     graph = parse_to_graph(code)
     parent, depth = np.array(graph.parent), np.array(graph.depth)
     values = (oracles.graph_features_reference(parent, depth)
-              | compute_complexity(graph, code).as_dict())
+              | oracles.complexity_metrics(compute_complexity(graph, code)))
     if include_eigenvector:
         values |= compute_graph_features(graph, True)
     return [float(values[name]).hex() for name in features._column_names(include_eigenvector)]

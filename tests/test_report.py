@@ -80,18 +80,18 @@ def synth_graphs(synth_log):
 
 def test_ceg_chain_has_five_glyphs_four_edges(tmp_path):
     graphs = make_graphs(tmp_path, chain_objs(5))
-    fig = draw_ceg(graphs)
-    assert len(elements(fig.svg, "node")) == 5
-    assert len(elements(fig.svg, "edge")) == 4
+    svg = draw_ceg(graphs)
+    assert len(elements(svg, "node")) == 5
+    assert len(elements(svg, "edge")) == 4
 
 
 def test_ceg_parentless_run_has_no_edges(tmp_path):
     objs = chain_objs(6)
     for o in objs:
         o.pop("parent_ids", None)
-    fig = draw_ceg(make_graphs(tmp_path, objs))
-    assert len(elements(fig.svg, "node")) == 6
-    assert len(elements(fig.svg, "edge")) == 0
+    svg = draw_ceg(make_graphs(tmp_path, objs))
+    assert len(elements(svg, "node")) == 6
+    assert len(elements(svg, "edge")) == 0
 
 
 def test_ceg_radius_is_base_times_one_plus_parent_frequency(tmp_path):
@@ -106,8 +106,8 @@ def test_ceg_radius_is_base_times_one_plus_parent_frequency(tmp_path):
              "code": f"x = {i}\ny = 2\n", "fitness_raw": 0.6,
              "parent_ids": ["p"]}
         )
-    fig = draw_ceg(make_graphs(tmp_path, objs))
-    radii = sorted(float(c.get("r")) for c in elements(fig.svg, "node"))
+    svg = draw_ceg(make_graphs(tmp_path, objs))
+    radii = sorted(float(c.get("r")) for c in elements(svg, "node"))
     assert radii == [BASE_RADIUS, BASE_RADIUS, BASE_RADIUS, 4.0 * BASE_RADIUS]
 
 
@@ -125,9 +125,9 @@ def test_ceg_pc1_annotation_fraction(synth_log, tmp_path, capsys):
 
 def test_ceg_feature_y_axis_orders_nodes_by_raw_value(tmp_path):
     graphs = make_graphs(tmp_path, chain_objs(4))
-    fig = draw_ceg(graphs, "token_total")
-    assert fig.annotation == ""
-    circles = elements(fig.svg, "node")
+    svg = draw_ceg(graphs, "token_total")
+    assert elements(svg, "annotation") == []
+    circles = elements(svg, "node")
     # document order follows node order; token_total grows with i, and
     # larger y-values sit higher on the canvas (smaller cy)
     cys = [float(c.get("cy")) for c in circles]
@@ -135,22 +135,23 @@ def test_ceg_feature_y_axis_orders_nodes_by_raw_value(tmp_path):
 
 
 def test_ceg_missing_fitness_rendered_hollow(synth_graphs):
-    fig = draw_ceg(synth_graphs)
-    hollow = [c for c in elements(fig.svg, "node") if c.get("fill") == "none"]
+    svg = draw_ceg(synth_graphs)
+    hollow = [c for c in elements(svg, "node") if c.get("fill") == "none"]
     assert len(hollow) == 1
 
 
 def test_ceg_one_row_label_per_group_one_col_label_per_run(synth_graphs):
-    fig = draw_ceg(synth_graphs)
-    assert len(elements(fig.svg, "row-label")) == 3
-    assert len(elements(fig.svg, "col-label")) == 3
-    assert len(fig.legend) == 3
+    svg = draw_ceg(synth_graphs)
+    labels = [t.text for t in elements(svg, "row-label")]
+    assert labels == ["/".join(key) for key in sorted({g.group_key for g in synth_graphs})]
+    assert len(labels) == 3
+    assert len(elements(svg, "col-label")) == 3
 
 
 def test_ceg_byte_deterministic(synth_graphs):
     a = draw_ceg(synth_graphs)
     b = draw_ceg(synth_graphs)
-    assert a.svg == b.svg
+    assert a == b
 
 
 def test_ceg_errors(tmp_path, synth_graphs):
@@ -161,11 +162,12 @@ def test_ceg_errors(tmp_path, synth_graphs):
 
 
 def test_ceg_svg_well_formed(synth_graphs):
-    fig = draw_ceg(synth_graphs)
-    root = ET.fromstring(fig.svg)
+    root = ET.fromstring(draw_ceg(synth_graphs))
     assert tag(root) == "svg"
-    assert float(root.get("width")) == pytest.approx(fig.width)
-    assert float(root.get("height")) == pytest.approx(fig.height)
+    # three groups of one run each: one column of cells, three rows
+    assert root.get("width") == f"{150 + 240 + 20:.2f}"
+    assert root.get("height") == f"{50 + 3 * 170 + 2 * 14 + 45:.2f}"
+    assert root.get("viewBox") == f"0 0 {root.get('width')} {root.get('height')}"
 
 
 # ------------------------------------------------------------ render_tsne
@@ -197,8 +199,8 @@ def tsne_coords(graphs, perplexity=2.5, seed=0):
 
 def test_tsne_two_methods_two_runs_two_colors_two_shapes(tmp_path):
     graphs = make_graphs(tmp_path, two_method_objs())
-    fig = render_tsne(graphs, tsne_coords(graphs))
-    points = elements(fig.svg, "point")
+    svg = render_tsne(graphs, tsne_coords(graphs))
+    points = elements(svg, "point")
     # 10 data markers, 2 pair swatches, 2 run swatches
     assert len(points) == 14
     strokes = {p.get("stroke") for p in points}
@@ -206,8 +208,8 @@ def test_tsne_two_methods_two_runs_two_colors_two_shapes(tmp_path):
     assert len(data_colors) == 2
     shapes = {tag(p) for p in points[:10]}
     assert shapes == {"circle", "rect"}
-    assert "m1/llm-x" in fig.legend and "m2/llm-x" in fig.legend
-    assert "run ra" in fig.legend and "run rb" in fig.legend
+    legend = [t.text for t in elements(svg, "legend")]
+    assert legend == ["m1/llm-x", "m2/llm-x", "run ra", "run rb"]
 
 
 def test_tsne_equal_fitness_equal_sizes(tmp_path):
@@ -215,8 +217,8 @@ def test_tsne_equal_fitness_equal_sizes(tmp_path):
     for o in objs:
         o["fitness_raw"] = 0.7
     graphs = make_graphs(tmp_path, objs)
-    fig = render_tsne(graphs, tsne_coords(graphs))
-    points = elements(fig.svg, "point")[:10]
+    svg = render_tsne(graphs, tsne_coords(graphs))
+    points = elements(svg, "point")[:10]
     radii = {
         float(p.get("r")) if tag(p) == "circle" else float(p.get("width")) / 2
         for p in points
@@ -230,8 +232,8 @@ def test_tsne_missing_fitness_hollow_minimum_size(tmp_path):
     objs = chain_objs(6, run_id="solo")
     objs[2]["fitness_raw"] = None
     graphs = make_graphs(tmp_path, objs)
-    fig = render_tsne(graphs, tsne_coords(graphs, perplexity=1.5))
-    data = elements(fig.svg, "point")[:6]
+    svg = render_tsne(graphs, tsne_coords(graphs, perplexity=1.5))
+    data = elements(svg, "point")[:6]
     hollow = [p for p in data if p.get("fill") == "none"]
     assert len(hollow) == 1
     assert float(hollow[0].get("r")) == 3.0
@@ -241,7 +243,7 @@ def test_tsne_fixed_seed_identical_bytes(tmp_path):
     graphs = make_graphs(tmp_path, two_method_objs())
     a = render_tsne(graphs, tsne_coords(graphs, seed=4))
     b = render_tsne(graphs, tsne_coords(graphs, seed=4))
-    assert a.svg == b.svg
+    assert a == b
 
 
 def test_tsne_errors(tmp_path):
@@ -264,19 +266,19 @@ def small_table():
 
 
 def test_heatmap_cell_and_label_counts():
-    fig = render_heatmap(small_table())
-    cells = elements(fig.svg, "cell")
-    missing = elements(fig.svg, "cell cell-missing")
-    labels = elements(fig.svg, "cell-label")
+    svg = render_heatmap(small_table())
+    cells = elements(svg, "cell")
+    missing = elements(svg, "cell cell-missing")
+    labels = elements(svg, "cell-label")
     assert len(cells) + len(missing) == 6
     assert len(missing) == 1
     assert len(labels) == 5  # one blank cell stays unlabeled
 
 
 def test_heatmap_extreme_and_neutral_colors():
-    fig = render_heatmap(small_table())
-    cells = elements(fig.svg, "cell")
-    labels = elements(fig.svg, "cell-label")
+    svg = render_heatmap(small_table())
+    cells = elements(svg, "cell")
+    labels = elements(svg, "cell-label")
     by_text = {lab.text: i for i, lab in enumerate(labels)}
     assert {"1.00", "-1.00", "0.00", "0.25", "-0.62"} == set(by_text)
     fills = [c.get("fill") for c in cells]
@@ -286,15 +288,15 @@ def test_heatmap_extreme_and_neutral_colors():
 
 
 def test_heatmap_missing_cell_is_gray_and_unlabeled():
-    fig = render_heatmap(small_table())
-    (missing,) = elements(fig.svg, "cell cell-missing")
+    svg = render_heatmap(small_table())
+    (missing,) = elements(svg, "cell cell-missing")
     assert missing.get("fill") == "#e0e0e0"
     # no label text sits inside the missing cell's horizontal span
     x0 = float(missing.get("x"))
     x1 = x0 + float(missing.get("width"))
     y0 = float(missing.get("y"))
     y1 = y0 + float(missing.get("height"))
-    for lab in elements(fig.svg, "cell-label"):
+    for lab in elements(svg, "cell-label"):
         lx, ly = float(lab.get("x")), float(lab.get("y"))
         assert not (x0 <= lx <= x1 and y0 <= ly <= y1)
 
@@ -306,15 +308,15 @@ def test_heatmap_one_row_28_columns():
         feature_names=ALL_FEATURE_NAMES,
         values=(values,),
     )
-    fig = render_heatmap(table)
-    assert len(elements(fig.svg, "cell")) == 28
-    assert len(elements(fig.svg, "col-label")) == 28
+    svg = render_heatmap(table)
+    assert len(elements(svg, "cell")) == 28
+    assert len(elements(svg, "col-label")) == 28
 
 
 def test_heatmap_scale_bar():
-    fig = render_heatmap(small_table())
-    assert len(elements(fig.svg, "scale")) == 32
-    texts = [t.text for t in elements(fig.svg, "scale-label")]
+    svg = render_heatmap(small_table())
+    assert len(elements(svg, "scale")) == 32
+    texts = [t.text for t in elements(svg, "scale-label")]
     assert texts == ["-1", "0", "+1"]
 
 
@@ -322,8 +324,8 @@ def test_heatmap_determinism_and_wellformed(synth_graphs):
     table = correlation_table(synth_graphs)
     a = render_heatmap(table)
     b = render_heatmap(table)
-    assert a.svg == b.svg
-    root = ET.fromstring(a.svg)
+    assert a == b
+    root = ET.fromstring(a)
     assert tag(root) == "svg"
 
 
@@ -334,8 +336,8 @@ def test_heatmap_empty_table_error():
 
 
 def test_coordinates_have_two_decimals(synth_graphs):
-    fig = draw_ceg(synth_graphs)
-    for c in elements(fig.svg, "node"):
+    svg = draw_ceg(synth_graphs)
+    for c in elements(svg, "node"):
         for attr in ("cx", "cy", "r"):
             assert re.fullmatch(r"-?\d+\.\d\d", c.get(attr))
-    assert "-0.00" not in fig.svg
+    assert "-0.00" not in svg

@@ -3,8 +3,8 @@
 perfbench/traced.py lists a missing hook instead of failing the run, so a
 renamed layer function would silently empty its per-layer metric. This
 test loads the hook table (the module does nothing on import) and checks
-every (module, function) pair against cegraph, and that the counts taken
-from the parse and complexity results read those results.
+every (module, function) pair against cegraph, and that every count reads
+an int from its function's result on the bundled log.
 """
 
 import importlib
@@ -12,9 +12,17 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from cegraph.ceg import build_ceg, graphs_to_json
+from cegraph.codemetrics import compute_complexity
+from cegraph.embed import correlation_table, tsne
+from cegraph.features import featurize_dataset
+from cegraph.ingest import load_jsonl, validate
 from cegraph.pyast import parse_to_graph
 
-TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACED = ROOT / "perfbench" / "traced.py"
 
 
 def load_hooks(monkeypatch):
@@ -36,15 +44,37 @@ def test_every_trace_hook_resolves(monkeypatch):
     assert missing == []
 
 
-def test_parse_and_complexity_counts_read_their_results(monkeypatch):
-    code = "def f(a):\n    return a + 1\n"
-    args = {"pyast": (code,), "codemetrics": (parse_to_graph(code), code)}
-    counted = []
+def results_on_the_bundled_log():
+    """The result of each counted hook's function, keyed by (module,
+    function), as the pipeline's steps give them on the bundled log."""
+    dataset = load_jsonl(ROOT / "data" / "synthetic_run.jsonl")
+    validated = validate(dataset)
+    featurized = featurize_dataset(validated[0])
+    graphs = build_ceg(validated[0], featurized[0])
+    X = np.array([n.features_std for g in graphs for n in g.nodes])
+    code = dataset.samples[0].code
+    graph = parse_to_graph(code)
+    return {
+        ("ingest", "validate"): validated,
+        ("features", "featurize_dataset"): featurized,
+        ("pyast", "parse_to_graph"): graph,
+        ("codemetrics", "compute_complexity"): compute_complexity(graph, code),
+        ("ceg", "graphs_to_json"): graphs_to_json(graphs),
+        ("embed", "tsne"): tsne(X, perplexity=10.0, iterations=50),
+        ("embed", "correlation_table"): correlation_table(graphs),
+    }
+
+
+def test_every_trace_count_reads_its_result(monkeypatch):
+    # a count that no longer fits its function's result would crash a
+    # traced benchmark run; here it fails first
+    results = results_on_the_bundled_log()
+    counted = {}
     for mod_name, fn_name, _, count_name, count in load_hooks(monkeypatch):
-        if count is None or mod_name not in args:
-            continue
-        fn = getattr(importlib.import_module(f"cegraph.{mod_name}"), fn_name)
-        value = count(fn(*args[mod_name]))
-        assert type(value) is int and value > 0, count_name
-        counted.append(count_name)
-    assert sorted(counted) == ["codemetrics.tokens", "pyast.ast_nodes"]
+        if count is not None:
+            value = count(results[mod_name, fn_name])
+            assert type(value) is int, count_name
+            counted[count_name] = value
+    assert len(counted) == len(results)
+    assert counted["pyast.ast_nodes"] > 0 and counted["codemetrics.tokens"] > 0
+    assert counted["embed.tsne_iterations"] == 50
