@@ -5,15 +5,23 @@ tsne (tsne.svg), correlate (correlations.csv + heatmap.svg), pipeline
 (all of the above). Exit codes: 0 success, 1 schema/validation failure,
 2 I/O error, bad usage, out of memory or a t-SNE worker process that died.
 A run writes its files only once every one of them is built.
+
+The process runs BLAS on one thread: before numpy loads, this module sets
+OPENBLAS_NUM_THREADS to 1 unless it is already set, so OpenBLAS starts no
+helper thread to spin idle beside a run whose products each fit one thread.
+A value set in the environment wins.
 """
 
 from __future__ import annotations
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import csv
 import errno
 import math
-import os
 import sys
 import tempfile
 from pathlib import Path

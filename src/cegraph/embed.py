@@ -250,8 +250,10 @@ _CYCLE = 200
 # floats. A block holds at most _BLOCK_BYTES / 8 + n entries; its kernel
 # product takes 5 multiply-adds per entry and its two gradient products 3,
 # so below n = 19660 each stays under the 2^18 multiply-adds up to which
-# OpenBLAS runs a product on one thread. So the bits do not depend on the
-# CPU count, and no BLAS thread competes with the split
+# OpenBLAS runs a product on one thread. So a library caller's bits do not
+# depend on its BLAS thread or CPU count. The CLI process runs BLAS on its
+# main thread alone (cli.py sets OPENBLAS_NUM_THREADS), so no BLAS thread
+# competes with the split
 _BLOCK_BYTES = 1 << 18
 # the commands a worker runs, each sent as one byte
 _KERNEL, _GRADIENT = 1, 2
@@ -479,7 +481,8 @@ def _fork_workers(workers: int, n: int) -> _Helper | None:
     when starting the worker raises OSError, as a refused fork does."""
     if workers < 2 or not hasattr(os, "fork"):
         return None
-    # forking is safe: the only other thread, OpenBLAS's, stops in its atfork handler
+    # forking is safe: the CLI process runs BLAS on its main thread alone, and
+    # a library caller's OpenBLAS threads stop in OpenBLAS's atfork handler
     try:
         return _Helper(n)
     except OSError:

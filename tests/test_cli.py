@@ -596,6 +596,57 @@ def test_pipeline_never_imports_numpy_random(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def _python(script, **env):
+    """stdout of `python -c script` with src on the path, OpenBLAS's and
+    OpenMP's variables removed from the environment and env added."""
+    clean = {k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "OMP_"))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(clean, PYTHONPATH=str(SRC), **env), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_THREADS = "import os, cegraph.cli; print(len(os.listdir('/proc/self/task')))"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and two usable CPUs")
+def test_cli_runs_blas_on_one_thread_unless_the_environment_says_otherwise():
+    # on two CPUs OpenBLAS starts a second thread when it loads, which spins idle
+    assert _python(_THREADS) == "1\n"
+    assert _python(_THREADS, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+
+def test_importing_the_package_loads_numpy_only_when_a_name_is_read():
+    script = ("import sys, cegraph; before = 'numpy' in sys.modules; cegraph.tsne; "
+              "print(before, 'numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in __import__('os').environ)")
+    assert _python(script) == "False True False\n"
+
+
+_EXPORTS = """
+import importlib, cegraph
+assert set(cegraph.__all__) <= set(dir(cegraph))
+star = {}
+exec("from cegraph import *", star)
+assert sorted(set(star) - {"__builtins__"}) == sorted(cegraph.__all__)
+assert len(set(cegraph.__all__)) == len(cegraph.__all__) == 39
+for name in cegraph.__all__:
+    home = importlib.import_module("cegraph." + cegraph._MODULE_OF[name])
+    value = getattr(home, name)
+    assert star[name] is value and getattr(cegraph, name) is value, name
+    assert getattr(value, "__module__", home.__name__) == home.__name__, name
+try:
+    cegraph.no_such_name
+except AttributeError as e:
+    print(e)
+"""
+
+
+def test_every_exported_name_is_bound_by_its_defining_module():
+    assert _python(_EXPORTS) == "module 'cegraph' has no attribute 'no_such_name'\n"
+
+
 def test_subcommands_write_the_pipeline_artifacts(log_path, tmp_path, capsys):
     common = ["--input", log_path, "--include-eigencentrality"]
     ceg = ["--norm-scope", "run", "--direction", "minimize"]
