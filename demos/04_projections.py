@@ -1,9 +1,11 @@
 # Project the feature matrix two ways and render both figures.
 #
-# PCA gives the y axis for the per-run lineage plots (PC1 of the
-# standardized features, annotated with its explained variance share).
-# t-SNE places every sample from every run on a shared 2-d map. The
-# renderers only draw: each figure takes the projection computed here.
+# PCA gives the y axis for the per-run lineage plots (PC1 of the 22
+# standardized graph features, annotated with its explained variance
+# share). t-SNE places every sample from every run on a shared 2-d map of
+# the 28 canonical standardized features. These are the columns the CLI
+# projects. The renderers only draw: each figure takes the projection
+# computed here.
 
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import numpy as np
 
 from cegraph import (
     ALL_FEATURE_NAMES,
+    AST_FEATURE_NAMES,
     build_ceg,
     featurize_dataset,
     load_jsonl,
@@ -31,16 +34,20 @@ def main():
     features, _ = featurize_dataset(dataset)
     graphs = build_ceg(dataset, features)
 
-    # the 28 canonical standardized features, one row per node in graph order
-    cols = [features.names.index(name) for name in ALL_FEATURE_NAMES]
-    X = np.array([n.features_std[cols] for g in graphs for n in g.nodes])
-    print(f"feature matrix: {X.shape[0]} samples x {X.shape[1]} features")
+    def standardized(names):
+        """The named standardized feature columns, one row per node."""
+        cols = [features.names.index(name) for name in names]
+        return np.array([n.features_std[cols] for g in graphs for n in g.nodes])
 
+    X = standardized(AST_FEATURE_NAMES)
+    print(f"PCA input: {X.shape[0]} samples x {X.shape[1]} graph features")
     res = pca(X, k=3)
     ratios = res.explained_variance_ratio
     print("PCA explained variance: "
           + "  ".join(f"PC{i + 1}={r:.3f}" for i, r in enumerate(ratios)))
 
+    X = standardized(ALL_FEATURE_NAMES)
+    print(f"t-SNE input: {X.shape[0]} samples x {X.shape[1]} canonical features")
     emb = tsne(X, perplexity=12.0, seed=0, iterations=500)
     spread = emb.coords.std(axis=0)
     print(f"t-SNE spread after {emb.iterations} iterations: "

@@ -4,12 +4,14 @@ Samples are pooled over all runs sharing a (benchmark, method, llm)
 label before correlating, so the table has one row per group. The
 random-search run in the bundled log was generated with code size
 strictly shrinking as fitness improves, which shows up as a perfect
-negative correlation on token_total.
+negative correlation on token_total. Like the CLI, the table covers the
+28 canonical features.
 """
 
 from pathlib import Path
 
 from cegraph import (
+    ALL_FEATURE_NAMES,
     build_ceg,
     correlation_table,
     featurize_dataset,
@@ -34,7 +36,7 @@ def main():
     features, _ = featurize_dataset(dataset)
     graphs = build_ceg(dataset, features)
 
-    table = correlation_table(graphs)
+    table = correlation_table(graphs, ALL_FEATURE_NAMES)
     print(f"\n{len(table.groups)} groups x {len(table.feature_names)} features")
     for group in table.groups:
         label = "/".join(group)

@@ -28,7 +28,6 @@ NORM_SCOPES = ("group", "run", "global")
 @dataclass(frozen=True, eq=False)
 class CegNode:
     sample_id: str
-    name: str
     evaluation_index: int
     fitness_norm: float | None
     parent_frequency: int
@@ -163,23 +162,16 @@ def build_ceg(
 
     # fitness normalization statistics are pooled over the whole dataset
     # (also samples without features: their scores are still real results)
-    fitness_norm: dict[str, float | None] = {}
-    if normalize == "none":
-        for s in dataset.samples:
-            fitness_norm[s.id] = s.fitness_raw
-    else:
-        pools: dict[object, list[float]] = {}
-        for s in dataset.samples:
-            if s.fitness_raw is not None:
-                pools.setdefault(_norm_key(s, norm_scope), []).append(s.fitness_raw)
-        for s in dataset.samples:
-            if s.fitness_raw is None:
-                fitness_norm[s.id] = None
-            else:
-                pool = pools[_norm_key(s, norm_scope)]
-                fitness_norm[s.id] = _minmax(
-                    s.fitness_raw, min(pool), max(pool), direction
-                )
+    pools: dict[object, list[float]] = {}
+    for s in dataset.samples:
+        if s.fitness_raw is not None:
+            pools.setdefault(_norm_key(s, norm_scope), []).append(s.fitness_raw)
+    ranges = {key: (min(pool), max(pool)) for key, pool in pools.items()}
+
+    def fitness_norm(s: CodeSample) -> float | None:
+        if normalize == "none" or s.fitness_raw is None:
+            return s.fitness_raw
+        return _minmax(s.fitness_raw, *ranges[_norm_key(s, norm_scope)], direction)
 
     # partition by run, build nodes and edges
     runs: dict[str, list[CodeSample]] = {}
@@ -203,9 +195,8 @@ def build_ceg(
         nodes = tuple(
             CegNode(
                 sample_id=s.id,
-                name=s.name,
                 evaluation_index=s.evaluation_index,
-                fitness_norm=fitness_norm[s.id],
+                fitness_norm=fitness_norm(s),
                 parent_frequency=out_degree[s.id],
                 features_raw=raw[row_of[s.id]],
                 features_std=std[row_of[s.id]],

@@ -177,9 +177,10 @@ def validate(dataset: Dataset, policy: str = "strict") -> tuple[Dataset, list[Vi
     """Check lineage consistency.
 
     Every parent reference must resolve to a sample in the same run with a
-    strictly smaller evaluation_index. Under "strict" the first violation
-    raises ValidationError; under "drop-dangling-edges" offending parent
-    references are removed and reported as Violation records.
+    strictly smaller evaluation_index, and a sample lists each parent once.
+    Under "strict" the first violation raises ValidationError; under
+    "drop-dangling-edges" offending parent references (and every repeat
+    after the first) are removed and reported as Violation records.
     """
     if policy not in ("strict", "drop-dangling-edges"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -187,10 +188,12 @@ def validate(dataset: Dataset, policy: str = "strict") -> tuple[Dataset, list[Vi
     violations: list[Violation] = []
     cleaned: list[CodeSample] = []
     for s in dataset.samples:
-        kept: list[str] = []
+        kept: dict[str, None] = {}  # ordered, and a repeat is found in O(1)
         for pid in s.parent_ids:
             parent = by_id.get(pid)
-            if parent is None:
+            if pid in kept:
+                reason = "listed more than once"
+            elif parent is None:
                 reason = "parent id not found"
             elif parent.run_id != s.run_id:
                 reason = f"parent belongs to run {parent.run_id!r}"
@@ -200,7 +203,7 @@ def validate(dataset: Dataset, policy: str = "strict") -> tuple[Dataset, list[Vi
                     f"smaller than {s.evaluation_index}"
                 )
             else:
-                kept.append(pid)
+                kept[pid] = None
                 continue
             if policy == "strict":
                 raise ValidationError(f"sample {s.id!r}: parent {pid!r}: {reason}")

@@ -8,13 +8,16 @@ heatmap with a diverging color scale. Renderers only draw: the caller
 computes the projections and passes one y value or one (x, y) row per
 node, in graph order.
 
-Each renderer returns the SVG document as a string, assembled with fixed
-2-decimal coordinates, so a given input always renders byte-identically.
-Elements carry class attributes (node, edge, point, cell, ...) so tests
-can count them.
+Each renderer returns the SVG document as a string. Every element is
+written by `_el`, with fixed 2-decimal coordinates, so a given input
+always renders byte-identically, and with escaped text, so any label
+parses as XML. Elements carry class attributes (node, edge, point, cell,
+...) so tests can count them.
 """
 
 from __future__ import annotations
+
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -38,14 +41,16 @@ CELL_WIDTH = 240.0  # lineage grid cell size
 CELL_HEIGHT = 170.0
 
 
+# markup characters, and "\r", which a parser would read back as "\n";
+# every other character that XML 1.0 cannot carry becomes U+FFFD
+_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;"}
+    | dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+)
+
+
 def _esc(text: str) -> str:
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    return str(text).translate(_ESCAPES)
 
 
 def _f(v: float) -> str:
@@ -53,13 +58,28 @@ def _f(v: float) -> str:
     return "0.00" if out == "-0.00" else out
 
 
-def _svg_open(width: float, height: float) -> str:
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
-        f'height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}" '
-        f'font-family="Helvetica, Arial, sans-serif">\n'
-        f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>\n'
+def _tag(name: str, attrs: dict) -> str:
+    """An unclosed start tag: attributes in the order given, floats
+    through _f, other values as given."""
+    return f"<{name}" + "".join(
+        [f' {k}="{_f(v) if isinstance(v, float) else v}"' for k, v in attrs.items()]
     )
+
+
+def _el(name: str, attrs: dict, text: str | None = None) -> str:
+    """One SVG element on its own line, holding the escaped text if any."""
+    if text is None:
+        return _tag(name, attrs) + "/>\n"
+    return f"{_tag(name, attrs)}>{_esc(text)}</{name}>\n"
+
+
+def _svg(width: float, height: float, body: list[str]) -> str:
+    """The document: the body's elements on a white background."""
+    head = _tag("svg", {"xmlns": "http://www.w3.org/2000/svg", "width": width, "height": height,
+                        "viewBox": f"0 0 {_f(width)} {_f(height)}",
+                        "font-family": "Helvetica, Arial, sans-serif"})
+    background = _el("rect", {"x": 0, "y": 0, "width": width, "height": height, "fill": "#ffffff"})
+    return head + ">\n" + background + "".join(body) + "</svg>\n"
 
 
 class _Scale:
@@ -81,32 +101,39 @@ class _Scale:
         return self.px_lo + t * (self.px_hi - self.px_lo)
 
 
+_K = 0.35  # half the width of a cross's bar, over its radius
+# the polygon markers' vertices about their centre, over the radius
+_POLYGONS = {
+    "triangle": ((0, -1), (-0.866, 0.5), (0.866, 0.5)),
+    "diamond": ((0, -1), (1, 0), (0, 1), (-1, 0)),
+    "cross": (
+        (-_K, -1), (_K, -1), (_K, -_K), (1, -_K), (1, _K), (_K, _K),
+        (_K, 1), (-_K, 1), (-_K, _K), (-1, _K), (-1, -_K), (-_K, -_K),
+    ),
+}
+
+
 def _marker(shape: str, x: float, y: float, r: float, color: str, hollow: bool) -> str:
-    fill = "none" if hollow else color
-    stroke = color
-    style = f'fill="{fill}" stroke="{stroke}" stroke-width="1.2"'
+    style = {"fill": "none" if hollow else color, "stroke": color, "stroke-width": "1.2"}
     if shape == "circle":
-        return f'<circle class="point" cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" {style}/>'
+        return _el("circle", {"class": "point", "cx": x, "cy": y, "r": r, **style})
     if shape == "square":
-        return (
-            f'<rect class="point" x="{_f(x - r)}" y="{_f(y - r)}" '
-            f'width="{_f(2 * r)}" height="{_f(2 * r)}" {style}/>'
-        )
-    if shape == "triangle":
-        pts = f"{_f(x)},{_f(y - r)} {_f(x - 0.866 * r)},{_f(y + 0.5 * r)} {_f(x + 0.866 * r)},{_f(y + 0.5 * r)}"
-        return f'<polygon class="point" points="{pts}" {style}/>'
-    if shape == "diamond":
-        pts = f"{_f(x)},{_f(y - r)} {_f(x + r)},{_f(y)} {_f(x)},{_f(y + r)} {_f(x - r)},{_f(y)}"
-        return f'<polygon class="point" points="{pts}" {style}/>'
-    # cross
-    k = 0.35 * r
-    pts = (
-        f"{_f(x - k)},{_f(y - r)} {_f(x + k)},{_f(y - r)} {_f(x + k)},{_f(y - k)} "
-        f"{_f(x + r)},{_f(y - k)} {_f(x + r)},{_f(y + k)} {_f(x + k)},{_f(y + k)} "
-        f"{_f(x + k)},{_f(y + r)} {_f(x - k)},{_f(y + r)} {_f(x - k)},{_f(y + k)} "
-        f"{_f(x - r)},{_f(y + k)} {_f(x - r)},{_f(y - k)} {_f(x - k)},{_f(y - k)}"
-    )
-    return f'<polygon class="point" points="{pts}" {style}/>'
+        return _el("rect", {"class": "point", "x": x - r, "y": y - r,
+                            "width": 2 * r, "height": 2 * r, **style})
+    points = " ".join(f"{_f(x + dx * r)},{_f(y + dy * r)}" for dx, dy in _POLYGONS[shape])
+    return _el("polygon", {"class": "point", "points": points, **style})
+
+
+def _per_node(graphs, values, row_shape: tuple, what: str) -> np.ndarray:
+    """`values` as a float array holding one row of row_shape per node of
+    `graphs`, in graph order; ValueError, naming `what`, otherwise."""
+    n = sum(len(g.nodes) for g in graphs)
+    if not n:
+        raise ValueError("empty node set")
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n, *row_shape):
+        raise ValueError(f"need one {what} per node, got shape {values.shape}")
+    return values
 
 
 def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> str:
@@ -116,101 +143,62 @@ def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> str:
     as the explained variance of PC1) is printed above the grid. Marker
     area tracks parent frequency; samples without fitness are drawn
     hollow."""
-    all_nodes = [n for g in graphs for n in g.nodes]
-    if not all_nodes:
-        raise ValueError("empty node set")
-    y_values = np.asarray(y_values, dtype=float)
-    if y_values.shape != (len(all_nodes),):
-        raise ValueError(f"need one y value per node, got shape {y_values.shape}")
-
-    keys = [(g.run_id, n.sample_id) for g in graphs for n in g.nodes]
-    y_of = dict(zip(keys, y_values.tolist()))
-
-    row_keys = sorted({g.group_key for g in graphs})
-    cols_per_row = {
-        key: sorted(g.run_id for g in graphs if g.group_key == key)
-        for key in row_keys
-    }
-    ncols = max(len(v) for v in cols_per_row.values())
-    graph_at = {(g.group_key, g.run_id): g for g in graphs}
+    y_values = _per_node(graphs, y_values, (), "y value")
+    ys = iter(y_values.tolist())
+    grid = sorted(
+        ((g, list(islice(ys, len(g.nodes)))) for g in graphs),
+        key=lambda cell: (cell[0].group_key, cell[0].run_id),
+    )
+    rows = [list(row) for _, row in groupby(grid, key=lambda cell: cell[0].group_key)]
+    ncols = max(len(row) for row in rows)
 
     margin_left, margin_top = 150.0, 50.0
     margin_right, margin_bottom = 20.0, 45.0
     gap = 14.0
     cw, ch = CELL_WIDTH, CELL_HEIGHT
     width = margin_left + ncols * cw + (ncols - 1) * gap + margin_right
-    height = margin_top + len(row_keys) * ch + (len(row_keys) - 1) * gap + margin_bottom
+    height = margin_top + len(rows) * ch + (len(rows) - 1) * gap + margin_bottom
 
-    xs = [n.evaluation_index for n in all_nodes]
+    xs = [n.evaluation_index for g in graphs for n in g.nodes]
     x_lo, x_hi = float(min(xs)), float(max(xs))
     y_lo, y_hi = float(np.min(y_values)), float(np.max(y_values))
 
-    parts = [_svg_open(width, height)]
+    parts = []
     if annotation:
-        parts.append(
-            f'<text class="annotation" x="{_f(margin_left)}" y="20" font-size="13">'
-            f"{_esc(annotation)}</text>\n"
-        )
-    parts.append(
-        f'<text class="axis-label" x="{_f(width / 2)}" y="{_f(height - 10)}" '
-        f'font-size="12" text-anchor="middle">evaluation index</text>\n'
-    )
-
-    for row, key in enumerate(row_keys):
+        parts.append(_el("text", {"class": "annotation", "x": margin_left, "y": 20,
+                                  "font-size": 13}, annotation))
+    parts.append(_el("text", {"class": "axis-label", "x": width / 2, "y": height - 10,
+                              "font-size": 12, "text-anchor": "middle"}, "evaluation index"))
+    pad = 10.0
+    for row, cells in enumerate(rows):
         color = PALETTE[row % len(PALETTE)]
-        label = "/".join(key)
         cell_y = margin_top + row * (ch + gap)
-        parts.append(
-            f'<text class="row-label" x="{_f(margin_left - 10)}" '
-            f'y="{_f(cell_y + ch / 2)}" font-size="11" text-anchor="end" '
-            f'fill="{color}">{_esc(label)}</text>\n'
-        )
-        for col, run_id in enumerate(cols_per_row[key]):
-            g = graph_at[(key, run_id)]
+        parts.append(_el("text", {"class": "row-label", "x": margin_left - 10, "y": cell_y + ch / 2,
+                                  "font-size": 11, "text-anchor": "end", "fill": color},
+                         "/".join(cells[0][0].group_key)))
+        for col, (g, g_ys) in enumerate(cells):
             cell_x = margin_left + col * (cw + gap)
-            pad = 10.0
             sx = _Scale(x_lo, x_hi, cell_x + pad, cell_x + cw - pad)
             sy = _Scale(y_lo, y_hi, cell_y + ch - pad, cell_y + pad)
-            parts.append(
-                f'<rect class="cell-frame" x="{_f(cell_x)}" y="{_f(cell_y)}" '
-                f'width="{_f(cw)}" height="{_f(ch)}" fill="none" stroke="#999999"/>\n'
-            )
-            parts.append(
-                f'<text class="col-label" x="{_f(cell_x + cw / 2)}" '
-                f'y="{_f(cell_y - 3)}" font-size="11" text-anchor="middle">'
-                f"{_esc(run_id)}</text>\n"
-            )
-            node_pos = {
-                n.sample_id: (
-                    sx(n.evaluation_index),
-                    sy(y_of[(run_id, n.sample_id)]),
-                )
-                for n in g.nodes
-            }
+            parts.append(_el("rect", {"class": "cell-frame", "x": cell_x, "y": cell_y, "width": cw,
+                                      "height": ch, "fill": "none", "stroke": "#999999"}))
+            parts.append(_el("text", {"class": "col-label", "x": cell_x + cw / 2, "y": cell_y - 3,
+                                      "font-size": 11, "text-anchor": "middle"}, g.run_id))
+            at = {n.sample_id: (sx(n.evaluation_index), sy(y)) for n, y in zip(g.nodes, g_ys)}
             for pid, cid in g.edges:
-                x1, y1 = node_pos[pid]
-                x2, y2 = node_pos[cid]
-                parts.append(
-                    f'<line class="edge" x1="{_f(x1)}" y1="{_f(y1)}" '
-                    f'x2="{_f(x2)}" y2="{_f(y2)}" stroke="#888888" '
-                    f'stroke-width="0.8"/>\n'
-                )
+                (x1, y1), (x2, y2) = at[pid], at[cid]
+                parts.append(_el("line", {"class": "edge", "x1": x1, "y1": y1, "x2": x2, "y2": y2,
+                                          "stroke": "#888888", "stroke-width": "0.8"}))
             for n in g.nodes:
-                x, y = node_pos[n.sample_id]
+                x, y = at[n.sample_id]
                 r = BASE_RADIUS * (1.0 + n.parent_frequency)
-                hollow = n.fitness_norm is None
-                fill = "none" if hollow else color
-                parts.append(
-                    f'<circle class="node" cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" '
-                    f'fill="{fill}" stroke="{color}" stroke-width="1.0" '
-                    f'fill-opacity="0.75"/>\n'
-                )
-    parts.append(
-        f'<text class="axis-label" x="14" y="{_f(margin_top - 8)}" '
-        f'font-size="12">{_esc(y_label)}</text>\n'
-    )
-    parts.append("</svg>\n")
-    return "".join(parts)
+                parts.append(_el("circle", {
+                    "class": "node", "cx": x, "cy": y, "r": r,
+                    "fill": "none" if n.fitness_norm is None else color, "stroke": color,
+                    "stroke-width": "1.0", "fill-opacity": "0.75"}))
+    parts.append(_el("text", {"class": "axis-label", "x": 14, "y": margin_top - 8,
+                              "font-size": 12}, y_label))
+    return _svg(width, height, parts)
 
 
 def render_tsne(graphs, coords) -> str:
@@ -218,16 +206,11 @@ def render_tsne(graphs, coords) -> str:
     per node in graph order. Color encodes the (method, llm) pair, marker
     shape cycles per run, marker size grows with normalized fitness;
     missing fitness renders hollow at minimum size."""
-    all_nodes = [(g, n) for g in graphs for n in g.nodes]
-    if not all_nodes:
-        raise ValueError("empty node set")
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (len(all_nodes), 2):
-        raise ValueError(f"need one (x, y) row per node, got shape {coords.shape}")
-
-    pairs = sorted({(g.group_key[1], g.group_key[2]) for g, _ in all_nodes})
+    coords = _per_node(graphs, coords, (2,), "(x, y) row")
+    drawn = [g for g in graphs if g.nodes]
+    pairs = sorted({g.group_key[1:] for g in drawn})
     color_of = {p: PALETTE[i % len(PALETTE)] for i, p in enumerate(pairs)}
-    run_ids = sorted({g.run_id for g, _ in all_nodes})
+    run_ids = sorted({g.run_id for g in drawn})
     shape_of = {r: MARKER_SHAPES[i % len(MARKER_SHAPES)] for i, r in enumerate(run_ids)}
 
     plot_w, plot_h = 460.0, 420.0
@@ -239,45 +222,33 @@ def render_tsne(graphs, coords) -> str:
     sy = _Scale(float(coords[:, 1].min()), float(coords[:, 1].max()), margin + plot_h, margin)
 
     r_min, r_max = 3.0, 9.0
-    parts = [_svg_open(width, height)]
-    parts.append(
-        f'<rect class="plot-frame" x="{_f(margin)}" y="{_f(margin)}" '
-        f'width="{_f(plot_w)}" height="{_f(plot_h)}" fill="none" stroke="#999999"/>\n'
-    )
-    for i, (g, n) in enumerate(all_nodes):
-        x, y = sx(float(coords[i, 0])), sy(float(coords[i, 1]))
-        pair = (g.group_key[1], g.group_key[2])
-        if n.fitness_norm is None:
-            r, hollow = r_min, True
-        else:
-            t = min(max(float(n.fitness_norm), 0.0), 1.0)
-            r, hollow = r_min + t * (r_max - r_min), False
-        parts.append(
-            _marker(shape_of[g.run_id], x, y, r, color_of[pair], hollow) + "\n"
-        )
+    parts = [_el("rect", {"class": "plot-frame", "x": margin, "y": margin, "width": plot_w,
+                          "height": plot_h, "fill": "none", "stroke": "#999999"})]
+    xy = iter(coords.tolist())
+    for g in drawn:
+        for n, (x, y) in zip(g.nodes, xy):
+            if n.fitness_norm is None:
+                r, hollow = r_min, True
+            else:
+                t = min(max(float(n.fitness_norm), 0.0), 1.0)
+                r, hollow = r_min + t * (r_max - r_min), False
+            parts.append(
+                _marker(shape_of[g.run_id], sx(x), sy(y), r, color_of[g.group_key[1:]], hollow)
+            )
 
     lx = margin + plot_w + 20.0
     ly = margin + 10.0
-    for pair in pairs:
-        label = "/".join(p for p in pair if p) or "(unlabeled)"
-        parts.append(
-            _marker("circle", lx + 6, ly, 5.0, color_of[pair], False) + "\n"
-        )
-        parts.append(
-            f'<text class="legend" x="{_f(lx + 18)}" y="{_f(ly + 4)}" '
-            f'font-size="11">{_esc(label)}</text>\n'
-        )
-        ly += 18.0
-    ly += 8.0
-    for run_id in run_ids:
-        parts.append(_marker(shape_of[run_id], lx + 6, ly, 5.0, "#555555", False) + "\n")
-        parts.append(
-            f'<text class="legend" x="{_f(lx + 18)}" y="{_f(ly + 4)}" '
-            f'font-size="11">run {_esc(run_id)}</text>\n'
-        )
-        ly += 18.0
-    parts.append("</svg>\n")
-    return "".join(parts)
+    for legend in (
+        [("circle", color_of[p], "/".join(s for s in p if s) or "(unlabeled)") for p in pairs],
+        [(shape_of[r], "#555555", f"run {r}") for r in run_ids],
+    ):
+        for shape, color, label in legend:
+            parts.append(_marker(shape, lx + 6, ly, 5.0, color, False))
+            parts.append(_el("text", {"class": "legend", "x": lx + 18, "y": ly + 4,
+                                      "font-size": 11}, label))
+            ly += 18.0
+        ly += 8.0
+    return _svg(width, height, parts)
 
 
 def _diverging(v: float) -> str:
@@ -306,57 +277,37 @@ def render_heatmap(table) -> str:
     width = label_w + cell_w * len(table.feature_names) + 20.0
     height = header_h + cell_h * len(table.groups) + scale_h + 16.0
 
-    parts = [_svg_open(width, height)]
+    parts = []
     for j, name in enumerate(table.feature_names):
-        x = label_w + j * cell_w + cell_w / 2
-        parts.append(
-            f'<text class="col-label" x="{_f(x)}" y="{_f(header_h - 6)}" '
-            f'font-size="10" text-anchor="start" '
-            f'transform="rotate(-55 {_f(x)} {_f(header_h - 6)})">{_esc(name)}</text>\n'
-        )
+        x, y = label_w + j * cell_w + cell_w / 2, header_h - 6
+        parts.append(_el("text", {"class": "col-label", "x": x, "y": y, "font-size": 10,
+                                  "text-anchor": "start",
+                                  "transform": f"rotate(-55 {_f(x)} {_f(y)})"}, name))
     for i, key in enumerate(table.groups):
         y = header_h + i * cell_h
-        parts.append(
-            f'<text class="row-label" x="{_f(label_w - 8)}" y="{_f(y + cell_h / 2 + 4)}" '
-            f'font-size="11" text-anchor="end">{_esc("/".join(key))}</text>\n'
-        )
-        for j, _ in enumerate(table.feature_names):
-            v = table.values[i][j]
+        parts.append(_el("text", {"class": "row-label", "x": label_w - 8, "y": y + cell_h / 2 + 4,
+                                  "font-size": 11, "text-anchor": "end"}, "/".join(key)))
+        for j, v in enumerate(table.values[i]):
             x = label_w + j * cell_w
-            if v is None:
-                parts.append(
-                    f'<rect class="cell cell-missing" x="{_f(x)}" y="{_f(y)}" '
-                    f'width="{_f(cell_w)}" height="{_f(cell_h)}" fill="#e0e0e0" '
-                    f'stroke="#ffffff"/>\n'
-                )
-                continue
-            fill = _diverging(v)
-            text_color = "#ffffff" if abs(v) > 0.62 else "#1a1a1a"
-            parts.append(
-                f'<rect class="cell" x="{_f(x)}" y="{_f(y)}" width="{_f(cell_w)}" '
-                f'height="{_f(cell_h)}" fill="{fill}" stroke="#ffffff"/>\n'
-            )
-            parts.append(
-                f'<text class="cell-label" x="{_f(x + cell_w / 2)}" '
-                f'y="{_f(y + cell_h / 2 + 3.5)}" font-size="9" text-anchor="middle" '
-                f'fill="{text_color}">{v:.2f}</text>\n'
-            )
+            parts.append(_el("rect", {"class": "cell cell-missing" if v is None else "cell",
+                                      "x": x, "y": y, "width": cell_w, "height": cell_h,
+                                      "fill": "#e0e0e0" if v is None else _diverging(v),
+                                      "stroke": "#ffffff"}))
+            if v is not None:
+                parts.append(_el("text", {
+                    "class": "cell-label", "x": x + cell_w / 2, "y": y + cell_h / 2 + 3.5,
+                    "font-size": 9, "text-anchor": "middle",
+                    "fill": "#ffffff" if abs(v) > 0.62 else "#1a1a1a"}, f"{v:.2f}"))
     # color scale bar with end and midpoint labels
     bar_y = header_h + cell_h * len(table.groups) + 14.0
     bar_x, bar_w, bar_h = label_w, 160.0, 10.0
     steps = 32
     for s in range(steps):
-        v = -1.0 + 2.0 * s / (steps - 1)
-        parts.append(
-            f'<rect class="scale" x="{_f(bar_x + s * bar_w / steps)}" y="{_f(bar_y)}" '
-            f'width="{_f(bar_w / steps + 0.5)}" height="{_f(bar_h)}" '
-            f'fill="{_diverging(v)}"/>\n'
-        )
+        parts.append(_el("rect", {"class": "scale", "x": bar_x + s * bar_w / steps, "y": bar_y,
+                                  "width": bar_w / steps + 0.5, "height": bar_h,
+                                  "fill": _diverging(-1.0 + 2.0 * s / (steps - 1))}))
     for t, lab in ((0.0, "-1"), (0.5, "0"), (1.0, "+1")):
-        parts.append(
-            f'<text class="scale-label" x="{_f(bar_x + t * bar_w)}" '
-            f'y="{_f(bar_y + bar_h + 12)}" font-size="10" text-anchor="middle">'
-            f"{lab}</text>\n"
-        )
-    parts.append("</svg>\n")
-    return "".join(parts)
+        parts.append(_el("text", {"class": "scale-label", "x": bar_x + t * bar_w,
+                                  "y": bar_y + bar_h + 12, "font-size": 10,
+                                  "text-anchor": "middle"}, lab))
+    return _svg(width, height, parts)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cegraph.ceg import build_ceg
 from cegraph.features import featurize_dataset
 from cegraph.ingest import (
     CodeSample,
     Dataset,
     SchemaError,
     ValidationError,
+    Violation,
     dump_jsonl,
     load_jsonl,
     validate,
@@ -248,6 +250,34 @@ def test_validate_rejects_self_parent(tmp_path):
     )
     with pytest.raises(ValidationError):
         validate(ds)
+
+
+def _listed_twice(tmp_path):
+    return _load(
+        tmp_path,
+        {"id": "a", "run_id": "r", "evaluation_index": 0, "code": "x"},
+        {"id": "b", "run_id": "r", "evaluation_index": 1, "code": "x",
+         "parent_ids": ["a", "a"]},
+        {"id": "c", "run_id": "r", "evaluation_index": 2, "code": "x",
+         "parent_ids": ["a", "b"]},
+    )
+
+
+def test_validate_strict_rejects_parent_listed_twice(tmp_path):
+    with pytest.raises(
+        ValidationError, match="^sample 'b': parent 'a': listed more than once$"
+    ):
+        validate(_listed_twice(tmp_path))
+
+
+def test_drop_policy_keeps_first_of_a_parent_listed_twice(tmp_path):
+    out, violations = validate(_listed_twice(tmp_path), policy="drop-dangling-edges")
+    assert violations == [Violation("b", "a", "listed more than once")]
+    assert [s.parent_ids for s in out.samples] == [(), ("a",), ("a", "b")]
+    # one edge, and one child counted, per parent
+    (graph,) = build_ceg(out, featurize_dataset(out)[0])
+    assert graph.edges == (("a", "b"), ("a", "c"), ("b", "c"))
+    assert [n.parent_frequency for n in graph.nodes] == [2, 1, 0]
 
 
 def test_drop_policy_removes_offending_edges_and_reports(tmp_path):

@@ -6,12 +6,14 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cegraph.ceg import build_ceg
 from cegraph.cli import main
 from cegraph.embed import CorrelationTable, correlation_table, tsne
 from cegraph.features import ALL_FEATURE_NAMES, featurize_dataset
-from cegraph.ingest import load_jsonl, validate
+from cegraph.ingest import CodeSample, Dataset, load_jsonl, validate
 from cegraph.report import BASE_RADIUS, render_ceg, render_heatmap, render_tsne
 from synth import write_synthetic_log
 
@@ -341,3 +343,50 @@ def test_coordinates_have_two_decimals(synth_graphs):
         for attr in ("cx", "cy", "r"):
             assert re.fullmatch(r"-?\d+\.\d\d", c.get(attr))
     assert "-0.00" not in svg
+
+
+# ------------------------------------------------------------------ labels
+
+# the characters XML 1.0 cannot carry, which label text renders as U+FFFD
+NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
+def xml_safe(text):
+    return NOT_XML.sub("\ufffd", text)
+
+
+def texts(svg, cls):
+    return [el.text or "" for el in elements(svg, cls)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6), st.text(max_size=6),
+                          st.text(max_size=6)), min_size=1, max_size=3, unique_by=lambda t: t[0]))
+@example([("r\x01", "b\x1f", "m\r\n", "l\ufffe"), ("<&\"\t>", "", "", "\x00")])
+def test_any_labels_render_parseable_svg_that_reads_them_back(runs):
+    # one lineage of three samples per (run_id, benchmark, method, llm)
+    samples = [
+        CodeSample(id=f"{r}-{i}", name="", run_id=run_id, method=method, llm=llm,
+                   benchmark=benchmark, evaluation_index=i,
+                   parent_ids=(f"{r}-{i - 1}",) if i else (), fitness_raw=float(i),
+                   code="x = 1\n" * (i + 1))
+        for r, (run_id, benchmark, method, llm) in enumerate(runs)
+        for i in range(3)
+    ]
+    ds, _ = validate(Dataset(tuple(samples)))
+    graphs = build_ceg(ds, featurize_dataset(ds)[0])
+    keys = sorted({g.group_key for g in graphs})
+
+    svg = draw_ceg(graphs)
+    assert texts(svg, "row-label") == [xml_safe("/".join(k)) for k in keys]
+    assert texts(svg, "col-label") == [xml_safe(g.run_id) for g in graphs]
+
+    n = sum(g.node_count for g in graphs)
+    svg = render_tsne(graphs, np.arange(2.0 * n).reshape(n, 2))
+    pairs = sorted({k[1:] for k in keys})
+    assert texts(svg, "legend") == [
+        xml_safe("/".join(p for p in pair if p) or "(unlabeled)") for pair in pairs
+    ] + [xml_safe(f"run {r}") for r in sorted(g.run_id for g in graphs)]
+
+    table = correlation_table(graphs)
+    assert texts(render_heatmap(table), "row-label") == [xml_safe("/".join(k)) for k in keys]
