@@ -11,12 +11,14 @@ standard library's seeded `random.Random`, so a run needs no
 The affinities and the kernel are symmetric, so each fixed block of rows
 stores and computes only its columns from its own first row on, in packed
 storage of about n^2 / 2 entries each, allocated once per call: each
-pair's kernel and gradient term is computed once. The KL value is not
-evaluated inside the loop. On two or more CPUs a large input's gradient is
-computed by this process and a forked worker, which shares its buffers and
-takes its commands over a pipe, each over a group of blocks that holds
-about half the pairs, with the same bits as one process gives, whatever
-the number of CPUs.
+pair's kernel and gradient term is computed once. The exaggeration e is
+taken out of the gradient's sum, so P is never scaled: each pair's term
+takes one multiplication by 1 / (e Z) instead of a division by the
+kernel total Z. The KL value is not evaluated inside the loop. On two or
+more CPUs a large input's gradient is computed by this process and a
+forked worker, which shares its buffers and takes its commands over a
+pipe, each over a group of blocks that holds about half the pairs, with
+the same bits as one process gives, whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -133,9 +135,10 @@ def _groups(n: int) -> tuple[range, range]:
 def _total(M: np.ndarray, h: int) -> float:
     """The sum over the symmetric matrix that the packed (h, w) block M
     stands for in its rows and columns: the square once and the entries
-    right of it twice, since they also stand for their mirror images."""
-    total = M[:, :h].sum()
-    return total + 2.0 * M[:, h:].sum() if M.shape[1] > h else total
+    right of it twice, since they also stand for their mirror images. It
+    is taken as twice the whole block, one contiguous reduction, less the
+    square."""
+    return 2.0 * M.sum() - M[:, :h].sum()
 
 
 def _bisect(D: np.ndarray, target: float) -> np.ndarray:
@@ -271,8 +274,9 @@ class _Work:
     per group of blocks (_groups); the blocks' kernel totals; and ctrl,
     which holds the kernel total Z and the exaggeration. Each block's
     views are made once, in parts. The scratch, two blocks of n columns
-    for _joint_probabilities and _gradient_group, and tmp come from
-    np.empty: each process writes its own copy of them."""
+    for _joint_probabilities, whose first also holds a block's PQ in
+    _gradient_group and its KL terms in kl_divergence_and_grad, and tmp
+    come from np.empty: each process writes its own copy of them."""
 
     def __init__(self, n: int, alloc=np.empty):
         blocks = _row_blocks(n)
@@ -291,13 +295,13 @@ class _Work:
         self.scratch = np.empty((2, blocks.step * n))
         self.tmp = np.empty((n, 3))
         # per block: its first row r, its height h and its packed (h, n - r)
-        # views of P, num and the two scratch blocks
+        # views of P, num and the first scratch block
         self.parts = []
         start = 0
         for r, h in zip(blocks, heights):
             size = h * (n - r)
             P, num = (a[start:start + size].reshape(h, n - r) for a in (self.P, self.num))
-            self.parts.append((r, h, P, num, *(s[:size].reshape(h, n - r) for s in self.scratch)))
+            self.parts.append((r, h, P, num, self.scratch[0, :size].reshape(h, n - r)))
             start += size
 
 
@@ -311,7 +315,7 @@ def _kernel_group(work: _Work, group: int) -> None:
     """The Student-t kernel num = 1 / (1 + |y_i - y_j|^2), with a zero
     diagonal, on the blocks of one group, and each block's total."""
     for k in work.groups[group]:
-        r, h, _, num, _, _ = work.parts[k]
+        r, h, _, num, _ = work.parts[k]
         # 1 + sq_i + sq_j - 2 y_i . y_j as one product with K = 5
         np.matmul(work.A[r:r + h], work.B[r:].T, out=num)
         np.maximum(num, 1.0, out=num)
@@ -322,24 +326,25 @@ def _kernel_group(work: _Work, group: int) -> None:
 
 def _gradient_group(work: _Work, group: int) -> None:
     """Accumulate PQ @ [Y, 1] into work.acc[group] from the blocks of one
-    group, in block order, with PQ = (e * P - Q) * num, Q = max(num / Z,
-    1e-12) and e the exaggeration. A block of rows r:r+h adds its PQ rows
+    group, in block order, with PQ = (P - max(c * num, 1e-12 / e)) * num,
+    c = 1 / (e * Z) and e the exaggeration. That is (e * P - Q) * num / e,
+    with Q = max(num / Z, 1e-12): one multiplication per pair instead of a
+    division by Z, and e, taken out of the sum, is applied once by
+    _gradient, so no pass scales P. A block of rows r:r+h adds its PQ rows
     times [Y, 1] to its own rows, and, since PQ is symmetric, the
     transpose of its part right of the square times its rows' [Y, 1] to
     the later rows. The group's first block writes the accumulator's rows
     r:n, so it needs no zeroing. PQ is formed in the scratch, so it takes
     no (n, n) buffer."""
     Z, exaggeration = work.ctrl
+    c, floor = 1.0 / (exaggeration * Z), 1e-12 / exaggeration
     acc, Y1 = work.acc[group], work.A[:, 2:]
     blocks = work.groups[group]
     for k in blocks:
-        r, h, P, num, g, scaled = work.parts[k]
+        r, h, P, num, g = work.parts[k]
         w = num.shape[1]
-        np.divide(num, Z, out=g)
-        np.maximum(g, 1e-12, out=g)
-        # 1.0 * P is P bit for bit
-        if exaggeration != 1.0:
-            P = np.multiply(P, exaggeration, out=scaled)
+        np.multiply(num, c, out=g)
+        np.maximum(g, floor, out=g)
         np.subtract(P, g, out=g)
         g *= num
         out = acc[r:] if k == blocks.start else work.tmp[:w]
@@ -364,9 +369,10 @@ def _gradient(work: _Work, Y: np.ndarray, exaggeration: float,
     On return work.num holds the Student-t kernel with a zero diagonal, in
     the packed layout, and work.ctrl[0] its total Z, the sum of the
     blocks' totals. Each pair's kernel and gradient term is computed once,
-    one block at a time (_row_blocks). The result is 4 * (s2 * Y - s01),
-    where [s01, s2] = [PQ @ Y, rowsum(PQ)] is the sum of the two groups'
-    accumulators (_groups). With a helper, the worker runs the second group
+    one block at a time (_row_blocks). The result is 4e * (s2 * Y - s01),
+    with e the exaggeration, where [s01, s2] = [PQ @ Y, rowsum(PQ)] is the
+    sum of the two groups' accumulators (_groups), and PQ, from
+    _gradient_group, is the textbook (e * P - Q) * num divided by e. With a helper, the worker runs the second group
     while this process runs the first; without one, this process runs both,
     each into its own accumulator, so both paths give the same bits.
     """
@@ -387,7 +393,7 @@ def _gradient(work: _Work, Y: np.ndarray, exaggeration: float,
     s, lo = work.acc[0], work.lo
     if lo < len(Y):
         s[lo:] += work.acc[1, lo:]
-    return 4.0 * (s[:, 2:] * Y - s[:, :2])
+    return (4.0 * exaggeration) * (s[:, 2:] * Y - s[:, :2])
 
 
 def _receive(fd: int) -> bytes:
@@ -503,7 +509,7 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
     grad = _gradient(work, Y, 1.0)
     Z = work.ctrl[0]
     kl = np.empty(len(work.parts))
-    for k, (_, h, Pr, num, t, _) in enumerate(work.parts):
+    for k, (_, h, Pr, num, t) in enumerate(work.parts):
         np.divide(num, Z, out=t)
         np.maximum(t, 1e-12, out=t)
         # where Pr is 0 the log is -inf and its product with Pr nan; the
@@ -560,6 +566,9 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
         velocity = np.zeros_like(Y)
         gains = np.ones_like(Y)
         lr = 200.0
+        # the update step's scratch, so that it allocates no (n, 2) array
+        t, u = np.empty_like(Y), np.empty_like(Y)
+        same = np.empty(Y.shape, dtype=bool)
 
         took = np.empty(2 * _WINDOW)
         faster = helper
@@ -574,13 +583,20 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
                 if step == 2 * _WINDOW - 1:
                     split_won = np.median(took[:_WINDOW]) < np.median(took[_WINDOW:])
                     faster = helper if split_won else None
-            # adaptive per-coordinate gains keep lr=200 stable on small inputs
-            same = np.sign(grad) == np.sign(velocity)
-            gains = np.where(same, gains * 0.8, gains + 0.2)
-            np.clip(gains, 0.01, None, out=gains)
-            velocity = momentum * velocity - lr * (gains * grad)
-            Y = Y + velocity
-            Y = Y - Y.mean(axis=0)
+            # adaptive per-coordinate gains keep lr=200 stable on small inputs:
+            # gains * 0.8 where grad and velocity agree in sign, else gains + 0.2
+            np.equal(np.sign(grad, out=t), np.sign(velocity, out=u), out=same)
+            np.multiply(gains, 0.8, out=t)
+            gains += 0.2
+            np.copyto(gains, t, where=same)
+            np.maximum(gains, 0.01, out=gains)
+            # velocity = momentum * velocity - lr * (gains * grad)
+            np.multiply(gains, grad, out=t)
+            t *= lr
+            velocity *= momentum
+            velocity -= t
+            Y += velocity
+            Y -= np.add.reduce(Y, axis=0) / n
     finally:
         if helper:
             helper.close()

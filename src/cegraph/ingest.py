@@ -5,7 +5,9 @@ run_id, evaluation_index and one of code / code_path (code_path resolves
 relative to the log file's directory). Optional: name (defaults to id),
 method, llm, benchmark (default ""), parent_ids (default []), fitness_raw
 (null or absent means missing). Blank lines are skipped; any malformed
-line is a fatal SchemaError naming the line number.
+line is a fatal SchemaError naming the line number, as is a lone surrogate
+in any string field but code (a surrogate in code makes the sample
+unparsable, a recorded failure).
 """
 
 from __future__ import annotations
@@ -60,13 +62,26 @@ class Dataset:
         return {s.id: s for s in self.samples}
 
 
+def _encodable(value: str, key: str, lineno: int) -> str:
+    """value, unless it holds a lone surrogate: JSON can escape one
+    ("\\ud800"), but no UTF-8 artifact can carry it."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(
+            f"line {lineno}: field {key!r} holds a lone surrogate "
+            f"U+{ord(value[exc.start]):04X}, which UTF-8 cannot encode"
+        ) from None
+    return value
+
+
 def _require_str(obj: dict, key: str, lineno: int, default: str | None = None) -> str:
     value = obj.get(key, default)
     if value is None:
         raise SchemaError(f"line {lineno}: missing required field {key!r}")
     if not isinstance(value, str):
         raise SchemaError(f"line {lineno}: field {key!r} must be a string")
-    return value
+    return _encodable(value, key, lineno)
 
 
 def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
@@ -86,6 +101,8 @@ def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
     parents = obj.get("parent_ids", [])
     if not isinstance(parents, list) or any(not isinstance(p, str) for p in parents):
         raise SchemaError(f"line {lineno}: parent_ids must be a list of strings")
+    for parent in parents:
+        _encodable(parent, "parent_ids", lineno)
 
     fitness = obj.get("fitness_raw")
     if fitness is not None:
@@ -107,6 +124,7 @@ def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
             raise SchemaError(f"line {lineno}: missing required field 'code' or 'code_path'")
         if not isinstance(code_path, str):
             raise SchemaError(f"line {lineno}: field 'code_path' must be a string")
+        _encodable(code_path, "code_path", lineno)
         try:
             code = (base_dir / code_path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:

@@ -454,9 +454,9 @@ def unpacked(M, n):
 
 def _block_sum(M, r, h):
     """The block's share of the sum of the symmetric M: its square once and
-    the rest of its rows twice."""
+    the rest of its rows twice, summed as twice its rows less the square."""
     B = np.ascontiguousarray(M[r:r + h, r:])
-    return B[:, :h].sum() + 2.0 * B[:, h:].sum()
+    return 2.0 * B.sum() - B[:, :h].sum()
 
 
 def joint_probabilities_reference(X, perplexity):
@@ -493,7 +493,8 @@ def joint_probabilities_reference(X, perplexity):
     return np.maximum(P, 1e-12)
 
 
-def kl_divergence_and_grad_reference(P, Y):
+def kl_divergence_and_grad_reference(P, Y, exaggeration=1.0):
+    """KL(P || Q) and the gradient for the affinities exaggeration * P."""
     from cegraph.embed import _groups
 
     n = len(Y)
@@ -515,7 +516,10 @@ def kl_divergence_and_grad_reference(P, Y):
         terms = P * np.log(P / Q)
     terms[P <= 1e-12] = 0.0
     kl = float(np.sum([_block_sum(terms, r, h) for r, h in blocks]))
-    PQ = (P - Q) * num
+    # (e P - Q) num with the factor e taken out: e (P - max(num / (e Z),
+    # 1e-12 / e)) num, with 1 / (e Z) formed once
+    c = 1.0 / (exaggeration * Z)
+    PQ = (P - np.maximum(num * c, 1e-12 / exaggeration)) * num
     # row i of PQ @ [Y, 1] is [sum_j PQ_ij y_j, sum_j PQ_ij]; a block adds
     # its rows' part to its rows, and the mirror image of the rest to the
     # later rows
@@ -528,7 +532,7 @@ def kl_divergence_and_grad_reference(P, Y):
             acc[g, r:r + h] += rows @ Y1[r:]
             acc[g, r + h:] += rows[:, h:].T @ Y1[r:r + h]
     s = acc[0] + acc[1]
-    grad = 4.0 * (s[:, 2:] * Y - s[:, :2])
+    grad = (4.0 * exaggeration) * (s[:, 2:] * Y - s[:, :2])
     return kl, grad
 
 
@@ -543,8 +547,7 @@ def tsne_reference(X, perplexity, seed, iterations=1000):
     gains = np.ones_like(Y)
     lr = 200.0
     for it in range(iterations):
-        Pit = P * 12.0 if it < 250 else P
-        _, grad = kl_divergence_and_grad_reference(Pit, Y)
+        _, grad = kl_divergence_and_grad_reference(P, Y, 12.0 if it < 250 else 1.0)
         momentum = 0.5 if it < 250 else 0.8
         same = np.sign(grad) == np.sign(velocity)
         gains = np.where(same, gains * 0.8, gains + 0.2)

@@ -539,6 +539,23 @@ def test_malformed_log_exits_1_without_traceback(tmp_path, bad_line):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_lone_surrogate_in_a_label_exits_1_before_any_work(tmp_path, capsys):
+    # legal JSON that no UTF-8 artifact can carry: load names the line and
+    # the field, where the first CSV write would name neither
+    rows = [{"id": f"s{i}", "run_id": "r", "evaluation_index": i,
+             "code": f"x = {i}\n", "fitness_raw": float(i)} for i in range(5)]
+    rows[2]["run_id"] = "r\ud800"
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["pipeline", "--input", log, "--out", out, "--perplexity", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: line 3: field 'run_id' holds a lone surrogate U+D800, "
+                            "which UTF-8 cannot encode\n")
+    assert captured.out == ""
+    assert list(out.glob("*")) == []
+
+
 def test_strict_policy_rejects_dangling_parent(tmp_path, capsys):
     path = tmp_path / "dangle.jsonl"
     rows = [

@@ -289,6 +289,65 @@ def test_kl_gradient_matches_central_differences():
     assert float(rel.max()) < 1e-4
 
 
+def _textbook_gradient(P, Y, exaggeration, num):
+    """4 sum_j (e p_ij - max(num_ij / Z, 1e-12)) num_ij (y_i - y_j), with Z
+    the sum of the kernel num, on whole (n, n) arrays."""
+    Q = np.maximum(num / num.sum(), 1e-12)
+    diff = Y[:, None, :] - Y[None, :, :]
+    return 4.0 * np.sum(((exaggeration * P - Q) * num)[:, :, None] * diff, axis=1)
+
+
+def _gradient_error(P, Y, exaggeration):
+    """The largest deviation of embed._gradient from the textbook formula,
+    over the largest textbook entry. The formula takes the library's own
+    kernel, which equals the oracle's bit for bit (above): its product form
+    1 + |y_i|^2 + |y_j|^2 - 2 y_i . y_j rounds |y|^2, so at coordinates of
+    1e2-1e3 a gradient from it deviates from one with the exact kernel by
+    up to about 1e-11 of its largest entry (3000 random layouts)."""
+    n = len(Y)
+    work = embed._Work(n)
+    embed._pack(P, work)
+    got = embed._gradient(work, Y, exaggeration)
+    want = _textbook_gradient(P, Y, exaggeration, oracles.unpacked(work.num, n))
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _random_affinities(rng, n):
+    P = rng.random((n, n))
+    P += P.T
+    np.fill_diagonal(P, 0.0)
+    return P / P.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(4, 60), st.floats(-4.0, 3.0), st.sampled_from([1.0, 12.0]),
+       st.integers(0, 2**32 - 1))
+def test_gradient_is_the_textbook_formula(data, n, scale, exaggeration, seed):
+    # the gradient takes e out of the sum and multiplies by 1 / (e Z): the
+    # same function as the formula, to rounding, with blocks of 1 to n rows
+    rows = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(size=(n, 2)) * 10.0**scale
+    with mock.patch.object(embed, "_BLOCK_BYTES", 8 * n * rows):
+        assert _gradient_error(_random_affinities(rng, n), Y, exaggeration) <= 1e-12
+
+
+@pytest.mark.parametrize("exaggeration", [1.0, 12.0])
+def test_gradient_keeps_the_floor_of_q_between_distant_clusters(exaggeration):
+    # 30 points within about 1e-8 of the origin and a one-point cluster 1e7
+    # away, where the kernel is about 1e-14 and num / Z about 1e-17: Q's
+    # floor of 1e-12 sets each pair across, and dropping it moves the
+    # gradient by 8e-10 of its largest entry at e = 1 and 7e-11 at e = 12.
+    # The far cluster is one point since within a cluster 1e7 from the
+    # origin the kernel's product form cannot resolve distances of order 1
+    rng = np.random.default_rng(1)
+    Y = np.vstack([rng.normal(size=(30, 2)) * 1e-8, [[1e7, 0.0]]])
+    num = 1.0 / (1.0 + np.sum((Y[:, None, :] - Y[None, :, :]) ** 2, axis=-1))
+    np.fill_diagonal(num, 0.0)
+    assert (num[:30, 30] / num.sum()).max() < 1e-14
+    assert _gradient_error(_random_affinities(rng, 31), Y, exaggeration) <= 1e-12
+
+
 def test_tsne_separates_distant_clusters():
     # pinned instance: the update rule runs hot at n=20 (lr 200 with the
     # x4 gradient factor), so some inits shear a cluster apart; with the

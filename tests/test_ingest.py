@@ -161,6 +161,40 @@ def test_schema_violations_are_fatal(tmp_path, mutation):
         load_jsonl(p)
 
 
+# a lone surrogate is legal in a JSON string ("\ud800") but cannot be
+# written to a UTF-8 artifact
+SURROGATES = {
+    "id": "s\ud800",
+    "run_id": "r\ud800",
+    "name": "\udfff",
+    "method": "m\udc80",
+    "llm": "\ud83d",
+    "benchmark": "b\udbff",
+    "parent_ids": ["s0", "s\ud800"],
+    "code_path": "a\udcff.py",
+}
+
+
+@pytest.mark.parametrize("field", SURROGATES)
+def test_a_lone_surrogate_in_a_string_field_names_line_and_field(tmp_path, field):
+    obj = {"id": "s1", "run_id": "r1", "evaluation_index": 1, "code": "x = 1",
+           field: SURROGATES[field]}
+    if field == "code_path":
+        del obj["code"]
+    p = write_lines(tmp_path / "log.jsonl", [sample_line(id="s0"), json.dumps(obj)])
+    want = rf"^line 2: field '{field}' holds a lone surrogate U\+D[89A-F][0-9A-F]{{2}}, "
+    with pytest.raises(SchemaError, match=want):
+        load_jsonl(p)
+
+
+def test_a_lone_surrogate_in_code_is_a_recorded_parse_failure(tmp_path):
+    p = write_lines(tmp_path / "log.jsonl", [sample_line(id="s0"),
+                                              sample_line(code="x = '\ud800'\n")])
+    table, failures = featurize_dataset(load_jsonl(p))
+    assert table.ids == ("s0",) and list(failures) == ["s1"]
+    assert "surrogates not allowed" in failures["s1"]
+
+
 def test_non_object_line_rejected(tmp_path):
     p = write_lines(tmp_path / "log.jsonl", ["[1, 2, 3]"])
     with pytest.raises(SchemaError, match="line 1"):
