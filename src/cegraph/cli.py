@@ -3,7 +3,7 @@
 Subcommands: extract (features.csv), ceg (ceg.json + lineage figure),
 tsne (tsne.svg), correlate (correlations.csv + heatmap.svg), pipeline
 (all of the above). Exit codes: 0 success, 1 schema/validation failure,
-2 I/O error, bad usage, out of memory or a t-SNE worker process that died.
+2 I/O error, bad usage or out of memory.
 A run writes its files only once every one of them is built.
 
 The process runs BLAS on one thread: before numpy loads, this module sets
@@ -282,10 +282,6 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # the t-SNE worker process died, for example killed for memory
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

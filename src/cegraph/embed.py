@@ -14,23 +14,17 @@ storage of about n^2 / 2 entries each, allocated once per call: each
 pair's kernel and gradient term is computed once. The exaggeration e is
 taken out of the gradient's sum, so P is never scaled: each pair's term
 takes one multiplication by 1 / (e Z) instead of a division by the
-kernel total Z. The KL value is not evaluated inside the loop. On two or
-more CPUs a large input's gradient is computed by this process and a
-forked worker, which shares its buffers and takes its commands over a
-pipe, each over a group of blocks that holds about half the pairs, with
-the same bits as one process gives, whatever the number of CPUs.
+kernel total Z. The KL value is not evaluated inside the loop, which
+runs in the calling process; every block's products stay on one BLAS
+thread, so its bits do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
-import os
 import random
-import signal
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,29 +101,14 @@ def pca(X, k: int) -> PcaResult:
 
 def _row_blocks(n: int) -> range:
     """The first rows of the fixed row blocks in which every O(n^2) step
-    of exact t-SNE runs. They depend on n alone, so the serial and the
-    split path, and the dense oracle of the tests, cut each product the
-    same way: n rows of n floats, if they take more than _BLOCK_BYTES, are
-    cut into an even number of blocks of about that size."""
+    of exact t-SNE runs. They depend on n alone, so the library and the
+    dense oracle of the tests cut each product the same way: n rows of n
+    floats, if they take more than _BLOCK_BYTES, are cut into an even
+    number of blocks of about that size."""
     count = -(-8 * n * n // _BLOCK_BYTES)
     if count > 1:
         count += count % 2
     return range(0, n, -(-n // count))
-
-
-def _groups(n: int) -> tuple[range, range]:
-    """The indices of the row blocks of each of the two groups that the
-    split runs in two processes: contiguous, and cut at the boundary that
-    shares the blocks' packed areas most evenly (the first such boundary
-    on a tie). A block of rows r:r+h stores h * (n - r) entries (_Work),
-    so the first group takes fewer blocks than the second. Like the
-    blocks, the groups depend on n alone; with one block the second group
-    is empty."""
-    blocks = _row_blocks(n)
-    ends = list(blocks[1:]) + [n]
-    area = list(itertools.accumulate((end - r) * (n - r) for r, end in zip(blocks, ends)))
-    cut = min(range(1, len(blocks)), key=lambda k: abs(2 * area[k - 1] - area[-1]), default=1)
-    return range(cut), range(cut, len(blocks))
 
 
 def _total(M: np.ndarray, h: int) -> float:
@@ -230,70 +209,39 @@ def _joint_probabilities(X: np.ndarray, perplexity: float, work: _Work) -> None:
     np.maximum(work.P, 1e-12, out=work.P)
 
 
-# tsne splits each gradient's O(n^2) steps between this process and one
-# forked worker once n reaches this many points. Measured on t-SNE's loop
-# alone (28-d input, 2-core host, two rounds), the split runs at 1.15-1.35x
-# the serial speed at n=200 and 256, where the worker's one block of 2
-# holds a third of the pairs, 1.3-1.7x at n=300 and 1.5-1.6x at n=400;
-# below n=182 there is one row block, and the worker would get none
-_SPLIT_MIN_POINTS = 300
-# a reader polls its pipe this long before it blocks in os.read: waking a
-# blocked process costs about 0.2 ms, and a longer poll slows the split when
-# both processes share one CPU
-_SPIN_S = 0.0005
-# with a worker, every cycle of _CYCLE iterations starts with _WINDOW
-# iterations on each path and runs the rest on the path whose median
-# gradient took less time; both paths give the same bits. The split loses
-# when another program keeps a CPU busy (0.4x the serial speed at n=400,
-# with the worker often descheduled mid-hand-off). A median, so that one
-# stall of a few ms does not pick the path
-_WINDOW = 10
-_CYCLE = 200
 # about the size of one row block (_row_blocks), counted as full rows of n
 # floats. A block holds at most _BLOCK_BYTES / 8 + n entries; its kernel
 # product takes 5 multiply-adds per entry and its two gradient products 3,
 # so below n = 19660 each stays under the 2^18 multiply-adds up to which
 # OpenBLAS runs a product on one thread. So a library caller's bits do not
-# depend on its BLAS thread or CPU count. The CLI process runs BLAS on its
-# main thread alone (cli.py sets OPENBLAS_NUM_THREADS), so no BLAS thread
-# competes with the split
+# depend on its BLAS thread or CPU count
 _BLOCK_BYTES = 1 << 18
-# the commands a worker runs, each sent as one byte
-_KERNEL, _GRADIENT = 1, 2
 
 
 class _Work:
-    """The buffers of one exact t-SNE gradient, views of one flat float
-    array from alloc(size): the affinities P and the kernel num, both
-    symmetric and packed, each a flat array in which the blocks of
-    _row_blocks(n) follow each other, the block of rows r:r+h as one
-    C-contiguous (h, n - r) array of their columns r:n, so that each pair
-    i < j is stored once, in the block of row i; the (n, 5) factors
+    """The buffers of one exact t-SNE gradient: the affinities P and the
+    kernel num, both symmetric and packed, each a flat array in which the
+    blocks of _row_blocks(n) follow each other, the block of rows r:r+h as
+    one C-contiguous (h, n - r) array of their columns r:n, so that each
+    pair i < j is stored once, in the block of row i; the (n, 5) factors
     A = [sq, 1, y0, y1, 1] and B = [1, sq, -2 y0, -2 y1, 1] of
-    1 + |y_i - y_j|^2; acc, one (n, 3) accumulator of [PQ @ Y, rowsum(PQ)]
-    per group of blocks (_groups); the blocks' kernel totals; and ctrl,
-    which holds the kernel total Z and the exaggeration. Each block's
-    views are made once, in parts. The scratch, two blocks of n columns
-    for _joint_probabilities, whose first also holds a block's PQ in
-    _gradient_group and its KL terms in kl_divergence_and_grad, and tmp
-    come from np.empty: each process writes its own copy of them."""
+    1 + |y_i - y_j|^2; acc, the (n, 3) accumulator of [PQ @ Y, rowsum(PQ)];
+    and the blocks' kernel totals. Each block's views are made once, in
+    parts. The scratch holds two blocks of n columns for
+    _joint_probabilities; its first also holds a block's PQ in _gradient
+    and its KL terms in kl_divergence_and_grad. tmp holds a later block's
+    share of the accumulator."""
 
-    def __init__(self, n: int, alloc=np.empty):
+    def __init__(self, n: int):
         blocks = _row_blocks(n)
         heights = [min(blocks.step, n - r) for r in blocks]
         packed = sum(h * (n - r) for r, h in zip(blocks, heights))
-        shapes = [(packed,)] * 2 + [(n, 5)] * 2 + [(2, n, 3), (len(blocks),), (2,)]
-        ends = np.cumsum([math.prod(shape) for shape in shapes])
-        parts = np.split(alloc(int(ends[-1])), ends[:-1])
-        views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-        self.P, self.num, self.A, self.B, self.acc, self.totals, self.ctrl = views
-        self.A[:, [1, 4]] = 1.0
-        self.B[:, [0, 4]] = 1.0
-        self.groups = _groups(n)
-        # the first row of the second group
-        self.lo = blocks[self.groups[1].start] if self.groups[1] else n
+        self.P, self.num = np.empty(packed), np.empty(packed)
+        # the columns of ones; _gradient writes the others
+        self.A, self.B = np.ones((n, 5)), np.ones((n, 5))
+        self.acc, self.tmp = np.empty((n, 3)), np.empty((n, 3))
+        self.totals = np.empty(len(blocks))
         self.scratch = np.empty((2, blocks.step * n))
-        self.tmp = np.empty((n, 3))
         # per block: its first row r, its height h and its packed (h, n - r)
         # views of P, num and the first scratch block
         self.parts = []
@@ -311,188 +259,53 @@ def _pack(P: np.ndarray, work: _Work) -> None:
         Pr[...] = P[r:r + h, r:]
 
 
-def _kernel_group(work: _Work, group: int) -> None:
-    """The Student-t kernel num = 1 / (1 + |y_i - y_j|^2), with a zero
-    diagonal, on the blocks of one group, and each block's total."""
-    for k in work.groups[group]:
-        r, h, _, num, _ = work.parts[k]
+def _gradient(work: _Work, Y: np.ndarray, exaggeration: float) -> np.ndarray:
+    """KL gradient with respect to Y for the affinities exaggeration * work.P.
+
+    Each pair's kernel and gradient term is computed once, one block at a
+    time (_row_blocks), in two passes over the blocks. The first writes
+    the Student-t kernel num = 1 / (1 + |y_i - y_j|^2), with a zero
+    diagonal, to work.num, and each block's total to work.totals, whose
+    sum is the kernel total Z. The second accumulates PQ @ [Y, 1] into
+    work.acc in block order, with PQ = (P - max(c * num, 1e-12 / e)) * num,
+    c = 1 / (e * Z) and e the exaggeration. That is the textbook
+    (e * P - Q) * num divided by e, with Q = max(num / Z, 1e-12): one
+    multiplication per pair instead of a division by Z, and no pass scales
+    P. A block of rows r:r+h adds its PQ rows times [Y, 1] to its own
+    rows, and, since PQ is symmetric, the transpose of its part right of
+    the square times its rows' [Y, 1] to the later rows; the first block
+    writes the whole accumulator, so it needs no zeroing. PQ is formed in
+    the scratch, so it takes no (n, n) buffer. The result is
+    4e * (s2 * Y - s01), where [s01, s2] = [PQ @ Y, rowsum(PQ)] is the
+    accumulator.
+    """
+    A, B, acc = work.A, work.B, work.acc
+    A[:, 2:4] = Y
+    np.multiply(Y, -2.0, out=B[:, 2:4])
+    np.sum(np.square(Y), axis=1, out=A[:, 0])
+    B[:, 1] = A[:, 0]
+    for k, (r, h, _, num, _) in enumerate(work.parts):
         # 1 + sq_i + sq_j - 2 y_i . y_j as one product with K = 5
-        np.matmul(work.A[r:r + h], work.B[r:].T, out=num)
+        np.matmul(A[r:r + h], B[r:].T, out=num)
         np.maximum(num, 1.0, out=num)
         np.divide(1.0, num, out=num)
         num.flat[:: num.shape[1] + 1] = 0.0
         work.totals[k] = _total(num, h)
-
-
-def _gradient_group(work: _Work, group: int) -> None:
-    """Accumulate PQ @ [Y, 1] into work.acc[group] from the blocks of one
-    group, in block order, with PQ = (P - max(c * num, 1e-12 / e)) * num,
-    c = 1 / (e * Z) and e the exaggeration. That is (e * P - Q) * num / e,
-    with Q = max(num / Z, 1e-12): one multiplication per pair instead of a
-    division by Z, and e, taken out of the sum, is applied once by
-    _gradient, so no pass scales P. A block of rows r:r+h adds its PQ rows
-    times [Y, 1] to its own rows, and, since PQ is symmetric, the
-    transpose of its part right of the square times its rows' [Y, 1] to
-    the later rows. The group's first block writes the accumulator's rows
-    r:n, so it needs no zeroing. PQ is formed in the scratch, so it takes
-    no (n, n) buffer."""
-    Z, exaggeration = work.ctrl
-    c, floor = 1.0 / (exaggeration * Z), 1e-12 / exaggeration
-    acc, Y1 = work.acc[group], work.A[:, 2:]
-    blocks = work.groups[group]
-    for k in blocks:
-        r, h, P, num, g = work.parts[k]
+    c, floor = 1.0 / (exaggeration * work.totals.sum()), 1e-12 / exaggeration
+    Y1 = A[:, 2:]
+    for r, h, P, num, g in work.parts:
         w = num.shape[1]
         np.multiply(num, c, out=g)
         np.maximum(g, floor, out=g)
         np.subtract(P, g, out=g)
         g *= num
-        out = acc[r:] if k == blocks.start else work.tmp[:w]
+        out = acc if r == 0 else work.tmp[:w]
         np.matmul(g, Y1[r:], out=out[:h])
         if w > h:
             np.matmul(g[:, h:].T, Y1[r:r + h], out=out[h:])
-        if k != blocks.start:
+        if r:
             acc[r:] += out
-
-
-def _run_group(work: _Work, command: int, group: int) -> None:
-    if command == _KERNEL:
-        _kernel_group(work, group)
-    else:
-        _gradient_group(work, group)
-
-
-def _gradient(work: _Work, Y: np.ndarray, exaggeration: float,
-              helper: _Helper | None = None) -> np.ndarray:
-    """KL gradient with respect to Y for the affinities exaggeration * work.P.
-
-    On return work.num holds the Student-t kernel with a zero diagonal, in
-    the packed layout, and work.ctrl[0] its total Z, the sum of the
-    blocks' totals. Each pair's kernel and gradient term is computed once,
-    one block at a time (_row_blocks). The result is 4e * (s2 * Y - s01),
-    with e the exaggeration, where [s01, s2] = [PQ @ Y, rowsum(PQ)] is the
-    sum of the two groups' accumulators (_groups), and PQ, from
-    _gradient_group, is the textbook (e * P - Q) * num divided by e. With a helper, the worker runs the second group
-    while this process runs the first; without one, this process runs both,
-    each into its own accumulator, so both paths give the same bits.
-    """
-    work.A[:, 2:4] = Y
-    np.multiply(Y, -2.0, out=work.B[:, 2:4])
-    np.sum(np.square(Y), axis=1, out=work.A[:, 0])
-    work.B[:, 1] = work.A[:, 0]
-    for command in (_KERNEL, _GRADIENT):
-        if command == _GRADIENT:
-            work.ctrl[:] = work.totals.sum(), exaggeration
-        if helper:
-            helper.post(command)
-        _run_group(work, command, 0)
-        if helper:
-            helper.wait()
-        else:
-            _run_group(work, command, 1)
-    s, lo = work.acc[0], work.lo
-    if lo < len(Y):
-        s[lo:] += work.acc[1, lo:]
-    return (4.0 * exaggeration) * (s[:, 2:] * Y - s[:, :2])
-
-
-def _receive(fd: int) -> bytes:
-    """One byte from the pipe fd, b"" once it has no writer left. The pipe
-    is polled for up to _SPIN_S before the read blocks."""
-    import select  # here, like mmap: the serial path does without it
-
-    ready = select.poll()
-    ready.register(fd, select.POLLIN)
-    deadline = time.perf_counter() + _SPIN_S
-    while not ready.poll(0) and time.perf_counter() < deadline:
-        pass
-    return os.read(fd, 1)
-
-
-class _Helper:
-    """One forked worker process that runs the second group of row blocks
-    (_groups), rows work.lo:n, of buffers in shared anonymous memory. It
-    reads each command as one byte from one pipe and answers it with one
-    byte on another. Each process closes the other's pipe ends, so a read
-    of b"" means the other process is gone: the worker then exits, and this
-    process raises RuntimeError. Pipe calls also synchronize memory."""
-
-    def __init__(self, n: int):
-        import mmap
-
-        # the pages stay untouched until after the fork, so the worker
-        # inherits none of the values written to them
-        self.work = _Work(n, lambda size: np.frombuffer(mmap.mmap(-1, 8 * size)))
-        self._code = None
-        fds = list(os.pipe())
-        try:
-            fds += os.pipe()
-            self.pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            raise
-        commands, self._commands, self._answers, answers = fds
-        if self.pid == 0:
-            code = 1
-            try:
-                # an interrupt reaches the whole process group; the parent handles it
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(self._commands)
-                os.close(self._answers)
-                while command := _receive(commands):
-                    _run_group(self.work, command[0], 1)
-                    os.write(answers, command)
-                code = 0
-            finally:
-                # never unwind into the caller's frames and run their cleanup
-                os._exit(code)
-        os.close(commands)
-        os.close(answers)
-
-    def post(self, command: int) -> None:
-        try:
-            os.write(self._commands, bytes((command,)))
-        except BrokenPipeError:
-            self._exited()
-
-    def wait(self) -> None:
-        if not _receive(self._answers):
-            self._exited()
-
-    def _exited(self) -> None:
-        self._code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        raise RuntimeError(f"t-SNE worker process exited with code {self._code}")
-
-    def close(self) -> None:
-        """Close the pipes, which ends the worker, and reap it if need be."""
-        os.close(self._commands)
-        os.close(self._answers)
-        if self._code is None:
-            os.waitpid(self.pid, 0)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _fork_workers(workers: int, n: int) -> _Helper | None:
-    """A _Helper for n points, or None, which means: run serially. None
-    when there are fewer than 2 workers or the platform cannot fork; also
-    when starting the worker raises OSError, as a refused fork does."""
-    if workers < 2 or not hasattr(os, "fork"):
-        return None
-    # forking is safe: the CLI process runs BLAS on its main thread alone, and
-    # a library caller's OpenBLAS threads stop in OpenBLAS's atfork handler
-    try:
-        return _Helper(n)
-    except OSError:
-        return None
+    return (4.0 * exaggeration) * (acc[:, 2:] * Y - acc[:, :2])
 
 
 def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -501,13 +314,21 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
 
     grad_i = 4 * sum_j (p_ij - q_ij) * (1 + |y_i - y_j|^2)^-1 * (y_i - y_j)
 
-    The KL terms are summed one packed block at a time, each block as
-    _total sums it, then over the blocks.
+    Y is centred first, which moves neither value but their rounding: the
+    kernel forms 1 + |y_i - y_j|^2 as 1 + |y_i|^2 + |y_j|^2 - 2 y_i . y_j,
+    whose |y|^2 terms cancel, so an entry is good only to about
+    eps |y|^2 / (1 + d^2) of itself. Centred, a 20-point cluster at
+    (1e7, 1e7) gets the textbook gradient to about 1e-15 of its largest
+    entry, where uncentred it deviated by 2e-2 to 4e-2. Centring cannot
+    help points that lie far from each other: for two 10-point clusters
+    1e7 apart the gradient still deviates by 2e-3 to 7e-3 (1e-2 to 2e-2
+    uncentred). The KL terms are summed one packed block at a time, each
+    block as _total sums it, then over the blocks.
     """
     work = _Work(Y.shape[0])
     _pack(P, work)
-    grad = _gradient(work, Y, 1.0)
-    Z = work.ctrl[0]
+    grad = _gradient(work, Y - np.add.reduce(Y, axis=0) / len(Y), 1.0)
+    Z = work.totals.sum()
     kl = np.empty(len(work.parts))
     for k, (_, h, Pr, num, t) in enumerate(work.parts):
         np.divide(num, Z, out=t)
@@ -555,51 +376,33 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
-    # the worker forks before P exists, so it does not hold a copy of it
-    cpus = _usable_cpus() if n >= _SPLIT_MIN_POINTS else 1
-    helper = _fork_workers(cpus, n)
-    try:
-        work = helper.work if helper else _Work(n)
-        _joint_probabilities(X, perplexity, work)
-        gauss = random.Random(int(seed)).gauss
-        Y = np.array([gauss(0.0, 1e-4) for _ in range(2 * n)]).reshape(n, 2)
-        velocity = np.zeros_like(Y)
-        gains = np.ones_like(Y)
-        lr = 200.0
-        # the update step's scratch, so that it allocates no (n, 2) array
-        t, u = np.empty_like(Y), np.empty_like(Y)
-        same = np.empty(Y.shape, dtype=bool)
-
-        took = np.empty(2 * _WINDOW)
-        faster = helper
-        for it in range(iterations):
-            step = it % _CYCLE
-            split = helper if step < _WINDOW else faster if step >= 2 * _WINDOW else None
-            exaggeration, momentum = (12.0, 0.5) if it < 250 else (1.0, 0.8)
-            start = time.perf_counter()
-            grad = _gradient(work, Y, exaggeration, split)
-            if helper and step < 2 * _WINDOW:
-                took[step] = time.perf_counter() - start
-                if step == 2 * _WINDOW - 1:
-                    split_won = np.median(took[:_WINDOW]) < np.median(took[_WINDOW:])
-                    faster = helper if split_won else None
-            # adaptive per-coordinate gains keep lr=200 stable on small inputs:
-            # gains * 0.8 where grad and velocity agree in sign, else gains + 0.2
-            np.equal(np.sign(grad, out=t), np.sign(velocity, out=u), out=same)
-            np.multiply(gains, 0.8, out=t)
-            gains += 0.2
-            np.copyto(gains, t, where=same)
-            np.maximum(gains, 0.01, out=gains)
-            # velocity = momentum * velocity - lr * (gains * grad)
-            np.multiply(gains, grad, out=t)
-            t *= lr
-            velocity *= momentum
-            velocity -= t
-            Y += velocity
-            Y -= np.add.reduce(Y, axis=0) / n
-    finally:
-        if helper:
-            helper.close()
+    work = _Work(n)
+    _joint_probabilities(X, perplexity, work)
+    gauss = random.Random(int(seed)).gauss
+    Y = np.array([gauss(0.0, 1e-4) for _ in range(2 * n)]).reshape(n, 2)
+    velocity = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    lr = 200.0
+    # the update step's scratch, so that it allocates no (n, 2) array
+    t, u = np.empty_like(Y), np.empty_like(Y)
+    same = np.empty(Y.shape, dtype=bool)
+    for it in range(iterations):
+        exaggeration, momentum = (12.0, 0.5) if it < 250 else (1.0, 0.8)
+        grad = _gradient(work, Y, exaggeration)
+        # adaptive per-coordinate gains keep lr=200 stable on small inputs:
+        # gains * 0.8 where grad and velocity agree in sign, else gains + 0.2
+        np.equal(np.sign(grad, out=t), np.sign(velocity, out=u), out=same)
+        np.multiply(gains, 0.8, out=t)
+        gains += 0.2
+        np.copyto(gains, t, where=same)
+        np.maximum(gains, 0.01, out=gains)
+        # velocity = momentum * velocity - lr * (gains * grad)
+        np.multiply(gains, grad, out=t)
+        t *= lr
+        velocity *= momentum
+        velocity -= t
+        Y += velocity
+        Y -= np.add.reduce(Y, axis=0) / n
 
     return TsneResult(coords=Y, perplexity=perplexity, seed=seed, iterations=iterations)
 

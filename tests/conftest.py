@@ -1,7 +1,6 @@
 """Checks shared by every test module."""
 
 import os
-from pathlib import Path
 
 import pytest
 
@@ -20,12 +19,3 @@ def has_child() -> bool:
 def no_worker_left_running():
     yield
     assert not has_child()
-
-
-def running(pid: int) -> bool:
-    """Whether process pid exists and has not exited; reads /proc."""
-    try:
-        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
-    except FileNotFoundError:
-        return False
-    return state not in ("Z", "X")

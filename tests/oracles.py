@@ -427,7 +427,7 @@ def graph_features_reference(parent, depth):
 # sums are cut the way embed cuts them: into the fixed row blocks of
 # embed._row_blocks, each block's rows over the columns from its first row
 # on (a copy of the (h, n - r) block, laid out as embed packs it), and the
-# gradient's contributions added up per group of embed._groups.
+# gradient's contributions added up into one accumulator in block order.
 
 
 def _blocks(n):
@@ -493,10 +493,15 @@ def joint_probabilities_reference(X, perplexity):
     return np.maximum(P, 1e-12)
 
 
-def kl_divergence_and_grad_reference(P, Y, exaggeration=1.0):
-    """KL(P || Q) and the gradient for the affinities exaggeration * P."""
-    from cegraph.embed import _groups
+def kl_divergence_and_grad_reference(P, Y):
+    """KL(P || Q) and its gradient at Y centred as
+    embed.kl_divergence_and_grad centres it."""
+    return _kl_and_grad(P, Y - np.add.reduce(Y, axis=0) / len(Y), 1.0)
 
+
+def _kl_and_grad(P, Y, exaggeration):
+    """KL(P || Q) and the gradient for the affinities exaggeration * P at Y
+    as given, as tsne takes it."""
     n = len(Y)
     blocks = _blocks(n)
     sq = np.sum(Y * Y, axis=1)
@@ -524,14 +529,11 @@ def kl_divergence_and_grad_reference(P, Y, exaggeration=1.0):
     # its rows' part to its rows, and the mirror image of the rest to the
     # later rows
     Y1 = A[:, 2:]
-    acc = np.zeros((2, n, 3))
-    for g, group in enumerate(_groups(n)):
-        for k in group:
-            r, h = blocks[k]
-            rows = np.ascontiguousarray(PQ[r:r + h, r:])
-            acc[g, r:r + h] += rows @ Y1[r:]
-            acc[g, r + h:] += rows[:, h:].T @ Y1[r:r + h]
-    s = acc[0] + acc[1]
+    s = np.zeros((n, 3))
+    for r, h in blocks:
+        rows = np.ascontiguousarray(PQ[r:r + h, r:])
+        s[r:r + h] += rows @ Y1[r:]
+        s[r + h:] += rows[:, h:].T @ Y1[r:r + h]
     grad = (4.0 * exaggeration) * (s[:, 2:] * Y - s[:, :2])
     return kl, grad
 
@@ -547,7 +549,7 @@ def tsne_reference(X, perplexity, seed, iterations=1000):
     gains = np.ones_like(Y)
     lr = 200.0
     for it in range(iterations):
-        _, grad = kl_divergence_and_grad_reference(P, Y, 12.0 if it < 250 else 1.0)
+        _, grad = _kl_and_grad(P, Y, 12.0 if it < 250 else 1.0)
         momentum = 0.5 if it < 250 else 0.8
         same = np.sign(grad) == np.sign(velocity)
         gains = np.where(same, gains * 0.8, gains + 0.2)

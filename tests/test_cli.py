@@ -5,14 +5,15 @@ import errno
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from cegraph import cli, embed
+from cegraph import cli, features
 from cegraph.cli import main
 from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES, featurize_dataset
 from cegraph.ingest import load_jsonl
@@ -329,17 +330,15 @@ def test_unparsable_sample_is_reported_once(tmp_path):
 
 
 def test_pipeline_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_path):
-    # enough samples for t-SNE's split, and iterations through both of its
-    # timing windows, so that on two usable CPUs the forked worker and the
-    # serial path both run; a warning, an unclosed file or pipe, or a worker
-    # left unreaped then fails the run or shows on stderr
+    # enough samples for several t-SNE row blocks; a warning or an unclosed
+    # file then fails the run or shows on stderr
     rng = random.Random(22)
     log = tmp_path / "log.jsonl"
     log.write_text("".join(
         json.dumps({"id": f"s{i}", "run_id": f"r{i % 3}", "evaluation_index": i,
                     "code": random_module(rng, approx_lines=12),
                     "fitness_raw": float(rng.randint(0, 50))}) + "\n"
-        for i in range(embed._SPLIT_MIN_POINTS)
+        for i in range(300)
     ), encoding="utf-8")
     runs = {}
     for name, flags in (("plain", []), ("dev", ["-X", "dev", "-W", "error"])):
@@ -356,71 +355,66 @@ def test_pipeline_runs_clean_under_dev_mode_with_warnings_as_errors(tmp_path):
     assert runs["dev"] == runs["plain"]
 
 
-# the t-SNE worker process dies (killed for memory, say) mid-run
-_DEAD_WORKER = """
+@pytest.fixture(scope="module")
+def big_log(tmp_path_factory):
+    """A log of 360 samples, 320 of which parse, whose distinct chunks hold
+    more than 393,216 characters (3 * 2^17). Every ninth module is cut
+    short so that it does not parse, and one sample names a parent that
+    does not exist."""
+    rng = random.Random(11)
+    lines = []
+    for i in range(360):
+        code = random_module(rng, approx_lines=60)
+        if i % 9 == 4:
+            code = code[: len(code) // 2] + "\ndef broken(:\n"
+        parents = ["ghost"] if i == 7 else [f"s{i - 3:03d}"] if i >= 3 else []
+        lines.append(json.dumps({"id": f"s{i:03d}", "run_id": f"r{i % 3}",
+                                 "evaluation_index": i, "parent_ids": parents,
+                                 "fitness_raw": float(rng.randint(0, 50)), "code": code}))
+    path = tmp_path_factory.mktemp("big") / "log.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+_COUNTING_FORKS = """
 import os, sys
-from cegraph import embed
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs on any host
+fork, forks = os.fork, []
+
+def counting_fork():
+    forks.append(1)
+    return fork()
+
+os.fork = counting_fork
 from cegraph.cli import main
-
-embed._usable_cpus = lambda: 2
-embed._SPLIT_MIN_POINTS = 4
-parent, run_group = os.getpid(), embed._run_group
-
-def dying_in_worker(*args):
-    if os.getpid() != parent:
-        os._exit(1)
-    run_group(*args)
-
-embed._run_group = dying_in_worker
-raise SystemExit(main(sys.argv[1:]))
+code = main(sys.argv[1:])
+print(code, len(forks), sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
 """
 
 
-@pytest.mark.parametrize("worker", ["tsne"])
-def test_a_dead_worker_exits_2_without_traceback(log_path, tmp_path, worker):
+def test_a_pipeline_run_starts_no_process(big_log, tmp_path):
+    # more than 300 samples reach t-SNE, on a host that reports two CPUs:
+    # featurization and every t-SNE gradient run in this process
+    samples = load_jsonl(big_log).samples
+    counts = Counter(chain.from_iterable(features._statements(s.code) for s in samples))
+    distinct = dict.fromkeys(chain.from_iterable(
+        features._chunks(features._statements(s.code), counts) for s in samples))
+    assert sum(map(len, distinct)) > 3 << 17
     proc = subprocess.run(
-        [sys.executable, "-c", _DEAD_WORKER, "pipeline", "--input", str(log_path),
-         "--out", str(tmp_path / "out"), "--iterations", "50"],
+        [sys.executable, "-c", _COUNTING_FORKS, "pipeline", "--input", str(big_log),
+         "--out", str(tmp_path / "out"), "--policy", "drop-dangling-edges",
+         "--iterations", "100"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=120,
     )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1] == "error: t-SNE worker process exited with code 1"
+    assert proc.returncode == 0, proc.stderr
+    assert "skipped 40 unparsable samples" in proc.stderr
+    assert len(list((tmp_path / "out").iterdir())) == 6
+    assert proc.stdout.splitlines()[-1] == "0 0 []"
 
 
 _NO_MEMORY = ("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
               " and data type float64")
-
-
-def _kill_tsne_worker(monkeypatch):
-    monkeypatch.setattr(embed, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
-    parent, run_group = os.getpid(), embed._run_group
-
-    def dying_in_worker(*args):
-        if os.getpid() != parent:
-            os._exit(1)
-        run_group(*args)
-
-    monkeypatch.setattr(embed, "_run_group", dying_in_worker)
-
-
-def _kill_idle_tsne_worker(monkeypatch):
-    # SIGKILL, as the out-of-memory killer sends, while the worker waits for
-    # its third command
-    monkeypatch.setattr(embed, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(embed, "_SPLIT_MIN_POINTS", 4)
-    gradient, calls = embed._gradient, []
-
-    def killing(work, Y, exaggeration, helper=None):
-        calls.append(1)
-        if len(calls) == 3:
-            os.kill(helper.pid, signal.SIGKILL)
-            os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)
-        return gradient(work, Y, exaggeration, helper)
-
-    monkeypatch.setattr(embed, "_gradient", killing)
 
 
 def _run_out_of_memory(monkeypatch):
@@ -442,11 +436,9 @@ def _fail_heatmap_write(monkeypatch):
 
 
 @pytest.mark.parametrize("fail, message", [
-    (_kill_tsne_worker, "error: t-SNE worker process exited with code 1"),
-    (_kill_idle_tsne_worker, "error: t-SNE worker process exited with code -9"),
     (_run_out_of_memory, f"error: out of memory: {_NO_MEMORY}"),
     (_fail_heatmap_write, "i/o error: [Errno 28] No space left on device"),
-], ids=["tsne_worker", "idle_tsne_worker", "memory", "heatmap_write"])
+], ids=["memory", "heatmap_write"])
 def test_a_run_that_fails_late_leaves_out_as_it_was(log_path, tmp_path, capsys, monkeypatch,
                                                     fail, message):
     out = tmp_path / "out"
