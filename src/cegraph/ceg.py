@@ -88,17 +88,77 @@ def feature_columns(graphs, names=None) -> tuple[tuple[str, ...], list[int]]:
     return names, [base.index(name) for name in names]
 
 
+def _float(v: float) -> str:
+    """The float v as json writes it: its repr, or NaN, Infinity or -Infinity."""
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _scalar(v) -> str:
+    """The int, float or None v as json writes it."""
+    if v is None:
+        return "null"
+    return _float(v) if isinstance(v, float) else int.__repr__(v)
+
+
+def _floats(row: np.ndarray) -> list[str]:
+    """The entries of the float array row as json writes them."""
+    return list(map(float.__repr__ if np.isfinite(row).all() else _float, row.tolist()))
+
+
+def _strings(values) -> list[str]:
+    return [json.dumps(v) for v in values]
+
+
+def _layout(opening: str, items: list[str], closing: str, pad: str) -> str:
+    """A JSON array or object of encoded items (an object's as "key": value),
+    laid out as json.dumps(indent=2) lays it out on a line that starts with
+    pad: one item a line, two spaces further in."""
+    if not items:
+        return opening + closing
+    sep = "\n" + pad + "  "
+    return opening + sep + ("," + sep).join(items) + "\n" + pad + closing
+
+
+def _graph_text(g: EvolutionGraph, pad: str) -> str:
+    """The text of json.dumps(g.to_dict(), indent=2) on a line that starts
+    with pad, written from the graph's fields without building the dict."""
+    inner, node_pad = pad + "  ", pad + "    "
+    row_pad = node_pad + "  "
+    nodes = [
+        _layout("{", [
+            '"sample_id": ' + json.dumps(n.sample_id),
+            '"evaluation_index": ' + _scalar(n.evaluation_index),
+            '"fitness_norm": ' + _scalar(n.fitness_norm),
+            '"parent_frequency": ' + _scalar(n.parent_frequency),
+            '"features_raw": ' + _layout("[", _floats(n.features_raw), "]", row_pad),
+            '"features_std": ' + _layout("[", _floats(n.features_std), "]", row_pad),
+        ], "}", node_pad)
+        for n in g.nodes
+    ]
+    edges = [_layout("[", _strings(edge), "]", node_pad) for edge in g.edges]
+    return _layout("{", [
+        '"group_key": ' + _layout("[", _strings(g.group_key), "]", inner),
+        '"run_id": ' + json.dumps(g.run_id),
+        '"feature_names": ' + _layout("[", _strings(g.feature_names), "]", inner),
+        '"nodes": ' + _layout("[", nodes, "]", inner),
+        '"edges": ' + _layout("[", edges, "]", inner),
+    ], "}", pad)
+
+
 def graphs_to_json(graphs: list[EvolutionGraph]) -> str:
     """Serialize a list of evolution graphs, stable ordering: the text of
-    json.dumps({"graphs": [g.to_dict() for g in graphs]}, indent=2), built
-    one graph at a time, so only one graph's dict is held at once."""
-    if not graphs:
-        return json.dumps({"graphs": []}, indent=2)
-    # a graph's text two levels in; JSON strings hold no raw line break
-    items = ",\n".join(
-        "    " + json.dumps(g.to_dict(), indent=2).replace("\n", "\n    ") for g in graphs
-    )
-    return '{\n  "graphs": [\n' + items + "\n  ]\n}"
+    json.dumps({"graphs": [g.to_dict() for g in graphs]}, indent=2), written
+    one graph at a time without json's pure-Python indenting encoder:
+    strings through json.dumps, ints by their repr, floats as json writes
+    them (_float) and None as null."""
+    items = [_graph_text(g, "    ") for g in graphs]
+    return '{\n  "graphs": ' + _layout("[", items, "]", "  ") + "\n}"
 
 
 def _minmax(value: float, lo: float, hi: float, direction: str) -> float:

@@ -14,9 +14,12 @@ storage of about n^2 / 2 entries each, allocated once per call: each
 pair's kernel and gradient term is computed once. The exaggeration e is
 taken out of the gradient's sum, so P is never scaled: each pair's term
 takes one multiplication by 1 / (e Z) instead of a division by the
-kernel total Z. The KL value is not evaluated inside the loop, which
-runs in the calling process; every block's products stay on one BLAS
-thread, so its bits do not depend on the number of CPUs.
+kernel total Z, and Q's floor pass runs only where a bound on the
+kernel, from the largest |y_i|^2, shows that it may bind (_floor_binds).
+The KL value is not evaluated inside the loop, which runs in the calling
+process; every block's products stay on one BLAS thread, so its bits do
+not depend on the number of CPUs. Spearman's correlation ranks each
+group's features in one call and keeps the per-cell arithmetic.
 """
 
 from __future__ import annotations
@@ -111,13 +114,13 @@ def _row_blocks(n: int) -> range:
     return range(0, n, -(-n // count))
 
 
-def _total(M: np.ndarray, h: int) -> float:
-    """The sum over the symmetric matrix that the packed (h, w) block M
-    stands for in its rows and columns: the square once and the entries
-    right of it twice, since they also stand for their mirror images. It
-    is taken as twice the whole block, one contiguous reduction, less the
-    square."""
-    return 2.0 * M.sum() - M[:, :h].sum()
+def _total(M: np.ndarray, square: np.ndarray) -> float:
+    """The sum over the symmetric matrix that the packed block M stands for
+    in its rows and columns: `square`, the view of M's first h columns,
+    once and the entries right of it twice, since they also stand for their
+    mirror images. It is taken as twice the whole block, one contiguous
+    reduction, less the square."""
+    return 2.0 * M.sum() - square.sum()
 
 
 def _bisect(D: np.ndarray, target: float) -> np.ndarray:
@@ -227,10 +230,11 @@ class _Work:
     A = [sq, 1, y0, y1, 1] and B = [1, sq, -2 y0, -2 y1, 1] of
     1 + |y_i - y_j|^2; acc, the (n, 3) accumulator of [PQ @ Y, rowsum(PQ)];
     and the blocks' kernel totals. Each block's views are made once, in
-    parts. The scratch holds two blocks of n columns for
-    _joint_probabilities; its first also holds a block's PQ in _gradient
-    and its KL terms in kl_divergence_and_grad. tmp holds a later block's
-    share of the accumulator."""
+    parts, and those of _gradient's two passes in kernel and pq, so that
+    neither pass makes a view. The scratch holds two blocks of n columns
+    for _joint_probabilities; its first also holds a block's PQ in
+    _gradient and its KL terms in kl_divergence_and_grad. tmp holds a
+    later block's share of the accumulator."""
 
     def __init__(self, n: int):
         blocks = _row_blocks(n)
@@ -244,13 +248,26 @@ class _Work:
         self.scratch = np.empty((2, blocks.step * n))
         # per block: its first row r, its height h and its packed (h, n - r)
         # views of P, num and the first scratch block
-        self.parts = []
+        self.parts, self.kernel, self.pq = [], [], []
+        Y1 = self.A[:, 2:]
         start = 0
         for r, h in zip(blocks, heights):
-            size = h * (n - r)
-            P, num = (a[start:start + size].reshape(h, n - r) for a in (self.P, self.num))
-            self.parts.append((r, h, P, num, self.scratch[0, :size].reshape(h, n - r)))
-            start += size
+            w = n - r
+            P, num = (a[start:start + w * h].reshape(h, w) for a in (self.P, self.num))
+            g = self.scratch[0, :w * h].reshape(h, w)
+            self.parts.append((r, h, P, num, g))
+            # the kernel pass: the block's factors, num, num's diagonal
+            # (every (w + 1)-th entry) and its square, for _total
+            self.kernel.append((self.A[r:r + h], self.B[r:].T, num,
+                                num.reshape(-1)[::w + 1], num[:, :h]))
+            # the PQ pass: the first block writes the accumulator itself, a
+            # later one its share to tmp, then adds that to its rows of acc;
+            # the last block has no columns right of its square
+            out = self.acc if r == 0 else self.tmp[:w]
+            right = (g[:, h:].T, Y1[r:r + h], out[h:]) if w > h else None
+            into = (self.acc[r:], out) if r else None
+            self.pq.append((P, num, g, Y1[r:], out[:h], right, into))
+            start += w * h
 
 
 def _pack(P: np.ndarray, work: _Work) -> None:
@@ -259,52 +276,76 @@ def _pack(P: np.ndarray, work: _Work) -> None:
         Pr[...] = P[r:r + h, r:]
 
 
+def _floor_binds(c: float, floor: float, sq_max: float) -> bool:
+    """Whether Q's floor may set some pair's max(c * num, floor) in
+    _gradient, with sq_max the largest |y_i|^2; False only where it cannot.
+
+    A pair's 1 + |y_i - y_j|^2 comes from five terms, 1 + sq_i + sq_j -
+    2 y_i . y_j, whose magnitudes sum to at most 1 + 4 sq_max, so each
+    off-diagonal kernel entry is at least 1 / (1 + 4 sq_max) up to the
+    rounding of that K = 5 product (a few ulps, however BLAS orders or
+    fuses it), of the reciprocal and of the product by c, one ulp each.
+    The factor 2 covers all of them many times over, and the rounding of
+    the bound itself. So where c >= 2 floor (1 + 4 sq_max), every
+    off-diagonal c * num is at least the floor, and the diagonal, whose
+    kernel is 0, adds nothing either way. An infinite or NaN bound or c
+    keeps the floor."""
+    return not 2.0 * floor * (1.0 + 4.0 * sq_max) <= c < math.inf
+
+
 def _gradient(work: _Work, Y: np.ndarray, exaggeration: float) -> np.ndarray:
     """KL gradient with respect to Y for the affinities exaggeration * work.P.
 
     Each pair's kernel and gradient term is computed once, one block at a
-    time (_row_blocks), in two passes over the blocks. The first writes
-    the Student-t kernel num = 1 / (1 + |y_i - y_j|^2), with a zero
-    diagonal, to work.num, and each block's total to work.totals, whose
-    sum is the kernel total Z. The second accumulates PQ @ [Y, 1] into
-    work.acc in block order, with PQ = (P - max(c * num, 1e-12 / e)) * num,
-    c = 1 / (e * Z) and e the exaggeration. That is the textbook
-    (e * P - Q) * num divided by e, with Q = max(num / Z, 1e-12): one
-    multiplication per pair instead of a division by Z, and no pass scales
-    P. A block of rows r:r+h adds its PQ rows times [Y, 1] to its own
-    rows, and, since PQ is symmetric, the transpose of its part right of
-    the square times its rows' [Y, 1] to the later rows; the first block
-    writes the whole accumulator, so it needs no zeroing. PQ is formed in
-    the scratch, so it takes no (n, n) buffer. The result is
-    4e * (s2 * Y - s01), where [s01, s2] = [PQ @ Y, rowsum(PQ)] is the
-    accumulator.
+    time (_row_blocks), in two passes over the blocks, on views that _Work
+    made once. The first writes the Student-t kernel
+    num = 1 / (1 + |y_i - y_j|^2), with a zero diagonal, to work.num, and
+    each block's total to work.totals, whose sum is the kernel total Z.
+    The second accumulates PQ @ [Y, 1] into work.acc in block order, with
+    PQ = (P - max(c * num, 1e-12 / e)) * num, c = 1 / (e * Z) and e the
+    exaggeration. That is the textbook (e * P - Q) * num divided by e, with
+    Q = max(num / Z, 1e-12): one multiplication per pair instead of a
+    division by Z, and no pass scales P. The floor pass runs only where a
+    bound on the kernel shows that it may bind (_floor_binds); elsewhere
+    it would leave every off-diagonal c * num as it is. The diagonal's
+    kernel is 0, so its PQ is a zero either way; it differs only in sign,
+    where P's diagonal lies below the floor, and then only if every other
+    term of its row is a zero too. tsne's P is floored at 1e-12 >= 1e-12 /
+    e, so there skipping the pass changes no bit. A block of rows r:r+h
+    adds its PQ rows times [Y, 1] to its own rows, and, since PQ is
+    symmetric, the transpose of its part right of the square times its
+    rows' [Y, 1] to the later rows; the first block writes the whole
+    accumulator, so it needs no zeroing. PQ is formed in the scratch, so
+    it takes no (n, n) buffer. The result is 4e * (s2 * Y - s01), where
+    [s01, s2] = [PQ @ Y, rowsum(PQ)] is the accumulator.
     """
-    A, B, acc = work.A, work.B, work.acc
+    A, B, acc, totals = work.A, work.B, work.acc, work.totals
     A[:, 2:4] = Y
     np.multiply(Y, -2.0, out=B[:, 2:4])
-    np.sum(np.square(Y), axis=1, out=A[:, 0])
-    B[:, 1] = A[:, 0]
-    for k, (r, h, _, num, _) in enumerate(work.parts):
+    sq = np.sum(np.square(Y), axis=1, out=A[:, 0])
+    B[:, 1] = sq
+    for k, (a, bt, num, diag, square) in enumerate(work.kernel):
         # 1 + sq_i + sq_j - 2 y_i . y_j as one product with K = 5
-        np.matmul(A[r:r + h], B[r:].T, out=num)
+        np.matmul(a, bt, out=num)
         np.maximum(num, 1.0, out=num)
         np.divide(1.0, num, out=num)
-        num.flat[:: num.shape[1] + 1] = 0.0
-        work.totals[k] = _total(num, h)
-    c, floor = 1.0 / (exaggeration * work.totals.sum()), 1e-12 / exaggeration
-    Y1 = A[:, 2:]
-    for r, h, P, num, g in work.parts:
-        w = num.shape[1]
+        diag.fill(0.0)
+        totals[k] = _total(num, square)
+    c, floor = 1.0 / (exaggeration * totals.sum()), 1e-12 / exaggeration
+    floored = _floor_binds(c, floor, sq.max())
+    for P, num, g, rows, head, right, into in work.pq:
         np.multiply(num, c, out=g)
-        np.maximum(g, floor, out=g)
+        if floored:
+            np.maximum(g, floor, out=g)
         np.subtract(P, g, out=g)
         g *= num
-        out = acc if r == 0 else work.tmp[:w]
-        np.matmul(g, Y1[r:], out=out[:h])
-        if w > h:
-            np.matmul(g[:, h:].T, Y1[r:r + h], out=out[h:])
-        if r:
-            acc[r:] += out
+        np.matmul(g, rows, out=head)
+        if right is not None:
+            gt, own, tail = right
+            np.matmul(gt, own, out=tail)
+        if into is not None:
+            mine, share = into
+            mine += share
     return (4.0 * exaggeration) * (acc[:, 2:] * Y - acc[:, :2])
 
 
@@ -340,7 +381,7 @@ def kl_divergence_and_grad(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndar
             np.log(t, out=t)
             t *= Pr
         t[Pr <= 1e-12] = 0.0
-        kl[k] = _total(t, h)
+        kl[k] = _total(t, t[:, :h])
     return float(kl.sum()), grad
 
 
@@ -407,22 +448,70 @@ def tsne(X, perplexity: float = 30.0, seed: int = 0, iterations: int = 1000) -> 
     return TsneResult(coords=Y, perplexity=perplexity, seed=seed, iterations=iterations)
 
 
+def _ranks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average ranks (1-based) along each row of the 2-d array M, ties
+    sharing the mean of their positions, as one C-contiguous array of M's
+    shape; and, per row, whether its values are distinct."""
+    m = M.shape[1]
+    order = np.argsort(M, axis=1, kind="stable")
+    ordered = np.take_along_axis(M, order, axis=1)
+    # the runs of equal values in sorted order: a run from position s to
+    # position e shares rank (s + e) / 2 + 1. new_run[:, j] marks a run
+    # starting at j, and a run ending at j - 1 (j = m ends the last run)
+    new_run = np.ones((M.shape[0], m + 1), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_run[:, 1:m])
+    at = np.arange(m)
+    starts = np.maximum.accumulate(np.where(new_run[:, :m], at, 0), axis=1)
+    ends = np.where(new_run[:, 1:], at, m)[:, ::-1]
+    ends = np.minimum.accumulate(ends, axis=1)[:, ::-1]
+    ranks = np.empty(M.shape)
+    np.put_along_axis(ranks, order, (starts + ends) / 2.0 + 1.0, axis=1)
+    return ranks, new_run.all(axis=1)
+
+
 def _rank(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based), ties share the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    n = len(values)
-    # the runs of equal values in sorted order: run k covers positions
-    # starts[k] .. ends[k] and shares rank (starts[k] + ends[k]) / 2 + 1
-    new_run = np.empty(n, dtype=bool)
-    new_run[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    sizes = np.diff(starts, append=n)
-    ends = starts + sizes - 1
-    ranks = np.empty(n, dtype=float)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, sizes)
-    return ranks
+    return _ranks(values[None])[0][0]
+
+
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray, distinct: bool) -> float:
+    """Spearman's correlation from the average ranks rx and ry of at least
+    3 complete pairs, each a contiguous 1-d array; `distinct` says that
+    neither holds a tie. A constant rank vector gives 0.0."""
+    n = len(rx)
+    if distinct:
+        # tie-free ranks: the difference formula is algebraically the same
+        # Pearson value but exact in floating point
+        d2 = float(((rx - ry) ** 2).sum())
+        r = 1.0 - 6.0 * d2 / (n * (n * n - 1))
+    else:
+        sx = rx.std()
+        sy = ry.std()
+        if sx == 0.0 or sy == 0.0:
+            return 0.0
+        r = float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
+    return max(-1.0, min(1.0, r))
+
+
+def _spearman_rows(F: np.ndarray, y: np.ndarray) -> list[float | None]:
+    """Spearman's correlation of each row of the 2-d float array F with y,
+    with pairwise deletion of non-finite values; None where fewer than 3
+    pairs are complete. The rows that are finite wherever y is share y's
+    complete pairs, so they and y are ranked together in one call; any
+    other row is ranked with y on its own pairs."""
+    ok = np.isfinite(y)
+    shared = np.isfinite(F[:, ok]).all(axis=1)
+    out: list[float | None] = [None] * len(F)
+    if shared.any() and np.count_nonzero(ok) >= 3:
+        R, distinct = _ranks(np.vstack([F[shared][:, ok], y[ok]]))
+        for i, row in enumerate(np.flatnonzero(shared)):
+            out[row] = _rank_correlation(R[i], R[-1], distinct[i] and distinct[-1])
+    for row in np.flatnonzero(~shared):
+        pair = ok & np.isfinite(F[row])
+        if np.count_nonzero(pair) >= 3:
+            (rx, ry), distinct = _ranks(np.vstack([F[row, pair], y[pair]]))
+            out[row] = _rank_correlation(rx, ry, distinct.all())
+    return out
 
 
 def spearman(x, y) -> float | None:
@@ -435,24 +524,7 @@ def spearman(x, y) -> float | None:
     y = np.asarray([np.nan if v is None else v for v in y], dtype=float)
     if x.shape != y.shape:
         raise ValueError("x and y must have the same length")
-    ok = np.isfinite(x) & np.isfinite(y)
-    if int(ok.sum()) < 3:
-        return None
-    rx = _rank(x[ok])
-    ry = _rank(y[ok])
-    sx = rx.std()
-    sy = ry.std()
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    n = len(rx)
-    if len(np.unique(rx)) == n and len(np.unique(ry)) == n:
-        # tie-free ranks: the difference formula is algebraically the same
-        # Pearson value but exact in floating point
-        d2 = float(((rx - ry) ** 2).sum())
-        r = 1.0 - 6.0 * d2 / (n * (n * n - 1))
-    else:
-        r = float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
-    return max(-1.0, min(1.0, r))
+    return _spearman_rows(x[None], y)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,7 +556,8 @@ class CorrelationTable:
 
 def correlation_table(graphs, feature_names=None) -> CorrelationTable:
     """Pool nodes per group across runs and correlate each feature's raw
-    values with normalized fitness."""
+    values with normalized fitness, each cell as spearman gives it; a
+    group's selected features are ranked in one call (_spearman_rows)."""
     names, cols = feature_columns(graphs, feature_names or None)
 
     pooled: dict[tuple[str, str, str], list] = {}
@@ -495,10 +568,10 @@ def correlation_table(graphs, feature_names=None) -> CorrelationTable:
     rows = []
     for key in groups:
         nodes = pooled[key]
-        fitness = [n.fitness_norm for n in nodes]
-        row = []
-        for col in cols:
-            feat = [float(n.features_raw[col]) for n in nodes]
-            row.append(spearman(feat, fitness))
-        rows.append(tuple(row))
+        fitness = np.array(
+            [np.nan if n.fitness_norm is None else n.fitness_norm for n in nodes], dtype=float
+        )
+        # one row per selected feature
+        F = np.array([n.features_raw for n in nodes], dtype=float).T[cols]
+        rows.append(tuple(_spearman_rows(F, fitness)))
     return CorrelationTable(groups=groups, feature_names=names, values=tuple(rows))

@@ -193,6 +193,31 @@ def spearman_with_ties(x, y):
     return pearson(rank_with_ties(x), rank_with_ties(y))
 
 
+def spearman_reference(x, y):
+    """Spearman's correlation of one feature with fitness as embed
+    computes a cell: pairwise deletion of None, NaN and infinities, None
+    below 3 complete pairs, average ranks (rank_with_ties), 0.0 for a
+    constant rank vector, the difference formula where neither side has a
+    tie and Pearson on the ranks otherwise, clamped to [-1, 1]."""
+    pairs = [(a, b) for a, b in zip(x, y)
+             if a is not None and b is not None and math.isfinite(a) and math.isfinite(b)]
+    if len(pairs) < 3:
+        return None
+    rx = np.array(rank_with_ties([a for a, _ in pairs]))
+    ry = np.array(rank_with_ties([b for _, b in pairs]))
+    sx = rx.std()
+    sy = ry.std()
+    if sx == 0.0 or sy == 0.0:
+        return 0.0
+    n = len(rx)
+    if len(set(rx.tolist())) == n and len(set(ry.tolist())) == n:
+        d2 = float(((rx - ry) ** 2).sum())
+        r = 1.0 - 6.0 * d2 / (n * (n * n - 1))
+    else:
+        r = float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
+    return max(-1.0, min(1.0, r))
+
+
 _LAYOUT_NAMES = {"COMMENT", "NL", "NEWLINE", "INDENT", "DEDENT",
                  "ENDMARKER", "ENCODING"}
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cegraph.ceg import build_ceg, graphs_to_json
+from cegraph.ceg import CegNode, EvolutionGraph, build_ceg, graphs_to_json
 from cegraph.features import FeatureTable, featurize_dataset
 from cegraph.ingest import CodeSample, Dataset, load_jsonl, validate
 from synth import write_synthetic_log
@@ -253,6 +253,45 @@ def test_json_export_is_one_dumps_of_every_graph(synthetic):
     for part in (graphs, graphs[1:2], []):
         want = json.dumps({"graphs": [g.to_dict() for g in part]}, indent=2)
         assert graphs_to_json(part) == want
+
+
+def _graph(run_id, ids, fitness, raw, edges=(), names=("a", "b")):
+    raw = np.array(raw, dtype=float).reshape(len(ids), len(names))
+    nodes = tuple(
+        CegNode(sample_id=i, evaluation_index=k, fitness_norm=f, parent_frequency=k % 2,
+                features_raw=row, features_std=-row)
+        for k, (i, f, row) in enumerate(zip(ids, fitness, raw))
+    )
+    return EvolutionGraph(group_key=("b\\", 'm"', "\u00e9"), run_id=run_id, feature_names=names,
+                          nodes=nodes, edges=tuple(edges))
+
+
+def test_json_export_writes_what_json_dumps_writes():
+    # escapes in every string field, missing fitness, a run without edges,
+    # non-finite and extreme features, and a graph without features
+    ids = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "\u00fc\u4e2d\U0001f600", "\u2028"]
+    graphs = [
+        _graph('run "1"', ids, [None, 0.5, 1.0, None, 1e-300],
+               [[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 1.7976931348623157e308],
+                [0.1, 1e16], [-1.5, 3.0]],
+               edges=[(ids[0], ids[1]), (ids[1], ids[4])]),
+        _graph("no edges", ids[:2], [0.25, None], [[1.0, 2.0], [3.0, 4.0]]),
+        _graph("no features", ids[:1], [0.0], [], names=()),
+    ]
+    for part in (graphs, graphs[1:], graphs[2:]):
+        want = json.dumps({"graphs": [g.to_dict() for g in part]}, indent=2)
+        assert graphs_to_json(part) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text(), st.none() | st.floats(),
+                          st.lists(st.floats(), min_size=2, max_size=2)),
+                min_size=1, max_size=4),
+       st.text())
+def test_json_export_of_any_ids_and_floats_is_json_dumps(nodes, run_id):
+    ids, fitness, raw = zip(*nodes)
+    g = _graph(run_id, ids, fitness, raw, edges=[(ids[0], ids[-1])])
+    assert graphs_to_json([g]) == json.dumps({"graphs": [g.to_dict()]}, indent=2)
 
 
 def test_rank_order_preserved_under_monotone_fitness_transform(tmp_path):

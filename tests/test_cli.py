@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import hashlib
 import json
 import os
 import random
@@ -49,6 +50,31 @@ def test_pipeline_writes_manifest(log_path, tmp_path, capsys):
     ):
         assert (out / name).is_file(), name
     capsys.readouterr()
+
+
+BUNDLED_LOG = SRC.parent / "data" / "synthetic_run.jsonl"
+
+# the bytes of the bundled log's artifacts that no BLAS product sets;
+# tsne.svg and ceg_pc1.svg are left out, since OpenBLAS's kernel for this
+# CPU sets their last bits
+PINNED_SHA256 = {
+    "features.csv": "ba1bcda14d689b93c7b7b0d3f812035f58fc603bace227286691f92278e82b11",
+    "ceg.json": "5a6ba60067451b850022dad907d7b72de0679a97919dfa78a7370a5e71522d90",
+    "correlations.csv": "8aea9c1668b54e17fe4895741c46db77d95dad67e19f527cd8432429e2cc73c6",
+    "heatmap.svg": "ec8cc1d334b1375482d14f0e8535b507f2aada34bf6e75c8edb1c98baa8cd7da",
+}
+
+
+def test_bundled_log_artifacts_keep_their_bytes(tmp_path, capsys):
+    """`pipeline` with default flags on data/synthetic_run.jsonl writes
+    these bytes. The artifacts keep their bytes for the same input and
+    seed unless a change says why they move: a change that moves them
+    updates these pins and says why in CHANGES.md."""
+    out = tmp_path / "out"
+    assert run(["pipeline", "--input", BUNDLED_LOG, "--out", out]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    assert got == PINNED_SHA256
 
 
 def test_extract_csv_shape(log_path, tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cegraph import embed
-from cegraph.ceg import build_ceg
+from cegraph.ceg import CegNode, EvolutionGraph, build_ceg
 from cegraph.embed import (
     _joint_probabilities,
     _rank,
@@ -347,6 +347,47 @@ def test_gradient_keeps_the_floor_of_q_between_distant_clusters(exaggeration):
     assert _gradient_error(_random_affinities(rng, 31), Y, exaggeration) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(4, 60), st.floats(-4.0, 7.0), st.sampled_from([1.0, 12.0]),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_floor_guard_keeps_the_bits(data, n, scale, exaggeration, floored_p, far, seed):
+    # the gradient skips Q's floor pass where _floor_binds shows it cannot
+    # bind; it must equal the oracle, which floors every pair, bit for bit,
+    # and where it skips, no off-diagonal c * num may lie below the floor.
+    # A point moved 1e7 times further out makes the floor bind at times
+    rows = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(size=(n, 2)) * 10.0**scale
+    if far:
+        Y[-1] *= 1e7
+    P = _random_affinities(rng, n)
+    if floored_p:
+        P = np.maximum(P, 1e-12)
+    with mock.patch.object(embed, "_BLOCK_BYTES", 8 * n * rows):
+        work = embed._Work(n)
+        embed._pack(P, work)
+        got = embed._gradient(work, Y, exaggeration)
+        _, want = oracles._kl_and_grad(P, Y, exaggeration)
+        num = oracles.unpacked(work.num, n)
+    assert got.tobytes() == want.tobytes()
+    c, floor = 1.0 / (exaggeration * work.totals.sum()), 1e-12 / exaggeration
+    if not embed._floor_binds(c, floor, work.A[:, 0].max()):
+        assert (num[~np.eye(n, dtype=bool)] * c >= floor).all()
+
+
+def test_floor_guard_skips_only_where_the_floor_cannot_bind():
+    # a t-SNE layout within |y| = 50 leaves the floor far from binding; the
+    # 30 points and the one 1e7 away of
+    # test_gradient_keeps_the_floor_of_q_between_distant_clusters (Z about
+    # 870) need it, and a NaN or an infinity keeps it
+    floor = 1e-12
+    assert not embed._floor_binds(1e-4, floor, 2500.0)
+    assert embed._floor_binds(1.0 / 870, floor, 1e14)
+    for c, sq_max in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (math.inf, math.inf),
+                      (1.0, math.inf)):
+        assert embed._floor_binds(c, floor, sq_max)
+
+
 def test_gradient_of_a_cluster_far_from_the_origin_is_the_textbook_formula():
     # kl_divergence_and_grad centres Y, so the kernel's |y|^2 terms are
     # small; uncentred, its gradient deviated by 2e-2 of its largest entry
@@ -651,6 +692,51 @@ def test_correlation_exactly_one_feature_anti_monotone(tmp_path):
     assert row["token_total"] == -1.0
     assert -1.0 < row["node_count"] < 1.0
     assert row["cc_total"] == 0.0  # constant feature
+
+
+# few distinct values, so that ties, constant columns and sparse groups
+# are common; NaN and infinities are missing values
+_CELL = st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan, math.inf]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def correlation_graphs(draw):
+    """Runs of 1-8 nodes in up to 3 groups, with 1-4 features (each
+    constant at times) and fitness values that may be None."""
+    k = draw(st.integers(1, 4))
+    names = tuple(f"f{j}" for j in range(k))
+    graphs = []
+    for r in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, 8))
+        F = np.array(draw(st.lists(st.lists(_CELL, min_size=k, max_size=k),
+                                   min_size=m, max_size=m)))
+        for j in range(k):
+            if draw(st.booleans()):
+                F[:, j] = F[0, j]
+        nodes = tuple(
+            CegNode(sample_id=f"r{r}-{i}", evaluation_index=i,
+                    fitness_norm=draw(st.none() | _CELL), parent_frequency=0,
+                    features_raw=F[i], features_std=F[i])
+            for i in range(m)
+        )
+        key = ("b", draw(st.sampled_from(["m0", "m1", "m2"])), "")
+        graphs.append(EvolutionGraph(group_key=key, run_id=f"r{r}", feature_names=names,
+                                     nodes=nodes, edges=()))
+    return graphs
+
+
+@settings(max_examples=300, deadline=None)
+@given(correlation_graphs())
+def test_correlation_table_equals_per_cell_reference_bitwise(graphs):
+    # each group's columns are ranked in one call; every cell keeps the
+    # bits of spearman's arithmetic on that column alone
+    table = correlation_table(graphs)
+    for key, row in zip(table.groups, table.values):
+        nodes = [n for g in graphs if g.group_key == key for n in g.nodes]
+        fitness = [n.fitness_norm for n in nodes]
+        for j, got in enumerate(row):
+            want = oracles.spearman_reference([float(n.features_raw[j]) for n in nodes], fitness)
+            assert repr(got) == repr(want)
 
 
 def test_correlation_errors(tmp_path):
