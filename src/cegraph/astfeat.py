@@ -8,30 +8,26 @@ distance statistics.
 forest_features computes them for a forest at once, in a few numpy
 passes over its arrays, with no loop over depth levels or ancestors: the
 parent and the depth of each node of trees labeled in depth-first
-preorder (PreorderTree), one tree after another, as parse_to_graph
-labels them. compute_graph_features is forest_features on the one tree
-of an AstGraph, which parse_to_graph labeled so. In
-preorder each subtree is an interval of ids, [v, end[v]), whose end
-follows the last-child links, taken by doubling. Subtree sizes give the
-average shortest path. Eccentricities come from the two ends of a
-diameter, with dist(a, v) = depth[a] + depth[v] - 2 depth[lca(a, v)],
-the depth of the lowest common ancestor counted through subtree
-intervals by one cumsum over the forest. Entropies are natural-log.
+preorder, one tree after another, as parse_to_graph labels them.
+compute_graph_features is forest_features on the one tree of an AstGraph,
+which parse_to_graph labeled so. In preorder each subtree is an interval
+of ids, [v, end[v]), whose end follows the last-child links, taken by
+doubling. Subtree sizes give the average shortest path. Eccentricities
+come from the two ends of a diameter, with
+dist(a, v) = depth[a] + depth[v] - 2 depth[lca(a, v)], the depth of the
+lowest common ancestor counted through subtree intervals by one cumsum
+over the forest. Entropies are natural-log.
 
-A tree's row has the same bits in any forest, alone or not. Integer values
-(counts, extremes, integer sums) are exact in any order. The float sums
-behind degree_var and assortativity are each one 1-D sum over the tree's
-own contiguous slice of an array laid out as the tree alone gives it, in
-that element order (np.add.reduceat over the forest sums in another order
-and gives other bits). The entropies add their terms in order of the
-values' first appearance in the tree; for depths that order is
-ascending.
+A tree's row has the same bits in any forest, alone or not. Every feature
+but the two entropies is an exact integer or one correctly rounded
+quotient of exact integer sums, which no summation order changes. The
+entropies add their terms in order of the values' first appearance in the
+tree; for depths that order is ascending.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,18 +72,6 @@ def _entropy(counts) -> float:
     return acc
 
 
-class PreorderTree(NamedTuple):
-    """A rooted tree labeled in depth-first preorder from root 0, as
-    arrays: parent[v] is the parent of node v (parent[0] is -1) and
-    depth[v] its depth, so the subtree of node v is the id interval
-    [v, v + size[v]). parse_to_graph labels its trees so. The same two
-    arrays can hold a forest, such trees one after another with ids
-    counted over the whole forest (see forest_features)."""
-
-    parent: np.ndarray
-    depth: np.ndarray
-
-
 def _subtree_ends(child: np.ndarray, up: np.ndarray, depth: np.ndarray) -> np.ndarray:
     """end[v] for each node v of a preorder forest with edges child -> up,
     so that v's subtree is the id interval [v, end[v]): one past v's last
@@ -121,71 +105,52 @@ def _distances_from(a: np.ndarray, tree, depth, end) -> np.ndarray:
     return depth[a] + depth - 2 * np.cumsum(marks[:N])
 
 
-def _eig_centrality(n: int, src: np.ndarray, dst: np.ndarray, tol: float = 1e-10,
-                    max_iter: int = 1000):
+def _eig_centrality(n: int, src: np.ndarray, dst: np.ndarray):
     """Power iteration on A + I (shifted to kill the bipartite sign flip),
     where A joins src[i] and dst[i]."""
     x = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(max_iter):
+    for _ in range(1000):
         nxt = x.copy()
         np.add.at(nxt, src, x[dst])
         np.add.at(nxt, dst, x[src])
         nxt /= np.linalg.norm(nxt)
-        if np.max(np.abs(nxt - x)) < tol:
+        if np.max(np.abs(nxt - x)) < 1e-10:
             x = nxt
             break
         x = nxt
     return float(x.max()), float(x.mean())
 
 
-def _endpoint_degrees(deg, child, up, tree, starts) -> tuple[np.ndarray, np.ndarray]:
-    """Each tree's endpoint degrees over both orientations of its edges,
-    less their mean, laid out tree after tree as a tree alone gives them:
-    x holds the parents' degrees, then the children's, y the reverse."""
-    m = np.diff(starts, append=len(deg)) - 1
-    # the mean is an integer sum over the edges over 2m, exact
-    mean = np.repeat(np.add.reduceat(deg * deg, starts) / np.maximum(2 * m, 1), 2 * m)
-    at = np.arange(len(child)) + (starts - np.arange(len(starts)))[tree[child]]
-    at_child = at + m[tree[child]]
-    x = np.empty(2 * len(child))
-    x[at], x[at_child] = deg[up], deg[child]
-    x -= mean
-    y = np.empty(2 * len(child))
-    y[at], y[at_child] = deg[child], deg[up]
-    y -= mean
-    return x, y
+def _tree_sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
+    """The sum of values over each run [starts[t], starts[t + 1]) of their
+    ids, the last run ending at the end of values; 0 for an empty run."""
+    total = np.append(0, np.cumsum(values))
+    return np.diff(total[np.append(starts, len(values))]).tolist()
 
 
-def _degree_spread(deg, child, up, tree, starts) -> tuple[list, list]:
-    """Each tree's sum of squared degree deviations from the mean, and its
-    assortativity. Every float sum here is one 1-D sum over the tree's own
-    slice of an array laid out as a tree alone gives it."""
-    n = np.diff(starts, append=len(deg))
-    deviation = deg - (2 * (n - 1) / n)[tree]
-    deviation *= deviation
-    x, y = _endpoint_degrees(deg, child, up, tree, starts)
-    xy = x * y
-    x *= x
-    y *= y
-
-    bounds = np.append(starts, len(deg)).tolist()
-    edge_bounds = np.append(0, np.cumsum(2 * (n - 1))).tolist()
-    squares = []
-    assortativity = []
-    for t in range(len(starts)):
-        squares.append(deviation[bounds[t]:bounds[t + 1]].sum())
-        a, b = edge_bounds[t], edge_bounds[t + 1]
-        if a == b:
-            assortativity.append(0.0)
-            continue
-        vx = x[a:b].sum() / (b - a)
-        vy = y[a:b].sum() / (b - a)
-        if vx <= 0.0 or vy <= 0.0:
-            assortativity.append(0.0)
-        else:
-            cov = float(xy[a:b].sum() / (b - a))
-            assortativity.append(max(-1.0, min(1.0, cov / math.sqrt(vx * vy))))
-    return squares, assortativity
+def _degree_spread(deg, child, up, starts) -> tuple[list[float], list[float]]:
+    """Each tree's degree_var and assortativity, each one quotient of exact
+    integer sums, rounded once. With S2 = sum deg^2, S3 = sum deg^3 and
+    P = sum over the edges of deg_u deg_v, a tree of n nodes and m = n - 1
+    edges has degree_var (n S2 - 4 m^2) / n^2 and assortativity, Pearson's
+    r of endpoint degrees over both edge orientations in Newman's closed
+    form, (4 m P - S2^2) / (2 m S3 - S2^2), or 0 where the denominator is 0
+    (in a tree, n <= 2). The int64 sums are exact for trees under about 1.6
+    million nodes, since S3 <= 2 (n - 1)^3 < 2^63; the quotients are of
+    Python ints, correctly rounded at any size."""
+    n = np.diff(starts, append=len(deg)).tolist()
+    square = deg * deg
+    s2 = _tree_sums(square, starts)
+    s3 = _tree_sums(square * deg, starts)
+    # tree t's edges, t roots before it, start at starts[t] - t
+    p = _tree_sums(deg[child] * deg[up], starts - np.arange(len(starts)))
+    var, assortativity = [], []
+    for k, sq, cube, pair in zip(n, s2, s3, p):
+        m = k - 1
+        var.append((k * sq - 4 * m * m) / (k * k))
+        spread = 2 * m * cube - sq * sq
+        assortativity.append((4 * m * pair - sq * sq) / spread if spread else 0.0)
+    return var, assortativity
 
 
 def _entropies(values: np.ndarray, tree, starts) -> list[float]:
@@ -223,19 +188,21 @@ def _distance_columns(child, up, depth, tree, starts) -> np.ndarray:
     return out
 
 
-def forest_features(forest: PreorderTree, include_eigenvector: bool = False) -> np.ndarray:
+def forest_features(parent: np.ndarray, depth: np.ndarray,
+                    include_eigenvector: bool = False) -> np.ndarray:
     """The features of each tree of a forest, one row per tree with the
     AST_FEATURE_NAMES columns, then the EIG_FEATURE_NAMES ones if
-    include_eigenvector. The forest is PreorderTree arrays of trees labeled
-    in preorder one after another, with ids counted over the whole forest:
-    each tree starts at its root, the one node at depth 0 (parent -1).
+    include_eigenvector. parent[v] is the parent of node v and depth[v] its
+    depth, for trees labeled in depth-first preorder one after another,
+    with ids counted over the whole forest: each tree starts at its root,
+    the one node at depth 0 (parent -1), and the subtree of each node v is
+    an interval of ids from v on.
 
     Degenerate cases follow fixed conventions: a single-node tree has all
     degree, depth, clustering and distance statistics equal to 0 and
     edge_density 0; assortativity is 0 whenever endpoint degrees have zero
     variance; entropy of a one-valued distribution is 0.
     """
-    parent, depth = forest
     N = len(depth)
     root = depth == 0
     starts = np.flatnonzero(root)
@@ -247,7 +214,7 @@ def forest_features(forest: PreorderTree, include_eigenvector: bool = False) -> 
     up = parent[child]
     deg = np.bincount(up, minlength=N)
     deg[child] += 1
-    squares, assortativity = _degree_spread(deg, child, up, tree, starts)
+    degree_var, assortativity = _degree_spread(deg, child, up, starts)
 
     out = np.zeros((len(starts), len(AST_FEATURE_NAMES) + 2 * include_eigenvector))
     out[:, 0] = n
@@ -256,7 +223,7 @@ def forest_features(forest: PreorderTree, include_eigenvector: bool = False) -> 
     out[:, 3] = np.minimum.reduceat(deg, starts)
     out[:, 4] = np.maximum.reduceat(deg, starts)
     out[:, 5] = 2 * m / n
-    out[:, 6] = np.array(squares) / n
+    out[:, 6] = degree_var
     out[:, 7] = _entropies(deg, tree, starts)
     out[:, 8] = assortativity
     out[:, 9] = np.minimum.reduceat(depth, starts)
@@ -275,6 +242,6 @@ def compute_graph_features(graph: AstGraph, include_eigenvector: bool = False) -
     """The structural features of the syntax tree parse_to_graph built,
     keyed by canonical name in canonical order: the row forest_features
     gives that tree."""
-    tree = PreorderTree(np.array(graph.parent), np.array(graph.depth))
-    row = forest_features(tree, include_eigenvector)[0].tolist()
+    parent, depth = np.array(graph.parent), np.array(graph.depth)
+    row = forest_features(parent, depth, include_eigenvector)[0].tolist()
     return dict(zip(AST_FEATURE_NAMES + EIG_FEATURE_NAMES, row))

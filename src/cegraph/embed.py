@@ -469,11 +469,6 @@ def _ranks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, new_run.all(axis=1)
 
 
-def _rank(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based), ties share the mean of their positions."""
-    return _ranks(values[None])[0][0]
-
-
 def _rank_correlation(rx: np.ndarray, ry: np.ndarray, distinct: bool) -> float:
     """Spearman's correlation from the average ranks rx and ry of at least
     3 complete pairs, each a contiguous 1-d array; `distinct` says that

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES, PreorderTree, forest_features
+from .astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES, forest_features
 from .codemetrics import (
     COMPLEXITY_FEATURE_NAMES,
     NESTING_FEATURE_NAMES,
@@ -211,10 +211,11 @@ def _blocks(samples: Iterable[list[_Chunk]]) -> Iterator[list[list[_Chunk]]]:
         yield block
 
 
-def _forest(block: list[list[_Chunk]]) -> PreorderTree:
+def _forest(block: list[list[_Chunk]]) -> tuple[np.ndarray, np.ndarray]:
     """The trees of the samples of block, each given as the _Chunk list of
-    its code, as one forest: a sample's tree is the module root above its
-    chunks' trees, whose top-level statements (depth 1) hang from it."""
+    its code, as the parent and depth arrays of one forest: a sample's tree
+    is the module root above its chunks' trees, whose top-level statements
+    (depth 1) hang from it."""
     up = np.concatenate(
         [a for parts in block for a in (_ROOT, *(part.up for part in parts))], dtype=np.int64
     )
@@ -227,14 +228,14 @@ def _forest(block: list[list[_Chunk]]) -> PreorderTree:
     root = np.maximum.accumulate(np.where(depth == 0, ids, 0))
     parent[depth == 1] = root[depth == 1]
     parent[depth == 0] = -1
-    return PreorderTree(parent, depth)
+    return parent, depth
 
 
 def _rows(block: list[list[_Chunk]], include_eigenvector: bool) -> np.ndarray:
     """The feature rows of the samples of block, each given as the _Chunk
     list of its code, in the columns of _column_names; a sample's
     complexity counts are its chunks'."""
-    graph = forest_features(_forest(block), include_eigenvector)
+    graph = forest_features(*_forest(block), include_eigenvector)
     counts = np.array([part.complexity for parts in block for part in parts], dtype=np.int64)
     starts = np.cumsum([0] + [len(parts) for parts in block[:-1]])
     k = len(AST_FEATURE_NAMES)

@@ -14,6 +14,7 @@ import math
 import random
 import tokenize
 from collections import Counter, deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -337,10 +338,11 @@ def nesting_two(code):
 
 
 # ------------------------------------------------------- graph features
-# One tree at a time, as cegraph.astfeat computed the 22 graph features
-# before it worked on a block of trees: the bits astfeat must match. Its
-# float sums are numpy's 1-D sums over this one tree's arrays, its
-# entropies add the terms in order of first appearance.
+# The 22 graph features one tree at a time: the bits cegraph.astfeat must
+# match. degree_var and assortativity are their definitions in exact
+# fractions, rounded once; the entropies add their terms in order of first
+# appearance; the rest is astfeat's one-tree formulation from before it
+# worked on a block of trees.
 
 
 def _entropy(counts):
@@ -395,6 +397,35 @@ def _tree_distance_features(parent, depth):
     return int(ecc.max()), int(ecc.min()), int(ecc.sum()) / n, avg_shortest_path
 
 
+def exact_degree_spread(parent):
+    """The population variance of the degrees of the tree whose node v has
+    parent parent[v] (the root's is -1), and Pearson's r of the endpoint
+    degrees over both orientations of its edges, each from its definition
+    in exact fractions and rounded once; r is 0.0 where the endpoint
+    degrees do not vary."""
+    deg = [0] * len(parent)
+    edges = [(u, v) for v, u in enumerate(parent) if u >= 0]
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    mean = Fraction(sum(deg), len(deg))
+    var = sum((d - mean) ** 2 for d in deg) / len(deg)
+    xs = [deg[u] for u, v in edges] + [deg[v] for u, v in edges]
+    ys = [deg[v] for u, v in edges] + [deg[u] for u, v in edges]
+    if not xs:
+        return float(var), 0.0
+    mx = Fraction(sum(xs), len(xs))
+    my = Fraction(sum(ys), len(ys))
+    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / len(xs)
+    vx = sum((x - mx) ** 2 for x in xs) / len(xs)
+    vy = sum((y - my) ** 2 for y in ys) / len(ys)
+    if vx == 0 or vy == 0:
+        return float(var), 0.0
+    # ys is xs reordered, so vx == vy and sqrt(vx vy) is vx, exactly
+    assert vx == vy
+    return float(var), float(cov / vx)
+
+
 def graph_features_reference(parent, depth):
     """The 22 graph features of the preorder tree (parent, depth), keyed by
     name in astfeat's order."""
@@ -405,20 +436,7 @@ def graph_features_reference(parent, depth):
     deg = np.bincount(src, minlength=n)
     deg[1:] += 1
 
-    if m == 0:
-        assortativity = 0.0
-    else:
-        du = deg[src].astype(float)
-        dv = deg[dst].astype(float)
-        x = np.concatenate([du, dv])
-        y = np.concatenate([dv, du])
-        vx = x.var()
-        vy = y.var()
-        if vx <= 0.0 or vy <= 0.0:
-            assortativity = 0.0
-        else:
-            cov = float(((x - x.mean()) * (y - y.mean())).mean())
-            assortativity = max(-1.0, min(1.0, cov / math.sqrt(vx * vy)))
+    degree_var, assortativity = exact_degree_spread(parent.tolist())
 
     if n == 1:
         distances = (0, 0, 0.0, 0.0)
@@ -427,7 +445,7 @@ def graph_features_reference(parent, depth):
 
     values = (
         n, m, m / n,
-        float(deg.min()), float(deg.max()), float(deg.mean()), float(deg.var()),
+        float(deg.min()), float(deg.max()), float(deg.mean()), degree_var,
         _entropy(Counter(deg.tolist()).values()), assortativity,
         float(depth.min()), float(depth.max()), int(depth.sum()) / n,
         _entropy(Counter(depth.tolist()).values()),

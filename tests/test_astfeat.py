@@ -2,13 +2,21 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from synth import random_module
-from cegraph.astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES, compute_graph_features
+from cegraph.astfeat import (
+    AST_FEATURE_NAMES,
+    EIG_FEATURE_NAMES,
+    compute_graph_features,
+    forest_features,
+)
 from cegraph.pyast import parse_to_graph
 
 
@@ -176,3 +184,70 @@ def test_as_dict_order_matches_canonical_names():
     with_eig = compute_graph_features(parse_to_graph("x = 1"), include_eigenvector=True)
     assert tuple(with_eig) == AST_FEATURE_NAMES + EIG_FEATURE_NAMES
     assert all(type(value) is float for value in with_eig.values())
+
+
+VAR = AST_FEATURE_NAMES.index("degree_var")
+ASSORTATIVITY = AST_FEATURE_NAMES.index("assortativity")
+
+
+def depths(parent):
+    depth = [0] * len(parent)
+    for v in range(1, len(parent)):
+        depth[v] = depth[parent[v]] + 1
+    return depth
+
+
+def features_of(parent):
+    return forest_features(np.array(parent), np.array(depths(parent)))[0]
+
+
+def test_degree_spread_is_correctly_rounded_where_float_sums_are_not():
+    # summed in floats, as numpy sums the deviation products, this tree's
+    # assortativity comes out 90 ulps away from -1/1070
+    f = features_of([-1, 0, 1, 0, 3, 3, 0, 6, 0, 8, 9, 10, 9, 12, 0, 14, 14, 0, 17, 18, 17, 20])
+    assert f[VAR] == 164 / 121
+    assert f[ASSORTATIVITY] == -1 / 1070
+
+
+def test_degree_spread_of_a_large_star():
+    k = 100_000
+    f = features_of([-1] + [0] * k)
+    n, mean = k + 1, Fraction(2 * k, k + 1)
+    assert f[VAR] == float(((k - mean) ** 2 + k * (1 - mean) ** 2) / n)
+    assert f[ASSORTATIVITY] == -1.0
+
+
+@st.composite
+def preorder_trees(draw):
+    """The parent list of a tree of 1-200 nodes labeled in preorder: a
+    single node, two nodes, a star, a path, or random, each node hanging
+    from a node on the path from the root to the node before it."""
+    kind = draw(st.sampled_from(["single", "two", "star", "path", "random", "random"]))
+    n = {"single": 1, "two": 2}.get(kind) or draw(st.integers(1, 200))
+    if kind == "star":
+        return [-1] + [0] * (n - 1)
+    if kind == "path":
+        return list(range(-1, n - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    parent, path = [-1], [0]
+    for v in range(1, n):
+        del path[rng.randint(1, len(path)):]
+        parent.append(path[-1])
+        path.append(v)
+    return parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees=st.lists(preorder_trees(), min_size=1, max_size=8))
+def test_forest_degree_spread_is_exact_and_the_same_as_alone(trees):
+    parent, depth = [], []
+    for tree in trees:
+        parent += [u + len(depth) if u >= 0 else -1 for u in tree]
+        depth += depths(tree)
+    rows = forest_features(np.array(parent), np.array(depth))
+    assert len(rows) == len(trees)
+    for row, tree in zip(rows, trees):
+        var, assortativity = oracles.exact_degree_spread(tree)
+        assert row[VAR] == var
+        assert row[ASSORTATIVITY] == assortativity
+        assert row.tobytes() == features_of(tree).tobytes()

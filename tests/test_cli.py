@@ -58,8 +58,8 @@ BUNDLED_LOG = SRC.parent / "data" / "synthetic_run.jsonl"
 # tsne.svg and ceg_pc1.svg are left out, since OpenBLAS's kernel for this
 # CPU sets their last bits
 PINNED_SHA256 = {
-    "features.csv": "ba1bcda14d689b93c7b7b0d3f812035f58fc603bace227286691f92278e82b11",
-    "ceg.json": "5a6ba60067451b850022dad907d7b72de0679a97919dfa78a7370a5e71522d90",
+    "features.csv": "065702be0d5ff87ffeed66b6adfacc1f4c2a80a4b203de55ccccb87042cd2445",
+    "ceg.json": "bb922d6feacddc6ec17b1516254598e77de91fa1f4f50c8a22fe5e2a0a21aba3",
     "correlations.csv": "8aea9c1668b54e17fe4895741c46db77d95dad67e19f527cd8432429e2cc73c6",
     "heatmap.svg": "ec8cc1d334b1375482d14f0e8535b507f2aada34bf6e75c8edb1c98baa8cd7da",
 }
