@@ -12,12 +12,15 @@ from collections import Counter
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cegraph import cli, features
+from cegraph.ceg import build_ceg
 from cegraph.cli import main
 from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES, featurize_dataset
-from cegraph.ingest import load_jsonl
+from cegraph.ingest import load_jsonl, validate
+from cegraph.report import render_tsne
 from synth import random_module, write_synthetic_log
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -75,6 +78,42 @@ def test_bundled_log_artifacts_keep_their_bytes(tmp_path, capsys):
     capsys.readouterr()
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
     assert got == PINNED_SHA256
+
+
+# more of the bundled log's bytes that no BLAS product sets: `ceg` output
+# under other flags (the token axis plots raw feature values)
+FLAG_PINS = {
+    "tokens": (("--y-axis", "tokens"), "ceg_token_total.svg",
+               "9f2fb2265b40c5d1e8e8846067270da77b3c4e6a7bff12ee46296bb8bb68b368"),
+    "run-minimize": (("--y-axis", "tokens", "--norm-scope", "run", "--direction", "minimize"),
+                     "ceg.json",
+                     "338d946c4951de454c77ba16fae30fae231ada676afd3574bd3b8626885cd734"),
+    "normalize-none": (("--y-axis", "tokens", "--normalize", "none"), "ceg.json",
+                       "2387fc2e6964f5dfd3885aada22191d990b1e84fc19dca2599d83817294a80b3"),
+}
+
+
+@pytest.mark.parametrize("case", FLAG_PINS)
+def test_bundled_log_ceg_outputs_keep_their_bytes(case, tmp_path, capsys):
+    flags, name, digest = FLAG_PINS[case]
+    out = tmp_path / "out"
+    assert run(["ceg", "--input", BUNDLED_LOG, "--out", out, *flags]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_bundled_log_tsne_figure_keeps_its_bytes_on_fixed_coordinates():
+    # the scatter drawn at (evaluation index, raw node_count), which no
+    # BLAS product sets: colors, shapes, sizes, hollow markers and legend
+    dataset, _ = validate(load_jsonl(BUNDLED_LOG))
+    table, _ = featurize_dataset(dataset)
+    graphs = build_ceg(dataset, table)
+    col = table.names.index("node_count")
+    coords = np.array([[n.evaluation_index, n.features_raw[col]]
+                       for g in graphs for n in g.nodes])
+    svg = render_tsne(graphs, coords)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
+        "8fa99eb9af32021c76354a6fd007bf2a889a4dc11aa80b5d52f59550d8d99591")
 
 
 def test_extract_csv_shape(log_path, tmp_path):
