@@ -9,8 +9,6 @@
 
 from pathlib import Path
 
-import numpy as np
-
 from cegraph import (
     ALL_FEATURE_NAMES,
     AST_FEATURE_NAMES,
@@ -32,12 +30,11 @@ OUT = HERE / "out"
 def main():
     dataset, _ = validate(load_jsonl(LOG))
     features, _ = featurize_dataset(dataset)
-    graphs = build_ceg(dataset, features)
+    ceg = build_ceg(dataset, features)
 
     def standardized(names):
         """The named standardized feature columns, one row per node."""
-        cols = [features.names.index(name) for name in names]
-        return np.array([n.features_std[cols] for g in graphs for n in g.nodes])
+        return ceg.features_std[:, [ceg.feature_names.index(name) for name in names]]
 
     X = standardized(AST_FEATURE_NAMES)
     print(f"PCA input: {X.shape[0]} samples x {X.shape[1]} graph features")
@@ -55,13 +52,13 @@ def main():
 
     OUT.mkdir(exist_ok=True)
     # each renderer returns the SVG document as a string
-    svg = render_ceg(graphs, res.projected[:, 0], "PC1",
+    svg = render_ceg(ceg, res.projected[:, 0], "PC1",
                      annotation=f"PC1 ({ratios[0]:.2f})")
     (OUT / "ceg_pc1.svg").write_text(svg, encoding="utf-8")
     nodes = svg.count('class="node"')
     print(f"wrote {OUT / 'ceg_pc1.svg'} ({len(svg)} characters, {nodes} nodes)")
 
-    svg = render_tsne(graphs, emb.coords)
+    svg = render_tsne(ceg, emb.coords)
     (OUT / "tsne.svg").write_text(svg, encoding="utf-8")
     legend = svg.count('class="legend"')
     print(f"wrote {OUT / 'tsne.svg'} ({legend} legend entries)")

@@ -34,9 +34,9 @@ def main():
 
     dataset, _ = validate(load_jsonl(LOG))
     features, _ = featurize_dataset(dataset)
-    graphs = build_ceg(dataset, features)
+    ceg = build_ceg(dataset, features)
 
-    table = correlation_table(graphs, ALL_FEATURE_NAMES)
+    table = correlation_table(ceg, ALL_FEATURE_NAMES)
     print(f"\n{len(table.groups)} groups x {len(table.feature_names)} features")
     for group in table.groups:
         label = "/".join(group)

@@ -18,7 +18,7 @@ _MODULE_OF = {
     name: module
     for module, names in (
         ("astfeat", ("AST_FEATURE_NAMES", "EIG_FEATURE_NAMES", "compute_graph_features")),
-        ("ceg", ("CegNode", "EvolutionGraph", "build_ceg", "graphs_to_json")),
+        ("ceg", ("CegTable", "build_ceg", "graphs_to_json")),
         ("codemetrics", ("COMPLEXITY_FEATURE_NAMES", "NESTING_FEATURE_NAMES",
                          "ComplexityMetrics", "compute_complexity")),
         ("embed", ("CorrelationTable", "PcaResult", "TsneResult", "correlation_table",

@@ -1,8 +1,9 @@
 """Assemble code evolution graphs from a validated dataset and its features.
 
-One EvolutionGraph per run. Each node carries the normalized fitness, the
-raw and standardized feature vectors, and its parent frequency (number of
-children it produced within the run). Edges point parent -> child.
+One table (CegTable) holds every run's graph: one row per node with its
+normalized fitness, raw and standardized feature vectors and parent
+frequency (number of children it produced within the run), a row range
+per run, and the edges, parent -> child, as two arrays of rows.
 
 Fitness normalization is min-max within a configurable scope: "group"
 pools runs sharing (benchmark, method), "run" normalizes each run alone,
@@ -26,66 +27,36 @@ NORM_SCOPES = ("group", "run", "global")
 
 
 @dataclass(frozen=True, eq=False)
-class CegNode:
-    sample_id: str
-    evaluation_index: int
-    fitness_norm: float | None
-    parent_frequency: int
+class CegTable:
+    """The evolution graphs of a log as one table, in graph order: runs
+    sorted by (group_key, run_id), each run's nodes in log order.
+
+    Per node (row): ids, evaluation_index, fitness_norm (NaN where
+    fitness_missing), parent_frequency (its children within the run) and
+    its features_raw and features_std rows, with columns feature_names.
+    Per run r: run_ids[r], group_keys[r] and the rows
+    run_bounds[r]:run_bounds[r + 1]. Per edge e: parent[e] -> child[e],
+    two rows of one run; edges are sorted by child row, and a child's
+    parents keep the order of its parent_ids.
+    """
+
+    feature_names: tuple[str, ...]
+    ids: tuple[str, ...]
+    evaluation_index: np.ndarray
+    fitness_norm: np.ndarray
+    fitness_missing: np.ndarray
+    parent_frequency: np.ndarray
     features_raw: np.ndarray
     features_std: np.ndarray
+    run_ids: tuple[str, ...]
+    group_keys: tuple[tuple[str, str, str], ...]
+    run_bounds: np.ndarray
+    parent: np.ndarray
+    child: np.ndarray
 
-
-@dataclass(frozen=True, eq=False)
-class EvolutionGraph:
-    group_key: tuple[str, str, str]
-    run_id: str
-    feature_names: tuple[str, ...]
-    nodes: tuple[CegNode, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def to_dict(self) -> dict:
-        return {
-            "group_key": list(self.group_key),
-            "run_id": self.run_id,
-            "feature_names": list(self.feature_names),
-            "nodes": [
-                {
-                    "sample_id": n.sample_id,
-                    "evaluation_index": n.evaluation_index,
-                    "fitness_norm": n.fitness_norm,
-                    "parent_frequency": n.parent_frequency,
-                    "features_raw": [float(v) for v in n.features_raw],
-                    "features_std": [float(v) for v in n.features_std],
-                }
-                for n in self.nodes
-            ],
-            "edges": [[p, c] for p, c in self.edges],
-        }
-
-
-def feature_columns(graphs, names=None) -> tuple[tuple[str, ...], list[int]]:
-    """Check that `graphs` is non-empty and that all graphs share one
-    feature-name tuple; return the selected names and their column indices
-    (names=None selects every column). Unknown names raise ValueError."""
-    if not graphs:
-        raise ValueError("no evolution graphs given")
-    base = graphs[0].feature_names
-    for g in graphs:
-        if g.feature_names != base:
-            raise ValueError(f"graph {g.run_id!r} has mismatched feature names")
-    names = base if names is None else tuple(names)
-    missing = [name for name in names if name not in base]
-    if missing:
-        raise ValueError(f"unknown feature names: {', '.join(missing)}")
-    return names, [base.index(name) for name in names]
+    def edge_bounds(self) -> np.ndarray:
+        """Run r's edges are the edges edge_bounds()[r]:edge_bounds()[r + 1]."""
+        return np.searchsorted(self.child, self.run_bounds)
 
 
 def _float(v: float) -> str:
@@ -99,20 +70,11 @@ def _float(v: float) -> str:
     return float.__repr__(v)
 
 
-def _scalar(v) -> str:
-    """The int, float or None v as json writes it."""
-    if v is None:
-        return "null"
-    return _float(v) if isinstance(v, float) else int.__repr__(v)
-
-
-def _floats(row: np.ndarray) -> list[str]:
-    """The entries of the float array row as json writes them."""
-    return list(map(float.__repr__ if np.isfinite(row).all() else _float, row.tolist()))
-
-
-def _strings(values) -> list[str]:
-    return [json.dumps(v) for v in values]
+def _rows(M: np.ndarray) -> list[list[str]]:
+    """The rows of the float matrix M, each a list of its entries as json
+    writes them."""
+    finite = np.isfinite(M).all(axis=1).tolist()
+    return [list(map(float.__repr__ if ok else _float, row)) for ok, row in zip(finite, M.tolist())]
 
 
 def _layout(opening: str, items: list[str], closing: str, pad: str) -> str:
@@ -125,40 +87,49 @@ def _layout(opening: str, items: list[str], closing: str, pad: str) -> str:
     return opening + sep + ("," + sep).join(items) + "\n" + pad + closing
 
 
-def _graph_text(g: EvolutionGraph, pad: str) -> str:
-    """The text of json.dumps(g.to_dict(), indent=2) on a line that starts
-    with pad, written from the graph's fields without building the dict."""
-    inner, node_pad = pad + "  ", pad + "    "
+def graphs_to_json(table: CegTable) -> str:
+    """Serialize the evolution graphs, one object per run in graph order,
+    as json.dumps(..., indent=2) writes them, without json's pure-Python
+    indenting encoder: strings through json.dumps, ints by their repr,
+    floats as json writes them (_float) and a missing fitness as null.
+    Each run holds its group_key, run_id, feature_names, its nodes (each
+    with sample_id, evaluation_index, fitness_norm, parent_frequency,
+    features_raw and features_std) and its edges as [parent id, child id]."""
+    pad, inner, node_pad = "    ", "      ", "        "
     row_pad = node_pad + "  "
+    ids = [json.dumps(i) for i in table.ids]
+    names = _layout("[", [json.dumps(n) for n in table.feature_names], "]", inner)
+    fitness = [
+        "null" if missing else _float(f)
+        for f, missing in zip(table.fitness_norm.tolist(), table.fitness_missing.tolist())
+    ]
     nodes = [
         _layout("{", [
-            '"sample_id": ' + json.dumps(n.sample_id),
-            '"evaluation_index": ' + _scalar(n.evaluation_index),
-            '"fitness_norm": ' + _scalar(n.fitness_norm),
-            '"parent_frequency": ' + _scalar(n.parent_frequency),
-            '"features_raw": ' + _layout("[", _floats(n.features_raw), "]", row_pad),
-            '"features_std": ' + _layout("[", _floats(n.features_std), "]", row_pad),
+            '"sample_id": ' + sample_id,
+            '"evaluation_index": ' + int.__repr__(index),
+            '"fitness_norm": ' + f,
+            '"parent_frequency": ' + int.__repr__(freq),
+            '"features_raw": ' + _layout("[", raw, "]", row_pad),
+            '"features_std": ' + _layout("[", std, "]", row_pad),
         ], "}", node_pad)
-        for n in g.nodes
+        for sample_id, index, f, freq, raw, std in zip(
+            ids, table.evaluation_index.tolist(), fitness, table.parent_frequency.tolist(),
+            _rows(table.features_raw), _rows(table.features_std))
     ]
-    edges = [_layout("[", _strings(edge), "]", node_pad) for edge in g.edges]
-    return _layout("{", [
-        '"group_key": ' + _layout("[", _strings(g.group_key), "]", inner),
-        '"run_id": ' + json.dumps(g.run_id),
-        '"feature_names": ' + _layout("[", _strings(g.feature_names), "]", inner),
-        '"nodes": ' + _layout("[", nodes, "]", inner),
-        '"edges": ' + _layout("[", edges, "]", inner),
-    ], "}", pad)
-
-
-def graphs_to_json(graphs: list[EvolutionGraph]) -> str:
-    """Serialize a list of evolution graphs, stable ordering: the text of
-    json.dumps({"graphs": [g.to_dict() for g in graphs]}, indent=2), written
-    one graph at a time without json's pure-Python indenting encoder:
-    strings through json.dumps, ints by their repr, floats as json writes
-    them (_float) and None as null."""
-    items = [_graph_text(g, "    ") for g in graphs]
-    return '{\n  "graphs": ' + _layout("[", items, "]", "  ") + "\n}"
+    edges = [_layout("[", [ids[p], ids[c]], "]", node_pad)
+             for p, c in zip(table.parent.tolist(), table.child.tolist())]
+    bounds, edge_bounds = table.run_bounds.tolist(), table.edge_bounds().tolist()
+    runs = [
+        _layout("{", [
+            '"group_key": ' + _layout("[", [json.dumps(k) for k in key], "]", inner),
+            '"run_id": ' + json.dumps(run_id),
+            '"feature_names": ' + names,
+            '"nodes": ' + _layout("[", nodes[bounds[r]:bounds[r + 1]], "]", inner),
+            '"edges": ' + _layout("[", edges[edge_bounds[r]:edge_bounds[r + 1]], "]", inner),
+        ], "}", pad)
+        for r, (run_id, key) in enumerate(zip(table.run_ids, table.group_keys))
+    ]
+    return '{\n  "graphs": ' + _layout("[", runs, "]", "  ") + "\n}"
 
 
 def _minmax(value: float, lo: float, hi: float, direction: str) -> float:
@@ -187,13 +158,11 @@ def build_ceg(
     normalize: str = "minmax",
     direction: str = "maximize",
     norm_scope: str = "group",
-) -> list[EvolutionGraph]:
-    """Build one evolution graph per run.
+) -> CegTable:
+    """Build the evolution graphs of every run as one table.
 
     `features` holds the feature rows (see featurize_dataset); samples
-    without a row are skipped, and edges touching them dropped. Nodes hold
-    row views of the table's matrix and of one standardized matrix.
-    Returns graphs sorted by (group_key, run_id).
+    without a row are skipped, and edges touching them dropped.
     """
     if normalize not in ("minmax", "none"):
         raise ValueError(f"unknown normalize mode {normalize!r}")
@@ -204,21 +173,34 @@ def build_ceg(
 
     row_of = features.row_of()
     eligible = [s for s in dataset.samples if s.id in row_of]
-    if not eligible:
-        return []
 
-    # z-standardize features over every eligible sample
-    raw = features.values
-    std = np.zeros_like(raw)
-    rows = [row_of[s.id] for s in eligible]
-    block = raw[rows]
-    mean = block.mean(axis=0)
-    var = block.var(axis=0)
-    sd = np.sqrt(var)
-    safe = np.where(sd > 0.0, sd, 1.0)
-    z = (block - mean) / safe
-    z[:, sd == 0.0] = 0.0
-    std[rows] = z
+    # partition by run; graph order lists the eligible samples run by run
+    runs: dict[str, list[int]] = {}
+    for k, s in enumerate(eligible):
+        runs.setdefault(s.run_id, []).append(k)
+    keyed = []
+    for run_id, members in runs.items():
+        group_keys = {eligible[k].group_key for k in members}
+        if len(group_keys) > 1:
+            raise ValueError(
+                f"run {run_id!r} mixes group keys {sorted(group_keys)}"
+            )
+        keyed.append((group_keys.pop(), run_id, members))
+    keyed.sort(key=lambda run: run[:2])
+    order = [k for *_, members in keyed for k in members]
+    nodes = [eligible[k] for k in order]
+
+    # z-standardize features over every eligible sample in log order, the
+    # summation order of the mean and variance, then reorder once
+    raw = features.values[[row_of[s.id] for s in eligible]]
+    std = raw
+    if eligible:
+        mean = raw.mean(axis=0)
+        var = raw.var(axis=0)
+        sd = np.sqrt(var)
+        safe = np.where(sd > 0.0, sd, 1.0)
+        std = (raw - mean) / safe
+        std[:, sd == 0.0] = 0.0
 
     # fitness normalization statistics are pooled over the whole dataset
     # (also samples without features: their scores are still real results)
@@ -228,50 +210,33 @@ def build_ceg(
             pools.setdefault(_norm_key(s, norm_scope), []).append(s.fitness_raw)
     ranges = {key: (min(pool), max(pool)) for key, pool in pools.items()}
 
-    def fitness_norm(s: CodeSample) -> float | None:
-        if normalize == "none" or s.fitness_raw is None:
+    def fitness_norm(s: CodeSample) -> float:
+        if s.fitness_raw is None:
+            return math.nan
+        if normalize == "none":
             return s.fitness_raw
         return _minmax(s.fitness_raw, *ranges[_norm_key(s, norm_scope)], direction)
 
-    # partition by run, build nodes and edges
-    runs: dict[str, list[CodeSample]] = {}
-    for s in eligible:
-        runs.setdefault(s.run_id, []).append(s)
-
-    graphs: list[EvolutionGraph] = []
-    for run_id, samples in runs.items():
-        group_keys = {s.group_key for s in samples}
-        if len(group_keys) > 1:
-            raise ValueError(
-                f"run {run_id!r} mixes group keys {sorted(group_keys)}"
-            )
-        edges: list[tuple[str, str]] = []
-        out_degree: dict[str, int] = {s.id: 0 for s in samples}
-        for s in samples:
-            for pid in s.parent_ids:
-                if pid in out_degree:
-                    edges.append((pid, s.id))
-                    out_degree[pid] += 1
-        nodes = tuple(
-            CegNode(
-                sample_id=s.id,
-                evaluation_index=s.evaluation_index,
-                fitness_norm=fitness_norm(s),
-                parent_frequency=out_degree[s.id],
-                features_raw=raw[row_of[s.id]],
-                features_std=std[row_of[s.id]],
-            )
-            for s in samples
-        )
-        graphs.append(
-            EvolutionGraph(
-                group_key=group_keys.pop(),
-                run_id=run_id,
-                feature_names=features.names,
-                nodes=nodes,
-                edges=tuple(edges),
-            )
-        )
-
-    graphs.sort(key=lambda g: (g.group_key, g.run_id))
-    return graphs
+    row = {s.id: i for i, s in enumerate(nodes)}
+    edges = [
+        (row[pid], i)
+        for i, s in enumerate(nodes)
+        for pid in s.parent_ids
+        if pid in row and nodes[row[pid]].run_id == s.run_id
+    ]
+    parent, child = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return CegTable(
+        feature_names=features.names,
+        ids=tuple(s.id for s in nodes),
+        evaluation_index=np.array([s.evaluation_index for s in nodes], dtype=np.int64),
+        fitness_norm=np.array([fitness_norm(s) for s in nodes], dtype=float),
+        fitness_missing=np.array([s.fitness_raw is None for s in nodes], dtype=bool),
+        parent_frequency=np.bincount(parent, minlength=len(nodes)),
+        features_raw=raw[order],
+        features_std=std[order],
+        run_ids=tuple(run_id for _, run_id, _ in keyed),
+        group_keys=tuple(key for key, *_ in keyed),
+        run_bounds=np.cumsum([0] + [len(members) for *_, members in keyed]),
+        parent=parent,
+        child=child,
+    )

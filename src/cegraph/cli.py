@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES
-from .ceg import build_ceg, feature_columns, graphs_to_json
+from .ceg import build_ceg, graphs_to_json
 from .embed import correlation_table, pca, tsne
 from .features import ALL_FEATURE_NAMES, featurize_dataset, resolve_feature_set
 from .ingest import ValidationError, load_jsonl, validate
@@ -153,11 +153,10 @@ def _y_axis(spelling: str, names) -> str:
     return name
 
 
-def _standardized(graphs, names) -> np.ndarray:
+def _standardized(ceg, names) -> np.ndarray:
     """Projection input: the named standardized feature columns, one row
     per node in graph order."""
-    _, cols = feature_columns(graphs, names)
-    return np.array([n.features_std[cols] for g in graphs for n in g.nodes])
+    return ceg.features_std[:, [ceg.feature_names.index(name) for name in names]]
 
 
 def _run(args) -> int:
@@ -197,14 +196,14 @@ def _run(args) -> int:
     if not table.ids and "features" in artifacts:
         raise ValidationError("no sample produced a feature vector")
     if artifacts != ("features",):
-        graphs = build_ceg(
+        ceg = build_ceg(
             dataset,
             table,
             normalize=args.normalize,
             direction=args.direction,
             norm_scope=args.norm_scope,
         )
-        if not graphs:
+        if not ceg.ids:
             raise ValidationError("no evolution graphs could be built")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -222,22 +221,21 @@ def _run(args) -> int:
             )
             names.append("features.csv")
         if "ceg" in artifacts:
-            write("ceg.json", graphs_to_json(graphs))
+            write("ceg.json", graphs_to_json(ceg))
             if y_axis == "pc1":
-                pc = pca(_standardized(graphs, feature_set or AST_FEATURE_NAMES), 1)
+                pc = pca(_standardized(ceg, feature_set or AST_FEATURE_NAMES), 1)
                 y_values, y_label = pc.projected[:, 0], "PC1"
                 annotation = f"PC1 ({float(pc.explained_variance_ratio[0]):.2f})"
             else:
-                col = table.names.index(y_axis)
-                y_values = [n.features_raw[col] for g in graphs for n in g.nodes]
+                y_values = ceg.features_raw[:, ceg.feature_names.index(y_axis)]
                 y_label, annotation = y_axis, ""
-            write(f"ceg_{y_axis}.svg", render_ceg(graphs, y_values, y_label, annotation))
+            write(f"ceg_{y_axis}.svg", render_ceg(ceg, y_values, y_label, annotation))
         if "tsne" in artifacts:
             # keep the perplexity inside [1, (n - 1) / 3]
-            n = sum(g.node_count for g in graphs)
+            n = len(ceg.ids)
             perplexity = min(max(args.perplexity, 1.0), max(1.0, (n - 1) / 3.0))
             embedding = tsne(
-                _standardized(graphs, feature_set or ALL_FEATURE_NAMES),
+                _standardized(ceg, feature_set or ALL_FEATURE_NAMES),
                 perplexity=perplexity,
                 seed=args.seed,
                 iterations=args.iterations,
@@ -248,9 +246,9 @@ def _run(args) -> int:
                     f"using {perplexity:g}",
                     file=sys.stderr,
                 )
-            write("tsne.svg", render_tsne(graphs, embedding.coords))
+            write("tsne.svg", render_tsne(ceg, embedding.coords))
         if "correlations" in artifacts:
-            corr = correlation_table(graphs, feature_set or ALL_FEATURE_NAMES)
+            corr = correlation_table(ceg, feature_set or ALL_FEATURE_NAMES)
             write("correlations.csv", corr.to_csv())
             write("heatmap.svg", render_heatmap(corr))
         # os.replace cannot put a file where a directory is; finding that

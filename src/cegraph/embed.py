@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ceg import feature_columns
-
 
 @dataclass(frozen=True, eq=False)
 class PcaResult:
@@ -549,24 +547,25 @@ class CorrelationTable:
         return buf.getvalue()
 
 
-def correlation_table(graphs, feature_names=None) -> CorrelationTable:
-    """Pool nodes per group across runs and correlate each feature's raw
-    values with normalized fitness, each cell as spearman gives it; a
-    group's selected features are ranked in one call (_spearman_rows)."""
-    names, cols = feature_columns(graphs, feature_names or None)
+def correlation_table(table, feature_names=None) -> CorrelationTable:
+    """Pool the nodes of each group's runs, a range of the CegTable's
+    rows, and correlate each feature's raw values with normalized
+    fitness, each cell as spearman gives it; a group's selected features
+    are ranked in one call (_spearman_rows)."""
+    if not table.run_ids:
+        raise ValueError("no evolution graphs given")
+    names = tuple(feature_names or table.feature_names)
+    missing = [name for name in names if name not in table.feature_names]
+    if missing:
+        raise ValueError(f"unknown feature names: {', '.join(missing)}")
+    cols = [table.feature_names.index(name) for name in names]
 
-    pooled: dict[tuple[str, str, str], list] = {}
-    for g in graphs:
-        pooled.setdefault(g.group_key, []).extend(g.nodes)
-
-    groups = tuple(sorted(pooled))
-    rows = []
-    for key in groups:
-        nodes = pooled[key]
-        fitness = np.array(
-            [np.nan if n.fitness_norm is None else n.fitness_norm for n in nodes], dtype=float
-        )
-        # one row per selected feature
-        F = np.array([n.features_raw for n in nodes], dtype=float).T[cols]
-        rows.append(tuple(_spearman_rows(F, fitness)))
-    return CorrelationTable(groups=groups, feature_names=names, values=tuple(rows))
+    keys = table.group_keys
+    firsts = [r for r in range(len(keys)) if r == 0 or keys[r] != keys[r - 1]]
+    bounds = table.run_bounds[firsts + [len(keys)]].tolist()
+    rows = [
+        tuple(_spearman_rows(table.features_raw[lo:hi].T[cols], table.fitness_norm[lo:hi]))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return CorrelationTable(groups=tuple(keys[r] for r in firsts), feature_names=names,
+                            values=tuple(rows))

@@ -93,9 +93,9 @@ def _parse_sample(obj: dict, lineno: int, base_dir: Path) -> CodeSample:
     benchmark = _require_str(obj, "benchmark", lineno, default="")
 
     eval_index = obj.get("evaluation_index")
-    if not isinstance(eval_index, int) or isinstance(eval_index, bool) or eval_index < 0:
+    if not isinstance(eval_index, int) or isinstance(eval_index, bool) or not 0 <= eval_index < 2**63:
         raise SchemaError(
-            f"line {lineno}: evaluation_index must be a non-negative integer"
+            f"line {lineno}: evaluation_index must be an integer in [0, 2**63)"
         )
 
     parents = obj.get("parent_ids", [])

@@ -17,7 +17,7 @@ parses as XML. Elements carry class attributes (node, edge, point, cell,
 
 from __future__ import annotations
 
-from itertools import groupby, islice
+from itertools import groupby
 
 import numpy as np
 
@@ -124,10 +124,10 @@ def _marker(shape: str, x: float, y: float, r: float, color: str, hollow: bool) 
     return _el("polygon", {"class": "point", "points": points, **style})
 
 
-def _per_node(graphs, values, row_shape: tuple, what: str) -> np.ndarray:
+def _per_node(table, values, row_shape: tuple, what: str) -> np.ndarray:
     """`values` as a float array holding one row of row_shape per node of
-    `graphs`, in graph order; ValueError, naming `what`, otherwise."""
-    n = sum(len(g.nodes) for g in graphs)
+    the CegTable, in graph order; ValueError, naming `what`, otherwise."""
+    n = len(table.ids)
     if not n:
         raise ValueError("empty node set")
     values = np.asarray(values, dtype=float)
@@ -136,20 +136,17 @@ def _per_node(graphs, values, row_shape: tuple, what: str) -> np.ndarray:
     return values
 
 
-def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> str:
-    """Grid of lineage plots: rows are (benchmark, method, llm) groups,
-    columns are runs, x is evaluation index and y is y_values, one value
-    per node in graph order, labeled y_label. A non-empty annotation (such
-    as the explained variance of PC1) is printed above the grid. Marker
-    area tracks parent frequency; samples without fitness are drawn
-    hollow."""
-    y_values = _per_node(graphs, y_values, (), "y value")
-    ys = iter(y_values.tolist())
-    grid = sorted(
-        ((g, list(islice(ys, len(g.nodes)))) for g in graphs),
-        key=lambda cell: (cell[0].group_key, cell[0].run_id),
-    )
-    rows = [list(row) for _, row in groupby(grid, key=lambda cell: cell[0].group_key)]
+def render_ceg(table, y_values, y_label: str, annotation: str = "") -> str:
+    """Grid of lineage plots of a CegTable: rows are (benchmark, method,
+    llm) groups, columns are runs, x is evaluation index and y is
+    y_values, one value per node in graph order, labeled y_label. A
+    non-empty annotation (such as the explained variance of PC1) is
+    printed above the grid. Marker area tracks parent frequency; samples
+    without fitness are drawn hollow."""
+    y_values = _per_node(table, y_values, (), "y value")
+    # runs come sorted by group key: each group's runs are one grid row
+    rows = [list(runs) for _, runs in groupby(range(len(table.run_ids)),
+                                              key=table.group_keys.__getitem__)]
     ncols = max(len(row) for row in rows)
 
     margin_left, margin_top = 150.0, 50.0
@@ -159,9 +156,13 @@ def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> str:
     width = margin_left + ncols * cw + (ncols - 1) * gap + margin_right
     height = margin_top + len(rows) * ch + (len(rows) - 1) * gap + margin_bottom
 
-    xs = [n.evaluation_index for g in graphs for n in g.nodes]
-    x_lo, x_hi = float(min(xs)), float(max(xs))
+    x_lo, x_hi = float(table.evaluation_index.min()), float(table.evaluation_index.max())
     y_lo, y_hi = float(np.min(y_values)), float(np.max(y_values))
+    xs, ys = table.evaluation_index.tolist(), y_values.tolist()
+    radii = (BASE_RADIUS * (1.0 + table.parent_frequency)).tolist()
+    hollow = table.fitness_missing.tolist()
+    parent, child = table.parent.tolist(), table.child.tolist()
+    bounds, edge_bounds = table.run_bounds.tolist(), table.edge_bounds().tolist()
 
     parts = []
     if annotation:
@@ -170,47 +171,46 @@ def render_ceg(graphs, y_values, y_label: str, annotation: str = "") -> str:
     parts.append(_el("text", {"class": "axis-label", "x": width / 2, "y": height - 10,
                               "font-size": 12, "text-anchor": "middle"}, "evaluation index"))
     pad = 10.0
-    for row, cells in enumerate(rows):
+    for row, runs in enumerate(rows):
         color = PALETTE[row % len(PALETTE)]
         cell_y = margin_top + row * (ch + gap)
         parts.append(_el("text", {"class": "row-label", "x": margin_left - 10, "y": cell_y + ch / 2,
                                   "font-size": 11, "text-anchor": "end", "fill": color},
-                         "/".join(cells[0][0].group_key)))
-        for col, (g, g_ys) in enumerate(cells):
+                         "/".join(table.group_keys[runs[0]])))
+        for col, r in enumerate(runs):
             cell_x = margin_left + col * (cw + gap)
             sx = _Scale(x_lo, x_hi, cell_x + pad, cell_x + cw - pad)
             sy = _Scale(y_lo, y_hi, cell_y + ch - pad, cell_y + pad)
             parts.append(_el("rect", {"class": "cell-frame", "x": cell_x, "y": cell_y, "width": cw,
                                       "height": ch, "fill": "none", "stroke": "#999999"}))
             parts.append(_el("text", {"class": "col-label", "x": cell_x + cw / 2, "y": cell_y - 3,
-                                      "font-size": 11, "text-anchor": "middle"}, g.run_id))
-            at = {n.sample_id: (sx(n.evaluation_index), sy(y)) for n, y in zip(g.nodes, g_ys)}
-            for pid, cid in g.edges:
-                (x1, y1), (x2, y2) = at[pid], at[cid]
-                parts.append(_el("line", {"class": "edge", "x1": x1, "y1": y1, "x2": x2, "y2": y2,
+                                      "font-size": 11, "text-anchor": "middle"}, table.run_ids[r]))
+            lo, hi = bounds[r], bounds[r + 1]
+            px, py = [sx(x) for x in xs[lo:hi]], [sy(y) for y in ys[lo:hi]]
+            for p, c in zip(parent[edge_bounds[r]:edge_bounds[r + 1]],
+                            child[edge_bounds[r]:edge_bounds[r + 1]]):
+                parts.append(_el("line", {"class": "edge", "x1": px[p - lo], "y1": py[p - lo],
+                                          "x2": px[c - lo], "y2": py[c - lo],
                                           "stroke": "#888888", "stroke-width": "0.8"}))
-            for n in g.nodes:
-                x, y = at[n.sample_id]
-                r = BASE_RADIUS * (1.0 + n.parent_frequency)
+            for x, y, radius, empty in zip(px, py, radii[lo:hi], hollow[lo:hi]):
                 parts.append(_el("circle", {
-                    "class": "node", "cx": x, "cy": y, "r": r,
-                    "fill": "none" if n.fitness_norm is None else color, "stroke": color,
+                    "class": "node", "cx": x, "cy": y, "r": radius,
+                    "fill": "none" if empty else color, "stroke": color,
                     "stroke-width": "1.0", "fill-opacity": "0.75"}))
     parts.append(_el("text", {"class": "axis-label", "x": 14, "y": margin_top - 8,
                               "font-size": 12}, y_label))
     return _svg(width, height, parts)
 
 
-def render_tsne(graphs, coords) -> str:
-    """Scatter of every node across all runs at coords, one (x, y) row
-    per node in graph order. Color encodes the (method, llm) pair, marker
+def render_tsne(table, coords) -> str:
+    """Scatter of every node of a CegTable at coords, one (x, y) row per
+    node in graph order. Color encodes the (method, llm) pair, marker
     shape cycles per run, marker size grows with normalized fitness;
     missing fitness renders hollow at minimum size."""
-    coords = _per_node(graphs, coords, (2,), "(x, y) row")
-    drawn = [g for g in graphs if g.nodes]
-    pairs = sorted({g.group_key[1:] for g in drawn})
+    coords = _per_node(table, coords, (2,), "(x, y) row")
+    pairs = sorted({key[1:] for key in table.group_keys})
     color_of = {p: PALETTE[i % len(PALETTE)] for i, p in enumerate(pairs)}
-    run_ids = sorted({g.run_id for g in drawn})
+    run_ids = sorted(table.run_ids)
     shape_of = {r: MARKER_SHAPES[i % len(MARKER_SHAPES)] for i, r in enumerate(run_ids)}
 
     plot_w, plot_h = 460.0, 420.0
@@ -224,17 +224,18 @@ def render_tsne(graphs, coords) -> str:
     r_min, r_max = 3.0, 9.0
     parts = [_el("rect", {"class": "plot-frame", "x": margin, "y": margin, "width": plot_w,
                           "height": plot_h, "fill": "none", "stroke": "#999999"})]
-    xy = iter(coords.tolist())
-    for g in drawn:
-        for n, (x, y) in zip(g.nodes, xy):
-            if n.fitness_norm is None:
-                r, hollow = r_min, True
+    xy = coords.tolist()
+    fitness, missing = table.fitness_norm.tolist(), table.fitness_missing.tolist()
+    bounds = table.run_bounds.tolist()
+    for r, (run_id, key) in enumerate(zip(table.run_ids, table.group_keys)):
+        for i in range(bounds[r], bounds[r + 1]):
+            if missing[i]:
+                radius, hollow = r_min, True
             else:
-                t = min(max(float(n.fitness_norm), 0.0), 1.0)
-                r, hollow = r_min + t * (r_max - r_min), False
-            parts.append(
-                _marker(shape_of[g.run_id], sx(x), sy(y), r, color_of[g.group_key[1:]], hollow)
-            )
+                t = min(max(fitness[i], 0.0), 1.0)
+                radius, hollow = r_min + t * (r_max - r_min), False
+            x, y = xy[i]
+            parts.append(_marker(shape_of[run_id], sx(x), sy(y), radius, color_of[key[1:]], hollow))
 
     lx = margin + plot_w + 20.0
     ly = margin + 10.0

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cegraph.ceg import CegNode, EvolutionGraph, build_ceg, graphs_to_json
+import oracles
+from cegraph.ceg import build_ceg, graphs_to_json
 from cegraph.features import FeatureTable, featurize_dataset
 from cegraph.ingest import CodeSample, Dataset, load_jsonl, validate
 from synth import write_synthetic_log
@@ -41,6 +42,17 @@ def simple_objs(fitnesses, run_id="r", chain=False, **common):
     return objs
 
 
+def norms(ceg):
+    """fitness_norm per node, None where it is missing."""
+    return [None if missing else f
+            for f, missing in zip(ceg.fitness_norm.tolist(), ceg.fitness_missing.tolist())]
+
+
+def edges_of(ceg):
+    """The edges as (parent id, child id) pairs."""
+    return [(ceg.ids[p], ceg.ids[c]) for p, c in zip(ceg.parent.tolist(), ceg.child.tolist())]
+
+
 @pytest.fixture(scope="module")
 def synthetic(tmp_path_factory):
     path = tmp_path_factory.mktemp("synth") / "run.jsonl"
@@ -53,64 +65,55 @@ def synthetic(tmp_path_factory):
 
 def test_one_graph_per_run_with_expected_counts(synthetic):
     ds, table = synthetic
-    graphs = build_ceg(ds, table)
-    by_run = {g.run_id: g for g in graphs}
-    assert set(by_run) == {"chain-01", "pop-01", "rs-01"}
-    assert by_run["chain-01"].node_count == 12
-    assert by_run["chain-01"].edge_count == 11
-    assert by_run["pop-01"].node_count == 44
-    assert by_run["pop-01"].edge_count == 40
-    assert by_run["rs-01"].node_count == 10
-    assert by_run["rs-01"].edge_count == 0
-    # graphs sorted by (group_key, run_id)
-    assert [g.run_id for g in graphs] == ["pop-01", "chain-01", "rs-01"]
+    ceg = build_ceg(ds, table)
+    # runs sorted by (group_key, run_id)
+    assert ceg.run_ids == ("pop-01", "chain-01", "rs-01")
+    assert np.diff(ceg.run_bounds).tolist() == [44, 12, 10]
+    assert np.diff(ceg.edge_bounds()).tolist() == [40, 11, 0]
 
 
 def test_edges_match_validated_parent_ids(synthetic):
     ds, table = synthetic
-    graphs = build_ceg(ds, table)
-    for g in graphs:
+    ceg = build_ceg(ds, table)
+    edges, bounds = edges_of(ceg), ceg.edge_bounds()
+    for r, run_id in enumerate(ceg.run_ids):
         expected = [
             (pid, s.id)
             for s in ds.samples
-            if s.run_id == g.run_id
+            if s.run_id == run_id
             for pid in s.parent_ids
         ]
-        assert sorted(g.edges) == sorted(expected)
+        assert sorted(edges[bounds[r]:bounds[r + 1]]) == sorted(expected)
 
 
 def test_parent_frequency_is_out_degree(synthetic):
     ds, table = synthetic
-    graphs = build_ceg(ds, table)
-    for g in graphs:
-        out = {n.sample_id: 0 for n in g.nodes}
-        for p, _ in g.edges:
-            out[p] += 1
-        for n in g.nodes:
-            assert n.parent_frequency == out[n.sample_id]
+    ceg = build_ceg(ds, table)
+    out = {sample_id: 0 for sample_id in ceg.ids}
+    for p, _ in edges_of(ceg):
+        out[p] += 1
+    assert ceg.parent_frequency.tolist() == [out[sample_id] for sample_id in ceg.ids]
 
 
 def test_minmax_per_run_example(tmp_path):
     ds = make_dataset(tmp_path, simple_objs([10.0, 30.0, 20.0]))
     table, _ = featurize_dataset(ds)
-    (g,) = build_ceg(ds, table, norm_scope="run")
-    norms = [n.fitness_norm for n in g.nodes]
-    assert norms == pytest.approx([0.0, 1.0, 0.5])
+    ceg = build_ceg(ds, table, norm_scope="run")
+    assert norms(ceg) == pytest.approx([0.0, 1.0, 0.5])
 
 
 def test_direction_minimize_maps_best_to_one(tmp_path):
     ds = make_dataset(tmp_path, simple_objs([10.0, 30.0, 20.0]))
     table, _ = featurize_dataset(ds)
-    (g,) = build_ceg(ds, table, norm_scope="run", direction="minimize")
-    norms = [n.fitness_norm for n in g.nodes]
-    assert norms == pytest.approx([1.0, 0.0, 0.5])
+    ceg = build_ceg(ds, table, norm_scope="run", direction="minimize")
+    assert norms(ceg) == pytest.approx([1.0, 0.0, 0.5])
 
 
 def test_all_equal_fitness_maps_to_one(tmp_path):
     ds = make_dataset(tmp_path, simple_objs([7.0, 7.0, 7.0]))
     table, _ = featurize_dataset(ds)
-    (g,) = build_ceg(ds, table, norm_scope="run")
-    assert [n.fitness_norm for n in g.nodes] == [1.0, 1.0, 1.0]
+    ceg = build_ceg(ds, table, norm_scope="run")
+    assert norms(ceg) == [1.0, 1.0, 1.0]
 
 
 def test_missing_fitness_preserved(tmp_path):
@@ -118,10 +121,9 @@ def test_missing_fitness_preserved(tmp_path):
     objs[1]["fitness_raw"] = None
     ds = make_dataset(tmp_path, objs)
     table, _ = featurize_dataset(ds)
-    (g,) = build_ceg(ds, table, norm_scope="run")
-    norms = [n.fitness_norm for n in g.nodes]
-    assert norms[1] is None
-    assert norms[0] == 0.0 and norms[2] == 1.0
+    got = norms(build_ceg(ds, table, norm_scope="run"))
+    assert got[1] is None
+    assert got[0] == 0.0 and got[2] == 1.0
 
 
 def test_group_scope_pools_runs_sharing_benchmark_and_method(tmp_path):
@@ -129,15 +131,13 @@ def test_group_scope_pools_runs_sharing_benchmark_and_method(tmp_path):
     objs += simple_objs([2.0, 4.0], run_id="r2", benchmark="b", method="m")
     ds = make_dataset(tmp_path, objs)
     table, _ = featurize_dataset(ds)
-    graphs = build_ceg(ds, table, norm_scope="group")
-    norms = {
-        n.sample_id: n.fitness_norm for g in graphs for n in g.nodes
-    }
+    ceg = build_ceg(ds, table, norm_scope="group")
+    got = dict(zip(ceg.ids, norms(ceg)))
     # pooled min 0, max 4
-    assert norms["r1-s0"] == 0.0
-    assert norms["r1-s1"] == pytest.approx(0.25)
-    assert norms["r2-s0"] == pytest.approx(0.5)
-    assert norms["r2-s1"] == 1.0
+    assert got["r1-s0"] == 0.0
+    assert got["r1-s1"] == pytest.approx(0.25)
+    assert got["r2-s0"] == pytest.approx(0.5)
+    assert got["r2-s1"] == 1.0
 
 
 def test_global_scope_pools_everything(tmp_path):
@@ -145,25 +145,24 @@ def test_global_scope_pools_everything(tmp_path):
     objs += simple_objs([3.0, 4.0], run_id="r2", benchmark="b2", method="m2")
     ds = make_dataset(tmp_path, objs)
     table, _ = featurize_dataset(ds)
-    graphs = build_ceg(ds, table, norm_scope="global")
-    norms = {n.sample_id: n.fitness_norm for g in graphs for n in g.nodes}
-    assert norms["r1-s0"] == 0.0
-    assert norms["r2-s1"] == 1.0
-    assert norms["r1-s1"] == pytest.approx(0.25)
+    ceg = build_ceg(ds, table, norm_scope="global")
+    got = dict(zip(ceg.ids, norms(ceg)))
+    assert got["r1-s0"] == 0.0
+    assert got["r2-s1"] == 1.0
+    assert got["r1-s1"] == pytest.approx(0.25)
 
 
 def test_normalize_none_passes_raw_through(tmp_path):
     ds = make_dataset(tmp_path, simple_objs([10.0, 30.0, 20.0]))
     table, _ = featurize_dataset(ds)
-    (g,) = build_ceg(ds, table, normalize="none")
-    assert [n.fitness_norm for n in g.nodes] == [10.0, 30.0, 20.0]
+    ceg = build_ceg(ds, table, normalize="none")
+    assert norms(ceg) == [10.0, 30.0, 20.0]
 
 
 def test_standardized_columns_have_zero_mean_unit_variance(synthetic):
     ds, table = synthetic
-    graphs = build_ceg(ds, table)
-    X = np.vstack([n.features_std for g in graphs for n in g.nodes])
-    raw = np.vstack([n.features_raw for g in graphs for n in g.nodes])
+    ceg = build_ceg(ds, table)
+    X, raw = ceg.features_std, ceg.features_raw
     for j in range(X.shape[1]):
         if np.var(raw[:, j]) == 0.0:
             assert np.all(X[:, j] == 0.0)
@@ -181,9 +180,9 @@ def test_constant_column_standardizes_to_zero(tmp_path):
     ]
     ds = make_dataset(tmp_path, objs)
     table, _ = featurize_dataset(ds)
-    (g,) = build_ceg(ds, table)
-    for n in g.nodes:
-        assert np.all(n.features_std == 0.0)
+    ceg = build_ceg(ds, table)
+    assert ceg.features_std.shape == (3, len(table.names))
+    assert np.all(ceg.features_std == 0.0)
 
 
 def test_samples_without_features_are_skipped_with_edges(tmp_path):
@@ -192,9 +191,9 @@ def test_samples_without_features_are_skipped_with_edges(tmp_path):
     ds = make_dataset(tmp_path, objs)
     table, failures = featurize_dataset(ds)
     assert set(failures) == {"r-s1"}
-    (g,) = build_ceg(ds, table)
-    assert g.node_count == 2
-    assert g.edge_count == 0  # both edges touched the dropped node
+    ceg = build_ceg(ds, table)
+    assert ceg.ids == ("r-s0", "r-s2")
+    assert len(ceg.parent) == len(ceg.child) == 0  # both edges touched the dropped node
 
 
 def test_feature_name_mismatch_is_fatal(tmp_path):
@@ -217,13 +216,14 @@ def test_mixed_group_key_within_run_is_fatal(tmp_path):
 
 def test_empty_feature_table_gives_no_graphs(tmp_path):
     ds = make_dataset(tmp_path, simple_objs([1.0]))
-    assert build_ceg(ds, FeatureTable((), (), np.empty((0, 0)))) == []
+    ceg = build_ceg(ds, FeatureTable((), (), np.empty((0, 0))))
+    assert ceg.ids == () and ceg.run_ids == () and len(ceg.parent) == 0
+    assert graphs_to_json(ceg) == json.dumps({"graphs": []}, indent=2)
 
 
 def test_json_export_schema(synthetic):
     ds, table = synthetic
-    graphs = build_ceg(ds, table)
-    payload = json.loads(graphs_to_json(graphs))
+    payload = json.loads(graphs_to_json(build_ceg(ds, table)))
     assert set(payload) == {"graphs"}
     g = payload["graphs"][0]
     assert set(g) == {"group_key", "run_id", "feature_names", "nodes", "edges"}
@@ -245,41 +245,52 @@ def test_json_export_schema(synthetic):
                 assert 0.0 <= n["fitness_norm"] <= 1.0
 
 
+def runs_of(ceg, runs):
+    """The given runs of ceg as a table built by hand."""
+    def run(r):
+        lo, hi = int(ceg.run_bounds[r]), int(ceg.run_bounds[r + 1])
+        nodes = [(ceg.ids[i], int(ceg.evaluation_index[i]),
+                  None if ceg.fitness_missing[i] else float(ceg.fitness_norm[i]),
+                  int(ceg.parent_frequency[i]), ceg.features_raw[i], ceg.features_std[i])
+                 for i in range(lo, hi)]
+        edges = [(p - lo, c - lo) for p, c in zip(ceg.parent.tolist(), ceg.child.tolist())
+                 if lo <= c < hi]
+        return ceg.group_keys[r], ceg.run_ids[r], nodes, edges
+
+    return oracles.ceg_table(ceg.feature_names, [run(r) for r in runs])
+
+
 def test_json_export_is_one_dumps_of_every_graph(synthetic):
-    # built one graph at a time, with the bytes of one json.dumps of them all
+    # built from the table, with the bytes of one json.dumps of every run
     ds, table = synthetic
-    graphs = build_ceg(ds, table)
-    assert len(graphs) == 3
-    for part in (graphs, graphs[1:2], []):
-        want = json.dumps({"graphs": [g.to_dict() for g in part]}, indent=2)
+    ceg = build_ceg(ds, table)
+    assert len(ceg.run_ids) == 3
+    for part in (ceg, runs_of(ceg, range(3)), runs_of(ceg, [1]), runs_of(ceg, [])):
+        want = json.dumps(oracles.ceg_document(part), indent=2)
         assert graphs_to_json(part) == want
+    assert graphs_to_json(runs_of(ceg, range(3))) == graphs_to_json(ceg)
 
 
-def _graph(run_id, ids, fitness, raw, edges=(), names=("a", "b")):
-    raw = np.array(raw, dtype=float).reshape(len(ids), len(names))
-    nodes = tuple(
-        CegNode(sample_id=i, evaluation_index=k, fitness_norm=f, parent_frequency=k % 2,
-                features_raw=row, features_std=-row)
-        for k, (i, f, row) in enumerate(zip(ids, fitness, raw))
-    )
-    return EvolutionGraph(group_key=("b\\", 'm"', "\u00e9"), run_id=run_id, feature_names=names,
-                          nodes=nodes, edges=tuple(edges))
+def _run(run_id, ids, fitness, raw, edges=(), k=2):
+    raw = np.array(raw, dtype=float).reshape(len(ids), k)
+    nodes = [(i, n, f, n % 2, row, -row) for n, (i, f, row) in enumerate(zip(ids, fitness, raw))]
+    return ("b\\", 'm"', "\u00e9"), run_id, nodes, edges
 
 
 def test_json_export_writes_what_json_dumps_writes():
     # escapes in every string field, missing fitness, a run without edges,
-    # non-finite and extreme features, and a graph without features
+    # non-finite and extreme features, and a table without features
     ids = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "\u00fc\u4e2d\U0001f600", "\u2028"]
-    graphs = [
-        _graph('run "1"', ids, [None, 0.5, 1.0, None, 1e-300],
-               [[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 1.7976931348623157e308],
-                [0.1, 1e16], [-1.5, 3.0]],
-               edges=[(ids[0], ids[1]), (ids[1], ids[4])]),
-        _graph("no edges", ids[:2], [0.25, None], [[1.0, 2.0], [3.0, 4.0]]),
-        _graph("no features", ids[:1], [0.0], [], names=()),
+    runs = [
+        _run('run "1"', ids, [None, 0.5, 1.0, None, 1e-300],
+             [[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 1.7976931348623157e308],
+              [0.1, 1e16], [-1.5, 3.0]],
+             edges=[(0, 1), (1, 4)]),
+        _run("no edges", ids[:2], [0.25, None], [[1.0, 2.0], [3.0, 4.0]]),
     ]
-    for part in (graphs, graphs[1:], graphs[2:]):
-        want = json.dumps({"graphs": [g.to_dict() for g in part]}, indent=2)
+    for part in (oracles.ceg_table(("a", "b"), runs), oracles.ceg_table(("a", "b"), runs[1:]),
+                 oracles.ceg_table((), [_run("no features", ids[:1], [0.0], [], k=0)])):
+        want = json.dumps(oracles.ceg_document(part), indent=2)
         assert graphs_to_json(part) == want
 
 
@@ -290,8 +301,8 @@ def test_json_export_writes_what_json_dumps_writes():
        st.text())
 def test_json_export_of_any_ids_and_floats_is_json_dumps(nodes, run_id):
     ids, fitness, raw = zip(*nodes)
-    g = _graph(run_id, ids, fitness, raw, edges=[(ids[0], ids[-1])])
-    assert graphs_to_json([g]) == json.dumps({"graphs": [g.to_dict()]}, indent=2)
+    ceg = oracles.ceg_table(("a", "b"), [_run(run_id, ids, fitness, raw, edges=[(0, len(ids) - 1)])])
+    assert graphs_to_json(ceg) == json.dumps(oracles.ceg_document(ceg), indent=2)
 
 
 def test_rank_order_preserved_under_monotone_fitness_transform(tmp_path):
@@ -306,10 +317,8 @@ def test_rank_order_preserved_under_monotone_fitness_transform(tmp_path):
     ds_b, _ = validate(load_jsonl(path_b))
     ta, _ = featurize_dataset(ds_a)
     tb, _ = featurize_dataset(ds_b)
-    (ga,) = build_ceg(ds_a, ta, norm_scope="run")
-    (gb,) = build_ceg(ds_b, tb, norm_scope="run")
-    ranks_a = np.argsort([n.fitness_norm for n in ga.nodes])
-    ranks_b = np.argsort([n.fitness_norm for n in gb.nodes])
+    ranks_a = np.argsort(build_ceg(ds_a, ta, norm_scope="run").fitness_norm)
+    ranks_b = np.argsort(build_ceg(ds_b, tb, norm_scope="run").fitness_norm)
     assert list(ranks_a) == list(ranks_b)
 
 
@@ -317,9 +326,9 @@ def test_fitness_range_beyond_float_still_normalizes(tmp_path):
     # hi - lo overflows to inf; inf / inf used to give NaN, which is not JSON
     ds = make_dataset(tmp_path, simple_objs([1e308, -1e308, 0.0]))
     table, _ = featurize_dataset(ds)
-    (g,) = build_ceg(ds, table)
-    assert [n.fitness_norm for n in g.nodes] == [1.0, 0.0, 0.5]
-    json.loads(graphs_to_json([g]), parse_constant=pytest.fail)
+    ceg = build_ceg(ds, table)
+    assert norms(ceg) == [1.0, 0.0, 0.5]
+    json.loads(graphs_to_json(ceg), parse_constant=pytest.fail)
 
 
 # any finite score or none, with the two ends of the float range drawn often,
@@ -361,15 +370,28 @@ def ceg_inputs(draw):
 def test_graphs_keep_their_invariants(inputs, direction, scope):
     ds, table = inputs
     by_id = ds.by_id()
-    graphs = build_ceg(ds, table, direction=direction, norm_scope=scope)
-    for g in graphs:
-        ids = {n.sample_id for n in g.nodes}
-        assert all(by_id[i].run_id == g.run_id for i in ids)
-        assert all(p in ids and c in ids for p, c in g.edges)
-        for n in g.nodes:
-            if by_id[n.sample_id].fitness_raw is None:
-                assert n.fitness_norm is None
-            else:
-                assert 0.0 <= n.fitness_norm <= 1.0
-            assert n.parent_frequency == sum(p == n.sample_id for p, _ in g.edges)
-    json.loads(graphs_to_json(graphs), parse_constant=pytest.fail)
+    position = {s.id: k for k, s in enumerate(ds.samples)}
+    ceg = build_ceg(ds, table, direction=direction, norm_scope=scope)
+    n = len(ceg.ids)
+    assert sorted(ceg.ids) == sorted(table.ids)
+    # the run ranges partition the rows, in sorted (group_key, run_id) order
+    bounds = ceg.run_bounds.tolist()
+    assert bounds[0] == 0 and bounds[-1] == n
+    assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+    runs = list(zip(ceg.group_keys, ceg.run_ids))
+    assert runs == sorted(set(runs)) and len(set(ceg.run_ids)) == len(runs)
+    for r, (key, run_id) in enumerate(runs):
+        members = [by_id[i] for i in ceg.ids[bounds[r]:bounds[r + 1]]]
+        assert all(s.run_id == run_id and s.group_key == key for s in members)
+        assert [position[s.id] for s in members] == sorted(position[s.id] for s in members)
+    # each edge's two rows lie in one run's range
+    run_of = np.repeat(np.arange(len(runs)), np.diff(ceg.run_bounds))
+    assert (run_of[ceg.parent] == run_of[ceg.child]).all()
+    assert ceg.parent_frequency.tolist() == np.bincount(ceg.parent, minlength=n).tolist()
+    for sample_id, f, missing in zip(ceg.ids, ceg.fitness_norm.tolist(),
+                                     ceg.fitness_missing.tolist()):
+        if by_id[sample_id].fitness_raw is None:
+            assert missing
+        else:
+            assert not missing and 0.0 <= f <= 1.0
+    json.loads(graphs_to_json(ceg), parse_constant=pytest.fail)

@@ -107,11 +107,10 @@ def test_bundled_log_tsne_figure_keeps_its_bytes_on_fixed_coordinates():
     # BLAS product sets: colors, shapes, sizes, hollow markers and legend
     dataset, _ = validate(load_jsonl(BUNDLED_LOG))
     table, _ = featurize_dataset(dataset)
-    graphs = build_ceg(dataset, table)
-    col = table.names.index("node_count")
-    coords = np.array([[n.evaluation_index, n.features_raw[col]]
-                       for g in graphs for n in g.nodes])
-    svg = render_tsne(graphs, coords)
+    ceg = build_ceg(dataset, table)
+    coords = np.column_stack([ceg.evaluation_index,
+                              ceg.features_raw[:, ceg.feature_names.index("node_count")]])
+    svg = render_tsne(ceg, coords)
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
         "8fa99eb9af32021c76354a6fd007bf2a889a4dc11aa80b5d52f59550d8d99591")
 
@@ -704,7 +703,7 @@ assert set(cegraph.__all__) <= set(dir(cegraph))
 star = {}
 exec("from cegraph import *", star)
 assert sorted(set(star) - {"__builtins__"}) == sorted(cegraph.__all__)
-assert len(set(cegraph.__all__)) == len(cegraph.__all__) == 39
+assert len(set(cegraph.__all__)) == len(cegraph.__all__) == 38
 for name in cegraph.__all__:
     home = importlib.import_module("cegraph." + cegraph._MODULE_OF[name])
     value = getattr(home, name)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cegraph import embed
-from cegraph.ceg import CegNode, EvolutionGraph, build_ceg
+from cegraph.ceg import build_ceg
 from cegraph.embed import (
     _joint_probabilities,
     _ranks,
@@ -577,7 +577,7 @@ def test_spearman_length_mismatch():
 # ------------------------------------------------------- correlation table
 
 
-def graphs_from(tmp_path, objs):
+def ceg_from(tmp_path, objs):
     path = tmp_path / "log.jsonl"
     path.write_text(
         "\n".join(json.dumps(o) for o in objs) + "\n", encoding="utf-8"
@@ -606,24 +606,24 @@ def make_objs(fitnesses, run_id="r", code_of=None, **common):
 
 def test_correlation_monotone_feature_is_one(tmp_path):
     # node_count strictly grows with i, fitness too
-    graphs = graphs_from(tmp_path, make_objs([0.1, 0.2, 0.3, 0.4, 0.5]))
-    table = correlation_table(graphs, feature_names=("node_count",))
-    assert table.get(graphs[0].group_key, "node_count") == 1.0
+    ceg = ceg_from(tmp_path, make_objs([0.1, 0.2, 0.3, 0.4, 0.5]))
+    table = correlation_table(ceg, feature_names=("node_count",))
+    assert table.get(ceg.group_keys[0], "node_count") == 1.0
 
 
 def test_correlation_anti_monotone_feature_is_minus_one(tmp_path):
-    graphs = graphs_from(tmp_path, make_objs([0.5, 0.4, 0.3, 0.2, 0.1]))
-    table = correlation_table(graphs, feature_names=("token_total",))
-    assert table.get(graphs[0].group_key, "token_total") == -1.0
+    ceg = ceg_from(tmp_path, make_objs([0.5, 0.4, 0.3, 0.2, 0.1]))
+    table = correlation_table(ceg, feature_names=("token_total",))
+    assert table.get(ceg.group_keys[0], "token_total") == -1.0
 
 
 def test_correlation_constant_feature_is_zero(tmp_path):
     # same code every time: every feature constant, fitness varies
-    graphs = graphs_from(
+    ceg = ceg_from(
         tmp_path,
         make_objs([0.1, 0.5, 0.9], code_of=lambda i: "x = 1\n"),
     )
-    table = correlation_table(graphs)
+    table = correlation_table(ceg)
     assert all(v == 0.0 for v in table.values[0])
 
 
@@ -635,17 +635,17 @@ def test_correlation_pools_runs_within_group(tmp_path):
     objs += make_objs(
         [0.3, 0.4], run_id="r2", benchmark="b", method="m", code_of=grow(2)
     )
-    graphs = graphs_from(tmp_path, objs)
-    assert len(graphs) == 2
-    table = correlation_table(graphs, feature_names=("node_count",))
+    ceg = ceg_from(tmp_path, objs)
+    assert len(ceg.run_ids) == 2
+    table = correlation_table(ceg, feature_names=("node_count",))
     # 2+2 pooled nodes clear the 3-pair minimum; each run alone would not
     assert len(table.groups) == 1
     assert table.values[0][0] == 1.0
 
 
 def test_correlation_sparse_group_gives_blank_cells(tmp_path):
-    graphs = graphs_from(tmp_path, make_objs([0.1, 0.2]))
-    table = correlation_table(graphs, feature_names=("node_count",))
+    ceg = ceg_from(tmp_path, make_objs([0.1, 0.2]))
+    table = correlation_table(ceg, feature_names=("node_count",))
     assert table.values[0][0] is None
     csv_text = table.to_csv()
     lines = csv_text.strip().split("\n")
@@ -655,8 +655,8 @@ def test_correlation_sparse_group_gives_blank_cells(tmp_path):
 
 def test_correlation_missing_fitness_dropped_pairwise(tmp_path):
     objs = make_objs([0.1, None, 0.3, 0.4, 0.2])
-    graphs = graphs_from(tmp_path, objs)
-    table = correlation_table(graphs, feature_names=("node_count",))
+    ceg = ceg_from(tmp_path, objs)
+    table = correlation_table(ceg, feature_names=("node_count",))
     # surviving pairs (i, fitness): (0,.1) (2,.3) (3,.4) (4,.2)
     want = oracles.spearman_no_ties([0, 2, 3, 4], [0.1, 0.3, 0.4, 0.2])
     assert table.values[0][0] == pytest.approx(want, abs=1e-12)
@@ -666,8 +666,8 @@ def test_correlation_csv_layout(tmp_path):
     objs = make_objs(
         [0.1, 0.2, 0.3], benchmark="bbob", method="ea", llm="gpt"
     )
-    graphs = graphs_from(tmp_path, objs)
-    table = correlation_table(graphs, feature_names=("node_count", "cc_total"))
+    ceg = ceg_from(tmp_path, objs)
+    table = correlation_table(ceg, feature_names=("node_count", "cc_total"))
     lines = table.to_csv().strip().split("\n")
     assert lines[0] == "group,node_count,cc_total"
     assert lines[1].startswith("bbob/ea/gpt,")
@@ -685,9 +685,9 @@ def test_correlation_exactly_one_feature_anti_monotone(tmp_path):
         return "\n".join(lines) + "\n"
 
     objs = make_objs([0.1, 0.2, 0.3, 0.4, 0.5], code_of=code_of)
-    graphs = graphs_from(tmp_path, objs)
+    ceg = ceg_from(tmp_path, objs)
     names = ("node_count", "token_total", "cc_total")
-    table = correlation_table(graphs, feature_names=names)
+    table = correlation_table(ceg, feature_names=names)
     row = dict(zip(names, table.values[0]))
     assert row["token_total"] == -1.0
     assert -1.0 < row["node_count"] < 1.0
@@ -700,12 +700,11 @@ _CELL = st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan, math.inf]) | st.floats(-
 
 
 @st.composite
-def correlation_graphs(draw):
+def correlation_tables(draw):
     """Runs of 1-8 nodes in up to 3 groups, with 1-4 features (each
-    constant at times) and fitness values that may be None."""
+    constant at times) and fitness values that may be missing."""
     k = draw(st.integers(1, 4))
-    names = tuple(f"f{j}" for j in range(k))
-    graphs = []
+    runs = []
     for r in range(draw(st.integers(1, 4))):
         m = draw(st.integers(1, 8))
         F = np.array(draw(st.lists(st.lists(_CELL, min_size=k, max_size=k),
@@ -713,35 +712,33 @@ def correlation_graphs(draw):
         for j in range(k):
             if draw(st.booleans()):
                 F[:, j] = F[0, j]
-        nodes = tuple(
-            CegNode(sample_id=f"r{r}-{i}", evaluation_index=i,
-                    fitness_norm=draw(st.none() | _CELL), parent_frequency=0,
-                    features_raw=F[i], features_std=F[i])
-            for i in range(m)
-        )
+        nodes = [(f"r{r}-{i}", i, draw(st.none() | _CELL), 0, F[i], F[i]) for i in range(m)]
         key = ("b", draw(st.sampled_from(["m0", "m1", "m2"])), "")
-        graphs.append(EvolutionGraph(group_key=key, run_id=f"r{r}", feature_names=names,
-                                     nodes=nodes, edges=()))
-    return graphs
+        runs.append((key, f"r{r}", nodes, []))
+    runs.sort(key=lambda run: run[:2])
+    return oracles.ceg_table([f"f{j}" for j in range(k)], runs)
 
 
 @settings(max_examples=300, deadline=None)
-@given(correlation_graphs())
-def test_correlation_table_equals_per_cell_reference_bitwise(graphs):
+@given(correlation_tables())
+def test_correlation_table_equals_per_cell_reference_bitwise(ceg):
     # each group's columns are ranked in one call; every cell keeps the
     # bits of spearman's arithmetic on that column alone
-    table = correlation_table(graphs)
+    table = correlation_table(ceg)
+    assert table.groups == tuple(sorted(set(ceg.group_keys)))
     for key, row in zip(table.groups, table.values):
-        nodes = [n for g in graphs if g.group_key == key for n in g.nodes]
-        fitness = [n.fitness_norm for n in nodes]
+        nodes = [i for r, k in enumerate(ceg.group_keys) if k == key
+                 for i in range(ceg.run_bounds[r], ceg.run_bounds[r + 1])]
+        fitness = [None if ceg.fitness_missing[i] else ceg.fitness_norm[i] for i in nodes]
         for j, got in enumerate(row):
-            want = oracles.spearman_reference([float(n.features_raw[j]) for n in nodes], fitness)
+            want = oracles.spearman_reference([float(ceg.features_raw[i, j]) for i in nodes],
+                                              fitness)
             assert repr(got) == repr(want)
 
 
 def test_correlation_errors(tmp_path):
-    graphs = graphs_from(tmp_path, make_objs([0.1, 0.2, 0.3]))
-    with pytest.raises(ValueError):
-        correlation_table([])
+    ceg = ceg_from(tmp_path, make_objs([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="no evolution graphs"):
+        correlation_table(oracles.ceg_table(("node_count",), []))
     with pytest.raises(ValueError, match="unknown"):
-        correlation_table(graphs, feature_names=("not_a_feature",))
+        correlation_table(ceg, feature_names=("not_a_feature",))

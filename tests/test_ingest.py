@@ -150,6 +150,7 @@ def test_malformed_json_names_line_number(tmp_path):
         {"parent_ids": [1]},
         {"fitness_raw": "high"},
         {"fitness_raw": True},
+        {"evaluation_index": 2**63},  # past the graph table's int64 column
     ],
 )
 def test_schema_violations_are_fatal(tmp_path, mutation):
@@ -309,9 +310,10 @@ def test_drop_policy_keeps_first_of_a_parent_listed_twice(tmp_path):
     assert violations == [Violation("b", "a", "listed more than once")]
     assert [s.parent_ids for s in out.samples] == [(), ("a",), ("a", "b")]
     # one edge, and one child counted, per parent
-    (graph,) = build_ceg(out, featurize_dataset(out)[0])
-    assert graph.edges == (("a", "b"), ("a", "c"), ("b", "c"))
-    assert [n.parent_frequency for n in graph.nodes] == [2, 1, 0]
+    ceg = build_ceg(out, featurize_dataset(out)[0])
+    assert [(ceg.ids[p], ceg.ids[c]) for p, c in zip(ceg.parent, ceg.child)] == [
+        ("a", "b"), ("a", "c"), ("b", "c")]
+    assert ceg.parent_frequency.tolist() == [2, 1, 0]
 
 
 def test_drop_policy_removes_offending_edges_and_reports(tmp_path):

@@ -15,10 +15,11 @@ from cegraph.embed import CorrelationTable, correlation_table, tsne
 from cegraph.features import ALL_FEATURE_NAMES, featurize_dataset
 from cegraph.ingest import CodeSample, Dataset, load_jsonl, validate
 from cegraph.report import BASE_RADIUS, render_ceg, render_heatmap, render_tsne
+import oracles
 from synth import write_synthetic_log
 
 
-def make_graphs(tmp_path, objs, **ceg_kwargs):
+def make_ceg(tmp_path, objs, **ceg_kwargs):
     path = tmp_path / "log.jsonl"
     path.write_text(
         "\n".join(json.dumps(o) for o in objs) + "\n", encoding="utf-8"
@@ -55,11 +56,9 @@ def tag(el):
     return el.tag.rsplit("}", 1)[-1]
 
 
-def draw_ceg(graphs, y_axis="token_total"):
+def draw_ceg(ceg, y_axis="token_total"):
     """The lineage figure with a raw feature on the y axis."""
-    col = graphs[0].feature_names.index(y_axis)
-    y_values = [n.features_raw[col] for g in graphs for n in g.nodes]
-    return render_ceg(graphs, y_values, y_axis)
+    return render_ceg(ceg, ceg.features_raw[:, ceg.feature_names.index(y_axis)], y_axis)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +69,7 @@ def synth_log(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def synth_graphs(synth_log):
+def synth_ceg(synth_log):
     ds, _ = validate(load_jsonl(synth_log))
     table, failures = featurize_dataset(ds)
     assert not failures
@@ -81,8 +80,7 @@ def synth_graphs(synth_log):
 
 
 def test_ceg_chain_has_five_glyphs_four_edges(tmp_path):
-    graphs = make_graphs(tmp_path, chain_objs(5))
-    svg = draw_ceg(graphs)
+    svg = draw_ceg(make_ceg(tmp_path, chain_objs(5)))
     assert len(elements(svg, "node")) == 5
     assert len(elements(svg, "edge")) == 4
 
@@ -91,7 +89,7 @@ def test_ceg_parentless_run_has_no_edges(tmp_path):
     objs = chain_objs(6)
     for o in objs:
         o.pop("parent_ids", None)
-    svg = draw_ceg(make_graphs(tmp_path, objs))
+    svg = draw_ceg(make_ceg(tmp_path, objs))
     assert len(elements(svg, "node")) == 6
     assert len(elements(svg, "edge")) == 0
 
@@ -108,7 +106,7 @@ def test_ceg_radius_is_base_times_one_plus_parent_frequency(tmp_path):
              "code": f"x = {i}\ny = 2\n", "fitness_raw": 0.6,
              "parent_ids": ["p"]}
         )
-    svg = draw_ceg(make_graphs(tmp_path, objs))
+    svg = draw_ceg(make_ceg(tmp_path, objs))
     radii = sorted(float(c.get("r")) for c in elements(svg, "node"))
     assert radii == [BASE_RADIUS, BASE_RADIUS, BASE_RADIUS, 4.0 * BASE_RADIUS]
 
@@ -126,8 +124,7 @@ def test_ceg_pc1_annotation_fraction(synth_log, tmp_path, capsys):
 
 
 def test_ceg_feature_y_axis_orders_nodes_by_raw_value(tmp_path):
-    graphs = make_graphs(tmp_path, chain_objs(4))
-    svg = draw_ceg(graphs, "token_total")
+    svg = draw_ceg(make_ceg(tmp_path, chain_objs(4)), "token_total")
     assert elements(svg, "annotation") == []
     circles = elements(svg, "node")
     # document order follows node order; token_total grows with i, and
@@ -136,35 +133,35 @@ def test_ceg_feature_y_axis_orders_nodes_by_raw_value(tmp_path):
     assert cys == sorted(cys, reverse=True)
 
 
-def test_ceg_missing_fitness_rendered_hollow(synth_graphs):
-    svg = draw_ceg(synth_graphs)
+def test_ceg_missing_fitness_rendered_hollow(synth_ceg):
+    svg = draw_ceg(synth_ceg)
     hollow = [c for c in elements(svg, "node") if c.get("fill") == "none"]
     assert len(hollow) == 1
 
 
-def test_ceg_one_row_label_per_group_one_col_label_per_run(synth_graphs):
-    svg = draw_ceg(synth_graphs)
+def test_ceg_one_row_label_per_group_one_col_label_per_run(synth_ceg):
+    svg = draw_ceg(synth_ceg)
     labels = [t.text for t in elements(svg, "row-label")]
-    assert labels == ["/".join(key) for key in sorted({g.group_key for g in synth_graphs})]
+    assert labels == ["/".join(key) for key in sorted(set(synth_ceg.group_keys))]
     assert len(labels) == 3
     assert len(elements(svg, "col-label")) == 3
 
 
-def test_ceg_byte_deterministic(synth_graphs):
-    a = draw_ceg(synth_graphs)
-    b = draw_ceg(synth_graphs)
+def test_ceg_byte_deterministic(synth_ceg):
+    a = draw_ceg(synth_ceg)
+    b = draw_ceg(synth_ceg)
     assert a == b
 
 
-def test_ceg_errors(tmp_path, synth_graphs):
-    with pytest.raises(ValueError):
-        render_ceg([], [], "y")
+def test_ceg_errors(tmp_path, synth_ceg):
+    with pytest.raises(ValueError, match="empty node set"):
+        render_ceg(oracles.ceg_table(("y",), []), [], "y")
     with pytest.raises(ValueError, match="one y value per node"):
-        render_ceg(synth_graphs, [0.0, 1.0], "y")
+        render_ceg(synth_ceg, [0.0, 1.0], "y")
 
 
-def test_ceg_svg_well_formed(synth_graphs):
-    root = ET.fromstring(draw_ceg(synth_graphs))
+def test_ceg_svg_well_formed(synth_ceg):
+    root = ET.fromstring(draw_ceg(synth_ceg))
     assert tag(root) == "svg"
     # three groups of one run each: one column of cells, three rows
     assert root.get("width") == f"{150 + 240 + 20:.2f}"
@@ -194,14 +191,13 @@ def two_method_objs():
     return objs
 
 
-def tsne_coords(graphs, perplexity=2.5, seed=0):
-    X = np.array([n.features_std for g in graphs for n in g.nodes])
-    return tsne(X, perplexity=perplexity, seed=seed, iterations=260).coords
+def tsne_coords(ceg, perplexity=2.5, seed=0):
+    return tsne(ceg.features_std, perplexity=perplexity, seed=seed, iterations=260).coords
 
 
 def test_tsne_two_methods_two_runs_two_colors_two_shapes(tmp_path):
-    graphs = make_graphs(tmp_path, two_method_objs())
-    svg = render_tsne(graphs, tsne_coords(graphs))
+    ceg = make_ceg(tmp_path, two_method_objs())
+    svg = render_tsne(ceg, tsne_coords(ceg))
     points = elements(svg, "point")
     # 10 data markers, 2 pair swatches, 2 run swatches
     assert len(points) == 14
@@ -218,8 +214,8 @@ def test_tsne_equal_fitness_equal_sizes(tmp_path):
     objs = two_method_objs()
     for o in objs:
         o["fitness_raw"] = 0.7
-    graphs = make_graphs(tmp_path, objs)
-    svg = render_tsne(graphs, tsne_coords(graphs))
+    ceg = make_ceg(tmp_path, objs)
+    svg = render_tsne(ceg, tsne_coords(ceg))
     points = elements(svg, "point")[:10]
     radii = {
         float(p.get("r")) if tag(p) == "circle" else float(p.get("width")) / 2
@@ -233,8 +229,8 @@ def test_tsne_equal_fitness_equal_sizes(tmp_path):
 def test_tsne_missing_fitness_hollow_minimum_size(tmp_path):
     objs = chain_objs(6, run_id="solo")
     objs[2]["fitness_raw"] = None
-    graphs = make_graphs(tmp_path, objs)
-    svg = render_tsne(graphs, tsne_coords(graphs, perplexity=1.5))
+    ceg = make_ceg(tmp_path, objs)
+    svg = render_tsne(ceg, tsne_coords(ceg, perplexity=1.5))
     data = elements(svg, "point")[:6]
     hollow = [p for p in data if p.get("fill") == "none"]
     assert len(hollow) == 1
@@ -242,18 +238,18 @@ def test_tsne_missing_fitness_hollow_minimum_size(tmp_path):
 
 
 def test_tsne_fixed_seed_identical_bytes(tmp_path):
-    graphs = make_graphs(tmp_path, two_method_objs())
-    a = render_tsne(graphs, tsne_coords(graphs, seed=4))
-    b = render_tsne(graphs, tsne_coords(graphs, seed=4))
+    ceg = make_ceg(tmp_path, two_method_objs())
+    a = render_tsne(ceg, tsne_coords(ceg, seed=4))
+    b = render_tsne(ceg, tsne_coords(ceg, seed=4))
     assert a == b
 
 
 def test_tsne_errors(tmp_path):
-    with pytest.raises(ValueError):
-        render_tsne([], np.zeros((0, 2)))
-    graphs = make_graphs(tmp_path, chain_objs(3))
+    with pytest.raises(ValueError, match="empty node set"):
+        render_tsne(oracles.ceg_table(("y",), []), np.zeros((0, 2)))
+    ceg = make_ceg(tmp_path, chain_objs(3))
     with pytest.raises(ValueError, match="one \\(x, y\\) row per node"):
-        render_tsne(graphs, np.zeros((2, 2)))
+        render_tsne(ceg, np.zeros((2, 2)))
 
 
 # --------------------------------------------------------- render_heatmap
@@ -322,8 +318,8 @@ def test_heatmap_scale_bar():
     assert texts == ["-1", "0", "+1"]
 
 
-def test_heatmap_determinism_and_wellformed(synth_graphs):
-    table = correlation_table(synth_graphs)
+def test_heatmap_determinism_and_wellformed(synth_ceg):
+    table = correlation_table(synth_ceg)
     a = render_heatmap(table)
     b = render_heatmap(table)
     assert a == b
@@ -337,8 +333,8 @@ def test_heatmap_empty_table_error():
         render_heatmap(empty)
 
 
-def test_coordinates_have_two_decimals(synth_graphs):
-    svg = draw_ceg(synth_graphs)
+def test_coordinates_have_two_decimals(synth_ceg):
+    svg = draw_ceg(synth_ceg)
     for c in elements(svg, "node"):
         for attr in ("cx", "cy", "r"):
             assert re.fullmatch(r"-?\d+\.\d\d", c.get(attr))
@@ -374,19 +370,19 @@ def test_any_labels_render_parseable_svg_that_reads_them_back(runs):
         for i in range(3)
     ]
     ds, _ = validate(Dataset(tuple(samples)))
-    graphs = build_ceg(ds, featurize_dataset(ds)[0])
-    keys = sorted({g.group_key for g in graphs})
+    ceg = build_ceg(ds, featurize_dataset(ds)[0])
+    keys = sorted(set(ceg.group_keys))
 
-    svg = draw_ceg(graphs)
+    svg = draw_ceg(ceg)
     assert texts(svg, "row-label") == [xml_safe("/".join(k)) for k in keys]
-    assert texts(svg, "col-label") == [xml_safe(g.run_id) for g in graphs]
+    assert texts(svg, "col-label") == [xml_safe(run_id) for run_id in ceg.run_ids]
 
-    n = sum(g.node_count for g in graphs)
-    svg = render_tsne(graphs, np.arange(2.0 * n).reshape(n, 2))
+    n = len(ceg.ids)
+    svg = render_tsne(ceg, np.arange(2.0 * n).reshape(n, 2))
     pairs = sorted({k[1:] for k in keys})
     assert texts(svg, "legend") == [
         xml_safe("/".join(p for p in pair if p) or "(unlabeled)") for pair in pairs
-    ] + [xml_safe(f"run {r}") for r in sorted(g.run_id for g in graphs)]
+    ] + [xml_safe(f"run {r}") for r in sorted(ceg.run_ids)]
 
-    table = correlation_table(graphs)
+    table = correlation_table(ceg)
     assert texts(render_heatmap(table), "row-label") == [xml_safe("/".join(k)) for k in keys]

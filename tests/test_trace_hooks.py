@@ -12,8 +12,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from cegraph.ceg import build_ceg, graphs_to_json
 from cegraph.codemetrics import compute_complexity
 from cegraph.embed import correlation_table, tsne
@@ -50,8 +48,7 @@ def results_on_the_bundled_log():
     dataset = load_jsonl(ROOT / "data" / "synthetic_run.jsonl")
     validated = validate(dataset)
     featurized = featurize_dataset(validated[0])
-    graphs = build_ceg(validated[0], featurized[0])
-    X = np.array([n.features_std for g in graphs for n in g.nodes])
+    ceg = build_ceg(validated[0], featurized[0])
     code = dataset.samples[0].code
     graph = parse_to_graph(code)
     return {
@@ -59,9 +56,9 @@ def results_on_the_bundled_log():
         ("features", "featurize_dataset"): featurized,
         ("pyast", "parse_to_graph"): graph,
         ("codemetrics", "compute_complexity"): compute_complexity(graph, code),
-        ("ceg", "graphs_to_json"): graphs_to_json(graphs),
-        ("embed", "tsne"): tsne(X, perplexity=10.0, iterations=50),
-        ("embed", "correlation_table"): correlation_table(graphs),
+        ("ceg", "graphs_to_json"): graphs_to_json(ceg),
+        ("embed", "tsne"): tsne(ceg.features_std, perplexity=10.0, iterations=50),
+        ("embed", "correlation_table"): correlation_table(ceg),
     }
 
 
