@@ -32,7 +32,7 @@ def main():
     edge_bounds = ceg.edge_bounds()
     for r, (run_id, key) in enumerate(zip(ceg.run_ids, ceg.group_keys)):
         rows = slice(ceg.run_bounds[r], ceg.run_bounds[r + 1])
-        missing = int(ceg.fitness_missing[rows].sum())
+        missing = int(np.isnan(ceg.fitness_norm[rows]).sum())
         best = np.nanmax(ceg.fitness_norm[rows])
         print(f"run {run_id:<10} group={'/'.join(key):<38} "
               f"nodes={rows.stop - rows.start:<3} "

@@ -32,18 +32,14 @@ def main():
     features, _ = featurize_dataset(dataset)
     ceg = build_ceg(dataset, features)
 
-    def standardized(names):
-        """The named standardized feature columns, one row per node."""
-        return ceg.features_std[:, [ceg.feature_names.index(name) for name in names]]
-
-    X = standardized(AST_FEATURE_NAMES)
+    X = ceg.features_std[:, ceg.column_index(AST_FEATURE_NAMES)]
     print(f"PCA input: {X.shape[0]} samples x {X.shape[1]} graph features")
     res = pca(X, k=3)
     ratios = res.explained_variance_ratio
     print("PCA explained variance: "
           + "  ".join(f"PC{i + 1}={r:.3f}" for i, r in enumerate(ratios)))
 
-    X = standardized(ALL_FEATURE_NAMES)
+    X = ceg.features_std[:, ceg.column_index(ALL_FEATURE_NAMES)]
     print(f"t-SNE input: {X.shape[0]} samples x {X.shape[1]} canonical features")
     emb = tsne(X, perplexity=12.0, seed=0, iterations=500)
     spread = emb.coords.std(axis=0)

@@ -1,15 +1,18 @@
 """Assemble code evolution graphs from a validated dataset and its features.
 
 One table (CegTable) holds every run's graph: one row per node with its
-normalized fitness, raw and standardized feature vectors and parent
-frequency (number of children it produced within the run), a row range
-per run, and the edges, parent -> child, as two arrays of rows.
+normalized fitness (NaN where the score is missing), raw and standardized
+feature vectors and parent frequency (number of children it produced
+within the run), a row range per run, and the edges, parent -> child, as
+two arrays of rows. Runs are sorted by (group_key, run_id), so a group is
+a range of runs (group_bounds); column_index turns names into columns.
 
 Fitness normalization is min-max within a configurable scope: "group"
 pools runs sharing (benchmark, method), "run" normalizes each run alone,
-"global" pools everything. Direction "minimize" maps the smallest raw
-score to 1. Feature standardization is z-scoring with population variance
-over the whole dataset; zero-variance columns become 0.
+"global" pools everything; a non-finite score is missing. Direction
+"minimize" maps the smallest raw score to 1. Feature standardization is
+z-scoring with population variance over the whole dataset; zero-variance
+columns become 0.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ NORM_SCOPES = ("group", "run", "global")
 @dataclass(frozen=True, eq=False)
 class CegTable:
     """The evolution graphs of a log as one table, in graph order: runs
-    sorted by (group_key, run_id), each run's nodes in log order.
+    strictly sorted by (group_key, run_id), which is checked, each run's
+    nodes in log order.
 
-    Per node (row): ids, evaluation_index, fitness_norm (NaN where
-    fitness_missing), parent_frequency (its children within the run) and
+    Per node (row): ids, evaluation_index, fitness_norm (NaN where the
+    score is missing), parent_frequency (its children within the run) and
     its features_raw and features_std rows, with columns feature_names.
     Per run r: run_ids[r], group_keys[r] and the rows
     run_bounds[r]:run_bounds[r + 1]. Per edge e: parent[e] -> child[e],
@@ -44,7 +48,6 @@ class CegTable:
     ids: tuple[str, ...]
     evaluation_index: np.ndarray
     fitness_norm: np.ndarray
-    fitness_missing: np.ndarray
     parent_frequency: np.ndarray
     features_raw: np.ndarray
     features_std: np.ndarray
@@ -54,9 +57,29 @@ class CegTable:
     parent: np.ndarray
     child: np.ndarray
 
+    def __post_init__(self):
+        runs = list(zip(self.group_keys, self.run_ids))
+        for a, b in zip(runs, runs[1:]):
+            if a >= b:
+                raise ValueError(f"runs not strictly sorted by (group_key, run_id): {a!r}, {b!r}")
+
     def edge_bounds(self) -> np.ndarray:
         """Run r's edges are the edges edge_bounds()[r]:edge_bounds()[r + 1]."""
         return np.searchsorted(self.child, self.run_bounds)
+
+    def group_bounds(self) -> np.ndarray:
+        """Group g's runs are the runs group_bounds()[g]:group_bounds()[g + 1]."""
+        keys = self.group_keys
+        return np.array([r for r in range(len(keys) + 1)
+                         if r in (0, len(keys)) or keys[r] != keys[r - 1]], dtype=np.int64)
+
+    def column_index(self, names) -> list[int]:
+        """The columns of the named features, in the order named;
+        ValueError listing every name that is not a column."""
+        unknown = [name for name in names if name not in self.feature_names]
+        if unknown:
+            raise ValueError(f"unknown feature names: {', '.join(unknown)}")
+        return [self.feature_names.index(name) for name in names]
 
 
 def _float(v: float) -> str:
@@ -91,7 +114,7 @@ def graphs_to_json(table: CegTable) -> str:
     """Serialize the evolution graphs, one object per run in graph order,
     as json.dumps(..., indent=2) writes them, without json's pure-Python
     indenting encoder: strings through json.dumps, ints by their repr,
-    floats as json writes them (_float) and a missing fitness as null.
+    floats as json writes them (_float) and a NaN fitness as null.
     Each run holds its group_key, run_id, feature_names, its nodes (each
     with sample_id, evaluation_index, fitness_norm, parent_frequency,
     features_raw and features_std) and its edges as [parent id, child id]."""
@@ -99,10 +122,7 @@ def graphs_to_json(table: CegTable) -> str:
     row_pad = node_pad + "  "
     ids = [json.dumps(i) for i in table.ids]
     names = _layout("[", [json.dumps(n) for n in table.feature_names], "]", inner)
-    fitness = [
-        "null" if missing else _float(f)
-        for f, missing in zip(table.fitness_norm.tolist(), table.fitness_missing.tolist())
-    ]
+    fitness = ["null" if f != f else _float(f) for f in table.fitness_norm.tolist()]
     nodes = [
         _layout("{", [
             '"sample_id": ' + sample_id,
@@ -206,12 +226,12 @@ def build_ceg(
     # (also samples without features: their scores are still real results)
     pools: dict[object, list[float]] = {}
     for s in dataset.samples:
-        if s.fitness_raw is not None:
+        if s.fitness_raw is not None and math.isfinite(s.fitness_raw):
             pools.setdefault(_norm_key(s, norm_scope), []).append(s.fitness_raw)
     ranges = {key: (min(pool), max(pool)) for key, pool in pools.items()}
 
     def fitness_norm(s: CodeSample) -> float:
-        if s.fitness_raw is None:
+        if s.fitness_raw is None or not math.isfinite(s.fitness_raw):
             return math.nan
         if normalize == "none":
             return s.fitness_raw
@@ -230,7 +250,6 @@ def build_ceg(
         ids=tuple(s.id for s in nodes),
         evaluation_index=np.array([s.evaluation_index for s in nodes], dtype=np.int64),
         fitness_norm=np.array([fitness_norm(s) for s in nodes], dtype=float),
-        fitness_missing=np.array([s.fitness_raw is None for s in nodes], dtype=bool),
         parent_frequency=np.bincount(parent, minlength=len(nodes)),
         features_raw=raw[order],
         features_std=std[order],

@@ -26,12 +26,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from .astfeat import AST_FEATURE_NAMES, EIG_FEATURE_NAMES
+from .astfeat import AST_FEATURE_NAMES
 from .ceg import build_ceg, graphs_to_json
+from .codemetrics import NESTING_FEATURE_NAMES
 from .embed import correlation_table, pca, tsne
-from .features import ALL_FEATURE_NAMES, featurize_dataset, resolve_feature_set
+from .features import ALL_FEATURE_NAMES, _column_names, featurize_dataset, resolve_feature_set
 from .ingest import ValidationError, load_jsonl, validate
 from .report import render_ceg, render_heatmap, render_tsne
 
@@ -122,14 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_features_csv(dataset, table, path: Path, with_eig: bool) -> None:
-    """Metadata plus the 28 canonical feature columns in fixed order
-    (plus the two eigenvector-centrality columns when enabled)."""
+def _write_features_csv(dataset, table, path: Path) -> None:
+    """Metadata plus the table's feature columns but the nesting ones: the
+    28 canonical ones, then the two eigenvector-centrality ones if present."""
     row_of = table.row_of()
     rows = [s for s in dataset.samples if s.id in row_of]
-    feature_names = list(ALL_FEATURE_NAMES)
-    if with_eig:
-        feature_names += list(EIG_FEATURE_NAMES)
+    feature_names = [name for name in table.names if name not in NESTING_FEATURE_NAMES]
     cols = [table.names.index(name) for name in feature_names]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -153,19 +150,24 @@ def _y_axis(spelling: str, names) -> str:
     return name
 
 
-def _standardized(ceg, names) -> np.ndarray:
-    """Projection input: the named standardized feature columns, one row
-    per node in graph order."""
-    return ceg.features_std[:, [ceg.feature_names.index(name) for name in names]]
-
-
 def _run(args) -> int:
-    """Load, validate and featurize the log, check the feature names and
-    projection flags, build the evolution graphs if a selected artifact
+    """Check the feature names and projection flags, load, validate and
+    featurize the log, build the evolution graphs if a selected artifact
     needs them, then write the selected artifacts in order to a staging
     directory inside --out. Only after the last one are they moved into
     --out and listed on stdout: a run that fails leaves --out as it was."""
     artifacts = SUBCOMMANDS[args.command][2]
+    # check every flag before the log is read, against the columns featurizing gives
+    known = _column_names(args.include_eigencentrality)
+    y_axis = _y_axis(args.y_axis, known)
+    feature_set = resolve_feature_set(args.feature_set, known) if args.feature_set else None
+    if "tsne" in artifacts:
+        if args.iterations < 1:
+            raise ValueError(f"--iterations must be positive, got {args.iterations}")
+        if math.isnan(args.perplexity):
+            raise ValueError("--perplexity must be a number, got nan")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
     dataset = load_jsonl(args.input)
     dataset, violations = validate(dataset, policy=args.policy)
     if violations:
@@ -182,17 +184,6 @@ def _run(args) -> int:
         print(f"skipped {len(failures)} unparsable samples", file=sys.stderr)
         for sample_id, diagnostic in failures.items():
             print(f"  skipped sample {sample_id!r}: {diagnostic}", file=sys.stderr)
-    y_axis = _y_axis(args.y_axis, table.names)
-    feature_set = (
-        resolve_feature_set(args.feature_set, table.names) if args.feature_set else None
-    )
-    if "tsne" in artifacts:
-        if args.iterations < 1:
-            raise ValueError(f"--iterations must be positive, got {args.iterations}")
-        if math.isnan(args.perplexity):
-            raise ValueError("--perplexity must be a number, got nan")
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if not table.ids and "features" in artifacts:
         raise ValidationError("no sample produced a feature vector")
     if artifacts != ("features",):
@@ -216,18 +207,17 @@ def _run(args) -> int:
             names.append(name)
 
         if "features" in artifacts:
-            _write_features_csv(
-                dataset, table, staging / "features.csv", args.include_eigencentrality
-            )
+            _write_features_csv(dataset, table, staging / "features.csv")
             names.append("features.csv")
         if "ceg" in artifacts:
             write("ceg.json", graphs_to_json(ceg))
             if y_axis == "pc1":
-                pc = pca(_standardized(ceg, feature_set or AST_FEATURE_NAMES), 1)
+                columns = ceg.column_index(feature_set or AST_FEATURE_NAMES)
+                pc = pca(ceg.features_std[:, columns], 1)
                 y_values, y_label = pc.projected[:, 0], "PC1"
                 annotation = f"PC1 ({float(pc.explained_variance_ratio[0]):.2f})"
             else:
-                y_values = ceg.features_raw[:, ceg.feature_names.index(y_axis)]
+                y_values = ceg.features_raw[:, ceg.column_index([y_axis])[0]]
                 y_label, annotation = y_axis, ""
             write(f"ceg_{y_axis}.svg", render_ceg(ceg, y_values, y_label, annotation))
         if "tsne" in artifacts:
@@ -235,7 +225,7 @@ def _run(args) -> int:
             n = len(ceg.ids)
             perplexity = min(max(args.perplexity, 1.0), max(1.0, (n - 1) / 3.0))
             embedding = tsne(
-                _standardized(ceg, feature_set or ALL_FEATURE_NAMES),
+                ceg.features_std[:, ceg.column_index(feature_set or ALL_FEATURE_NAMES)],
                 perplexity=perplexity,
                 seed=args.seed,
                 iterations=args.iterations,

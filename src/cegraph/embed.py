@@ -555,17 +555,12 @@ def correlation_table(table, feature_names=None) -> CorrelationTable:
     if not table.run_ids:
         raise ValueError("no evolution graphs given")
     names = tuple(feature_names or table.feature_names)
-    missing = [name for name in names if name not in table.feature_names]
-    if missing:
-        raise ValueError(f"unknown feature names: {', '.join(missing)}")
-    cols = [table.feature_names.index(name) for name in names]
-
-    keys = table.group_keys
-    firsts = [r for r in range(len(keys)) if r == 0 or keys[r] != keys[r - 1]]
-    bounds = table.run_bounds[firsts + [len(keys)]].tolist()
+    cols = table.column_index(names)
+    groups = table.group_bounds().tolist()
+    bounds = table.run_bounds[groups].tolist()
     rows = [
         tuple(_spearman_rows(table.features_raw[lo:hi].T[cols], table.fitness_norm[lo:hi]))
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    return CorrelationTable(groups=tuple(keys[r] for r in firsts), feature_names=names,
-                            values=tuple(rows))
+    return CorrelationTable(groups=tuple(table.group_keys[r] for r in groups[:-1]),
+                            feature_names=names, values=tuple(rows))

@@ -77,9 +77,7 @@ def resolve_feature_set(spec: str, available=None) -> tuple[str, ...]:
                 names.append(line)
         if not names:
             raise ValueError(f"custom feature set {path} is empty")
-        known = set(available) if available is not None else set(
-            ALL_FEATURE_NAMES + NESTING_FEATURE_NAMES + EIG_FEATURE_NAMES
-        )
+        known = set(_column_names(True) if available is None else available)
         unknown = [n for n in names if n not in known]
         if unknown:
             raise ValueError(f"unknown feature names: {', '.join(unknown)}")

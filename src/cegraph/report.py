@@ -17,8 +17,6 @@ parses as XML. Elements carry class attributes (node, edge, point, cell,
 
 from __future__ import annotations
 
-from itertools import groupby
-
 import numpy as np
 
 PALETTE = (
@@ -141,12 +139,12 @@ def render_ceg(table, y_values, y_label: str, annotation: str = "") -> str:
     llm) groups, columns are runs, x is evaluation index and y is
     y_values, one value per node in graph order, labeled y_label. A
     non-empty annotation (such as the explained variance of PC1) is
-    printed above the grid. Marker area tracks parent frequency; samples
-    without fitness are drawn hollow."""
+    printed above the grid. Marker area tracks parent frequency; nodes
+    whose fitness_norm is NaN are drawn hollow."""
     y_values = _per_node(table, y_values, (), "y value")
-    # runs come sorted by group key: each group's runs are one grid row
-    rows = [list(runs) for _, runs in groupby(range(len(table.run_ids)),
-                                              key=table.group_keys.__getitem__)]
+    # each group's runs are one grid row
+    groups = table.group_bounds().tolist()
+    rows = [range(lo, hi) for lo, hi in zip(groups, groups[1:])]
     ncols = max(len(row) for row in rows)
 
     margin_left, margin_top = 150.0, 50.0
@@ -160,7 +158,7 @@ def render_ceg(table, y_values, y_label: str, annotation: str = "") -> str:
     y_lo, y_hi = float(np.min(y_values)), float(np.max(y_values))
     xs, ys = table.evaluation_index.tolist(), y_values.tolist()
     radii = (BASE_RADIUS * (1.0 + table.parent_frequency)).tolist()
-    hollow = table.fitness_missing.tolist()
+    hollow = np.isnan(table.fitness_norm).tolist()
     parent, child = table.parent.tolist(), table.child.tolist()
     bounds, edge_bounds = table.run_bounds.tolist(), table.edge_bounds().tolist()
 
@@ -205,8 +203,8 @@ def render_ceg(table, y_values, y_label: str, annotation: str = "") -> str:
 def render_tsne(table, coords) -> str:
     """Scatter of every node of a CegTable at coords, one (x, y) row per
     node in graph order. Color encodes the (method, llm) pair, marker
-    shape cycles per run, marker size grows with normalized fitness;
-    missing fitness renders hollow at minimum size."""
+    shape cycles per run, marker size grows with normalized fitness; a
+    NaN fitness renders hollow at minimum size."""
     coords = _per_node(table, coords, (2,), "(x, y) row")
     pairs = sorted({key[1:] for key in table.group_keys})
     color_of = {p: PALETTE[i % len(PALETTE)] for i, p in enumerate(pairs)}
@@ -225,11 +223,10 @@ def render_tsne(table, coords) -> str:
     parts = [_el("rect", {"class": "plot-frame", "x": margin, "y": margin, "width": plot_w,
                           "height": plot_h, "fill": "none", "stroke": "#999999"})]
     xy = coords.tolist()
-    fitness, missing = table.fitness_norm.tolist(), table.fitness_missing.tolist()
-    bounds = table.run_bounds.tolist()
+    fitness, bounds = table.fitness_norm.tolist(), table.run_bounds.tolist()
     for r, (run_id, key) in enumerate(zip(table.run_ids, table.group_keys)):
         for i in range(bounds[r], bounds[r + 1]):
-            if missing[i]:
+            if fitness[i] != fitness[i]:
                 radius, hollow = r_min, True
             else:
                 t = min(max(fitness[i], 0.0), 1.0)

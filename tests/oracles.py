@@ -620,7 +620,8 @@ def ceg_document(table):
                 {
                     "sample_id": table.ids[i],
                     "evaluation_index": int(table.evaluation_index[i]),
-                    "fitness_norm": None if table.fitness_missing[i] else float(table.fitness_norm[i]),
+                    "fitness_norm": (None if np.isnan(table.fitness_norm[i])
+                                     else float(table.fitness_norm[i])),
                     "parent_frequency": int(table.parent_frequency[i]),
                     "features_raw": [float(v) for v in table.features_raw[i]],
                     "features_std": [float(v) for v in table.features_std[i]],
@@ -651,7 +652,6 @@ def ceg_table(feature_names, runs):
         evaluation_index=np.array([node[1] for node in nodes], dtype=np.int64),
         fitness_norm=np.array([math.nan if node[2] is None else node[2] for node in nodes],
                               dtype=float),
-        fitness_missing=np.array([node[2] is None for node in nodes], dtype=bool),
         parent_frequency=np.array([node[3] for node in nodes], dtype=np.int64),
         features_raw=np.array([node[4] for node in nodes], dtype=float).reshape(len(nodes), k),
         features_std=np.array([node[5] for node in nodes], dtype=float).reshape(len(nodes), k),

@@ -43,9 +43,8 @@ def simple_objs(fitnesses, run_id="r", chain=False, **common):
 
 
 def norms(ceg):
-    """fitness_norm per node, None where it is missing."""
-    return [None if missing else f
-            for f, missing in zip(ceg.fitness_norm.tolist(), ceg.fitness_missing.tolist())]
+    """fitness_norm per node, None where it is missing (NaN)."""
+    return [None if f != f else f for f in ceg.fitness_norm.tolist()]
 
 
 def edges_of(ceg):
@@ -250,7 +249,7 @@ def runs_of(ceg, runs):
     def run(r):
         lo, hi = int(ceg.run_bounds[r]), int(ceg.run_bounds[r + 1])
         nodes = [(ceg.ids[i], int(ceg.evaluation_index[i]),
-                  None if ceg.fitness_missing[i] else float(ceg.fitness_norm[i]),
+                  None if np.isnan(ceg.fitness_norm[i]) else float(ceg.fitness_norm[i]),
                   int(ceg.parent_frequency[i]), ceg.features_raw[i], ceg.features_std[i])
                  for i in range(lo, hi)]
         edges = [(p - lo, c - lo) for p, c in zip(ceg.parent.tolist(), ceg.child.tolist())
@@ -282,13 +281,13 @@ def test_json_export_writes_what_json_dumps_writes():
     # non-finite and extreme features, and a table without features
     ids = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "\u00fc\u4e2d\U0001f600", "\u2028"]
     runs = [
+        _run("no edges", ids[:2], [0.25, None], [[1.0, 2.0], [3.0, 4.0]]),
         _run('run "1"', ids, [None, 0.5, 1.0, None, 1e-300],
              [[math.nan, math.inf], [-math.inf, -0.0], [5e-324, 1.7976931348623157e308],
               [0.1, 1e16], [-1.5, 3.0]],
              edges=[(0, 1), (1, 4)]),
-        _run("no edges", ids[:2], [0.25, None], [[1.0, 2.0], [3.0, 4.0]]),
     ]
-    for part in (oracles.ceg_table(("a", "b"), runs), oracles.ceg_table(("a", "b"), runs[1:]),
+    for part in (oracles.ceg_table(("a", "b"), runs), oracles.ceg_table(("a", "b"), runs[:1]),
                  oracles.ceg_table((), [_run("no features", ids[:1], [0.0], [], k=0)])):
         want = json.dumps(oracles.ceg_document(part), indent=2)
         assert graphs_to_json(part) == want
@@ -329,6 +328,57 @@ def test_fitness_range_beyond_float_still_normalizes(tmp_path):
     ceg = build_ceg(ds, table)
     assert norms(ceg) == [1.0, 0.0, 0.5]
     json.loads(graphs_to_json(ceg), parse_constant=pytest.fail)
+
+
+def scored_dataset(scores):
+    """One run of samples with the given raw scores, built by hand (so
+    that ingest's reading of a non-finite score as null is skipped), and
+    a one-column feature table for them."""
+    samples = tuple(CodeSample(f"s{i}", f"s{i}", "r", "", "", "", i, (), f, "")
+                    for i, f in enumerate(scores))
+    ids = tuple(s.id for s in samples)
+    return Dataset(samples), FeatureTable(ids, ("f",), np.arange(len(ids), dtype=float)[:, None])
+
+
+@pytest.mark.parametrize("scores, normalize, want", [
+    ([math.nan, 1.0, 2.0, 3.0], "minmax", [None, 0.0, 0.5, 1.0]),
+    ([1.0, 2.0, 3.0, math.inf], "minmax", [0.0, 0.5, 1.0, None]),
+    ([-math.inf, 1.0, 2.0, math.nan], "none", [None, 1.0, 2.0, None]),
+])
+def test_non_finite_score_counts_as_missing(scores, normalize, want):
+    # it joins no normalization pool, and ceg.json writes it as null
+    ceg = build_ceg(*scored_dataset(scores), normalize=normalize)
+    assert norms(ceg) == want
+    (graph,) = json.loads(graphs_to_json(ceg), parse_constant=pytest.fail)["graphs"]
+    assert [node["fitness_norm"] for node in graph["nodes"]] == want
+
+
+def one_node_run(method, run_id, k=1):
+    """A run of group ("b", method, "") with one node and k features, as
+    oracles.ceg_table takes it."""
+    return ("b", method, ""), run_id, [(run_id, 0, 0.5, 0, [1.0] * k, [0.0] * k)], []
+
+
+@pytest.mark.parametrize("runs", [
+    [("m1", "r1"), ("m2", "r2"), ("m1", "r3")],
+    [("m1", "r2"), ("m1", "r1")],
+    [("m1", "r1"), ("m1", "r1")],
+], ids=["groups-interleaved", "runs-reversed", "run-twice"])
+def test_table_with_runs_out_of_order_is_rejected(runs):
+    # a group must be one range of runs, as correlation_table and
+    # render_ceg read it
+    with pytest.raises(ValueError, match="not strictly sorted by"):
+        oracles.ceg_table(("f",), [one_node_run(*run) for run in runs])
+
+
+def test_group_bounds_and_column_index():
+    runs = [one_node_run("m1", "r1", 2), one_node_run("m1", "r2", 2), one_node_run("m2", "r0", 2)]
+    table = oracles.ceg_table(("f", "g"), runs)
+    assert table.group_bounds().tolist() == [0, 2, 3]
+    assert oracles.ceg_table(("f",), []).group_bounds().tolist() == [0]
+    assert table.column_index(("g", "f", "g")) == [1, 0, 1]
+    with pytest.raises(ValueError, match="^unknown feature names: h, i$"):
+        table.column_index(("f", "h", "i"))
 
 
 # any finite score or none, with the two ends of the float range drawn often,
@@ -388,10 +438,14 @@ def test_graphs_keep_their_invariants(inputs, direction, scope):
     run_of = np.repeat(np.arange(len(runs)), np.diff(ceg.run_bounds))
     assert (run_of[ceg.parent] == run_of[ceg.child]).all()
     assert ceg.parent_frequency.tolist() == np.bincount(ceg.parent, minlength=n).tolist()
-    for sample_id, f, missing in zip(ceg.ids, ceg.fitness_norm.tolist(),
-                                     ceg.fitness_missing.tolist()):
+    # the group ranges cover the runs, one group key each, a new key each
+    groups = ceg.group_bounds().tolist()
+    assert groups[0] == 0 and groups[-1] == len(runs)
+    assert all(len(set(ceg.group_keys[lo:hi])) == 1 for lo, hi in zip(groups, groups[1:]))
+    assert len({ceg.group_keys[r] for r in groups[:-1]}) == len(groups) - 1
+    for sample_id, f in zip(ceg.ids, ceg.fitness_norm.tolist()):
         if by_id[sample_id].fitness_raw is None:
-            assert missing
+            assert math.isnan(f)
         else:
-            assert not missing and 0.0 <= f <= 1.0
+            assert 0.0 <= f <= 1.0
     json.loads(graphs_to_json(ceg), parse_constant=pytest.fail)

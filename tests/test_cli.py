@@ -371,6 +371,28 @@ def test_bad_projection_flag_writes_nothing(log_path, tmp_path, capsys, command,
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--y-axis", "feature:bogus"], "unknown y-axis feature 'bogus'"),
+    (["--iterations", "0"], "--iterations must be positive, got 0"),
+    (["--feature-set", "custom:{listing}"], "unknown feature names: eig_centrality_max"),
+], ids=["y-axis", "iterations", "eig-without-flag"])
+def test_flags_are_checked_before_the_log_is_read(tmp_path, capsys, flags, message):
+    # the log's one sample names a file that is not there, which would
+    # stop the load with an i/o error (exit 2)
+    log = tmp_path / "log.jsonl"
+    log.write_text(json.dumps({"id": "s0", "run_id": "r", "evaluation_index": 0,
+                               "code_path": "missing.py"}) + "\n", encoding="utf-8")
+    listing = tmp_path / "eig.txt"
+    listing.write_text("eig_centrality_max\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", log, "--out", out]
+    assert run(argv + [flag.format(listing=listing) for flag in flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unparsable_sample_is_reported_once(tmp_path):
     # run as a process: stderr then shows every report, logging's and the
     # parser's warnings included ("1if" warns: invalid decimal literal)

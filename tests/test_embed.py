@@ -729,7 +729,7 @@ def test_correlation_table_equals_per_cell_reference_bitwise(ceg):
     for key, row in zip(table.groups, table.values):
         nodes = [i for r, k in enumerate(ceg.group_keys) if k == key
                  for i in range(ceg.run_bounds[r], ceg.run_bounds[r + 1])]
-        fitness = [None if ceg.fitness_missing[i] else ceg.fitness_norm[i] for i in nodes]
+        fitness = [None if np.isnan(ceg.fitness_norm[i]) else ceg.fitness_norm[i] for i in nodes]
         for j, got in enumerate(row):
             want = oracles.spearman_reference([float(ceg.features_raw[i, j]) for i in nodes],
                                               fitness)

@@ -17,6 +17,7 @@ from cegraph.ingest import CodeSample, Dataset, load_jsonl, validate
 from cegraph.report import BASE_RADIUS, render_ceg, render_heatmap, render_tsne
 import oracles
 from synth import write_synthetic_log
+from test_ceg import scored_dataset
 
 
 def make_ceg(tmp_path, objs, **ceg_kwargs):
@@ -235,6 +236,20 @@ def test_tsne_missing_fitness_hollow_minimum_size(tmp_path):
     hollow = [p for p in data if p.get("fill") == "none"]
     assert len(hollow) == 1
     assert float(hollow[0].get("r")) == 3.0
+
+
+@pytest.mark.parametrize("scores, hollow_at, tsne_radii", [
+    ([np.nan, 1.0, 2.0, 3.0], 0, ["3.00", "3.00", "6.00", "9.00"]),
+    ([1.0, 2.0, 3.0, np.inf], 3, ["3.00", "6.00", "9.00", "3.00"]),
+])
+def test_non_finite_score_renders_hollow(scores, hollow_at, tsne_radii):
+    # a hand-built dataset keeps the score ingest would read as null
+    ceg = build_ceg(*scored_dataset(scores))
+    nodes = elements(render_ceg(ceg, np.arange(4.0), "f"), "node")
+    assert [node.get("fill") == "none" for node in nodes] == [i == hollow_at for i in range(4)]
+    points = elements(render_tsne(ceg, np.arange(8.0).reshape(4, 2)), "point")[:4]
+    assert [p.get("fill") == "none" for p in points] == [i == hollow_at for i in range(4)]
+    assert [p.get("r") for p in points] == tsne_radii
 
 
 def test_tsne_fixed_seed_identical_bytes(tmp_path):
