@@ -1,11 +1,13 @@
 """Assemble code evolution graphs from a validated dataset and its features.
 
 One table (CegTable) holds every run's graph: one row per node with its
-normalized fitness (NaN where the score is missing), raw and standardized
-feature vectors and parent frequency (number of children it produced
-within the run), a row range per run, and the edges, parent -> child, as
-two arrays of rows. Runs are sorted by (group_key, run_id), so a group is
-a range of runs (group_bounds); column_index turns names into columns.
+normalized fitness (NaN where the score is missing) and raw and
+standardized feature vectors, a row range per run, and the edges,
+parent -> child, as two arrays of rows. A node's parent frequency (the
+children it produced within its run) is counted from the edges, not
+stored (parent_frequency). Runs are sorted by (group_key, run_id), so a
+group is a range of runs (group_bounds); column_index turns names into
+columns, through the one check of a feature list, features.column_index.
 
 Fitness normalization is min-max within a configurable scope: "group"
 pools runs sharing (benchmark, method), "run" normalizes each run alone,
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureTable
+from .features import FeatureTable, column_index
 from .ingest import CodeSample, Dataset
 
 NORM_SCOPES = ("group", "run", "global")
@@ -36,8 +38,8 @@ class CegTable:
     nodes in log order.
 
     Per node (row): ids, evaluation_index, fitness_norm (NaN where the
-    score is missing), parent_frequency (its children within the run) and
-    its features_raw and features_std rows, with columns feature_names.
+    score is missing) and its features_raw and features_std rows, with
+    columns feature_names.
     Per run r: run_ids[r], group_keys[r] and the rows
     run_bounds[r]:run_bounds[r + 1]. Per edge e: parent[e] -> child[e],
     two rows of one run; edges are sorted by child row, and a child's
@@ -48,7 +50,6 @@ class CegTable:
     ids: tuple[str, ...]
     evaluation_index: np.ndarray
     fitness_norm: np.ndarray
-    parent_frequency: np.ndarray
     features_raw: np.ndarray
     features_std: np.ndarray
     run_ids: tuple[str, ...]
@@ -73,31 +74,22 @@ class CegTable:
         return np.array([r for r in range(len(keys) + 1)
                          if r in (0, len(keys)) or keys[r] != keys[r - 1]], dtype=np.int64)
 
+    def parent_frequency(self) -> np.ndarray:
+        """Node i's parent frequency is parent_frequency()[i]: the edges
+        from row i, its children within its run."""
+        return np.bincount(self.parent, minlength=len(self.ids))
+
     def column_index(self, names) -> list[int]:
-        """The columns of the named features, in the order named;
-        ValueError listing every name that is not a column."""
-        unknown = [name for name in names if name not in self.feature_names]
-        if unknown:
-            raise ValueError(f"unknown feature names: {', '.join(unknown)}")
-        return [self.feature_names.index(name) for name in names]
-
-
-def _float(v: float) -> str:
-    """The float v as json writes it: its repr, or NaN, Infinity or -Infinity."""
-    if v != v:
-        return "NaN"
-    if v == math.inf:
-        return "Infinity"
-    if v == -math.inf:
-        return "-Infinity"
-    return float.__repr__(v)
+        """The columns of the named features, in the order named, as
+        features.column_index checks and gives them."""
+        return column_index(self.feature_names, names)
 
 
 def _rows(M: np.ndarray) -> list[list[str]]:
     """The rows of the float matrix M, each a list of its entries as json
-    writes them."""
+    writes them; a row with no non-finite entry skips json.dumps."""
     finite = np.isfinite(M).all(axis=1).tolist()
-    return [list(map(float.__repr__ if ok else _float, row)) for ok, row in zip(finite, M.tolist())]
+    return [list(map(float.__repr__ if ok else json.dumps, row)) for ok, row in zip(finite, M.tolist())]
 
 
 def _layout(opening: str, items: list[str], closing: str, pad: str) -> str:
@@ -114,7 +106,7 @@ def graphs_to_json(table: CegTable) -> str:
     """Serialize the evolution graphs, one object per run in graph order,
     as json.dumps(..., indent=2) writes them, without json's pure-Python
     indenting encoder: strings through json.dumps, ints by their repr,
-    floats as json writes them (_float) and a NaN fitness as null.
+    floats as json writes them and a NaN fitness as null.
     Each run holds its group_key, run_id, feature_names, its nodes (each
     with sample_id, evaluation_index, fitness_norm, parent_frequency,
     features_raw and features_std) and its edges as [parent id, child id]."""
@@ -122,7 +114,8 @@ def graphs_to_json(table: CegTable) -> str:
     row_pad = node_pad + "  "
     ids = [json.dumps(i) for i in table.ids]
     names = _layout("[", [json.dumps(n) for n in table.feature_names], "]", inner)
-    fitness = ["null" if f != f else _float(f) for f in table.fitness_norm.tolist()]
+    fitness = [float.__repr__(f) if math.isfinite(f) else json.dumps(None if f != f else f)
+               for f in table.fitness_norm.tolist()]
     nodes = [
         _layout("{", [
             '"sample_id": ' + sample_id,
@@ -133,7 +126,7 @@ def graphs_to_json(table: CegTable) -> str:
             '"features_std": ' + _layout("[", std, "]", row_pad),
         ], "}", node_pad)
         for sample_id, index, f, freq, raw, std in zip(
-            ids, table.evaluation_index.tolist(), fitness, table.parent_frequency.tolist(),
+            ids, table.evaluation_index.tolist(), fitness, table.parent_frequency().tolist(),
             _rows(table.features_raw), _rows(table.features_std))
     ]
     edges = [_layout("[", [ids[p], ids[c]], "]", node_pad)
@@ -250,7 +243,6 @@ def build_ceg(
         ids=tuple(s.id for s in nodes),
         evaluation_index=np.array([s.evaluation_index for s in nodes], dtype=np.int64),
         fitness_norm=np.array([fitness_norm(s) for s in nodes], dtype=float),
-        parent_frequency=np.bincount(parent, minlength=len(nodes)),
         features_raw=raw[order],
         features_std=std[order],
         run_ids=tuple(run_id for _, run_id, _ in keyed),

@@ -21,6 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import csv
 import errno
+import io
 import math
 import sys
 import tempfile
@@ -121,21 +122,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_features_csv(dataset, table, path: Path) -> None:
-    """Metadata plus the table's feature columns but the nesting ones: the
-    28 canonical ones, then the two eigenvector-centrality ones if present."""
-    row_of = table.row_of()
-    rows = [s for s in dataset.samples if s.id in row_of]
-    feature_names = [name for name in table.names if name not in NESTING_FEATURE_NAMES]
-    cols = [table.names.index(name) for name in feature_names]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(_META_COLUMNS) + feature_names)
-        for s in rows:
-            meta = [getattr(s, column) for column in _META_COLUMNS[:-1]]
-            meta.append("" if s.fitness_raw is None else repr(s.fitness_raw))
-            feats = [repr(v) for v in table.values[row_of[s.id], cols].tolist()]
-            writer.writerow(meta + feats)
+def _write_features_csv(dataset, table) -> str:
+    """features.csv: per row of table (the parsed samples, in log order)
+    its sample's metadata, then its features but the nesting ones: the 28
+    canonical ones, then the two eigenvector-centrality ones if present."""
+    keep = [name not in NESTING_FEATURE_NAMES for name in table.names]
+    by_id = dataset.by_id()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(_META_COLUMNS) + [name for name, k in zip(table.names, keep) if k])
+    for sample_id, row in zip(table.ids, table.values[:, keep].tolist()):
+        s = by_id[sample_id]
+        meta = [getattr(s, column) for column in _META_COLUMNS[:-1]]
+        meta.append("" if s.fitness_raw is None else repr(s.fitness_raw))
+        writer.writerow(meta + list(map(repr, row)))
+    return buf.getvalue()
 
 
 def _y_axis(spelling: str, names) -> str:
@@ -184,7 +185,7 @@ def _run(args) -> int:
         print(f"skipped {len(failures)} unparsable samples", file=sys.stderr)
         for sample_id, diagnostic in failures.items():
             print(f"  skipped sample {sample_id!r}: {diagnostic}", file=sys.stderr)
-    if not table.ids and "features" in artifacts:
+    if not table.ids:
         raise ValidationError("no sample produced a feature vector")
     if artifacts != ("features",):
         ceg = build_ceg(
@@ -194,8 +195,6 @@ def _run(args) -> int:
             direction=args.direction,
             norm_scope=args.norm_scope,
         )
-        if not ceg.ids:
-            raise ValidationError("no evolution graphs could be built")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".cegraph-", dir=out) as tmp:
@@ -207,8 +206,7 @@ def _run(args) -> int:
             names.append(name)
 
         if "features" in artifacts:
-            _write_features_csv(dataset, table, staging / "features.csv")
-            names.append("features.csv")
+            write("features.csv", _write_features_csv(dataset, table))
         if "ceg" in artifacts:
             write("ceg.json", graphs_to_json(ceg))
             if y_axis == "pc1":

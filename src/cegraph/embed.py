@@ -551,10 +551,11 @@ def correlation_table(table, feature_names=None) -> CorrelationTable:
     """Pool the nodes of each group's runs, a range of the CegTable's
     rows, and correlate each feature's raw values with normalized
     fitness, each cell as spearman gives it; a group's selected features
-    are ranked in one call (_spearman_rows)."""
+    are ranked in one call (_spearman_rows). feature_names None selects
+    every column; any other list is checked by column_index."""
     if not table.run_ids:
         raise ValueError("no evolution graphs given")
-    names = tuple(feature_names or table.feature_names)
+    names = table.feature_names if feature_names is None else tuple(feature_names)
     cols = table.column_index(names)
     groups = table.group_bounds().tolist()
     bounds = table.run_bounds[groups].tolist()

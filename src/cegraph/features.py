@@ -24,6 +24,9 @@ a few numpy passes, and codemetrics.complexity_columns combines the
 chunks' complexity counts into the block's complexity columns. A tree's
 row has the same bits in any block (see astfeat), so where the blocks are
 cut changes no value.
+
+Every list of feature names is checked by column_index alone: it rejects
+a name that is not a column, a name listed twice and an empty list.
 """
 
 from __future__ import annotations
@@ -58,35 +61,37 @@ FEATURE_SETS = {
 }
 
 
+def column_index(columns, names) -> list[int]:
+    """The positions in columns of the named features, in the order named.
+    The one check of a list of feature names: ValueError for an empty
+    list, for names that are not columns and for names listed more than
+    once."""
+    if not names:
+        raise ValueError("feature selection is empty")
+    unknown = [name for name in dict.fromkeys(names) if name not in columns]
+    if unknown:
+        raise ValueError(f"unknown feature names: {', '.join(unknown)}")
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ValueError(f"feature selection lists more than once: {', '.join(repeated)}")
+    return [columns.index(name) for name in names]
+
+
 def resolve_feature_set(spec: str, available=None) -> tuple[str, ...]:
     """Turn a feature-set name into a tuple of feature names.
 
     Accepts "ast22", "complexity6", "all28" or "custom:<path>" where the
     file lists one feature name per line (blank lines and # comments are
-    skipped). Unknown names, and names listed more than once, raise
-    ValueError.
+    skipped). A custom list is checked by column_index against available
+    (by default every column featurizing can give).
     """
     if spec in FEATURE_SETS:
         return FEATURE_SETS[spec]
     if spec.startswith("custom:"):
-        path = Path(spec[len("custom:"):])
-        names = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                names.append(line)
-        if not names:
-            raise ValueError(f"custom feature set {path} is empty")
-        known = set(_column_names(True) if available is None else available)
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            raise ValueError(f"unknown feature names: {', '.join(unknown)}")
-        repeated = [name for name, count in Counter(names).items() if count > 1]
-        if repeated:
-            raise ValueError(
-                f"custom feature set {path} lists more than once: {', '.join(repeated)}"
-            )
-        return tuple(names)
+        lines = Path(spec[len("custom:"):]).read_text(encoding="utf-8").splitlines()
+        names = tuple(line for line in map(str.strip, lines) if line and not line.startswith("#"))
+        column_index(_column_names(True) if available is None else available, names)
+        return names
     raise ValueError(f"unknown feature set {spec!r}")
 
 

@@ -157,7 +157,7 @@ def render_ceg(table, y_values, y_label: str, annotation: str = "") -> str:
     x_lo, x_hi = float(table.evaluation_index.min()), float(table.evaluation_index.max())
     y_lo, y_hi = float(np.min(y_values)), float(np.max(y_values))
     xs, ys = table.evaluation_index.tolist(), y_values.tolist()
-    radii = (BASE_RADIUS * (1.0 + table.parent_frequency)).tolist()
+    radii = (BASE_RADIUS * (1.0 + table.parent_frequency())).tolist()
     hollow = np.isnan(table.fitness_norm).tolist()
     parent, child = table.parent.tolist(), table.child.tolist()
     bounds, edge_bounds = table.run_bounds.tolist(), table.edge_bounds().tolist()

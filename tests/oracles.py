@@ -608,7 +608,9 @@ def tsne_reference(X, perplexity, seed, iterations=1000):
 def ceg_document(table):
     """ceg.json's payload for a CegTable, built from its fields run by run:
     the reference that graphs_to_json must write as json.dumps(indent=2)
-    writes it. A run's edges are the edges whose child lies in its rows."""
+    writes it. A run's edges are the edges whose child lies in its rows,
+    and a node's parent_frequency the edges from it."""
+    children = Counter(table.parent.tolist())
     graphs = []
     for r, (run_id, key) in enumerate(zip(table.run_ids, table.group_keys)):
         lo, hi = int(table.run_bounds[r]), int(table.run_bounds[r + 1])
@@ -622,7 +624,7 @@ def ceg_document(table):
                     "evaluation_index": int(table.evaluation_index[i]),
                     "fitness_norm": (None if np.isnan(table.fitness_norm[i])
                                      else float(table.fitness_norm[i])),
-                    "parent_frequency": int(table.parent_frequency[i]),
+                    "parent_frequency": children[i],
                     "features_raw": [float(v) for v in table.features_raw[i]],
                     "features_std": [float(v) for v in table.features_std[i]],
                 }
@@ -637,9 +639,9 @@ def ceg_document(table):
 def ceg_table(feature_names, runs):
     """A CegTable built by hand from runs, laid out in the order given.
     Each run is (group_key, run_id, nodes, edges): a node is (sample_id,
-    evaluation_index, fitness or None, parent_frequency, raw row, std
-    row), and an edge a (parent, child) pair of the run's node positions,
-    listed in child order."""
+    evaluation_index, fitness or None, raw row, std row), and an edge a
+    (parent, child) pair of the run's node positions, listed in child
+    order."""
     nodes = [node for _, _, run_nodes, _ in runs for node in run_nodes]
     starts = np.cumsum([0] + [len(run_nodes) for _, _, run_nodes, _ in runs])
     edges = [(lo + p, lo + c) for lo, (*_, run_edges) in zip(starts.tolist(), runs)
@@ -652,9 +654,8 @@ def ceg_table(feature_names, runs):
         evaluation_index=np.array([node[1] for node in nodes], dtype=np.int64),
         fitness_norm=np.array([math.nan if node[2] is None else node[2] for node in nodes],
                               dtype=float),
-        parent_frequency=np.array([node[3] for node in nodes], dtype=np.int64),
-        features_raw=np.array([node[4] for node in nodes], dtype=float).reshape(len(nodes), k),
-        features_std=np.array([node[5] for node in nodes], dtype=float).reshape(len(nodes), k),
+        features_raw=np.array([node[3] for node in nodes], dtype=float).reshape(len(nodes), k),
+        features_std=np.array([node[4] for node in nodes], dtype=float).reshape(len(nodes), k),
         run_ids=tuple(run_id for _, run_id, _, _ in runs),
         group_keys=tuple(key for key, *_ in runs),
         run_bounds=starts,

@@ -91,7 +91,7 @@ def test_parent_frequency_is_out_degree(synthetic):
     out = {sample_id: 0 for sample_id in ceg.ids}
     for p, _ in edges_of(ceg):
         out[p] += 1
-    assert ceg.parent_frequency.tolist() == [out[sample_id] for sample_id in ceg.ids]
+    assert ceg.parent_frequency().tolist() == [out[sample_id] for sample_id in ceg.ids]
 
 
 def test_minmax_per_run_example(tmp_path):
@@ -250,7 +250,7 @@ def runs_of(ceg, runs):
         lo, hi = int(ceg.run_bounds[r]), int(ceg.run_bounds[r + 1])
         nodes = [(ceg.ids[i], int(ceg.evaluation_index[i]),
                   None if np.isnan(ceg.fitness_norm[i]) else float(ceg.fitness_norm[i]),
-                  int(ceg.parent_frequency[i]), ceg.features_raw[i], ceg.features_std[i])
+                  ceg.features_raw[i], ceg.features_std[i])
                  for i in range(lo, hi)]
         edges = [(p - lo, c - lo) for p, c in zip(ceg.parent.tolist(), ceg.child.tolist())
                  if lo <= c < hi]
@@ -272,7 +272,7 @@ def test_json_export_is_one_dumps_of_every_graph(synthetic):
 
 def _run(run_id, ids, fitness, raw, edges=(), k=2):
     raw = np.array(raw, dtype=float).reshape(len(ids), k)
-    nodes = [(i, n, f, n % 2, row, -row) for n, (i, f, row) in enumerate(zip(ids, fitness, raw))]
+    nodes = [(i, n, f, row, -row) for n, (i, f, row) in enumerate(zip(ids, fitness, raw))]
     return ("b\\", 'm"', "\u00e9"), run_id, nodes, edges
 
 
@@ -356,7 +356,7 @@ def test_non_finite_score_counts_as_missing(scores, normalize, want):
 def one_node_run(method, run_id, k=1):
     """A run of group ("b", method, "") with one node and k features, as
     oracles.ceg_table takes it."""
-    return ("b", method, ""), run_id, [(run_id, 0, 0.5, 0, [1.0] * k, [0.0] * k)], []
+    return ("b", method, ""), run_id, [(run_id, 0, 0.5, [1.0] * k, [0.0] * k)], []
 
 
 @pytest.mark.parametrize("runs", [
@@ -376,9 +376,27 @@ def test_group_bounds_and_column_index():
     table = oracles.ceg_table(("f", "g"), runs)
     assert table.group_bounds().tolist() == [0, 2, 3]
     assert oracles.ceg_table(("f",), []).group_bounds().tolist() == [0]
-    assert table.column_index(("g", "f", "g")) == [1, 0, 1]
+    assert table.column_index(("g", "f")) == [1, 0]
+    # a repeated column would be counted twice by any consumer
+    with pytest.raises(ValueError, match="lists more than once: g$"):
+        table.column_index(("g", "f", "g"))
     with pytest.raises(ValueError, match="^unknown feature names: h, i$"):
         table.column_index(("f", "h", "i"))
+    with pytest.raises(ValueError, match="empty"):
+        table.column_index(())
+
+
+def parent_and_child():
+    """A hand-built table of one run: node "p" at row 0 parents node "c"."""
+    nodes = [("p", 0, 0.5, [1.0], [0.0]), ("c", 1, 0.5, [2.0], [0.0])]
+    return oracles.ceg_table(("f",), [(("b", "m", ""), "r", nodes, [(0, 1)])])
+
+
+def test_parent_frequency_is_counted_from_the_edges():
+    table = parent_and_child()
+    assert table.parent_frequency().tolist() == [1, 0]
+    (graph,) = json.loads(graphs_to_json(table))["graphs"]
+    assert [node["parent_frequency"] for node in graph["nodes"]] == [1, 0]
 
 
 # any finite score or none, with the two ends of the float range drawn often,
@@ -437,7 +455,7 @@ def test_graphs_keep_their_invariants(inputs, direction, scope):
     # each edge's two rows lie in one run's range
     run_of = np.repeat(np.arange(len(runs)), np.diff(ceg.run_bounds))
     assert (run_of[ceg.parent] == run_of[ceg.child]).all()
-    assert ceg.parent_frequency.tolist() == np.bincount(ceg.parent, minlength=n).tolist()
+    assert ceg.parent_frequency().tolist() == np.bincount(ceg.parent, minlength=n).tolist()
     # the group ranges cover the runs, one group key each, a new key each
     groups = ceg.group_bounds().tolist()
     assert groups[0] == 0 and groups[-1] == len(runs)

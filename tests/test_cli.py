@@ -338,7 +338,7 @@ def test_lineage_error_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("command, message", [
     ("pipeline", "no sample produced a feature vector"),
     ("extract", "no sample produced a feature vector"),
-    ("ceg", "no evolution graphs could be built"),
+    ("ceg", "no sample produced a feature vector"),
 ])
 def test_all_unparsable_log_writes_nothing(tmp_path, capsys, command, message):
     log = tmp_path / "broken.jsonl"

@@ -712,7 +712,7 @@ def correlation_tables(draw):
         for j in range(k):
             if draw(st.booleans()):
                 F[:, j] = F[0, j]
-        nodes = [(f"r{r}-{i}", i, draw(st.none() | _CELL), 0, F[i], F[i]) for i in range(m)]
+        nodes = [(f"r{r}-{i}", i, draw(st.none() | _CELL), F[i], F[i]) for i in range(m)]
         key = ("b", draw(st.sampled_from(["m0", "m1", "m2"])), "")
         runs.append((key, f"r{r}", nodes, []))
     runs.sort(key=lambda run: run[:2])
@@ -742,3 +742,9 @@ def test_correlation_errors(tmp_path):
         correlation_table(oracles.ceg_table(("node_count",), []))
     with pytest.raises(ValueError, match="unknown"):
         correlation_table(ceg, feature_names=("not_a_feature",))
+    # only None selects every column; a column is never listed twice
+    with pytest.raises(ValueError, match="lists more than once: node_count$"):
+        correlation_table(ceg, ("node_count", "node_count"))
+    with pytest.raises(ValueError, match="empty"):
+        correlation_table(ceg, ())
+    assert correlation_table(ceg).feature_names == ceg.feature_names

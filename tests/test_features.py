@@ -86,6 +86,17 @@ def test_custom_feature_set_rejects_repeated_names(tmp_path):
         resolve_feature_set(f"custom:{p}")
 
 
+def test_column_index_is_the_one_check_of_a_feature_list():
+    columns = ("a", "b", "c")
+    assert features.column_index(columns, ["c", "a"]) == [2, 0]
+    with pytest.raises(ValueError, match="^unknown feature names: x, y$"):
+        features.column_index(columns, ["a", "x", "y", "x"])
+    with pytest.raises(ValueError, match="^feature selection lists more than once: a, b$"):
+        features.column_index(columns, ["a", "b", "c", "b", "a"])
+    with pytest.raises(ValueError, match="^feature selection is empty$"):
+        features.column_index(columns, [])
+
+
 def test_unknown_feature_set_name():
     with pytest.raises(ValueError, match="feature set"):
         resolve_feature_set("ast23")

@@ -313,7 +313,7 @@ def test_drop_policy_keeps_first_of_a_parent_listed_twice(tmp_path):
     ceg = build_ceg(out, featurize_dataset(out)[0])
     assert [(ceg.ids[p], ceg.ids[c]) for p, c in zip(ceg.parent, ceg.child)] == [
         ("a", "b"), ("a", "c"), ("b", "c")]
-    assert ceg.parent_frequency.tolist() == [2, 1, 0]
+    assert ceg.parent_frequency().tolist() == [2, 1, 0]
 
 
 def test_drop_policy_removes_offending_edges_and_reports(tmp_path):

@@ -17,7 +17,7 @@ from cegraph.ingest import CodeSample, Dataset, load_jsonl, validate
 from cegraph.report import BASE_RADIUS, render_ceg, render_heatmap, render_tsne
 import oracles
 from synth import write_synthetic_log
-from test_ceg import scored_dataset
+from test_ceg import parent_and_child, scored_dataset
 
 
 def make_ceg(tmp_path, objs, **ceg_kwargs):
@@ -110,6 +110,12 @@ def test_ceg_radius_is_base_times_one_plus_parent_frequency(tmp_path):
     svg = draw_ceg(make_ceg(tmp_path, objs))
     radii = sorted(float(c.get("r")) for c in elements(svg, "node"))
     assert radii == [BASE_RADIUS, BASE_RADIUS, BASE_RADIUS, 4.0 * BASE_RADIUS]
+
+
+def test_ceg_radius_counts_the_children_on_the_edges():
+    # a hand-built table: the parent's one edge makes its radius 2 * BASE_RADIUS
+    nodes = elements(render_ceg(parent_and_child(), [0.0, 1.0], "f"), "node")
+    assert [float(node.get("r")) for node in nodes] == [2.0 * BASE_RADIUS, BASE_RADIUS]
 
 
 def test_ceg_pc1_annotation_fraction(synth_log, tmp_path, capsys):
