@@ -121,91 +121,90 @@ def _total(M: np.ndarray, square: np.ndarray) -> float:
     return 2.0 * M.sum() - square.sum()
 
 
-def _bisect(D: np.ndarray, target: float) -> np.ndarray:
-    """The conditional probabilities of the rows of D, each row the squared
-    distances from one point to all the others, from a bisection on
-    beta = 1/(2 sigma^2) that targets Shannon entropy `target` within
-    1e-5, at most 50 steps per row. The rows step together; a row leaves
-    the active set once it converges, keeping the probabilities of the
-    last beta it tried. Each row's sums reduce over that one C-contiguous
-    row, so its bits do not depend on the other rows of D."""
+def _bisect(D: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of D, the squared distances from one point to all the
+    others, the last beta = 1/(2 sigma^2) that a bisection on Shannon
+    entropy `target` (within 1e-5, at most 50 steps) tried, and that beta's
+    normaliser s = sum e, e = exp(-beta d). As in van der Maaten and
+    Hinton's Hbeta (2008), the entropy is log2 s + beta sum(e d) / (s ln 2),
+    one log per row, with e d read as 0 where e is 0 (d = inf); s = 0 reads
+    as -inf, so that beta backs off. The rows step together; a row leaves
+    the active set once it converges. Each row's sums reduce over that one
+    C-contiguous row, so its bits do not depend on the other rows of D."""
     m = D.shape[0]
-    P = np.empty_like(D)
-    beta = np.ones(m)
-    betamin = np.full(m, -np.inf)
-    betamax = np.full(m, np.inf)
+    beta, s = np.ones(m), np.empty(m)
+    betamin, betamax = np.zeros(m), np.full(m, np.inf)
     active = np.arange(m)
-    for _ in range(50):
+    for step in range(50):
         b = beta[active]
-        # the kernel exp(-beta D), normalized in place to the rows' pi
-        pi = D[active]
-        pi *= -b[:, None]
-        np.exp(pi, out=pi)
-        s = pi.sum(axis=1)
+        e = D[active]
+        e *= -b[:, None]
+        np.exp(e, out=e)
+        s[active] = sa = e.sum(axis=1)
+        ed = D[active]
         with np.errstate(divide="ignore", invalid="ignore"):
-            pi /= s[:, None]
-            pi[s <= 0.0] = 0.0
-        terms = np.log2(pi, out=np.zeros_like(pi), where=pi > 0.0)
-        terms *= pi
-        P[active] = pi
-        # summing the zeros too may move h by an ulp from a sum over the
-        # nonzero terms alone; h only steers the branch, P keeps pi itself
-        h = -terms.sum(axis=1)
-        # freed before the next step's pi, so that at most three blocks live
-        del pi, terms
+            ed *= e
+            ed[e == 0.0] = 0.0
+            h = np.log2(sa) + b * ed.sum(axis=1) / (sa * math.log(2.0))
+        h[sa == 0.0] = -np.inf
+        # freed before the next step's e, so that at most two blocks live
+        del e, ed
         going = np.abs(h - target) >= 1e-5
         active, b, h = active[going], b[going], h[going]
-        if active.size == 0:
+        if active.size == 0 or step == 49:
             break
+        # the midpoint of the bounds, or twice beta while no upper bound is
+        # known; with no lower bound known, (0 + beta) / 2 is beta / 2
         up = h > target
         lo = np.where(up, b, betamin[active])
         hi = np.where(up, betamax[active], b)
-        beta[active] = np.where(
-            up,
-            np.where(hi == np.inf, b * 2.0, (b + hi) / 2.0),
-            np.where(lo == -np.inf, b / 2.0, (b + lo) / 2.0),
-        )
-        betamin[active] = lo
-        betamax[active] = hi
-    return P
+        beta[active] = np.where(hi == np.inf, b * 2.0, (lo + hi) / 2.0)
+        betamin[active], betamax[active] = lo, hi
+    return beta, s
 
 
 def _joint_probabilities(X: np.ndarray, perplexity: float, work: _Work) -> None:
     """Symmetrized joint probabilities with per-point bandwidth search,
-    written to work.P one row block at a time; only block-sized arrays are
-    allocated.
+    written to work.P in one pass over the row blocks, from the last to
+    the first; only block-sized arrays are allocated.
 
     A block's squared distances, in the scratch, are sums of exact squared
     differences, one feature after another, so their bits do not depend on
-    the BLAS thread count. Its rows get a bisection of their own (_bisect).
-    Of its conditional rows cond, cond + cond.T goes into the block's
-    square, cond right of it into the rest of its packed rows, and the
-    part left of it, transposed, is added into the earlier blocks' rows.
-    So each pair i < j holds cond[i, j] + cond[j, i] before all of P is
+    the BLAS thread count; points about 1e155 apart get an infinite one.
+    Its rows get a bisection of their own (_bisect), which gives each row i
+    its beta_i and normaliser s_i. Every later row has them already, so the
+    block fills its own packed rows and no others: pair i < j gets
+    exp(-beta_i d_ij) / s_i + exp(-beta_j d_ij) / s_j, each term by the
+    multiply, exp and divide that the bisection ran on the same d_ij, beta
+    and s, so the two conditional probabilities of the pair. A term is 0
+    where its normaliser is 0, and so is the diagonal. Then all of P is
     divided by 2n and floored at 1e-12.
     """
     n = X.shape[0]
     target = math.log2(perplexity)
-    for k, (r, h, Pr, *_) in enumerate(work.parts):
+    beta, s = np.empty(n), np.empty(n)
+    for r, h, Pr, *_ in reversed(work.parts):
         D = work.scratch[0, :h * n].reshape(h, n)
         t = work.scratch[1, :h * n].reshape(h, n)
         D.fill(0.0)
-        for x in X.T:
-            np.subtract(x[r:r + h, None], x, out=t)
-            np.multiply(t, t, out=t)
-            D += t
-        # the conditional rows replace the distances, each searched without
-        # its diagonal entry, as one C-contiguous row; the diagonal keeps its
-        # distance, an exact 0 for finite X
+        with np.errstate(over="ignore"):
+            for x in X.T:
+                np.subtract(x[r:r + h, None], x, out=t)
+                np.multiply(t, t, out=t)
+                D += t
+        # each row without its diagonal entry, as one C-contiguous row
         keep = np.arange(n) != np.arange(r, r + h)[:, None]
-        Doff = work.scratch[1, :h * (n - 1)]
-        Doff[...] = D[keep]
-        cond = D
-        cond[keep] = _bisect(Doff.reshape(h, n - 1), target).reshape(-1)
-        np.add(cond[:, r:r + h], cond[:, r:r + h].T, out=Pr[:, :h])
-        Pr[:, h:] = cond[:, r + h:]
-        for r0, h0, P0, *_ in work.parts[:k]:
-            P0[:, r - r0:r - r0 + h] += cond[:, r0:r0 + h0].T
+        Doff = np.compress(keep.ravel(), D, out=work.scratch[1, :h * (n - 1)])
+        beta[r:r + h], s[r:r + h] = _bisect(Doff.reshape(h, n - 1), target)
+        # row i's terms go to Pr and column j's to t; an infinite distance
+        # on the diagonal makes both of its terms 0
+        D.reshape(-1)[r::n + 1] = np.inf
+        t = work.scratch[1, :Pr.size].reshape(Pr.shape)
+        for out, b, z in ((Pr, beta[r:r + h, None], s[r:r + h, None]), (t, beta[r:], s[r:])):
+            np.multiply(D[:, r:], -b, out=out)
+            np.exp(out, out=out)
+            np.divide(out, z, out=out, where=z > 0.0)
+        Pr += t
     work.P /= 2.0 * n
     np.maximum(work.P, 1e-12, out=work.P)
 
@@ -229,9 +228,10 @@ class _Work:
     1 + |y_i - y_j|^2; acc, the (n, 3) accumulator of [PQ @ Y, rowsum(PQ)];
     and the blocks' kernel totals. Each block's views are made once, in
     parts, and those of _gradient's two passes in kernel and pq, so that
-    neither pass makes a view. The scratch holds two blocks of n columns
-    for _joint_probabilities; its first also holds a block's PQ in
-    _gradient and its KL terms in kl_divergence_and_grad. tmp holds a
+    neither pass makes a view. The scratch holds two blocks of n columns: a
+    block's distances and the rows that _bisect searches (then the later
+    rows' terms) for _joint_probabilities; the first also holds a block's
+    PQ in _gradient and its KL terms in kl_divergence_and_grad. tmp holds a
     later block's share of the accumulator."""
 
     def __init__(self, n: int):

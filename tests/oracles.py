@@ -514,17 +514,20 @@ def joint_probabilities_reference(X, perplexity):
     for i in range(n):
         di = np.delete(D[i], i)
         beta, betamin, betamax = 1.0, -np.inf, np.inf
-        pi = np.zeros(n - 1)
         for _ in range(50):
             w = np.exp(-di * beta)
             s = w.sum()
-            if s <= 0.0:
-                h = 0.0
-                pi = np.zeros(n - 1)
-            else:
+            # the entropy from the normaliser, log2 s + beta sum(w d) /
+            # (s ln 2), w d read as 0 where w is 0 (d = inf); s = 0 reads
+            # as -inf
+            with np.errstate(invalid="ignore"):
+                wd = w * di
+            wd[w == 0.0] = 0.0
+            if s > 0.0:
+                h = np.log2(s) + beta * wd.sum() / (s * math.log(2.0))
                 pi = w / s
-                nz = pi > 0.0
-                h = float(-(pi[nz] * np.log2(pi[nz])).sum())
+            else:
+                h, pi = -np.inf, np.zeros(n - 1)
             if abs(h - target) < 1e-5:
                 break
             if h > target:

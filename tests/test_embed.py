@@ -171,11 +171,111 @@ def test_joint_probabilities_bitwise_equal_to_per_row_bisection(case, rows):
     assert got.tobytes() == want.tobytes()
 
 
+def _off_diagonal_distances(X):
+    """Each point's squared distances to all the others, one row each."""
+    n = len(X)
+    D = np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        for x in X.T:
+            D += (x[:, None] - x) ** 2
+    return D[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+
+
+def _check_direct_entropy(D, target):
+    """_bisect's rows against the direct entropy -sum p log2 p of
+    p = exp(-beta d) / s, on each row whose entropy from the normaliser,
+    log2 s + beta sum(e d) / (s ln 2), meets the target as _bisect tests
+    it; returns which rows those are. Beyond 1e-5, the direct entropy may
+    miss the target by what rounding each e = exp(-beta d) to a float moves
+    it, sum p |log2 e + beta d / ln 2|, and by what rounding e d and s ln 2
+    to the spacing of the subnormals, 2^-1074, moves the identity."""
+    beta, s = embed._bisect(D.copy(), target)
+    e = np.exp(D * -beta[:, None])
+    # s is the normaliser of the beta returned with it
+    assert s.tobytes() == e.sum(axis=1).tobytes()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ed = e * D
+        ed[e == 0.0] = 0.0
+        term = beta * ed.sum(axis=1) / (s * math.log(2.0))
+        h = np.log2(s) + term
+        rounding = 2.0 ** -1074 * (beta * D.shape[1] + term) / (s * math.log(2.0))
+    converged = np.abs(h - target) < 1e-5
+    for i in np.flatnonzero(converged):
+        nz = e[i] > 0.0
+        p = e[i, nz] / s[i]
+        direct = -np.sum(p * np.log2(p))
+        kernel = np.sum(p * np.abs(np.log2(e[i, nz]) + beta[i] * D[i, nz] / math.log(2.0)))
+        assert abs(direct - target) <= 1e-5 + kernel + rounding[i] + 1e-9, (i, s[i])
+    return beta, s, converged
+
+
+def _subnormal(D, beta, s, depth):
+    """The rows of D with s > 0, each shifted by (ln s + depth) / beta, or
+    by 0 if that is negative. A shift c moves no entropy, but it scales s
+    by e^-(beta c), to about e^-depth: subnormal for a depth above 708."""
+    some = s > 0.0
+    shift = (np.log(s[some]) + depth) / beta[some]
+    return D[some] + np.maximum(shift, 0.0)[:, None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(affinity_inputs(), st.booleans(), st.floats(700.0, 740.0))
+def test_bisection_meets_the_direct_entropy(case, far, depth):
+    # duplicate points give exact zeros and a point 1e200 away infinite
+    # distances; the rows go in as drawn and with subnormal normalisers
+    X, perplexity = case
+    if far:
+        X[0] = 1e200
+    target = math.log2(perplexity)
+    D = _off_diagonal_distances(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta, s, _ = _check_direct_entropy(D, target)
+        _check_direct_entropy(_subnormal(D, beta, s, depth), target)
+        work = embed._Work(len(X))
+        _joint_probabilities(X, perplexity, work)
+    assert not np.isnan(work.P).any()
+
+
+def test_bisection_converges_on_ordinary_rows():
+    # the check above reads only the rows that _bisect reports as
+    # converged. On ordinary rows that is every row. Shifted to normalisers
+    # near e^-720, the rounding of e d and s ln 2 to the subnormals' spacing
+    # keeps some rows off 1e-5 (7 of these 40)
+    D = _off_diagonal_distances(np.random.default_rng(4).normal(size=(40, 5)))
+    beta, s, converged = _check_direct_entropy(D, math.log2(5.0))
+    assert converged.all()
+    _, s, converged = _check_direct_entropy(_subnormal(D, beta, s, 720.0), math.log2(5.0))
+    assert np.all(s < np.finfo(float).tiny) and converged.mean() >= 0.5
+
+
+@pytest.mark.parametrize("scale, far", [(5.0, False), (20.0, False), (5.0, True)])
+def test_perplexity_one_keeps_every_row(scale, far):
+    # at N(0, scale^2 I) in 28-d, exp(-d) underflows for every pair, so the
+    # first normalisers are 0. Read as entropy 0 they would meet perplexity
+    # 1's target of 0 and leave those rows' conditional probabilities all
+    # zero; read as -inf they make beta back off. A point 1e200 away has
+    # only infinite distances, so its row stays at the floor
+    n = 6
+    X = np.random.default_rng(0).normal(0.0, scale, size=(n, 28))
+    if far:
+        X[0] = 1e200
+    work = embed._Work(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _joint_probabilities(X, 1.0, work)
+    rows = (2 * n * oracles.unpacked(work.P, n)).sum(axis=1)
+    if far:
+        assert rows[0] == pytest.approx(2 * n * n * 1e-12)
+        rows = rows[1:]
+    assert np.all(rows >= 1.0 - 1e-12), rows
+
+
 def test_joint_probabilities_peak_memory():
     # no (n, n) array, and nothing besides the packed P and the scratch of
-    # the _Work but a few blocks: each block's distances, its rows' pi and
-    # their entropy terms (at n=300, a quarter of the rows); measured 0.83
-    # x 8n^2
+    # the _Work but a few blocks: each block's distances, its rows' kernel
+    # e = exp(-beta d) and their products e d (at n=300, a quarter of the
+    # rows); measured 0.58 x 8n^2
     n = 300
     X = np.random.default_rng(0).normal(size=(n, 28))
     work = embed._Work(n)
