@@ -9,7 +9,8 @@ stored (parent_frequency). Runs are sorted by (group_key, run_id), so a
 group is a range of runs (group_bounds); column_index turns names into
 columns, through the one check of a feature list, features.column_index.
 
-Fitness normalization is min-max within a configurable scope: "group"
+Fitness normalization (NORMALIZE_MODES, DIRECTIONS, NORM_SCOPES hold the
+values build_ceg accepts) is min-max within a configurable scope: "group"
 pools runs sharing (benchmark, method), "run" normalizes each run alone,
 "global" pools everything; a non-finite score is missing. Direction
 "minimize" maps the smallest raw score to 1. Feature standardization is
@@ -28,6 +29,8 @@ import numpy as np
 from .features import FeatureTable, column_index
 from .ingest import CodeSample, Dataset
 
+NORMALIZE_MODES = ("minmax", "none")
+DIRECTIONS = ("maximize", "minimize")
 NORM_SCOPES = ("group", "run", "global")
 
 
@@ -177,9 +180,9 @@ def build_ceg(
     `features` holds the feature rows (see featurize_dataset); samples
     without a row are skipped, and edges touching them dropped.
     """
-    if normalize not in ("minmax", "none"):
+    if normalize not in NORMALIZE_MODES:
         raise ValueError(f"unknown normalize mode {normalize!r}")
-    if direction not in ("maximize", "minimize"):
+    if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     if norm_scope not in NORM_SCOPES:
         raise ValueError(f"unknown norm_scope {norm_scope!r}")

@@ -25,34 +25,27 @@ import io
 import math
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from .astfeat import AST_FEATURE_NAMES
-from .ceg import build_ceg, graphs_to_json
+from .ceg import DIRECTIONS, NORM_SCOPES, NORMALIZE_MODES, build_ceg, graphs_to_json
 from .codemetrics import NESTING_FEATURE_NAMES
 from .embed import correlation_table, pca, tsne
-from .features import ALL_FEATURE_NAMES, _column_names, featurize_dataset, resolve_feature_set
-from .ingest import ValidationError, load_jsonl, validate
+from .features import (ALL_FEATURE_NAMES, _column_names, column_index, featurize_dataset,
+                       resolve_feature_set)
+from .ingest import POLICIES, CodeSample, ValidationError, load_jsonl, validate
 from .report import render_ceg, render_heatmap, render_tsne
 
-_META_COLUMNS = (
-    "id",
-    "name",
-    "run_id",
-    "method",
-    "llm",
-    "benchmark",
-    "evaluation_index",
-    "fitness_raw",
-)
-
+# features.csv's metadata columns: every CodeSample field but parent_ids and code
+_META_COLUMNS = tuple(f.name for f in fields(CodeSample) if f.name not in ("parent_ids", "code"))
 
 # flag -> argparse keywords
 OPTIONS = {
     "--input": dict(required=True, help="run log (JSONL)"),
     "--out": dict(default="out", help="output directory"),
     "--policy": dict(
-        choices=("strict", "drop-dangling-edges"),
+        choices=POLICIES,
         default="strict",
         help="lineage validation policy",
     ),
@@ -60,9 +53,9 @@ OPTIONS = {
         action="store_true",
         help="also compute eigenvector centrality features",
     ),
-    "--normalize": dict(choices=("minmax", "none"), default="minmax"),
-    "--direction": dict(choices=("maximize", "minimize"), default="maximize"),
-    "--norm-scope": dict(choices=("group", "run", "global"), default="group"),
+    "--normalize": dict(choices=NORMALIZE_MODES, default="minmax"),
+    "--direction": dict(choices=DIRECTIONS, default="maximize"),
+    "--norm-scope": dict(choices=NORM_SCOPES, default="group"),
     "--seed": dict(type=int, default=0),
     "--perplexity": dict(type=float, default=30.0),
     "--iterations": dict(type=int, default=1000),
@@ -140,12 +133,11 @@ def _write_features_csv(dataset, table) -> str:
 
 
 def _y_axis(spelling: str, names) -> str:
-    """The lineage figure's y axis: "pc1" or one of the feature names."""
+    """The lineage figure's y axis: "pc1" or a feature name, checked by column_index."""
     name = {"pc1": "pc1", "tokens": "token_total"}.get(spelling)
     if name is None and spelling.startswith("feature:"):
         name = spelling[len("feature:"):]
-        if name not in names:
-            raise ValueError(f"unknown y-axis feature {name!r}")
+        column_index(names, [name])
     if name is None:
         raise ValueError(f"unknown y-axis {spelling!r}; use pc1, tokens or feature:<name>")
     return name
@@ -254,13 +246,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        if isinstance(exc.code, int):
-            return exc.code
-        print(exc.code, file=sys.stderr)
-        return 2
+    except SystemExit as exc:  # argparse exits with 0 (--help) or 2 (bad usage)
+        return exc.code
     try:
         return _run(args)
     except ValueError as exc:

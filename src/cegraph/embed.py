@@ -19,7 +19,8 @@ kernel, from the largest |y_i|^2, shows that it may bind (_floor_binds).
 The KL value is not evaluated inside the loop, which runs in the calling
 process; every block's products stay on one BLAS thread, so its bits do
 not depend on the number of CPUs. Spearman's correlation ranks each
-group's features in one call and keeps the per-cell arithmetic.
+group's features in one call and keeps the per-cell arithmetic; a cell
+is undefined (None) below 3 complete pairs or for a constant side.
 """
 
 from __future__ import annotations
@@ -467,10 +468,10 @@ def _ranks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, new_run.all(axis=1)
 
 
-def _rank_correlation(rx: np.ndarray, ry: np.ndarray, distinct: bool) -> float:
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray, distinct: bool) -> float | None:
     """Spearman's correlation from the average ranks rx and ry of at least
     3 complete pairs, each a contiguous 1-d array; `distinct` says that
-    neither holds a tie. A constant rank vector gives 0.0."""
+    neither holds a tie. A constant rank vector gives None (undefined)."""
     n = len(rx)
     if distinct:
         # tie-free ranks: the difference formula is algebraically the same
@@ -481,16 +482,16 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray, distinct: bool) -> float:
         sx = rx.std()
         sy = ry.std()
         if sx == 0.0 or sy == 0.0:
-            return 0.0
+            return None
         r = float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
     return max(-1.0, min(1.0, r))
 
 
 def _spearman_rows(F: np.ndarray, y: np.ndarray) -> list[float | None]:
     """Spearman's correlation of each row of the 2-d float array F with y,
-    with pairwise deletion of non-finite values; None where fewer than 3
-    pairs are complete. The rows that are finite wherever y is share y's
-    complete pairs, so they and y are ranked together in one call; any
+    with pairwise deletion of non-finite values; None where the cell is
+    undefined (see _rank_correlation). The rows finite wherever y is share
+    y's complete pairs, so they and y are ranked together in one call; any
     other row is ranked with y on its own pairs."""
     ok = np.isfinite(y)
     shared = np.isfinite(F[:, ok]).all(axis=1)
@@ -510,8 +511,8 @@ def _spearman_rows(F: np.ndarray, y: np.ndarray) -> list[float | None]:
 def spearman(x, y) -> float | None:
     """Spearman rank correlation with pairwise deletion of missing values.
 
-    NaN (or None) marks a missing value. Fewer than 3 complete pairs gives
-    None; a constant rank vector gives 0.0.
+    NaN (or None) marks a missing value. Fewer than 3 complete pairs, or a
+    constant rank vector, gives None.
     """
     x = np.asarray([np.nan if v is None else v for v in x], dtype=float)
     y = np.asarray([np.nan if v is None else v for v in y], dtype=float)
@@ -523,8 +524,8 @@ def spearman(x, y) -> float | None:
 @dataclass(frozen=True, eq=False)
 class CorrelationTable:
     """Spearman correlations between raw feature values and normalized
-    fitness, one row per (benchmark, method, llm) group. None marks a
-    group/feature cell with fewer than 3 valid nodes."""
+    fitness, one row per (benchmark, method, llm) group. None marks an
+    undefined cell: fewer than 3 valid nodes, or a constant side on them."""
 
     groups: tuple[tuple[str, str, str], ...]
     feature_names: tuple[str, ...]

@@ -7,15 +7,18 @@ method, llm, benchmark (default ""), parent_ids (default []), fitness_raw
 (null or absent means missing). Blank lines are skipped; any malformed
 line is a fatal SchemaError naming the line number, as is a lone surrogate
 in any string field but code (a surrogate in code makes the sample
-unparsable, a recorded failure).
+unparsable, a recorded failure). dump_jsonl writes one key per CodeSample
+field, in field order; validate's lineage policies are POLICIES.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+POLICIES = ("strict", "drop-dangling-edges")
 
 
 class SchemaError(ValueError):
@@ -200,7 +203,7 @@ def validate(dataset: Dataset, policy: str = "strict") -> tuple[Dataset, list[Vi
     "drop-dangling-edges" offending parent references (and every repeat
     after the first) are removed and reported as Violation records.
     """
-    if policy not in ("strict", "drop-dangling-edges"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     by_id = dataset.by_id()
     violations: list[Violation] = []
@@ -236,19 +239,7 @@ def validate(dataset: Dataset, policy: str = "strict") -> tuple[Dataset, list[Vi
 def dump_jsonl(dataset: Dataset, path) -> None:
     """Write a run log with inline code; load_jsonl(dump_jsonl(d)) == d."""
     path = Path(path)
-    lines = []
-    for s in dataset.samples:
-        obj = {
-            "id": s.id,
-            "name": s.name,
-            "run_id": s.run_id,
-            "method": s.method,
-            "llm": s.llm,
-            "benchmark": s.benchmark,
-            "evaluation_index": s.evaluation_index,
-            "parent_ids": list(s.parent_ids),
-            "fitness_raw": s.fitness_raw,
-            "code": s.code,
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False))
+    # parent_ids' tuple is written as a JSON list
+    lines = [json.dumps({f.name: getattr(s, f.name) for f in fields(s)}, ensure_ascii=False)
+             for s in dataset.samples]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

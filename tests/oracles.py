@@ -170,7 +170,7 @@ def pearson(x, y):
     vx = sum((a - mx) ** 2 for a in x)
     vy = sum((b - my) ** 2 for b in y)
     if vx == 0 or vy == 0:
-        return 0.0
+        return None  # undefined for a constant side
     cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
     return cov / math.sqrt(vx * vy)
 
@@ -199,7 +199,7 @@ def spearman_with_ties(x, y):
 def spearman_reference(x, y):
     """Spearman's correlation of one feature with fitness as embed
     computes a cell: pairwise deletion of None, NaN and infinities, None
-    below 3 complete pairs, average ranks (rank_with_ties), 0.0 for a
+    below 3 complete pairs, average ranks (rank_with_ties), None for a
     constant rank vector, the difference formula where neither side has a
     tie and Pearson on the ranks otherwise, clamped to [-1, 1]."""
     pairs = [(a, b) for a, b in zip(x, y)
@@ -211,7 +211,7 @@ def spearman_reference(x, y):
     sx = rx.std()
     sy = ry.std()
     if sx == 0.0 or sy == 0.0:
-        return 0.0
+        return None
     n = len(rx)
     if len(set(rx.tolist())) == n and len(set(ry.tolist())) == n:
         d2 = float(((rx - ry) ** 2).sum())

@@ -202,6 +202,18 @@ def test_feature_name_mismatch_is_fatal(tmp_path):
         FeatureTable(table.ids, ("only_one",), table.values)
 
 
+@pytest.mark.parametrize("option, message", [
+    ({"normalize": "zscore"}, "unknown normalize mode 'zscore'"),
+    ({"direction": "up"}, "unknown direction 'up'"),
+    ({"norm_scope": "llm"}, "unknown norm_scope 'llm'"),
+], ids=["normalize", "direction", "norm-scope"])
+def test_unknown_fitness_option_is_refused(tmp_path, option, message):
+    ds = make_dataset(tmp_path, simple_objs([1.0, 2.0]))
+    table, _ = featurize_dataset(ds)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_ceg(ds, table, **option)
+
+
 def test_mixed_group_key_within_run_is_fatal(tmp_path):
     objs = simple_objs([1.0], run_id="r", benchmark="b1")
     extra = simple_objs([2.0], run_id="r", benchmark="b2")[0]

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cegraph import cli, features
+from cegraph import ceg, cli, features, ingest
 from cegraph.ceg import build_ceg
 from cegraph.cli import main
 from cegraph.features import ALL_FEATURE_NAMES, EIG_FEATURE_NAMES, featurize_dataset
@@ -63,8 +63,8 @@ BUNDLED_LOG = SRC.parent / "data" / "synthetic_run.jsonl"
 PINNED_SHA256 = {
     "features.csv": "065702be0d5ff87ffeed66b6adfacc1f4c2a80a4b203de55ccccb87042cd2445",
     "ceg.json": "bb922d6feacddc6ec17b1516254598e77de91fa1f4f50c8a22fe5e2a0a21aba3",
-    "correlations.csv": "8aea9c1668b54e17fe4895741c46db77d95dad67e19f527cd8432429e2cc73c6",
-    "heatmap.svg": "ec8cc1d334b1375482d14f0e8535b507f2aada34bf6e75c8edb1c98baa8cd7da",
+    "correlations.csv": "e3345c5e892a6e015ecc7fb2d6c2734a17f6b1d6cddb8f53832bc0944eaf62a1",
+    "heatmap.svg": "145682b8c68a9b4727652295c46eeda558e99611afb25226ad4739d4ae68bf3a",
 }
 
 
@@ -175,7 +175,7 @@ def test_unknown_y_axis_is_validation_failure(log_path, tmp_path, capsys):
     listing = tmp_path / "eig.txt"
     listing.write_text("eig_centrality_max\n", encoding="utf-8")
     for argv, message in (
-        (["ceg", "--y-axis", "feature:bogus"], "unknown y-axis feature 'bogus'"),
+        (["ceg", "--y-axis", "feature:bogus"], "unknown feature names: bogus"),
         (["pipeline", "--feature-set", f"custom:{listing}"],
          "unknown feature names: eig_centrality_max"),
     ):
@@ -278,6 +278,7 @@ def test_normalize_none_and_scope_flags(log_path, tmp_path):
 
 
 def test_exit_codes(tmp_path, log_path, capsys):
+    assert run(["pipeline", "--help"]) == 0
     assert run(["pipeline"]) == 2  # missing --input
     capsys.readouterr()
     assert run(["pipeline", "--input", tmp_path / "absent.jsonl",
@@ -372,10 +373,11 @@ def test_bad_projection_flag_writes_nothing(log_path, tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--y-axis", "feature:bogus"], "unknown y-axis feature 'bogus'"),
+    (["--y-axis", "feature:bogus"], "unknown feature names: bogus"),
     (["--iterations", "0"], "--iterations must be positive, got 0"),
+    (["--y-axis", "pc2"], "unknown y-axis 'pc2'; use pc1, tokens or feature:<name>"),
     (["--feature-set", "custom:{listing}"], "unknown feature names: eig_centrality_max"),
-], ids=["y-axis", "iterations", "eig-without-flag"])
+], ids=["y-axis", "iterations", "y-axis-spelling", "eig-without-flag"])
 def test_flags_are_checked_before_the_log_is_read(tmp_path, capsys, flags, message):
     # the log's one sample names a file that is not there, which would
     # stop the load with an i/o error (exit 2)
@@ -391,6 +393,15 @@ def test_flags_are_checked_before_the_log_is_read(tmp_path, capsys, flags, messa
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_each_choices_is_the_tuple_the_library_checks():
+    # a copy typed into OPTIONS could drift from what validate and build_ceg accept
+    owners = {"--policy": ingest.POLICIES, "--normalize": ceg.NORMALIZE_MODES,
+              "--direction": ceg.DIRECTIONS, "--norm-scope": ceg.NORM_SCOPES}
+    assert [flag for flag, kwargs in cli.OPTIONS.items() if "choices" in kwargs] == list(owners)
+    for flag, values in owners.items():
+        assert cli.OPTIONS[flag]["choices"] is values
 
 
 def test_unparsable_sample_is_reported_once(tmp_path):

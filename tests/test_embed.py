@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -188,7 +188,9 @@ def _check_direct_entropy(D, target):
     it; returns which rows those are. Beyond 1e-5, the direct entropy may
     miss the target by what rounding each e = exp(-beta d) to a float moves
     it, sum p |log2 e + beta d / ln 2|, and by what rounding e d and s ln 2
-    to the spacing of the subnormals, 2^-1074, moves the identity."""
+    to the spacing of the subnormals, 2^-1074, moves the identity. The
+    direct entropy sums over p > 0 (0 log 0 = 0): an entry e > 0 can still
+    give p = e / s = 0."""
     beta, s = embed._bisect(D.copy(), target)
     e = np.exp(D * -beta[:, None])
     # s is the normaliser of the beta returned with it
@@ -203,7 +205,7 @@ def _check_direct_entropy(D, target):
     for i in np.flatnonzero(converged):
         nz = e[i] > 0.0
         p = e[i, nz] / s[i]
-        direct = -np.sum(p * np.log2(p))
+        direct = -np.sum(p[p > 0.0] * np.log2(p[p > 0.0]))
         kernel = np.sum(p * np.abs(np.log2(e[i, nz]) + beta[i] * D[i, nz] / math.log(2.0)))
         assert abs(direct - target) <= 1e-5 + kernel + rounding[i] + 1e-9, (i, s[i])
     return beta, s, converged
@@ -218,8 +220,19 @@ def _subnormal(D, beta, s, depth):
     return D[some] + np.maximum(shift, 0.0)[:, None]
 
 
+# 18 points on a line at perplexity 3: row 10's smallest e = exp(-beta d)
+# is 5e-324, and with s = 2.04 its p = e / s rounds to 0
+_P_UNDERFLOWS = np.array([[0.02188094103258567], [-0.4704973844631159], [0.02188094103258567],
+                          [1.0401632042407074], [-1.0178974670568337], [-0.10122418104230829],
+                          [-0.2040682687192639], [-0.17215354643398081], [-0.6482526511269385],
+                          [0.2788381858113699], [0.21369469660405993], [0.21300369012303136],
+                          [0.13373224472790626], [-0.1700319061522041], [-2.170384185081197],
+                          [0.006757832332424079], [1.290592737310129], [-2.198010021274828]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(affinity_inputs(), st.booleans(), st.floats(700.0, 740.0))
+@example(case=(_P_UNDERFLOWS, 3.0), far=False, depth=700.0)
 def test_bisection_meets_the_direct_entropy(case, far, depth):
     # duplicate points give exact zeros and a point 1e200 away infinite
     # distances; the rows go in as drawn and with subnormal normalisers
@@ -595,8 +608,11 @@ def test_spearman_ties_match_rank_pearson_oracle():
         x = [rng.randint(0, 5) for _ in range(n)]
         y = [rng.randint(0, 5) for _ in range(n)]
         got = spearman(x, y)
-        want = max(-1.0, min(1.0, oracles.spearman_with_ties(x, y)))
-        assert got == pytest.approx(want, abs=1e-12)
+        want = oracles.spearman_with_ties(x, y)
+        if want is None:  # a constant side: undefined
+            assert got is None
+        else:
+            assert got == pytest.approx(max(-1.0, min(1.0, want)), abs=1e-12)
 
 
 # few distinct values, so that most draws hold long runs of ties
@@ -664,9 +680,11 @@ def test_spearman_too_few_pairs_is_none():
     assert spearman([], []) is None
 
 
-def test_spearman_constant_input_is_zero():
-    assert spearman([5, 5, 5, 5], [1, 2, 3, 4]) == 0.0
-    assert spearman([1, 2, 3, 4], [7, 7, 7, 7]) == 0.0
+def test_spearman_constant_input_is_undefined():
+    assert spearman([5, 5, 5, 5], [1, 2, 3, 4]) is None
+    assert spearman([1, 2, 3, 4], [7, 7, 7, 7]) is None
+    # constant on the complete pairs only
+    assert spearman([5, 5, 5, 1], [1, 2, 3, None]) is None
 
 
 def test_spearman_length_mismatch():
@@ -717,14 +735,14 @@ def test_correlation_anti_monotone_feature_is_minus_one(tmp_path):
     assert table.get(ceg.group_keys[0], "token_total") == -1.0
 
 
-def test_correlation_constant_feature_is_zero(tmp_path):
+def test_correlation_constant_feature_is_undefined(tmp_path):
     # same code every time: every feature constant, fitness varies
     ceg = ceg_from(
         tmp_path,
         make_objs([0.1, 0.5, 0.9], code_of=lambda i: "x = 1\n"),
     )
     table = correlation_table(ceg)
-    assert all(v == 0.0 for v in table.values[0])
+    assert all(v is None for v in table.values[0])
 
 
 def test_correlation_pools_runs_within_group(tmp_path):
@@ -791,7 +809,7 @@ def test_correlation_exactly_one_feature_anti_monotone(tmp_path):
     row = dict(zip(names, table.values[0]))
     assert row["token_total"] == -1.0
     assert -1.0 < row["node_count"] < 1.0
-    assert row["cc_total"] == 0.0  # constant feature
+    assert row["cc_total"] is None  # constant feature
 
 
 # few distinct values, so that ties, constant columns and sparse groups

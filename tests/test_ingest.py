@@ -146,6 +146,9 @@ def test_malformed_json_names_line_number(tmp_path):
         {"evaluation_index": 1.5},
         {"evaluation_index": True},
         {"code": None},
+        {"code": 5},
+        {"code": None, "code_path": 5},
+        {"code": None, "code_path": "a\x00.py"},  # open() refuses a NUL
         {"parent_ids": "p0"},
         {"parent_ids": [1]},
         {"fitness_raw": "high"},
